@@ -6,20 +6,20 @@ plus 2D-MUSIC and on-grid l1 baselines, all sharing one scene simulator and
 benchmark harness.
 """
 
-from .admm import (Diagnostics, SdpBlock, Solution, SolverConfig, SolverState,
-                   default_weights, estimate_noise_sigma, objective_dual,
-                   objective_primal, optimality_residuals, solve)
+from .admm import (Diagnostics, Solution, SolverConfig, default_weights,
+                   estimate_noise_sigma, objective_dual, objective_primal,
+                   optimality_residuals, solve)
 from .baselines import (CsL1Config, MusicConfig, csl1_estimate, default_csl1_config,
                         default_music_config, music_estimate, music_spectrum,
                         spatial_smooth)
 from .bench import (ALGORITHMS, Match, RmseReport, RmseRow, ScenarioSpec,
-                    build_scenario, gate_identification, gates, preset,
-                    run_algorithm, run_benchmark, simulate_trial)
+                    gate_identification, gates, preset, run_algorithm,
+                    run_benchmark, simulate_trial)
 from .errors import ConfigError, DegenerateDictionaryError, NumericError
-from .extract import (Estimate, ErrorSupport, Peak, build_estimate,
-                      detect_error_support, dual_atomic_norm, dual_polynomial,
-                      dual_poly_grid, estimate_from_solution, locate_peaks,
-                      ls_amplitudes, refine_peak, to_physical)
+from .extract import (Estimate, ErrorSupport, Peak, detect_error_support,
+                      dual_atomic_norm, dual_polynomial, dual_poly_grid,
+                      estimate_from_solution, locate_peaks, ls_amplitudes,
+                      refine_peak, to_physical)
 from .operators import (adjoint_normalized, block_toeplitz, psd_project,
                         soft_threshold, symmetrize_param)
 from .scene import (C_LIGHT, Constellation, Measurement, Path, RadarConfig,

@@ -53,42 +53,6 @@ class SolverConfig:
 
 
 @dataclass
-class SdpBlock:
-    """Partition of an (MN+1) x (MN+1) Hermitian block matrix."""
-
-    theta0: np.ndarray
-    theta1: np.ndarray
-    theta_bar: float
-
-    @classmethod
-    def from_matrix(cls, A: np.ndarray) -> "SdpBlock":
-        n = A.shape[0] - 1
-        return cls(theta0=A[:n, :n], theta1=A[:n, n], theta_bar=float(A[n, n].real))
-
-    def assemble(self) -> np.ndarray:
-        n = self.theta1.shape[0]
-        A = np.empty((n + 1, n + 1), dtype=complex)
-        A[:n, :n] = self.theta0
-        A[:n, n] = self.theta1
-        A[n, :n] = np.conj(self.theta1)
-        A[n, n] = self.theta_bar
-        return A
-
-
-@dataclass
-class SolverState:
-    """Final primal/dual iterates of one solve."""
-
-    z_bar: np.ndarray
-    e_bar: np.ndarray
-    U: np.ndarray
-    t: float
-    Theta: SdpBlock
-    Upsilon: SdpBlock
-    iter: int
-
-
-@dataclass
 class Diagnostics:
     primal_residuals: list = field(default_factory=list)
     dual_residuals: list = field(default_factory=list)
@@ -104,13 +68,22 @@ class Diagnostics:
 
 @dataclass
 class Solution:
-    """Denoised signal, sparse error estimate, and the recovered dual vector."""
+    """Final iterates of one solve and the recovered dual vector.
+
+    ``z_hat`` is the denoised signal and ``e_hat`` the sparse error estimate;
+    ``nu_hat`` is the dual vector read from the multiplier.  ``U`` (the
+    (2M-1) x (2N-1) Toeplitz parameter) and the scalar ``t`` are the lift's
+    values at the last sweep, and ``Theta`` is the final (MN+1) x (MN+1)
+    positive semidefinite block.
+    """
 
     z_hat: np.ndarray
     e_hat: np.ndarray
     nu_hat: np.ndarray
+    U: np.ndarray
+    t: float
+    Theta: np.ndarray
     diagnostics: Diagnostics
-    state: SolverState
 
 
 def default_weights(sigma: float, M: int, N: int) -> tuple[float, float]:
@@ -135,6 +108,7 @@ def estimate_noise_sigma(measurement: Measurement) -> float:
 
 
 def _assemble(TU: np.ndarray, z: np.ndarray, t: float) -> np.ndarray:
+    """The (MN+1) x (MN+1) block [[T(U), z], [z^H, t]] of the lift."""
     mn = z.shape[0]
     A = np.empty((mn + 1, mn + 1), dtype=complex)
     A[:mn, :mn] = TU
@@ -202,11 +176,7 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
         Upsilon = Upsilon + rho * (Theta_new - A)
         Theta = Theta_new
 
-        fit = r - e - s * z
-        obj = (0.5 * float(np.vdot(fit, fit).real)
-               + lam * 0.5 * float(U[M - 1, N - 1].real)
-               + lam * 0.5 * t
-               + mu * float(np.sum(np.abs(e))))
+        obj = _primal_objective(measurement, z, e, U, t, config)
 
         diag.primal_residuals.append(primal)
         diag.dual_residuals.append(dual)
@@ -226,10 +196,8 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     # of -2; undoing it recovers the dual vector of the denoising program.
     nu_hat = -2.0 * Upsilon[:mn, mn]
 
-    state = SolverState(z_bar=z, e_bar=e, U=U, t=t,
-                        Theta=SdpBlock.from_matrix(Theta),
-                        Upsilon=SdpBlock.from_matrix(Upsilon), iter=it)
-    return Solution(z_hat=z, e_hat=e, nu_hat=nu_hat, diagnostics=diag, state=state)
+    return Solution(z_hat=z, e_hat=e, nu_hat=nu_hat, U=U, t=t, Theta=Theta,
+                    diagnostics=diag)
 
 
 def atomic_norm_sdp_value(U: np.ndarray, t: float, M: int, N: int) -> float:
@@ -237,14 +205,20 @@ def atomic_norm_sdp_value(U: np.ndarray, t: float, M: int, N: int) -> float:
     return 0.5 * float(U[M - 1, N - 1].real) + 0.5 * t
 
 
-def objective_primal(state: SolverState, measurement: Measurement,
-                     config: SolverConfig) -> float:
-    """Value of the semidefinite objective at the given state."""
-    M, N = measurement.M, measurement.N
-    fit = measurement.r_bar - state.e_bar - measurement.s_tilde * state.z_bar
+def _primal_objective(measurement: Measurement, z: np.ndarray, e: np.ndarray,
+                      U: np.ndarray, t: float, config: SolverConfig) -> float:
+    """0.5 ||r - e - s*z||^2 + lam * (lift value) + mu * ||e||_1."""
+    fit = measurement.r_bar - e - measurement.s_tilde * z
     return (0.5 * float(np.vdot(fit, fit).real)
-            + config.lam * atomic_norm_sdp_value(state.U, state.t, M, N)
-            + config.mu * float(np.sum(np.abs(state.e_bar))))
+            + config.lam * atomic_norm_sdp_value(U, t, measurement.M, measurement.N)
+            + config.mu * float(np.sum(np.abs(e))))
+
+
+def objective_primal(solution: Solution, measurement: Measurement,
+                     config: SolverConfig) -> float:
+    """Value of the semidefinite objective at the solution's final iterates."""
+    return _primal_objective(measurement, solution.z_hat, solution.e_hat,
+                             solution.U, solution.t, config)
 
 
 def objective_dual(nu: np.ndarray, measurement: Measurement,
@@ -294,7 +268,7 @@ def optimality_residuals(solution: Solution, measurement: Measurement,
     z, e = solution.z_hat, solution.e_hat
     w = measurement.r_bar - e - s * z
 
-    sdp_norm = atomic_norm_sdp_value(solution.state.U, solution.state.t, M, N)
+    sdp_norm = atomic_norm_sdp_value(solution.U, solution.t, M, N)
     atomic_balance = config.lam * sdp_norm - float(np.vdot(s * z, w).real)
     dual_norm_excess = dual_atomic_norm(np.conj(s) * w, M, N, grid_factor=grid_factor) - config.lam
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .extract import Estimate, ls_amplitudes
+from .extract import Estimate, ls_amplitudes, wrapped_local_maxima
 from .operators import soft_threshold
 from .scene import Measurement, Path
 
@@ -108,16 +108,6 @@ def music_spectrum(observation: np.ndarray, config: MusicConfig) -> np.ndarray:
     return 1.0 / np.maximum(denom, 1e-300)
 
 
-def _grid_local_maxima(values: np.ndarray) -> np.ndarray:
-    is_max = np.ones_like(values, dtype=bool)
-    for dp in (-1, 0, 1):
-        for dq in (-1, 0, 1):
-            if dp == 0 and dq == 0:
-                continue
-            is_max &= values > np.roll(np.roll(values, dp, axis=0), dq, axis=1)
-    return np.argwhere(is_max)
-
-
 def music_estimate(measurement: Measurement, config: MusicConfig) -> Estimate:
     """Pick the strongest spectrum peaks and fit amplitudes by least squares."""
     M, N = measurement.M, measurement.N
@@ -126,7 +116,7 @@ def music_estimate(measurement: Measurement, config: MusicConfig) -> Estimate:
     k = _signal_dimension(svals, config)
     spectrum = music_spectrum(observation, config)
 
-    cells = _grid_local_maxima(spectrum)
+    cells = np.argwhere(wrapped_local_maxima(spectrum))
     if cells.size == 0:
         return Estimate(paths=(), error_support=(), dual_peak_values=())
     vals = spectrum[cells[:, 0], cells[:, 1]]

@@ -8,7 +8,7 @@ and accumulate range/velocity errors over the matched pairs only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,6 +18,11 @@ from .scene import (C_LIGHT, Measurement, Path, RadarConfig, Scene,
                     normalized_to_physical, physical_to_normalized, qpsk, simulate)
 
 ALGORITHMS = ("CS-ANL1", "CS-AN", "CS-L1", "2D-MUSIC")
+# Estimated paths at or below this speed are taken as clutter, not targets.
+CLUTTER_EXCLUSION_MPS = 3.0
+# Grid oversampling of the gridded baselines; the identification gates are
+# derived from the same density.
+BASELINE_GRID_FACTOR = 4
 
 
 @dataclass(frozen=True)
@@ -121,12 +126,6 @@ def draw_scene(spec: ScenarioSpec, rng: np.random.Generator) -> Scene:
     return Scene(targets=tuple(targets), clutter=tuple(clutter))
 
 
-def build_scenario(spec: ScenarioSpec, trial: int = 0) -> tuple[Scene, RadarConfig]:
-    """Scene for one trial, deterministic in (spec.seed, trial)."""
-    rng = np.random.default_rng(spec.seed + trial)
-    return draw_scene(spec, rng), spec.config
-
-
 def simulate_trial(spec: ScenarioSpec, ber: float, trial: int) -> tuple[Scene, Measurement]:
     """Scene plus measurement from one per-trial generator (seed + trial)."""
     rng = np.random.default_rng(spec.seed + trial)
@@ -151,8 +150,7 @@ class Match:
 
 
 def gate_identification(estimate: extract.Estimate, truth: list[Path],
-                        config: RadarConfig, *,
-                        clutter_exclusion_mps: float = 3.0) -> list[Match]:
+                        config: RadarConfig) -> list[Match]:
     """Greedy nearest matching of estimated paths to true targets.
 
     Estimated paths inside the zero-velocity clutter region are discarded;
@@ -164,7 +162,7 @@ def gate_identification(estimate: extract.Estimate, truth: list[Path],
     est_rv = [normalized_to_physical(p.phi, p.psi, config) for p in estimate.paths]
     candidates = []
     for j, (er, ev) in enumerate(est_rv):
-        if abs(ev) <= clutter_exclusion_mps:
+        if abs(ev) <= CLUTTER_EXCLUSION_MPS:
             continue
         for i, (tr, tv) in enumerate(truth_rv):
             dr, dv = abs(er - tr), abs(ev - tv)
@@ -185,16 +183,14 @@ def gate_identification(estimate: extract.Estimate, truth: list[Path],
 
 
 def run_algorithm(name: str, measurement: Measurement, config: RadarConfig,
-                  n_paths: int, *, an_max_iters: int = 400,
-                  grid_factor: int = 16,
-                  baseline_grid_factor: int = 4) -> extract.Estimate:
+                  n_paths: int, *, an_max_iters: int = 400) -> extract.Estimate:
     """Dispatch one receiver on a measurement.
 
     ``n_paths`` is the model order handed to MUSIC (the benchmark runs with
     the true path count, as the accuracy protocol assumes).  The gridded
     baselines share the 4x dictionary density the identification gates are
-    derived from; the dual-certificate receivers scan at ``grid_factor`` and
-    refine off-grid.
+    derived from; the dual-certificate receivers scan at the extractor's
+    default density and refine off-grid.
     """
     M, N = measurement.M, measurement.N
     sigma = config.sigma
@@ -204,16 +200,15 @@ def run_algorithm(name: str, measurement: Measurement, config: RadarConfig,
             mu = 0.0
         solver = admm.SolverConfig(lam=lam, mu=mu, max_iters=an_max_iters)
         solution = admm.solve(measurement, solver)
-        return extract.estimate_from_solution(solution, measurement, lam, mu,
-                                              grid_factor=grid_factor)
+        return extract.estimate_from_solution(solution, measurement, lam, mu)
     if name == "CS-L1":
         return baselines.csl1_estimate(
             measurement,
-            baselines.default_csl1_config(M, N, sigma, grid_factor=baseline_grid_factor))
+            baselines.default_csl1_config(M, N, sigma, grid_factor=BASELINE_GRID_FACTOR))
     if name == "2D-MUSIC":
         k = min(n_paths, (M // 2) * (N // 2) - 1)
         cfg = baselines.default_music_config(M, N, K_signal=k,
-                                             grid_factor=baseline_grid_factor)
+                                             grid_factor=BASELINE_GRID_FACTOR)
         return baselines.music_estimate(measurement, cfg)
     raise ConfigError(f"unknown algorithm {name!r} (choose from {ALGORITHMS})")
 
@@ -249,8 +244,7 @@ class RmseReport:
 
 
 def run_benchmark(spec: ScenarioSpec, algorithms, ber_list, *,
-                  an_max_iters: int = 600, grid_factor: int = 16,
-                  progress=None) -> RmseReport:
+                  an_max_iters: int = 600, progress=None) -> RmseReport:
     """Sweep (ber, algorithm, trial) and aggregate gated RMSE statistics.
 
     Trials that raise a numerical error are excluded from the aggregates and
@@ -271,7 +265,7 @@ def run_benchmark(spec: ScenarioSpec, algorithms, ber_list, *,
                                   n_matched=0, sq_range_error=0.0, sq_velocity_error=0.0)
                 try:
                     est = run_algorithm(name, measurement, spec.config, scene.K,
-                                        an_max_iters=an_max_iters, grid_factor=grid_factor)
+                                        an_max_iters=an_max_iters)
                     matches = gate_identification(est, list(scene.targets), spec.config)
                 except NumericError as exc:
                     rec.failed = True
@@ -298,8 +292,3 @@ def run_benchmark(spec: ScenarioSpec, algorithms, ber_list, *,
                 identification_rate=(matched / (spec.n_targets * used)) if used else math.nan,
                 trials_used=used))
     return report
-
-
-def with_overrides(spec: ScenarioSpec, **kwargs) -> ScenarioSpec:
-    """Copy a spec with fields replaced (CLI override helper)."""
-    return replace(spec, **kwargs)

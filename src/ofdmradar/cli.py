@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -42,15 +43,13 @@ def _load_spec(args) -> bench.ScenarioSpec:
         overrides["seed"] = args.seed
     if getattr(args, "trials", None) is not None:
         overrides["trials"] = args.trials
-    if overrides:
-        spec = bench.with_overrides(spec, **overrides)
-    return spec
+    return dataclasses.replace(spec, **overrides)
 
 
 def cmd_scenario(args) -> int:
     spec = bench.preset(args.preset)
     if args.seed is not None:
-        spec = bench.with_overrides(spec, seed=args.seed)
+        spec = dataclasses.replace(spec, seed=args.seed)
     _write(serialize.dumps(serialize.scenario_to_dict(spec)), args.out, args.quiet)
     return 0
 
@@ -83,8 +82,9 @@ def _solve_dual(measurement, config, algo, args):
     estimate = extract.estimate_from_solution(solution, measurement, lam, mu)
     t2 = time.perf_counter()
     timing = {"solve": t1 - t0, "extract": t2 - t1}
-    return serialize.solution_to_dict(solution, measurement, solver, estimate,
-                                      algo=algo, config=config, timing=timing)
+    doc = serialize.solution_to_dict(solution, measurement, solver, estimate,
+                                     algo=algo, config=config, timing=timing)
+    return doc, estimate
 
 
 def cmd_solve(args) -> int:
@@ -94,7 +94,7 @@ def cmd_solve(args) -> int:
     measurement, config, truth = serialize.measurement_from_dict(obj)
     M, N = measurement.M, measurement.N
     if args.algo in ("anl1", "an"):
-        doc = _solve_dual(measurement, config, args.algo, args)
+        doc, estimate = _solve_dual(measurement, config, args.algo, args)
     elif args.algo == "csl1":
         cfg = baselines.default_csl1_config(M, N, config.sigma)
         t0 = time.perf_counter()
@@ -114,24 +114,10 @@ def cmd_solve(args) -> int:
     else:
         raise ConfigError(f"unknown algorithm {args.algo!r}")
     if args.format == "csv":
-        est = doc.get("estimate")
-        text = serialize.estimate_to_csv(_estimate_from_doc(est, config), config)
-        _write(text, args.out, args.quiet)
+        _write(serialize.estimate_to_csv(estimate, config), args.out, args.quiet)
     else:
         _write(serialize.dumps(doc), args.out, args.quiet)
     return 0
-
-
-def _estimate_from_doc(est: dict, config) -> extract.Estimate:
-    from .scene import Path
-    paths, mags = [], []
-    for row in est.get("paths", []):
-        paths.append(Path(alpha=complex(row["alpha_re"], row["alpha_im"]),
-                          phi=row["phi"], psi=row["psi"]))
-        mags.append(row.get("dual_peak_mag") or float("nan"))
-    return extract.Estimate(paths=tuple(paths),
-                            error_support=tuple(est.get("error_support", [])),
-                            dual_peak_values=tuple(mags))
 
 
 def cmd_spectrum(args) -> int:

@@ -18,6 +18,15 @@ from .errors import ConfigError, DegenerateDictionaryError
 from .scene import Path, RadarConfig, atom, normalized_to_physical
 
 TWO_PI = 2.0 * np.pi
+# Peaks count when |Q| reaches (1 - REL_THRESHOLD) * lam.
+REL_THRESHOLD = 0.02
+# Newton refinement: step cap and gradient tolerance relative to max(1, |Q|^2).
+MAX_NEWTON_STEPS = 50
+GRAD_TOL = 1e-8
+# Error support: |e_hat| above ERROR_REL_TOL of the data scale; dual-side
+# confirmation where |s_j nu_j| is within DUAL_TOL of mu, relative.
+ERROR_REL_TOL = 1e-6
+DUAL_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -92,8 +101,7 @@ def _poly_derivs(V: np.ndarray, phi: float, psi: float):
     return Q, Qp, Qs, Qpp, Qss, Qps
 
 
-def refine_peak(nu: np.ndarray, phi: float, psi: float, M: int, N: int,
-                max_steps: int = 50, grad_tol: float = 1e-8) -> Peak:
+def refine_peak(nu: np.ndarray, phi: float, psi: float, M: int, N: int) -> Peak:
     """Newton ascent on |Q|^2 from a grid-local maximum.
 
     Falls back to damped steps when the full Newton step does not increase
@@ -117,8 +125,8 @@ def refine_peak(nu: np.ndarray, phi: float, psi: float, M: int, N: int,
     x = np.array([phi, psi], dtype=float)
     Q, F, g, H = value_grad_hess(*x)
     best = (x.copy(), Q, F)
-    for _ in range(max_steps):
-        if np.linalg.norm(g) <= grad_tol * max(1.0, F):
+    for _ in range(MAX_NEWTON_STEPS):
+        if np.linalg.norm(g) <= GRAD_TOL * max(1.0, F):
             break
         try:
             step = np.linalg.solve(H, -g)
@@ -149,13 +157,23 @@ def _wrapped_dist(a: float, b: float) -> float:
     return min(d, 1.0 - d)
 
 
+def wrapped_local_maxima(values: np.ndarray) -> np.ndarray:
+    """Mask of the strict local maxima of a 2-D grid, neighbours wrapping around."""
+    is_max = np.ones_like(values, dtype=bool)
+    for dp in (-1, 0, 1):
+        for dq in (-1, 0, 1):
+            if dp == 0 and dq == 0:
+                continue
+            is_max &= values > np.roll(np.roll(values, dp, axis=0), dq, axis=1)
+    return is_max
+
+
 def locate_peaks(nu: np.ndarray, lam: float, M: int, N: int, *,
-                 grid_factor: int = 16, rel_threshold: float = 0.02,
-                 max_steps: int = 50, grad_tol: float = 1e-8) -> list[Peak]:
+                 grid_factor: int = 16) -> list[Peak]:
     """Frequencies where |Q| reaches the certificate level.
 
     Strict local maxima of |Q| on a ``grid_factor``-oversampled wrapped grid
-    with |Q| >= (1 - rel_threshold) * lam are Newton-refined, then peaks
+    with |Q| >= (1 - REL_THRESHOLD) * lam are Newton-refined, then peaks
     closer than half a resolution cell in both coordinates are merged
     (largest magnitude wins).
     """
@@ -163,19 +181,11 @@ def locate_peaks(nu: np.ndarray, lam: float, M: int, N: int, *,
         raise ConfigError(f"lam must be positive, got {lam}")
     grid_phi, grid_psi = grid_factor * M, grid_factor * N
     mag = np.abs(dual_poly_grid(nu, M, N, grid_phi, grid_psi))
-    is_max = np.ones_like(mag, dtype=bool)
-    for dp in (-1, 0, 1):
-        for dq in (-1, 0, 1):
-            if dp == 0 and dq == 0:
-                continue
-            is_max &= mag > np.roll(np.roll(mag, dp, axis=0), dq, axis=1)
-    is_max &= mag >= (1.0 - rel_threshold) * lam
-    cand = np.argwhere(is_max)
+    level = (1.0 - REL_THRESHOLD) * lam
+    cand = np.argwhere(wrapped_local_maxima(mag) & (mag >= level))
 
-    refined = [refine_peak(nu, p / grid_phi, q / grid_psi, M, N,
-                           max_steps=max_steps, grad_tol=grad_tol)
-               for p, q in cand]
-    refined = [pk for pk in refined if pk.magnitude >= (1.0 - rel_threshold) * lam]
+    refined = [refine_peak(nu, p / grid_phi, q / grid_psi, M, N) for p, q in cand]
+    refined = [pk for pk in refined if pk.magnitude >= level]
     refined.sort(key=lambda pk: (-pk.magnitude, pk.phi, pk.psi))
 
     kept: list[Peak] = []
@@ -198,14 +208,13 @@ def dual_atomic_norm(nu: np.ndarray, M: int, N: int, grid_factor: int = 16) -> f
 
 
 def detect_error_support(nu_hat: np.ndarray, e_hat: np.ndarray, S_hat: np.ndarray,
-                         mu: float, *, scale: float | None = None,
-                         rel_tol: float = 1e-6, dual_tol: float = 0.05) -> ErrorSupport:
+                         mu: float, *, scale: float | None = None) -> ErrorSupport:
     """Indices of detected demodulation errors.
 
-    The primary criterion thresholds |e_hat| at ``rel_tol * scale`` (``scale``
-    defaults to max |e_hat|); the dual-side confirmation lists indices where
-    |s_j * nu_j| matches ``mu`` within ``dual_tol`` relative.  Not applicable
-    when ``mu == 0``.
+    The primary criterion thresholds |e_hat| at ``ERROR_REL_TOL * scale``
+    (``scale`` defaults to max |e_hat|); the dual-side confirmation lists
+    indices where |s_j * nu_j| matches ``mu`` within ``DUAL_TOL`` relative.
+    Not applicable when ``mu == 0``.
     """
     if mu == 0:
         return ErrorSupport(indices=(), dual_confirmed=(), applicable=False)
@@ -213,9 +222,9 @@ def detect_error_support(nu_hat: np.ndarray, e_hat: np.ndarray, S_hat: np.ndarra
     s = np.asarray(S_hat).flatten(order="F")
     if scale is None:
         scale = float(np.max(np.abs(e_hat))) if e_hat.size else 0.0
-    indices = np.flatnonzero(np.abs(e_hat) > rel_tol * scale)
+    indices = np.flatnonzero(np.abs(e_hat) > ERROR_REL_TOL * scale)
     dual_mag = np.abs(s * np.asarray(nu_hat))
-    confirmed = np.flatnonzero(np.abs(dual_mag - mu) <= dual_tol * mu)
+    confirmed = np.flatnonzero(np.abs(dual_mag - mu) <= DUAL_TOL * mu)
     return ErrorSupport(indices=tuple(int(i) for i in indices),
                         dual_confirmed=tuple(int(i) for i in confirmed))
 
@@ -248,16 +257,14 @@ def ls_amplitudes(r_bar: np.ndarray, s_tilde: np.ndarray, e_hat,
     return alpha
 
 
-def build_estimate(nu_hat: np.ndarray, e_hat: np.ndarray, measurement, lam: float,
-                   mu: float, *, grid_factor: int = 16, rel_threshold: float = 0.02,
-                   error_rel_tol: float = 1e-6, dual_tol: float = 0.05) -> Estimate:
-    """Peaks, error support, and amplitudes assembled into one estimate."""
+def estimate_from_solution(solution, measurement, lam: float, mu: float, *,
+                           grid_factor: int = 16) -> Estimate:
+    """Peaks of the solver's dual certificate, error support and amplitudes."""
     M, N = measurement.M, measurement.N
-    peaks = locate_peaks(nu_hat, lam, M, N, grid_factor=grid_factor,
-                         rel_threshold=rel_threshold)
+    nu_hat, e_hat = solution.nu_hat, solution.e_hat
+    peaks = locate_peaks(nu_hat, lam, M, N, grid_factor=grid_factor)
     support = detect_error_support(nu_hat, e_hat, measurement.S_hat, mu,
-                                   scale=float(np.max(np.abs(measurement.r_bar))),
-                                   rel_tol=error_rel_tol, dual_tol=dual_tol)
+                                   scale=float(np.max(np.abs(measurement.r_bar))))
     if not peaks:
         return Estimate(paths=(), error_support=support.indices, dual_peak_values=())
     freqs = [(pk.phi, pk.psi) for pk in peaks]
@@ -267,13 +274,6 @@ def build_estimate(nu_hat: np.ndarray, e_hat: np.ndarray, measurement, lam: floa
                   for i in order)
     mags = tuple(peaks[i].magnitude for i in order)
     return Estimate(paths=paths, error_support=support.indices, dual_peak_values=mags)
-
-
-def estimate_from_solution(solution, measurement, lam: float, mu: float,
-                           **options) -> Estimate:
-    """Convenience wrapper taking a solver solution."""
-    return build_estimate(solution.nu_hat, solution.e_hat, measurement, lam, mu,
-                          **options)
 
 
 def to_physical(estimate: Estimate, config: RadarConfig) -> list[tuple[float, float, complex]]:

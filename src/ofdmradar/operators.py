@@ -2,15 +2,33 @@
 
 A two-level Toeplitz parameter is a complex (2M-1) x (2N-1) array ``U`` whose
 entry ``U[k + M - 1, l + N - 1]`` (written u_l(k)) fills every position of the
-lifted MN x MN matrix with block offset l and within-block offset k.  The lift
-is Hermitian exactly when u_{-l}(-k) == conj(u_l(k)).
+lifted MN x MN matrix with block offset l and within-block offset k: entry
+(n1*M + m1, n2*M + m2) of the lift is u_{n1-n2}(m1-m2).  One index map holds
+that layout as the flat (row-major) position in ``U`` of each lift entry;
+:func:`block_toeplitz` gathers through it and :func:`adjoint_normalized`
+averages back through it.  The lift is Hermitian exactly when
+u_{-l}(-k) == conj(u_l(k)).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import ConfigError, NumericError
+
+
+@lru_cache(maxsize=8)
+def _lift_index(M: int, N: int) -> np.ndarray:
+    """Flat position in ``U`` of each entry of the MN x MN lift (read-only)."""
+    m = np.tile(np.arange(M), N)
+    n = np.repeat(np.arange(N), M)
+    rows = m[:, None] - m[None, :] + (M - 1)
+    cols = n[:, None] - n[None, :] + (N - 1)
+    index = rows * (2 * N - 1) + cols
+    index.flags.writeable = False
+    return index
 
 
 def block_toeplitz(U: np.ndarray, M: int, N: int) -> np.ndarray:
@@ -21,31 +39,23 @@ def block_toeplitz(U: np.ndarray, M: int, N: int) -> np.ndarray:
     """
     if U.shape != (2 * M - 1, 2 * N - 1):
         raise ConfigError(f"U must be {(2 * M - 1, 2 * N - 1)}, got {U.shape}")
-    dm = np.arange(M)[:, None] - np.arange(M)[None, :]
-    dn = np.arange(N)[:, None] - np.arange(N)[None, :]
-    # 4-D gather ordered (n1, m1, n2, m2) so that reshape gives index n*M + m.
-    T4 = U[dm[None, :, None, :] + (M - 1), dn[:, None, :, None] + (N - 1)]
-    return T4.reshape(M * N, M * N)
+    return U.ravel()[_lift_index(M, N)]
 
 
 def adjoint_normalized(P: np.ndarray, M: int, N: int) -> np.ndarray:
     """Average ``P`` over each (block offset, within-block offset) index set.
 
     Left inverse of :func:`block_toeplitz`: offsets (l, k) average the
-    (N-|l|)(M-|k|) entries of ``P`` lying on block diagonal l and inner
-    diagonal k.
+    (N-|l|)(M-|k|) entries of ``P`` that the lift fills from u_l(k).
     """
     if P.shape != (M * N, M * N):
         raise ConfigError(f"P must be {(M * N, M * N)}, got {P.shape}")
-    # (n1, n2, m1, m2) layout: trace over block offsets first, then inner ones.
-    P4 = P.reshape(N, M, N, M).transpose(0, 2, 1, 3)
-    U = np.empty((2 * M - 1, 2 * N - 1), dtype=complex)
-    for l in range(-(N - 1), N):
-        block_sum = np.trace(P4, offset=-l, axis1=0, axis2=1)
-        for k in range(-(M - 1), M):
-            count = (N - abs(l)) * (M - abs(k))
-            U[k + M - 1, l + N - 1] = np.trace(block_sum, offset=-k) / count
-    return U
+    index = _lift_index(M, N).ravel()
+    size = (2 * M - 1) * (2 * N - 1)
+    P = P.ravel()
+    sums = (np.bincount(index, weights=P.real, minlength=size)
+            + 1j * np.bincount(index, weights=P.imag, minlength=size))
+    return (sums / np.bincount(index, minlength=size)).reshape(2 * M - 1, 2 * N - 1)
 
 
 def symmetrize_param(U: np.ndarray) -> np.ndarray:

@@ -153,9 +153,6 @@ def qpsk() -> Constellation:
                          np.array([[0, 0], [0, 1], [1, 1], [1, 0]]))
 
 
-CONSTELLATIONS = {"BPSK": bpsk, "QPSK": qpsk}
-
-
 @dataclass(frozen=True)
 class Measurement:
     """Demodulated-symbol matrix and vectorized received data.

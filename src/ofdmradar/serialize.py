@@ -235,7 +235,3 @@ def grid_to_csv(grid: np.ndarray) -> str:
 
 def dumps(obj: dict) -> str:
     return json.dumps(obj, indent=1)
-
-
-def loads(text: str) -> dict:
-    return json.loads(text)

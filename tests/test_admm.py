@@ -5,7 +5,7 @@ from ofdmradar import (ConfigError, Path, Scene, SolverConfig, default_weights,
                        estimate_noise_sigma, generate_symbols, measure,
                        objective_dual, objective_primal, optimality_residuals,
                        qpsk, simulate, solve, synthesize_clean)
-from ofdmradar.admm import SdpBlock, atomic_norm_sdp_value
+from ofdmradar.admm import atomic_norm_sdp_value
 from conftest import small_config
 
 
@@ -32,14 +32,6 @@ class TestSolverConfig:
         lam, mu = default_weights(0.01, 8, 8)
         assert lam == pytest.approx(0.01 * np.sqrt(64 * np.log(64)))
         assert mu == pytest.approx(lam / 8)
-
-
-class TestSdpBlock:
-    def test_round_trip(self, rng):
-        A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        A = 0.5 * (A + A.conj().T)
-        blk = SdpBlock.from_matrix(A)
-        assert np.allclose(blk.assemble(), A)
 
 
 class TestSolve:
@@ -90,14 +82,14 @@ class TestSolve:
         cfg, scene, meas = make_instance(M=4, N=4, K=1, seed=6)
         sol = solve(meas, SolverConfig(lam=0.7, mu=0.17, max_iters=20000,
                                        tol_primal=1e-6, tol_dual=1e-6))
-        theta = sol.state.Theta.assemble()
+        theta = sol.Theta
         assert np.linalg.eigvalsh(theta).min() >= -1e-8
         from ofdmradar import block_toeplitz
         A = np.zeros_like(theta)
-        A[:16, :16] = block_toeplitz(sol.state.U, 4, 4)
+        A[:16, :16] = block_toeplitz(sol.U, 4, 4)
         A[:16, 16] = sol.z_hat
         A[16, :16] = np.conj(sol.z_hat)
-        A[16, 16] = sol.state.t
+        A[16, 16] = sol.t
         assert np.linalg.norm(theta - A) < 1e-6 * 17 * 10
 
     def test_objective_trend_converges(self):
@@ -121,25 +113,23 @@ class TestObjectives:
         zero = type(meas)(S_hat=meas.S_hat, r_bar=np.zeros_like(meas.r_bar),
                           sigma2=meas.sigma2)
         sol = solve(zero, SolverConfig(lam=1.0, mu=0.1, max_iters=1))
-        state = sol.state
-        state.z_bar = np.zeros_like(sol.z_hat)
-        state.e_bar = np.zeros_like(sol.e_hat)
-        state.U = np.zeros_like(state.U)
-        state.t = 0.0
-        assert objective_primal(state, zero, SolverConfig(lam=1.0, mu=0.1)) == 0.0
+        sol.z_hat = np.zeros_like(sol.z_hat)
+        sol.e_hat = np.zeros_like(sol.e_hat)
+        sol.U = np.zeros_like(sol.U)
+        sol.t = 0.0
+        assert objective_primal(sol, zero, SolverConfig(lam=1.0, mu=0.1)) == 0.0
 
     def test_primal_zero_state_energy(self):
         cfg, scene, meas = make_instance(seed=9)
         r = meas.r_bar * (2.0 / np.linalg.norm(meas.r_bar))
         scaled = type(meas)(S_hat=meas.S_hat, r_bar=r, sigma2=meas.sigma2)
         sol = solve(scaled, SolverConfig(lam=1.0, mu=0.1, max_iters=1))
-        state = sol.state
-        state.z_bar = np.zeros_like(sol.z_hat)
-        state.e_bar = np.zeros_like(sol.e_hat)
-        state.U = np.zeros_like(state.U)
-        state.t = 0.0
+        sol.z_hat = np.zeros_like(sol.z_hat)
+        sol.e_hat = np.zeros_like(sol.e_hat)
+        sol.U = np.zeros_like(sol.U)
+        sol.t = 0.0
         # 0.5 * ||r||^2 with ||r|| = 2
-        assert objective_primal(state, scaled, SolverConfig(lam=1.0, mu=0.1)) == pytest.approx(2.0)
+        assert objective_primal(sol, scaled, SolverConfig(lam=1.0, mu=0.1)) == pytest.approx(2.0)
 
     def test_dual_zero(self):
         cfg, scene, meas = make_instance(seed=10)
@@ -161,7 +151,7 @@ class TestObjectives:
         c = SolverConfig(lam=lam, mu=mu, max_iters=50000, tol_primal=1e-7,
                          tol_dual=1e-7)
         sol = solve(meas, c)
-        p = objective_primal(sol.state, meas, c)
+        p = objective_primal(sol, meas, c)
         d = objective_dual(sol.nu_hat, meas, c)
         assert abs(p - d) / abs(p) < 1e-3
 
@@ -187,8 +177,6 @@ class TestOptimalityResiduals:
         sol = solve(meas, SolverConfig(lam=1e-3, mu=1e-4, max_iters=1))
         sol.z_hat[:] = 0
         sol.e_hat[:] = 0
-        sol.state.z_bar[:] = 0
-        sol.state.e_bar[:] = 0
         rep = optimality_residuals(sol, meas, c)
         # with z = e = 0 and large r, the dual-feasibility conditions break
         assert rep.dual_norm_excess > 0
@@ -229,6 +217,6 @@ class TestAtomicNormValue:
         lam = 0.005 * np.linalg.norm(meas.r_bar)
         sol = solve(meas, SolverConfig(lam=lam, mu=0.0, max_iters=8000,
                                        tol_primal=1e-8, tol_dual=1e-8))
-        val = atomic_norm_sdp_value(sol.state.U, sol.state.t, 4, 4)
+        val = atomic_norm_sdp_value(sol.U, sol.t, 4, 4)
         alpha = scene.targets[0].alpha
         assert val == pytest.approx(abs(alpha), rel=0.05)

@@ -137,18 +137,20 @@ class TestLsAmplitudes:
 
 
 class TestEndToEnd:
-    def solve_noiseless(self, seed=0):
+    @pytest.fixture(scope="class")
+    def solve_noiseless(self):
+        # One 8000-iteration solve, shared by the tests that only read it.
         M = N = 8
         cfg = small_config(M, N, noise_power_db=-120.0)
         scene = Scene(targets=(Path(1.0, 0.2, 0.3), Path(0.8 * np.exp(0.7j), 0.62, 0.75)))
-        meas = simulate(scene, cfg, qpsk(), 0.0, seed)
+        meas = simulate(scene, cfg, qpsk(), 0.0, 0)
         lam = 0.05
         sol = solve(meas, SolverConfig(lam=lam, mu=0.0, max_iters=8000,
                                        tol_primal=1e-7, tol_dual=1e-7))
         return cfg, scene, meas, lam, sol
 
-    def test_peaks_at_planted_frequencies(self):
-        cfg, scene, meas, lam, sol = self.solve_noiseless()
+    def test_peaks_at_planted_frequencies(self, solve_noiseless):
+        cfg, scene, meas, lam, sol = solve_noiseless
         peaks = locate_peaks(sol.nu_hat, lam, 8, 8)
         found = sorted((p.phi, p.psi) for p in peaks)
         assert len(found) >= 2
@@ -157,8 +159,8 @@ class TestEndToEnd:
             assert abs(best.phi - p.phi) < 1e-3
             assert abs(best.psi - p.psi) < 1e-3
 
-    def test_certificate_phase_matches_amplitude_phase(self):
-        cfg, scene, meas, lam, sol = self.solve_noiseless()
+    def test_certificate_phase_matches_amplitude_phase(self, solve_noiseless):
+        cfg, scene, meas, lam, sol = solve_noiseless
         est = estimate_from_solution(sol, meas, lam, 0.0)
         peaks = locate_peaks(sol.nu_hat, lam, 8, 8)
         for path in est.paths[:2]:
@@ -182,8 +184,8 @@ class TestEndToEnd:
         est = estimate_from_solution(sol, meas, 0.16, 0.02)
         assert est.error_support == (4 * M + 3,)
 
-    def test_paths_sorted_by_magnitude(self):
-        cfg, scene, meas, lam, sol = self.solve_noiseless()
+    def test_paths_sorted_by_magnitude(self, solve_noiseless):
+        cfg, scene, meas, lam, sol = solve_noiseless
         est = estimate_from_solution(sol, meas, lam, 0.0)
         mags = [abs(p.alpha) for p in est.paths]
         assert mags == sorted(mags, reverse=True)

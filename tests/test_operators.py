@@ -7,6 +7,10 @@ from ofdmradar import (ConfigError, adjoint_normalized, block_toeplitz, psd_proj
                        soft_threshold, symmetrize_param)
 from conftest import random_consistent_param
 
+# (M, N) pairs for the index-layout oracles: square, and both non-square
+# orientations, which a layout with M and N swapped fails.
+SIZES = [(2, 2), (2, 3), (3, 2)]
+
 
 def hermitian(rng, n):
     A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -23,16 +27,17 @@ class TestBlockToeplitz:
         assert np.allclose(block_toeplitz(U, 2, 2), np.eye(4))
 
     def test_matches_index_assembly(self, rng):
-        M = N = 2
-        U = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        T = block_toeplitz(U, M, N)
-        # hand-rolled: entry ((n1,m1),(n2,m2)) = u_{n1-n2}(m1-m2)
-        for n1 in range(N):
-            for n2 in range(N):
-                for m1 in range(M):
-                    for m2 in range(M):
-                        want = U[(m1 - m2) + M - 1, (n1 - n2) + N - 1]
-                        assert T[n1 * M + m1, n2 * M + m2] == want
+        for M, N in SIZES:
+            U = (rng.normal(size=(2 * M - 1, 2 * N - 1))
+                 + 1j * rng.normal(size=(2 * M - 1, 2 * N - 1)))
+            T = block_toeplitz(U, M, N)
+            # hand-rolled: entry ((n1,m1),(n2,m2)) = u_{n1-n2}(m1-m2)
+            for n1 in range(N):
+                for n2 in range(N):
+                    for m1 in range(M):
+                        for m2 in range(M):
+                            want = U[(m1 - m2) + M - 1, (n1 - n2) + N - 1]
+                            assert T[n1 * M + m1, n2 * M + m2] == want
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
@@ -61,20 +66,20 @@ class TestAdjoint:
             assert np.abs(U2 - U).max() < 1e-12
 
     def test_arbitrary_matrix_against_enumeration(self, rng):
-        M = N = 2
-        P = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        U = adjoint_normalized(P, M, N)
-        # brute-force oracle: mean over the index set of each offset pair
-        for l in range(-(N - 1), N):
-            for k in range(-(M - 1), M):
-                vals = []
-                for n1 in range(N):
-                    for n2 in range(N):
-                        for m1 in range(M):
-                            for m2 in range(M):
-                                if n1 - n2 == l and m1 - m2 == k:
-                                    vals.append(P[n1 * M + m1, n2 * M + m2])
-                assert U[k + M - 1, l + N - 1] == pytest.approx(np.mean(vals))
+        for M, N in SIZES:
+            P = rng.normal(size=(M * N, M * N)) + 1j * rng.normal(size=(M * N, M * N))
+            U = adjoint_normalized(P, M, N)
+            # brute-force oracle: mean over the index set of each offset pair
+            for l in range(-(N - 1), N):
+                for k in range(-(M - 1), M):
+                    vals = []
+                    for n1 in range(N):
+                        for n2 in range(N):
+                            for m1 in range(M):
+                                for m2 in range(M):
+                                    if n1 - n2 == l and m1 - m2 == k:
+                                        vals.append(P[n1 * M + m1, n2 * M + m2])
+                    assert U[k + M - 1, l + N - 1] == pytest.approx(np.mean(vals))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
