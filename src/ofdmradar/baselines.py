@@ -12,9 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .extract import Estimate, ls_amplitudes, wrapped_local_maxima
+from .extract import Estimate, dual_poly_grid, ls_amplitudes, wrapped_local_maxima
 from .operators import soft_threshold
 from .scene import Measurement, Path
+
+# Per-axis oversampling of the default CS-L1 dictionary grid.
+CSL1_GRID_FACTOR = 4
 
 
 @dataclass(frozen=True)
@@ -44,13 +47,11 @@ def default_music_config(M: int, N: int, K_signal="auto", grid_factor: int = 16)
                        grid_phi=grid_factor * M, grid_psi=grid_factor * N)
 
 
-def default_csl1_config(M: int, N: int, sigma: float, grid_factor: int = 4,
-                        max_iters: int = 4000, tol: float = 1e-10) -> CsL1Config:
+def default_csl1_config(M: int, N: int, sigma: float) -> CsL1Config:
     """Paper-style defaults: 4x oversampled grid, gamma = 2 sigma sqrt(2 log L)."""
-    L = (grid_factor * M) * (grid_factor * N)
-    return CsL1Config(M_grid=grid_factor * M, N_grid=grid_factor * N,
-                      gamma=2.0 * sigma * math.sqrt(2.0 * math.log(L)),
-                      max_iters=max_iters, tol=tol)
+    M_grid, N_grid = CSL1_GRID_FACTOR * M, CSL1_GRID_FACTOR * N
+    return CsL1Config(M_grid=M_grid, N_grid=N_grid,
+                      gamma=2.0 * sigma * math.sqrt(2.0 * math.log(M_grid * N_grid)))
 
 
 def spatial_smooth(measurement: Measurement, config: MusicConfig) -> np.ndarray:
@@ -84,13 +85,8 @@ def _signal_dimension(svals: np.ndarray, config: MusicConfig) -> int:
     return k
 
 
-def music_spectrum(observation: np.ndarray, config: MusicConfig) -> np.ndarray:
-    """Noise-subspace spectrum 1/||F_n^H a'(phi, psi)||^2 on the config grid.
-
-    The left singular vectors beyond the signal dimension form the noise
-    subspace; the projection onto each grid steering vector is evaluated with
-    zero-padded FFTs.
-    """
+def _music(observation: np.ndarray, config: MusicConfig) -> tuple[np.ndarray, int]:
+    """Spectrum and signal dimension from one SVD of the observation."""
     Ms, Ns = config.M_sub, config.N_sub
     if observation.shape[0] != Ms * Ns:
         raise ConfigError(f"observation must have {Ms * Ns} rows, got {observation.shape[0]}")
@@ -99,22 +95,25 @@ def music_spectrum(observation: np.ndarray, config: MusicConfig) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD failed on observation matrix: {exc}") from exc
     k = _signal_dimension(svals, config)
-    noise = F[:, k:]
-    # Column q*Ms+p of a noise vector corresponds to subarray cell (p, q).
-    mats = np.conj(noise).reshape(Ms, Ns, -1, order="F")
-    X = np.fft.ifft(mats, n=config.grid_phi, axis=0) * config.grid_phi
-    X = np.fft.fft(X, n=config.grid_psi, axis=1)
-    denom = np.sum(np.abs(X) ** 2, axis=2)
-    return 1.0 / np.maximum(denom, 1e-300)
+    denom = np.zeros((config.grid_phi, config.grid_psi))
+    for j in range(k, F.shape[1]):
+        denom += np.abs(dual_poly_grid(F[:, j], Ms, Ns, config.grid_phi, config.grid_psi)) ** 2
+    return 1.0 / np.maximum(denom, 1e-300), k
+
+
+def music_spectrum(observation: np.ndarray, config: MusicConfig) -> np.ndarray:
+    """Noise-subspace spectrum 1/||F_n^H a'(phi, psi)||^2 on the config grid.
+
+    The left singular vectors beyond the signal dimension form the noise
+    subspace F_n; each |f^H a'| is the ``dual_poly_grid`` magnitude of f.
+    """
+    return _music(observation, config)[0]
 
 
 def music_estimate(measurement: Measurement, config: MusicConfig) -> Estimate:
     """Pick the strongest spectrum peaks and fit amplitudes by least squares."""
     M, N = measurement.M, measurement.N
-    observation = spatial_smooth(measurement, config)
-    svals = np.linalg.svd(observation, compute_uv=False)
-    k = _signal_dimension(svals, config)
-    spectrum = music_spectrum(observation, config)
+    spectrum, k = _music(spatial_smooth(measurement, config), config)
 
     cells = np.argwhere(wrapped_local_maxima(spectrum))
     if cells.size == 0:
@@ -134,7 +133,11 @@ def music_estimate(measurement: Measurement, config: MusicConfig) -> Estimate:
 
 
 def csl1_dictionary(M: int, N: int, M_grid: int, N_grid: int) -> np.ndarray:
-    """Atoms on the uniform (p/M_grid, q/N_grid) lattice; column index q*M_grid+p."""
+    """Dense reference dictionary: atoms on the (p/M_grid, q/N_grid) lattice.
+
+    Column q*M_grid+p is the atom at that lattice point.  :func:`csl1_estimate`
+    applies this matrix and its adjoint by FFT without building it.
+    """
     if M_grid < M or N_grid < N:
         raise ConfigError("dictionary grid must be at least as fine as the data")
     B = np.exp(2j * np.pi * np.outer(np.arange(M), np.arange(M_grid) / M_grid))
@@ -142,50 +145,49 @@ def csl1_dictionary(M: int, N: int, M_grid: int, N_grid: int) -> np.ndarray:
     return np.kron(Gc, B)
 
 
-def _lipschitz(A: np.ndarray, iters: int = 60) -> float:
-    """Largest eigenvalue of A^H A by power iteration (deterministic start)."""
-    v = np.sum(A, axis=0).conj()
-    if not np.any(v):
-        v = np.ones(A.shape[1], dtype=complex)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(iters):
-        w = A.conj().T @ (A @ v)
-        est = float(np.linalg.norm(w))
-        if est == 0.0:
-            return 1.0
-        v = w / est
-    return est
+def _synthesize(x: np.ndarray, M: int, N: int, M_grid: int, N_grid: int) -> np.ndarray:
+    """C x for the dictionary of :func:`csl1_dictionary`, by zero-padded FFTs."""
+    X = x.reshape(M_grid, N_grid, order="F")
+    Y = np.fft.fft(np.fft.ifft(X, axis=0)[:M] * M_grid, axis=1)[:, :N]
+    return Y.ravel(order="F")
 
 
 def csl1_estimate(measurement: Measurement, config: CsL1Config) -> Estimate:
     """Accelerated proximal-gradient solve of the on-grid l1 program.
 
-    Minimizes 0.5*||r - S C alpha||^2 + gamma*||alpha||_1 with fixed step
-    1/L, L the largest eigenvalue of the Gram matrix; stops on relative
+    Minimizes 0.5*||r - S C alpha||^2 + gamma*||alpha||_1 for the dictionary
+    C of :func:`csl1_dictionary`, applied by FFT: C x is :func:`_synthesize`
+    and C^H y is ``dual_poly_grid`` of y in column-major order.  The rows of
+    C are orthogonal, so L = M_grid * N_grid * max|s|^2 is exactly the largest
+    eigenvalue of the Gram matrix; the step is 1/(1.01 L).  Stops on relative
     objective change below ``tol``.  Entries above 1e-3 of the largest
     magnitude become paths at their grid frequencies.
     """
     M, N = measurement.M, measurement.N
-    C = csl1_dictionary(M, N, config.M_grid, config.N_grid)
-    A = measurement.s_tilde[:, None] * C
+    Mg, Ng = config.M_grid, config.N_grid
+    if Mg < M or Ng < N:
+        raise ConfigError("dictionary grid must be at least as fine as the data")
+    s = measurement.s_tilde
     r = measurement.r_bar
     gamma = config.gamma
 
-    L = 1.01 * _lipschitz(A)
-    x = np.zeros(A.shape[1], dtype=complex)
+    def forward(v):
+        return s * _synthesize(v, M, N, Mg, Ng)
+
+    L = 1.01 * Mg * Ng * float(np.max(np.abs(s))) ** 2
+    x = np.zeros(Mg * Ng, dtype=complex)
     y = x
     tau = 1.0
     obj_prev = 0.5 * float(np.vdot(r, r).real)
     increases = 0
     for _ in range(config.max_iters):
-        grad = A.conj().T @ (A @ y - r)
+        grad = dual_poly_grid(np.conj(s) * (forward(y) - r), M, N, Mg, Ng).ravel(order="F")
         x_new = soft_threshold(y - grad / L, gamma / L)
         tau_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tau * tau))
         y = x_new + ((tau - 1.0) / tau_new) * (x_new - x)
         x, tau = x_new, tau_new
 
-        fit = A @ x - r
+        fit = forward(x) - r
         obj = 0.5 * float(np.vdot(fit, fit).real) + gamma * float(np.sum(np.abs(x)))
         if not math.isfinite(obj):
             raise NumericError("non-finite objective in proximal gradient")
@@ -199,7 +201,6 @@ def csl1_estimate(measurement: Measurement, config: CsL1Config) -> Estimate:
         else:
             increases = 0
             if abs(obj_prev - obj) <= config.tol * max(1.0, abs(obj)):
-                obj_prev = obj
                 break
         obj_prev = obj
 
@@ -209,10 +210,7 @@ def csl1_estimate(measurement: Measurement, config: CsL1Config) -> Estimate:
         return Estimate(paths=(), error_support=(), dual_peak_values=())
     sel = np.flatnonzero(mags > 1e-3 * top)
     order = sel[np.argsort(-mags[sel])]
-    paths = []
-    for l in order:
-        p = int(l % config.M_grid)
-        q = int(l // config.M_grid)
-        paths.append(Path(alpha=complex(x[l]), phi=p / config.M_grid, psi=q / config.N_grid))
-    return Estimate(paths=tuple(paths), error_support=(),
+    paths = tuple(Path(alpha=complex(x[l]), phi=int(l % Mg) / Mg, psi=int(l // Mg) / Ng)
+                  for l in order)
+    return Estimate(paths=paths, error_support=(),
                     dual_peak_values=tuple(float(mags[l]) for l in order))

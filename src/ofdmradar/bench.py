@@ -20,9 +20,9 @@ from .scene import (C_LIGHT, Measurement, Path, RadarConfig, Scene,
 ALGORITHMS = ("CS-ANL1", "CS-AN", "CS-L1", "2D-MUSIC")
 # Estimated paths at or below this speed are taken as clutter, not targets.
 CLUTTER_EXCLUSION_MPS = 3.0
-# Grid oversampling of the gridded baselines; the identification gates are
-# derived from the same density.
-BASELINE_GRID_FACTOR = 4
+# Grid oversampling of the gridded baselines: MUSIC scans at the CS-L1
+# dictionary's density, from which the identification gates are derived.
+BASELINE_GRID_FACTOR = baselines.CSL1_GRID_FACTOR
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,8 @@ def draw_scene(spec: ScenarioSpec, rng: np.random.Generator) -> Scene:
 
 
 def simulate_trial(spec: ScenarioSpec, ber: float, trial: int) -> tuple[Scene, Measurement]:
-    """Scene plus measurement from one per-trial generator (seed + trial)."""
-    rng = np.random.default_rng(spec.seed + trial)
+    """Scene plus measurement from one generator seeded by (seed, trial)."""
+    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, trial)))
     scene = draw_scene(spec, rng)
     measurement = simulate(scene, spec.config, qpsk(), ber, rng)
     return scene, measurement
@@ -202,9 +202,7 @@ def run_algorithm(name: str, measurement: Measurement, config: RadarConfig,
         solution = admm.solve(measurement, solver)
         return extract.estimate_from_solution(solution, measurement, lam, mu)
     if name == "CS-L1":
-        return baselines.csl1_estimate(
-            measurement,
-            baselines.default_csl1_config(M, N, sigma, grid_factor=BASELINE_GRID_FACTOR))
+        return baselines.csl1_estimate(measurement, baselines.default_csl1_config(M, N, sigma))
     if name == "2D-MUSIC":
         k = min(n_paths, (M // 2) * (N // 2) - 1)
         cfg = baselines.default_music_config(M, N, K_signal=k,

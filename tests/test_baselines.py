@@ -3,9 +3,9 @@ import pytest
 
 from ofdmradar import (ConfigError, CsL1Config, MusicConfig, NumericError, Path,
                        Scene, csl1_estimate, default_csl1_config,
-                       default_music_config, music_estimate, music_spectrum,
-                       qpsk, simulate, spatial_smooth)
-from ofdmradar.baselines import csl1_dictionary
+                       default_music_config, dual_poly_grid, music_estimate,
+                       music_spectrum, qpsk, simulate, spatial_smooth)
+from ofdmradar.baselines import _synthesize, csl1_dictionary
 from conftest import small_config
 
 
@@ -90,12 +90,50 @@ class TestMusicSpectrum:
             got = np.unravel_index(np.argmax(music_spectrum(c * Y, mcfg)), (128, 128))
             assert got == ref
 
+    def test_matches_fft_formula(self, rng):
+        mcfg = MusicConfig(M_sub=3, N_sub=4, K_signal=2, grid_phi=12, grid_psi=20)
+        Y = rng.normal(size=(12, 9)) + 1j * rng.normal(size=(12, 9))
+        # Reference: conjugated noise vectors through an ifft/fft pair.
+        F = np.linalg.svd(Y)[0]
+        mats = np.conj(F[:, 2:]).reshape(3, 4, -1, order="F")
+        X = np.fft.ifft(mats, n=12, axis=0) * 12
+        X = np.fft.fft(X, n=20, axis=1)
+        want = 1.0 / np.sum(np.abs(X) ** 2, axis=2)
+        assert np.allclose(music_spectrum(Y, mcfg), want, rtol=1e-12, atol=0)
+
     def test_auto_dimension_single_path(self):
         cfg, scene, meas = noiseless_measurement(paths=((1.0, 0.37, 0.81),), seed=7)
         mcfg = default_music_config(8, 8, K_signal="auto")
         est = music_estimate(meas, mcfg)
         assert len(est.paths) == 1
         assert abs(est.paths[0].phi - 0.37) <= 1.0 / mcfg.grid_phi
+
+
+GRID_SIZES = [(2, 3, 4, 6), (3, 2, 6, 4), (8, 8, 32, 32)]
+
+
+class TestCsL1Operators:
+    """FFT operators of the CS-L1 solver against the dense dictionary."""
+
+    @pytest.mark.parametrize("M, N, Mg, Ng", GRID_SIZES)
+    def test_forward(self, rng, M, N, Mg, Ng):
+        x = rng.normal(size=Mg * Ng) + 1j * rng.normal(size=Mg * Ng)
+        want = csl1_dictionary(M, N, Mg, Ng) @ x
+        assert np.allclose(_synthesize(x, M, N, Mg, Ng), want, rtol=0, atol=1e-12 * Mg * Ng)
+
+    @pytest.mark.parametrize("M, N, Mg, Ng", GRID_SIZES)
+    def test_adjoint(self, rng, M, N, Mg, Ng):
+        y = rng.normal(size=M * N) + 1j * rng.normal(size=M * N)
+        want = csl1_dictionary(M, N, Mg, Ng).conj().T @ y
+        got = dual_poly_grid(y, M, N, Mg, Ng).ravel(order="F")
+        assert np.allclose(got, want, rtol=0, atol=1e-12 * M * N)
+
+    @pytest.mark.parametrize("M, N, Mg, Ng", GRID_SIZES)
+    def test_closed_form_lipschitz(self, rng, M, N, Mg, Ng):
+        s = rng.uniform(0.5, 2.0, M * N) * np.exp(2j * np.pi * rng.uniform(size=M * N))
+        A = s[:, None] * csl1_dictionary(M, N, Mg, Ng)
+        assert Mg * Ng * np.max(np.abs(s)) ** 2 == pytest.approx(np.linalg.norm(A, 2) ** 2,
+                                                                  rel=1e-12)
 
 
 class TestCsL1:
@@ -152,6 +190,12 @@ class TestCsL1:
         near = [p for p in est.paths
                 if abs(p.phi - off[0]) < 3 / grid and abs(p.psi - off[1]) < 3 / grid]
         assert len(near) >= 2
+
+    @pytest.mark.parametrize("M_grid, N_grid", [(7, 32), (32, 7)])
+    def test_coarse_grid_rejected(self, M_grid, N_grid):
+        cfg, scene, meas = noiseless_measurement()
+        with pytest.raises(ConfigError):
+            csl1_estimate(meas, CsL1Config(M_grid=M_grid, N_grid=N_grid, gamma=0.1))
 
     def test_default_config_formula(self):
         ccfg = default_csl1_config(8, 8, sigma=0.1)
