@@ -23,6 +23,8 @@ CLUTTER_EXCLUSION_MPS = 3.0
 # Grid oversampling of the gridded baselines: MUSIC scans at the CS-L1
 # dictionary's density, from which the identification gates are derived.
 BASELINE_GRID_FACTOR = baselines.CSL1_GRID_FACTOR
+# ADMM iteration cap of the dual-certificate receivers.
+AN_MAX_ITERS = 600
 
 
 @dataclass(frozen=True)
@@ -55,9 +57,14 @@ class ScenarioSpec:
             raise ConfigError("trials must be at least 1")
 
 
-def _full_scale_config(N: int) -> RadarConfig:
-    return RadarConfig.from_ofdm(M=16, N=N, delta_f=5e3, T_cp=1e-4, f_c=2e9,
-                                 noise_power_db=-40.0)
+# Preset name -> (N, clutter paths, target powers in dB, direct-path power
+# in dB, trials).  All share M = 16 and the rest of the recipe in preset().
+PRESETS = {
+    "scenario1": (64, 5, (-40.0, -50.0, -50.0), 0.0, 100),
+    "scenario2": (64, 80, (-40.0, -50.0, -50.0), 0.0, 100),
+    "rmse1": (16, 5, (-40.0,) * 3, -10.0, 20),
+    "rmse2": (16, 80, (-40.0,) * 3, -10.0, 20),
+}
 
 
 def preset(name: str) -> ScenarioSpec:
@@ -68,31 +75,18 @@ def preset(name: str) -> ScenarioSpec:
     ``rmse1``/``rmse2``: the accuracy-sweep setup, N reduced to 16, all three
     targets at -40 dB, direct path and clutter at -10 dB.
     """
-    base = dict(range_bounds_m=(1e3, 30e3),
-                clutter_velocity_bounds_mps=(-3.0, 3.0),
-                target_velocity_bounds_mps=(-156.0, 156.0),
-                direct_path_range_m=5e3, ber=0.0, seed=1)
-    if name == "scenario1":
-        return ScenarioSpec(name=name, config=_full_scale_config(64), n_targets=3,
-                            n_clutter=5, target_powers_db=(-40.0, -50.0, -50.0),
-                            clutter_power_db=-10.0, direct_path_power_db=0.0,
-                            trials=100, **base)
-    if name == "scenario2":
-        return ScenarioSpec(name=name, config=_full_scale_config(64), n_targets=3,
-                            n_clutter=80, target_powers_db=(-40.0, -50.0, -50.0),
-                            clutter_power_db=-10.0, direct_path_power_db=0.0,
-                            trials=100, **base)
-    if name == "rmse1":
-        return ScenarioSpec(name=name, config=_full_scale_config(16), n_targets=3,
-                            n_clutter=5, target_powers_db=(-40.0,) * 3,
-                            clutter_power_db=-10.0, direct_path_power_db=-10.0,
-                            trials=20, **base)
-    if name == "rmse2":
-        return ScenarioSpec(name=name, config=_full_scale_config(16), n_targets=3,
-                            n_clutter=80, target_powers_db=(-40.0,) * 3,
-                            clutter_power_db=-10.0, direct_path_power_db=-10.0,
-                            trials=20, **base)
-    raise ConfigError(f"unknown preset {name!r} (choose from scenario1, scenario2, rmse1, rmse2)")
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r} (choose from {', '.join(PRESETS)})")
+    N, n_clutter, target_powers_db, direct_path_power_db, trials = PRESETS[name]
+    config = RadarConfig.from_ofdm(M=16, N=N, delta_f=5e3, T_cp=1e-4, f_c=2e9,
+                                   noise_power_db=-40.0)
+    return ScenarioSpec(name=name, config=config,
+                        n_targets=len(target_powers_db), n_clutter=n_clutter,
+                        target_powers_db=target_powers_db, clutter_power_db=-10.0,
+                        direct_path_power_db=direct_path_power_db,
+                        direct_path_range_m=5e3, range_bounds_m=(1e3, 30e3),
+                        clutter_velocity_bounds_mps=(-3.0, 3.0),
+                        target_velocity_bounds_mps=(-156.0, 156.0), trials=trials)
 
 
 def draw_scene(spec: ScenarioSpec, rng: np.random.Generator) -> Scene:
@@ -183,7 +177,7 @@ def gate_identification(estimate: extract.Estimate, truth: list[Path],
 
 
 def run_algorithm(name: str, measurement: Measurement, config: RadarConfig,
-                  n_paths: int, *, an_max_iters: int = 400) -> extract.Estimate:
+                  n_paths: int, *, an_max_iters: int = AN_MAX_ITERS) -> extract.Estimate:
     """Dispatch one receiver on a measurement.
 
     ``n_paths`` is the model order handed to MUSIC (the benchmark runs with
@@ -241,10 +235,31 @@ class RmseReport:
     trials: list[TrialRecord] = field(default_factory=list)
 
 
+def _rmse_rows(ber: float, records: list[TrialRecord], algorithms: tuple[str, ...],
+               n_targets: int) -> list[RmseRow]:
+    """One row per algorithm from one BER pass's records, summed in trial order."""
+    rows = []
+    for name in algorithms:
+        used = [rec for rec in records if rec.algorithm == name and not rec.failed]
+        matched = sum(rec.n_matched for rec in used)
+        sq_r = sq_v = 0.0
+        for rec in used:
+            sq_r += rec.sq_range_error
+            sq_v += rec.sq_velocity_error
+        rows.append(RmseRow(
+            ber=ber, algorithm=name,
+            range_rmse_m=math.sqrt(sq_r / matched) if matched else math.nan,
+            velocity_rmse_mps=math.sqrt(sq_v / matched) if matched else math.nan,
+            identification_rate=(matched / (n_targets * len(used))) if used else math.nan,
+            trials_used=len(used)))
+    return rows
+
+
 def run_benchmark(spec: ScenarioSpec, algorithms, ber_list, *,
-                  an_max_iters: int = 600, progress=None) -> RmseReport:
+                  an_max_iters: int = AN_MAX_ITERS, progress=None) -> RmseReport:
     """Sweep (ber, algorithm, trial) and aggregate gated RMSE statistics.
 
+    Each BER in ``ber_list`` is one pass with its own rows, repeats included.
     Trials that raise a numerical error are excluded from the aggregates and
     counted out of ``trials_used``.  RMSE is over matched targets only;
     ``identification_rate`` is matched targets over targets in used trials.
@@ -255,38 +270,27 @@ def run_benchmark(spec: ScenarioSpec, algorithms, ber_list, *,
             raise ConfigError(f"unknown algorithm {name!r} (choose from {ALGORITHMS})")
     report = RmseReport(spec=spec, algorithms=algorithms)
     for ber in ber_list:
-        stats = {name: dict(sq_r=0.0, sq_v=0.0, matched=0, used=0) for name in algorithms}
+        start = len(report.trials)
         for trial in range(spec.trials):
             scene, measurement = simulate_trial(spec, ber, trial)
             for name in algorithms:
-                rec = TrialRecord(ber=ber, algorithm=name, trial=trial,
-                                  n_matched=0, sq_range_error=0.0, sq_velocity_error=0.0)
                 try:
                     est = run_algorithm(name, measurement, spec.config, scene.K,
                                         an_max_iters=an_max_iters)
                     matches = gate_identification(est, list(scene.targets), spec.config)
                 except NumericError as exc:
-                    rec.failed = True
-                    rec.failure = str(exc)
+                    rec = TrialRecord(ber=ber, algorithm=name, trial=trial, n_matched=0,
+                                      sq_range_error=0.0, sq_velocity_error=0.0,
+                                      failed=True, failure=str(exc))
                 else:
-                    rec.n_matched = len(matches)
-                    rec.sq_range_error = sum(m.range_error_m ** 2 for m in matches)
-                    rec.sq_velocity_error = sum(m.velocity_error_mps ** 2 for m in matches)
-                    st = stats[name]
-                    st["sq_r"] += rec.sq_range_error
-                    st["sq_v"] += rec.sq_velocity_error
-                    st["matched"] += rec.n_matched
-                    st["used"] += 1
+                    rec = TrialRecord(
+                        ber=ber, algorithm=name, trial=trial, n_matched=len(matches),
+                        sq_range_error=sum((m.range_error_m ** 2 for m in matches), 0.0),
+                        sq_velocity_error=sum((m.velocity_error_mps ** 2 for m in matches),
+                                              0.0))
                 report.trials.append(rec)
                 if progress is not None:
                     progress(rec)
-        for name in algorithms:
-            st = stats[name]
-            matched, used = st["matched"], st["used"]
-            report.rows.append(RmseRow(
-                ber=ber, algorithm=name,
-                range_rmse_m=math.sqrt(st["sq_r"] / matched) if matched else math.nan,
-                velocity_rmse_mps=math.sqrt(st["sq_v"] / matched) if matched else math.nan,
-                identification_rate=(matched / (spec.n_targets * used)) if used else math.nan,
-                trials_used=used))
+        report.rows.extend(_rmse_rows(ber, report.trials[start:], algorithms,
+                                      spec.n_targets))
     return report

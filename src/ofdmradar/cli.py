@@ -181,12 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scenario", parents=[common], help="emit a preset scenario spec file")
-    p.add_argument("--preset", required=True,
-                   choices=("scenario1", "scenario2", "rmse1", "rmse2"))
+    p.add_argument("--preset", required=True, choices=tuple(bench.PRESETS))
     p.set_defaults(func=cmd_scenario)
 
     p = sub.add_parser("simulate", parents=[common], help="simulate one measurement")
-    p.add_argument("--preset", choices=("scenario1", "scenario2", "rmse1", "rmse2"))
+    p.add_argument("--preset", choices=tuple(bench.PRESETS))
     p.add_argument("--spec", help="scenario spec JSON file")
     p.add_argument("--ber", type=float, default=None)
     p.add_argument("--trial", type=int, default=0)
@@ -211,12 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("bench", parents=[common], help="run the RMSE benchmark sweep")
-    p.add_argument("--preset", choices=("scenario1", "scenario2", "rmse1", "rmse2"))
+    p.add_argument("--preset", choices=tuple(bench.PRESETS))
     p.add_argument("--spec", help="scenario spec JSON file")
     p.add_argument("--ber", default=None, help="comma-separated BER list")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--algos", default="anl1,an,csl1,music")
-    p.add_argument("--iters", type=int, default=600, help="ADMM iteration cap")
+    p.add_argument("--iters", type=int, default=bench.AN_MAX_ITERS, help="ADMM iteration cap")
     p.add_argument("--trials-out", default=None, help="per-trial raw CSV path")
     p.set_defaults(func=cmd_bench)
     return parser

@@ -27,6 +27,8 @@ GRAD_TOL = 1e-8
 # confirmation where |s_j nu_j| is within DUAL_TOL of mu, relative.
 ERROR_REL_TOL = 1e-6
 DUAL_TOL = 0.05
+# Largest dictionary condition number the amplitude fit accepts.
+COND_MAX = 1e10
 
 
 @dataclass(frozen=True)
@@ -105,8 +107,8 @@ def refine_peak(nu: np.ndarray, phi: float, psi: float, M: int, N: int) -> Peak:
     """Newton ascent on |Q|^2 from a grid-local maximum.
 
     Falls back to damped steps when the full Newton step does not increase
-    |Q|^2 and returns the best point seen if the gradient tolerance is not
-    reached.
+    |Q|^2.  A step is taken only when |Q|^2 rises, so the point returned when
+    the gradient tolerance is not reached is the best one seen.
     """
     V = _dual_matrix(nu, M, N)
 
@@ -124,7 +126,6 @@ def refine_peak(nu: np.ndarray, phi: float, psi: float, M: int, N: int) -> Peak:
 
     x = np.array([phi, psi], dtype=float)
     Q, F, g, H = value_grad_hess(*x)
-    best = (x.copy(), Q, F)
     for _ in range(MAX_NEWTON_STEPS):
         if np.linalg.norm(g) <= GRAD_TOL * max(1.0, F):
             break
@@ -145,11 +146,7 @@ def refine_peak(nu: np.ndarray, phi: float, psi: float, M: int, N: int) -> Peak:
             step *= 0.5
         if not improved:
             break
-        if F > best[2]:
-            best = (x.copy(), Q, F)
-    if F >= best[2]:
-        best = (x, Q, F)
-    return Peak(phi=float(best[0][0]), psi=float(best[0][1]), value=complex(best[1]))
+    return Peak(phi=float(x[0]), psi=float(x[1]), value=complex(Q))
 
 
 def _wrapped_dist(a: float, b: float) -> float:
@@ -230,11 +227,11 @@ def detect_error_support(nu_hat: np.ndarray, e_hat: np.ndarray, S_hat: np.ndarra
 
 
 def ls_amplitudes(r_bar: np.ndarray, s_tilde: np.ndarray, e_hat,
-                  freqs, M: int, N: int, cond_max: float = 1e10) -> np.ndarray:
+                  freqs, M: int, N: int) -> np.ndarray:
     """Least-squares path amplitudes for fixed frequencies.
 
     Solves min_alpha ||r - e - S C(freqs) alpha||_2 through an orthogonal
-    factorization; a dictionary condition number beyond ``cond_max`` raises
+    factorization; a dictionary condition number beyond ``COND_MAX`` raises
     with the near-duplicate frequency pairs listed.
     """
     freqs = list(freqs)
@@ -243,17 +240,16 @@ def ls_amplitudes(r_bar: np.ndarray, s_tilde: np.ndarray, e_hat,
     if len(freqs) > M * N:
         raise ConfigError(f"cannot fit {len(freqs)} paths with {M * N} samples")
     A = np.stack([s_tilde * atom(phi, psi, M, N) for phi, psi in freqs], axis=1)
-    svals = np.linalg.svd(A, compute_uv=False)
+    target = r_bar - (0 if e_hat is None else e_hat)
+    alpha, _, _, svals = np.linalg.lstsq(A, target, rcond=None)
     cond = float("inf") if svals[-1] == 0 else float(svals[0] / svals[-1])
-    if cond > cond_max:
+    if cond > COND_MAX:
         close = [(i, j) for i in range(len(freqs)) for j in range(i + 1, len(freqs))
                  if _wrapped_dist(freqs[i][0], freqs[j][0]) < 0.5 / M
                  and _wrapped_dist(freqs[i][1], freqs[j][1]) < 0.5 / N]
         raise DegenerateDictionaryError(
-            f"dictionary condition number {cond:.3e} exceeds {cond_max:.1e}",
+            f"dictionary condition number {cond:.3e} exceeds {COND_MAX:.1e}",
             pairs=[(freqs[i], freqs[j]) for i, j in close] or list(freqs))
-    target = r_bar - (0 if e_hat is None else e_hat)
-    alpha, *_ = np.linalg.lstsq(A, target, rcond=None)
     return alpha
 
 

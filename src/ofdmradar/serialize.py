@@ -2,17 +2,18 @@
 
 Complex vectors are stored as plain arrays of interleaved re/im doubles.
 Floats are emitted with Python's shortest round-trip repr so identical runs
-produce byte-identical files.
+produce byte-identical files, apart from the wall times under ``timing_s``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 
 import numpy as np
 
-from .bench import RmseReport, ScenarioSpec
+from .bench import RmseReport, RmseRow, ScenarioSpec, TrialRecord
 from .errors import ConfigError
 from .extract import Estimate
 from .scene import (Measurement, Path, RadarConfig, Scene,
@@ -189,40 +190,33 @@ def solution_to_dict(solution, measurement: Measurement, solver_config,
     return out
 
 
-REPORT_CSV_HEADER = "ber,algorithm,range_rmse_m,velocity_rmse_mps,identification_rate,trials_used"
-TRIALS_CSV_HEADER = "ber,algorithm,trial,n_matched,sq_range_error,sq_velocity_error,failed,failure"
+# CSV cell format by a record field's declared type, as the annotation string
+# that bench's postponed annotations leave in ``dataclasses.fields``.
+_CSV_CELL = {"float": lambda v: repr(float(v)), "int": str,
+             "bool": lambda v: str(int(v)), "str": lambda v: v.replace(",", ";")}
+
+
+def _records_to_csv(records, record_type) -> str:
+    """One CSV line per dataclass record, columns in ``record_type`` field order."""
+    fields = dataclasses.fields(record_type)
+    lines = [",".join(f.name for f in fields)]
+    for rec in records:
+        lines.append(",".join(_CSV_CELL[f.type](getattr(rec, f.name)) for f in fields))
+    return "\n".join(lines) + "\n"
 
 
 def report_to_csv(report: RmseReport) -> str:
-    lines = [REPORT_CSV_HEADER]
-    for row in report.rows:
-        lines.append(",".join([repr(float(row.ber)), row.algorithm,
-                               repr(float(row.range_rmse_m)),
-                               repr(float(row.velocity_rmse_mps)),
-                               repr(float(row.identification_rate)),
-                               str(row.trials_used)]))
-    return "\n".join(lines) + "\n"
+    return _records_to_csv(report.rows, RmseRow)
 
 
 def trials_to_csv(report: RmseReport) -> str:
-    lines = [TRIALS_CSV_HEADER]
-    for rec in report.trials:
-        lines.append(",".join([repr(float(rec.ber)), rec.algorithm, str(rec.trial),
-                               str(rec.n_matched), repr(float(rec.sq_range_error)),
-                               repr(float(rec.sq_velocity_error)),
-                               "1" if rec.failed else "0",
-                               rec.failure.replace(",", ";")]))
-    return "\n".join(lines) + "\n"
+    return _records_to_csv(report.trials, TrialRecord)
 
 
 def report_to_dict(report: RmseReport) -> dict:
     return {"kind": "report", "scenario": scenario_to_dict(report.spec),
             "algorithms": list(report.algorithms),
-            "rows": [{"ber": r.ber, "algorithm": r.algorithm,
-                      "range_rmse_m": r.range_rmse_m,
-                      "velocity_rmse_mps": r.velocity_rmse_mps,
-                      "identification_rate": r.identification_rate,
-                      "trials_used": r.trials_used} for r in report.rows]}
+            "rows": [dataclasses.asdict(r) for r in report.rows]}
 
 
 def grid_to_csv(grid: np.ndarray) -> str:

@@ -1,4 +1,8 @@
+import csv
 import json
+import math
+
+import pytest
 
 from ofdmradar import baselines, serialize
 from ofdmradar.cli import main
@@ -11,12 +15,17 @@ def simulate_file(tmp_path):
     return path
 
 
-def simulate_8x8_file(tmp_path):
+def spec_8x8_file(tmp_path):
     spec_path = tmp_path / "spec.json"
     assert main(["scenario", "--preset", "rmse1", "--out", str(spec_path), "--quiet"]) == 0
     spec = json.loads(spec_path.read_text())
     spec["config"]["M"] = spec["config"]["N"] = 8
     spec_path.write_text(json.dumps(spec))
+    return spec_path
+
+
+def simulate_8x8_file(tmp_path):
+    spec_path = spec_8x8_file(tmp_path)
     path = tmp_path / "meas.json"
     assert main(["simulate", "--spec", str(spec_path), "--seed", "3", "--ber", "0.01",
                  "--out", str(path), "--quiet"]) == 0
@@ -54,3 +63,51 @@ class TestSolve:
         assert main(["scenario", "--preset", "rmse1", "--out", str(spec_path),
                      "--quiet"]) == 0
         assert main(["solve", "--input", str(spec_path), "--algo", "music"]) == 2
+
+    def test_music_json_is_reproducible_apart_from_timing(self, tmp_path):
+        meas_path = simulate_8x8_file(tmp_path)
+        docs = []
+        for out in (tmp_path / "est1.json", tmp_path / "est2.json"):
+            assert main(["solve", "--input", str(meas_path), "--algo", "music",
+                         "--out", str(out), "--quiet"]) == 0
+            doc = json.loads(out.read_text())
+            assert set(doc.pop("timing_s")) == {"solve"}
+            docs.append(doc)
+        assert docs[0] == docs[1]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numeric_error_exits_3(self, tmp_path):
+        meas_path = simulate_8x8_file(tmp_path)
+        assert main(["solve", "--input", str(meas_path), "--algo", "anl1",
+                     "--lambda", "1e308", "--quiet"]) == 3
+
+
+def read_csv(path):
+    return list(csv.DictReader(path.read_text().splitlines()))
+
+
+class TestBench:
+    def test_rows_derive_from_trials_per_pass(self, tmp_path):
+        # Seed 7 is one where MUSIC matches targets at 8x8, so the RMSE
+        # columns hold numbers rather than NaN.
+        out = tmp_path / "report.csv"
+        assert main(["bench", "--spec", str(spec_8x8_file(tmp_path)), "--seed", "7",
+                     "--trials", "2", "--ber", "0.01,0.01", "--algos", "music",
+                     "--format", "csv", "--out", str(out), "--quiet"]) == 0
+        rows = read_csv(out)
+        trials = read_csv(tmp_path / "report.csv.trials.csv")
+        assert len(rows) == 2 and len(trials) == 4
+        for row, group in zip(rows, (trials[:2], trials[2:])):
+            used = [t for t in group if t["failed"] == "0"]
+            matched = sum(int(t["n_matched"]) for t in used)
+            assert matched > 0
+            sq_r = sq_v = 0.0
+            for t in used:
+                sq_r += float(t["sq_range_error"])
+                sq_v += float(t["sq_velocity_error"])
+            assert {t["ber"] for t in group} == {row["ber"]} == {"0.01"}
+            assert int(row["trials_used"]) == len(used)
+            assert float(row["range_rmse_m"]) == math.sqrt(sq_r / matched)
+            assert float(row["velocity_rmse_mps"]) == math.sqrt(sq_v / matched)
+            assert float(row["identification_rate"]) == matched / (3 * len(used))
+        assert rows[0] == rows[1]
