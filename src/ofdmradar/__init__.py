@@ -7,8 +7,7 @@ benchmark harness.
 """
 
 from .admm import (Diagnostics, Solution, SolverConfig, default_weights,
-                   estimate_noise_sigma, objective_dual, objective_primal,
-                   optimality_residuals, solve)
+                   objective_dual, objective_primal, optimality_residuals, solve)
 from .baselines import (CsL1Config, MusicConfig, csl1_estimate, default_csl1_config,
                         default_music_config, music_estimate, music_spectrum,
                         spatial_smooth)
@@ -16,10 +15,9 @@ from .bench import (ALGORITHMS, Match, RmseReport, RmseRow, ScenarioSpec,
                     gate_identification, gates, preset, run_algorithm,
                     run_benchmark, simulate_trial)
 from .errors import ConfigError, DegenerateDictionaryError, NumericError
-from .extract import (Estimate, ErrorSupport, Peak, detect_error_support,
-                      dual_atomic_norm, dual_polynomial, dual_poly_grid,
-                      estimate_from_solution, locate_peaks, ls_amplitudes,
-                      refine_peak, to_physical)
+from .extract import (Estimate, Peak, detect_error_support, dual_atomic_norm,
+                      dual_polynomial, dual_poly_grid, estimate_from_solution,
+                      locate_peaks, ls_amplitudes, refine_peak)
 from .operators import (adjoint_normalized, block_toeplitz, psd_project,
                         soft_threshold, symmetrize_param)
 from .scene import (C_LIGHT, Constellation, Measurement, Path, RadarConfig,

@@ -12,12 +12,12 @@ step.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
+from .extract import dual_atomic_norm
 from .operators import adjoint_normalized, block_toeplitz, psd_project, soft_threshold, symmetrize_param
 from .scene import Measurement
 
@@ -36,8 +36,7 @@ class SolverConfig:
     mu: float
     rho: float = 0.05
     max_iters: int = 2000
-    tol_primal: float = 1e-4
-    tol_dual: float = 1e-4
+    tol: float = 1e-4
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -48,8 +47,8 @@ class SolverConfig:
             raise ConfigError(f"rho must be positive, got {self.rho}")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
-        if self.tol_primal <= 0 or self.tol_dual <= 0:
-            raise ConfigError("tolerances must be positive")
+        if self.tol <= 0:
+            raise ConfigError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass
@@ -59,7 +58,6 @@ class Diagnostics:
     objectives: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
-    wall_clock_s: float = 0.0
 
     @property
     def final_objective(self) -> float:
@@ -93,20 +91,6 @@ def default_weights(sigma: float, M: int, N: int) -> tuple[float, float]:
     return lam, lam / math.sqrt(mn)
 
 
-def estimate_noise_sigma(measurement: Measurement) -> float:
-    """Median-based noise scale from the 2-D spectrum of the symbol-normalized data.
-
-    The unitary 2-D DFT keeps white noise white while concentrating the
-    multipath signal in a few bins, so the median magnitude is a robust noise
-    statistic; for circular complex noise the median of the magnitudes equals
-    sigma*sqrt(log 2).
-    """
-    M, N = measurement.M, measurement.N
-    Rn = measurement.r_bar.reshape(M, N, order="F") / measurement.S_hat
-    F = np.fft.fft2(Rn, norm="ortho")
-    return float(np.median(np.abs(F)) / math.sqrt(math.log(2.0)))
-
-
 def _assemble(TU: np.ndarray, z: np.ndarray, t: float) -> np.ndarray:
     """The (MN+1) x (MN+1) block [[T(U), z], [z^H, t]] of the lift."""
     mn = z.shape[0]
@@ -129,7 +113,6 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     skipped when ``mu == 0``), the PSD block ``Theta`` (cone projection), and
     the multiplier ``Upsilon`` (ascent step).
     """
-    started = time.perf_counter()
     M, N = measurement.M, measurement.N
     mn = M * N
     s = measurement.s_tilde
@@ -152,44 +135,49 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     diag = Diagnostics()
     scale = mn + 1
     it = 0
-    for it in range(1, config.max_iters + 1):
-        theta1 = Theta[:mn, mn]
-        theta_bar = Theta[mn, mn].real
-        ups1 = Upsilon[:mn, mn]
-        ups_bar = Upsilon[mn, mn].real
+    # Numpy raises at the first overflowing or invalid operation, so a bad
+    # weight stops the sweep before the cone projection sees non-finite input.
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for it in range(1, config.max_iters + 1):
+                theta1 = Theta[:mn, mn]
+                theta_bar = Theta[mn, mn].real
+                ups1 = Upsilon[:mn, mn]
+                ups_bar = Upsilon[mn, mn].real
 
-        z = (sh_r - s_conj * e + 2.0 * rho * theta1 + 2.0 * ups1) / denom
-        t = theta_bar + (ups_bar - 0.5 * lam) / rho
+                z = (sh_r - s_conj * e + 2.0 * rho * theta1 + 2.0 * ups1) / denom
+                t = theta_bar + (ups_bar - 0.5 * lam) / rho
 
-        U = adjoint_normalized(Theta[:mn, :mn] + Upsilon[:mn, :mn] / rho, M, N)
-        U[M - 1, N - 1] -= lam / (2.0 * mn * rho)
-        U = symmetrize_param(U)
+                U = adjoint_normalized(Theta[:mn, :mn] + Upsilon[:mn, :mn] / rho, M, N)
+                U[M - 1, N - 1] -= lam / (2.0 * mn * rho)
+                U = symmetrize_param(U)
 
-        if mu > 0:
-            e = soft_threshold(r - s * z, mu)
+                if mu > 0:
+                    e = soft_threshold(r - s * z, mu)
 
-        A = _assemble(block_toeplitz(U, M, N), z, t)
-        Theta_new = psd_project(A - Upsilon / rho)
+                A = _assemble(block_toeplitz(U, M, N), z, t)
+                Theta_new = psd_project(A - Upsilon / rho)
 
-        primal = float(np.linalg.norm(Theta_new - A))
-        dual = rho * float(np.linalg.norm(Theta_new - Theta))
-        Upsilon = Upsilon + rho * (Theta_new - A)
-        Theta = Theta_new
+                primal = float(np.linalg.norm(Theta_new - A))
+                dual = rho * float(np.linalg.norm(Theta_new - Theta))
+                Upsilon = Upsilon + rho * (Theta_new - A)
+                Theta = Theta_new
 
-        obj = _primal_objective(measurement, z, e, U, t, config)
+                obj = _primal_objective(measurement, z, e, U, t, config)
 
-        diag.primal_residuals.append(primal)
-        diag.dual_residuals.append(dual)
-        diag.objectives.append(obj)
+                diag.primal_residuals.append(primal)
+                diag.dual_residuals.append(dual)
+                diag.objectives.append(obj)
 
-        if not (math.isfinite(primal) and math.isfinite(dual) and math.isfinite(obj)):
-            raise NumericError(f"non-finite iterate at iteration {it}", iteration=it)
-        if primal < config.tol_primal * scale and dual < config.tol_dual * scale:
-            diag.converged = True
-            break
+                if not (math.isfinite(primal) and math.isfinite(dual) and math.isfinite(obj)):
+                    raise NumericError(f"non-finite iterate at iteration {it}", iteration=it)
+                if primal < config.tol * scale and dual < config.tol * scale:
+                    diag.converged = True
+                    break
+    except FloatingPointError as exc:
+        raise NumericError(f"non-finite iterate at iteration {it}", iteration=it) from exc
 
     diag.iterations = it
-    diag.wall_clock_s = time.perf_counter() - started
 
     # The stationarity condition for z ties the multiplier's border block to
     # the data residual mapped through the conjugate symbols, off by a factor
@@ -259,10 +247,8 @@ class OptimalityReport:
 
 
 def optimality_residuals(solution: Solution, measurement: Measurement,
-                         config: SolverConfig, grid_factor: int = 16) -> OptimalityReport:
+                         config: SolverConfig) -> OptimalityReport:
     """Evaluate how far a solution is from satisfying the optimality system."""
-    from .extract import dual_atomic_norm
-
     M, N = measurement.M, measurement.N
     s = measurement.s_tilde
     z, e = solution.z_hat, solution.e_hat
@@ -270,7 +256,7 @@ def optimality_residuals(solution: Solution, measurement: Measurement,
 
     sdp_norm = atomic_norm_sdp_value(solution.U, solution.t, M, N)
     atomic_balance = config.lam * sdp_norm - float(np.vdot(s * z, w).real)
-    dual_norm_excess = dual_atomic_norm(np.conj(s) * w, M, N, grid_factor=grid_factor) - config.lam
+    dual_norm_excess = dual_atomic_norm(np.conj(s) * w, M, N) - config.lam
 
     if config.mu > 0:
         l1_balance = config.mu * float(np.sum(np.abs(e))) - float(np.vdot(e, w).real)

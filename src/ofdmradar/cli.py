@@ -31,9 +31,33 @@ def _write(text: str, out: str | None, quiet: bool):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _read_input(path: str, parsers: dict):
+    """Parse a JSON input file by its ``kind``, one of the keys of ``parsers``.
+
+    Returns the kind and the parser's result.  A file that is not JSON, has
+    another kind, or lacks or mistypes a field its parser reads raises
+    :class:`ConfigError` naming the file.
+    """
+    try:
+        obj = json.loads(FilePath(path).read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not a JSON file: {exc}") from exc
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind not in parsers:
+        raise ConfigError(f"{path} is not a {' or '.join(parsers)} file")
+    try:
+        return kind, parsers[kind](obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed {kind} file: {type(exc).__name__}: {exc}") from exc
+
+
+def _solution_dual(obj: dict):
+    return int(obj["M"]), int(obj["N"]), serialize.deinterleave(obj["nu_hat"])
+
+
 def _load_spec(args) -> bench.ScenarioSpec:
     if getattr(args, "spec", None):
-        spec = serialize.scenario_from_dict(json.loads(FilePath(args.spec).read_text()))
+        _, spec = _read_input(args.spec, {"scenario": serialize.scenario_from_dict})
     elif getattr(args, "preset", None):
         spec = bench.preset(args.preset)
     else:
@@ -88,10 +112,8 @@ def _solve_dual(measurement, config, algo, args):
 
 
 def cmd_solve(args) -> int:
-    obj = json.loads(FilePath(args.input).read_text())
-    if obj.get("kind") != "measurement":
-        raise ConfigError(f"{args.input} is not a measurement file")
-    measurement, config, truth = serialize.measurement_from_dict(obj)
+    _, (measurement, config, _) = _read_input(
+        args.input, {"measurement": serialize.measurement_from_dict})
     M, N = measurement.M, measurement.N
     if args.algo in ("anl1", "an"):
         doc, estimate = _solve_dual(measurement, config, args.algo, args)
@@ -121,24 +143,22 @@ def cmd_solve(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    obj = json.loads(FilePath(args.input).read_text())
-    kind = obj.get("kind")
+    kind, parsed = _read_input(args.input, {"solution": _solution_dual,
+                                            "measurement": serialize.measurement_from_dict})
     if kind == "solution":
-        M, N = int(obj["M"]), int(obj["N"])
-        nu = serialize.deinterleave(obj["nu_hat"])
-        gp = args.grid_phi or 16 * M
-        gq = args.grid_psi or 16 * N
-        grid = np.abs(extract.dual_poly_grid(nu, M, N, gp, gq))
-    elif kind == "measurement":
-        measurement, config, _ = serialize.measurement_from_dict(obj)
-        k = args.music_k if args.music_k is not None else "auto"
-        mcfg = baselines.default_music_config(measurement.M, measurement.N, K_signal=k)
-        if args.grid_phi:
-            mcfg = baselines.MusicConfig(mcfg.M_sub, mcfg.N_sub, mcfg.K_signal,
-                                         args.grid_phi, args.grid_psi or mcfg.grid_psi)
-        grid = baselines.music_spectrum(baselines.spatial_smooth(measurement, mcfg), mcfg)
+        M, N, nu = parsed
     else:
-        raise ConfigError(f"{args.input} is neither a solution nor a measurement file")
+        measurement = parsed[0]
+        M, N = measurement.M, measurement.N
+    gp = args.grid_phi or extract.GRID_FACTOR * M
+    gq = args.grid_psi or extract.GRID_FACTOR * N
+    if kind == "solution":
+        grid = np.abs(extract.dual_poly_grid(nu, M, N, gp, gq))
+    else:
+        k = args.music_k if args.music_k is not None else "auto"
+        mcfg = dataclasses.replace(baselines.default_music_config(M, N, K_signal=k),
+                                   grid_phi=gp, grid_psi=gq)
+        grid = baselines.music_spectrum(baselines.spatial_smooth(measurement, mcfg), mcfg)
     _write(serialize.grid_to_csv(grid), args.out, args.quiet)
     return 0
 

@@ -15,18 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateDictionaryError
-from .scene import Path, RadarConfig, atom, normalized_to_physical
+from .scene import Path, atom
 
 TWO_PI = 2.0 * np.pi
+# Oversampling of the peak scan grid over the data dimensions.
+GRID_FACTOR = 16
 # Peaks count when |Q| reaches (1 - REL_THRESHOLD) * lam.
 REL_THRESHOLD = 0.02
 # Newton refinement: step cap and gradient tolerance relative to max(1, |Q|^2).
 MAX_NEWTON_STEPS = 50
 GRAD_TOL = 1e-8
-# Error support: |e_hat| above ERROR_REL_TOL of the data scale; dual-side
-# confirmation where |s_j nu_j| is within DUAL_TOL of mu, relative.
+# Error support: |e_hat| above ERROR_REL_TOL of the data scale.
 ERROR_REL_TOL = 1e-6
-DUAL_TOL = 0.05
 # Largest dictionary condition number the amplitude fit accepts.
 COND_MAX = 1e10
 
@@ -40,15 +40,6 @@ class Peak:
     @property
     def magnitude(self) -> float:
         return abs(self.value)
-
-
-@dataclass(frozen=True)
-class ErrorSupport:
-    """Detected demodulation-error indices with dual-side confirmation."""
-
-    indices: tuple[int, ...]
-    dual_confirmed: tuple[int, ...]
-    applicable: bool = True
 
 
 @dataclass(frozen=True)
@@ -166,7 +157,7 @@ def wrapped_local_maxima(values: np.ndarray) -> np.ndarray:
 
 
 def locate_peaks(nu: np.ndarray, lam: float, M: int, N: int, *,
-                 grid_factor: int = 16) -> list[Peak]:
+                 grid_factor: int = GRID_FACTOR) -> list[Peak]:
     """Frequencies where |Q| reaches the certificate level.
 
     Strict local maxima of |Q| on a ``grid_factor``-oversampled wrapped grid
@@ -195,35 +186,20 @@ def locate_peaks(nu: np.ndarray, lam: float, M: int, N: int, *,
     return kept
 
 
-def dual_atomic_norm(nu: np.ndarray, M: int, N: int, grid_factor: int = 16) -> float:
+def dual_atomic_norm(nu: np.ndarray, M: int, N: int) -> float:
     """max |Q| over frequencies: grid scan plus one Newton refinement."""
-    grid_phi, grid_psi = grid_factor * M, grid_factor * N
+    grid_phi, grid_psi = GRID_FACTOR * M, GRID_FACTOR * N
     mag = np.abs(dual_poly_grid(nu, M, N, grid_phi, grid_psi))
     p, q = np.unravel_index(int(np.argmax(mag)), mag.shape)
     peak = refine_peak(nu, p / grid_phi, q / grid_psi, M, N)
     return max(float(mag[p, q]), peak.magnitude)
 
 
-def detect_error_support(nu_hat: np.ndarray, e_hat: np.ndarray, S_hat: np.ndarray,
-                         mu: float, *, scale: float | None = None) -> ErrorSupport:
-    """Indices of detected demodulation errors.
-
-    The primary criterion thresholds |e_hat| at ``ERROR_REL_TOL * scale``
-    (``scale`` defaults to max |e_hat|); the dual-side confirmation lists
-    indices where |s_j * nu_j| matches ``mu`` within ``DUAL_TOL`` relative.
-    Not applicable when ``mu == 0``.
-    """
+def detect_error_support(e_hat: np.ndarray, mu: float, scale: float) -> tuple[int, ...]:
+    """Indices where |e_hat| exceeds ``ERROR_REL_TOL * scale``; none when ``mu == 0``."""
     if mu == 0:
-        return ErrorSupport(indices=(), dual_confirmed=(), applicable=False)
-    e_hat = np.asarray(e_hat)
-    s = np.asarray(S_hat).flatten(order="F")
-    if scale is None:
-        scale = float(np.max(np.abs(e_hat))) if e_hat.size else 0.0
-    indices = np.flatnonzero(np.abs(e_hat) > ERROR_REL_TOL * scale)
-    dual_mag = np.abs(s * np.asarray(nu_hat))
-    confirmed = np.flatnonzero(np.abs(dual_mag - mu) <= DUAL_TOL * mu)
-    return ErrorSupport(indices=tuple(int(i) for i in indices),
-                        dual_confirmed=tuple(int(i) for i in confirmed))
+        return ()
+    return tuple(int(i) for i in np.flatnonzero(np.abs(e_hat) > ERROR_REL_TOL * scale))
 
 
 def ls_amplitudes(r_bar: np.ndarray, s_tilde: np.ndarray, e_hat,
@@ -254,28 +230,18 @@ def ls_amplitudes(r_bar: np.ndarray, s_tilde: np.ndarray, e_hat,
 
 
 def estimate_from_solution(solution, measurement, lam: float, mu: float, *,
-                           grid_factor: int = 16) -> Estimate:
+                           grid_factor: int = GRID_FACTOR) -> Estimate:
     """Peaks of the solver's dual certificate, error support and amplitudes."""
     M, N = measurement.M, measurement.N
     nu_hat, e_hat = solution.nu_hat, solution.e_hat
     peaks = locate_peaks(nu_hat, lam, M, N, grid_factor=grid_factor)
-    support = detect_error_support(nu_hat, e_hat, measurement.S_hat, mu,
-                                   scale=float(np.max(np.abs(measurement.r_bar))))
+    support = detect_error_support(e_hat, mu, float(np.max(np.abs(measurement.r_bar))))
     if not peaks:
-        return Estimate(paths=(), error_support=support.indices, dual_peak_values=())
+        return Estimate(paths=(), error_support=support, dual_peak_values=())
     freqs = [(pk.phi, pk.psi) for pk in peaks]
     alphas = ls_amplitudes(measurement.r_bar, measurement.s_tilde, e_hat, freqs, M, N)
     order = np.argsort(-np.abs(alphas))
     paths = tuple(Path(alpha=complex(alphas[i]), phi=peaks[i].phi, psi=peaks[i].psi)
                   for i in order)
     mags = tuple(peaks[i].magnitude for i in order)
-    return Estimate(paths=paths, error_support=support.indices, dual_peak_values=mags)
-
-
-def to_physical(estimate: Estimate, config: RadarConfig) -> list[tuple[float, float, complex]]:
-    """Paths as (range_m, velocity_mps, amplitude) triples."""
-    out = []
-    for p in estimate.paths:
-        range_m, velocity = normalized_to_physical(p.phi, p.psi, config)
-        out.append((range_m, velocity, p.alpha))
-    return out
+    return Estimate(paths=paths, error_support=support, dual_peak_values=mags)

@@ -16,8 +16,7 @@ import numpy as np
 from .bench import RmseReport, RmseRow, ScenarioSpec, TrialRecord
 from .errors import ConfigError
 from .extract import Estimate
-from .scene import (Measurement, Path, RadarConfig, Scene,
-                    normalized_to_physical, physical_to_normalized)
+from .scene import Measurement, Path, RadarConfig, Scene, normalized_to_physical
 
 
 def interleave(x: np.ndarray) -> list[float]:
@@ -54,17 +53,9 @@ def path_to_dict(path: Path) -> dict:
             "phi": path.phi, "psi": path.psi}
 
 
-def path_from_dict(obj: dict, config: RadarConfig | None = None) -> Path:
-    """Accept either explicit (alpha, phi, psi) or physical (power, range, velocity)."""
-    if "phi" in obj and "psi" in obj:
-        alpha = complex(obj.get("alpha_re", 1.0), obj.get("alpha_im", 0.0))
-        return Path(alpha=alpha, phi=float(obj["phi"]), psi=float(obj["psi"]))
-    if config is None:
-        raise ConfigError("physical path form requires a radar config")
-    phi, psi = physical_to_normalized(float(obj["range_m"]),
-                                      float(obj["velocity_mps"]), config)
-    amp = 10.0 ** (float(obj.get("power_db", 0.0)) / 20.0)
-    return Path(alpha=complex(amp, 0.0), phi=phi, psi=psi)
+def path_from_dict(obj: dict) -> Path:
+    return Path(alpha=complex(obj["alpha_re"], obj["alpha_im"]),
+                phi=float(obj["phi"]), psi=float(obj["psi"]))
 
 
 def scene_to_dict(scene: Scene) -> dict:
@@ -72,9 +63,9 @@ def scene_to_dict(scene: Scene) -> dict:
             "clutter": [path_to_dict(p) for p in scene.clutter]}
 
 
-def scene_from_dict(obj: dict, config: RadarConfig | None = None) -> Scene:
-    return Scene(targets=tuple(path_from_dict(p, config) for p in obj.get("targets", [])),
-                 clutter=tuple(path_from_dict(p, config) for p in obj.get("clutter", [])))
+def scene_from_dict(obj: dict) -> Scene:
+    return Scene(targets=tuple(path_from_dict(p) for p in obj.get("targets", [])),
+                 clutter=tuple(path_from_dict(p) for p in obj.get("clutter", [])))
 
 
 def measurement_to_dict(measurement: Measurement, config: RadarConfig,
@@ -104,7 +95,7 @@ def measurement_from_dict(obj: dict) -> tuple[Measurement, RadarConfig, Scene | 
         sigma2=float(obj.get("sigma2", config.sigma2)),
         e_bar_true=deinterleave(obj["e_bar_true"]) if "e_bar_true" in obj else None,
         v_bar_true=deinterleave(obj["v_bar_true"]) if "v_bar_true" in obj else None)
-    truth = scene_from_dict(obj["truth"], config) if "truth" in obj else None
+    truth = scene_from_dict(obj["truth"]) if "truth" in obj else None
     return measurement, config, truth
 
 
@@ -167,27 +158,23 @@ def estimate_to_csv(estimate: Estimate, config: RadarConfig) -> str:
 
 
 def solution_to_dict(solution, measurement: Measurement, solver_config,
-                     estimate: Estimate | None = None, algo: str = "anl1",
-                     config: RadarConfig | None = None,
-                     timing: dict | None = None) -> dict:
+                     estimate: Estimate, algo: str, config: RadarConfig,
+                     timing: dict) -> dict:
     d = solution.diagnostics
-    out = {"kind": "solution", "algo": algo,
-           "M": measurement.M, "N": measurement.N,
-           "solver": {"lam": solver_config.lam, "mu": solver_config.mu,
-                      "rho": solver_config.rho, "max_iters": solver_config.max_iters,
-                      "tol_primal": solver_config.tol_primal,
-                      "tol_dual": solver_config.tol_dual},
-           "z_hat": interleave(solution.z_hat),
-           "e_hat": interleave(solution.e_hat),
-           "nu_hat": interleave(solution.nu_hat),
-           "residuals": {"primal": d.primal_residuals, "dual": d.dual_residuals},
-           "objective": d.final_objective,
-           "converged": d.converged,
-           "iterations": d.iterations,
-           "timing_s": dict(timing or {"solve": d.wall_clock_s})}
-    if estimate is not None:
-        out["estimate"] = estimate_to_dict(estimate, config)
-    return out
+    return {"kind": "solution", "algo": algo,
+            "M": measurement.M, "N": measurement.N,
+            "solver": {"lam": solver_config.lam, "mu": solver_config.mu,
+                       "rho": solver_config.rho, "max_iters": solver_config.max_iters,
+                       "tol": solver_config.tol},
+            "z_hat": interleave(solution.z_hat),
+            "e_hat": interleave(solution.e_hat),
+            "nu_hat": interleave(solution.nu_hat),
+            "residuals": {"primal": d.primal_residuals, "dual": d.dual_residuals},
+            "objective": d.final_objective,
+            "converged": d.converged,
+            "iterations": d.iterations,
+            "timing_s": timing,
+            "estimate": estimate_to_dict(estimate, config)}
 
 
 # CSV cell format by a record field's declared type, as the annotation string

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from ofdmradar import (ConfigError, Path, Scene, SolverConfig, default_weights,
-                       estimate_noise_sigma, generate_symbols, measure,
-                       objective_dual, objective_primal, optimality_residuals,
-                       qpsk, simulate, solve, synthesize_clean)
+from ofdmradar import (ConfigError, NumericError, Path, Scene, SolverConfig,
+                       default_weights, generate_symbols, measure, objective_dual,
+                       objective_primal, optimality_residuals, qpsk, simulate, solve,
+                       synthesize_clean)
 from ofdmradar.admm import atomic_norm_sdp_value
 from conftest import small_config
 
@@ -47,8 +49,7 @@ class TestSolve:
         cfg, scene, meas = make_instance(M=4, N=4, K=1, seed=2,
                                          noise_power_db=-np.inf)
         lam = 0.01 * np.linalg.norm(meas.r_bar)
-        sol = solve(meas, SolverConfig(lam=lam, mu=0.0, max_iters=4000,
-                                       tol_primal=1e-7, tol_dual=1e-7))
+        sol = solve(meas, SolverConfig(lam=lam, mu=0.0, max_iters=4000, tol=1e-7))
         z_true = synthesize_clean(scene, cfg)
         rel = np.linalg.norm(sol.z_hat - z_true) / np.linalg.norm(z_true)
         assert rel < 1e-2
@@ -70,8 +71,7 @@ class TestSolve:
     def test_dual_identity_at_convergence(self):
         cfg, scene, meas = make_instance(M=4, N=4, K=2, seed=5)
         lam, mu = default_weights(cfg.sigma, 4, 4)
-        sol = solve(meas, SolverConfig(lam=lam, mu=mu, max_iters=50000,
-                                       tol_primal=1e-7, tol_dual=1e-7))
+        sol = solve(meas, SolverConfig(lam=lam, mu=mu, max_iters=50000, tol=1e-7))
         assert sol.diagnostics.converged
         w = meas.r_bar - sol.e_hat - meas.s_tilde * sol.z_hat
         nu_true = np.conj(meas.s_tilde) * w
@@ -80,8 +80,7 @@ class TestSolve:
 
     def test_theta_psd_and_consistent(self):
         cfg, scene, meas = make_instance(M=4, N=4, K=1, seed=6)
-        sol = solve(meas, SolverConfig(lam=0.7, mu=0.17, max_iters=20000,
-                                       tol_primal=1e-6, tol_dual=1e-6))
+        sol = solve(meas, SolverConfig(lam=0.7, mu=0.17, max_iters=20000, tol=1e-6))
         theta = sol.Theta
         assert np.linalg.eigvalsh(theta).min() >= -1e-8
         from ofdmradar import block_toeplitz
@@ -98,13 +97,22 @@ class TestSolve:
         # trend is the trailing-window distance to the final value shrinking
         # after burn-in, not per-step monotonicity.
         cfg, scene, meas = make_instance(M=4, N=4, K=2, seed=7)
-        sol = solve(meas, SolverConfig(lam=0.7, mu=0.17, max_iters=400,
-                                       tol_primal=1e-12, tol_dual=1e-12))
+        sol = solve(meas, SolverConfig(lam=0.7, mu=0.17, max_iters=400, tol=1e-12))
         obj = np.array(sol.diagnostics.objectives)
         final = obj[-1]
         early = np.abs(obj[50:150] - final).mean()
         late = np.abs(obj[-100:] - final).mean()
         assert late <= early + 1e-12 * max(1.0, abs(final))
+
+    def test_overflow_raises_before_any_warning(self):
+        # lam = 1e308 overflows the t update of the first sweep; the solve
+        # stops there instead of projecting a non-finite matrix.
+        cfg, scene, meas = make_instance(M=4, N=4, K=1, seed=18)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as err:
+                solve(meas, SolverConfig(lam=1e308, mu=0.1, max_iters=5))
+        assert err.value.iteration == 1
 
 
 class TestObjectives:
@@ -148,8 +156,7 @@ class TestObjectives:
     def test_duality_gap_at_convergence(self):
         cfg, scene, meas = make_instance(M=4, N=4, K=2, seed=12)
         lam, mu = default_weights(cfg.sigma, 4, 4)
-        c = SolverConfig(lam=lam, mu=mu, max_iters=50000, tol_primal=1e-7,
-                         tol_dual=1e-7)
+        c = SolverConfig(lam=lam, mu=mu, max_iters=50000, tol=1e-7)
         sol = solve(meas, c)
         p = objective_primal(sol, meas, c)
         d = objective_dual(sol.nu_hat, meas, c)
@@ -160,8 +167,7 @@ class TestOptimalityResiduals:
     def test_converged_instance(self):
         cfg, scene, meas = make_instance(M=4, N=4, K=1, seed=13)
         lam, mu = default_weights(cfg.sigma, 4, 4)
-        c = SolverConfig(lam=lam, mu=mu, max_iters=50000, tol_primal=1e-7,
-                         tol_dual=1e-7)
+        c = SolverConfig(lam=lam, mu=mu, max_iters=50000, tol=1e-7)
         sol = solve(meas, c)
         rep = optimality_residuals(sol, meas, c)
         tol = 1e-3 * max(lam, mu, 1.0)
@@ -191,32 +197,13 @@ class TestOptimalityResiduals:
         assert rep.linf_excess is None
 
 
-class TestNoiseEstimate:
-    def test_recovers_known_sigma(self):
-        # weak paths: the spectrum median is then dominated by the noise floor
-        cfg = small_config(16, 16, noise_power_db=-20.0)
-        rng = np.random.default_rng(16)
-        scene = Scene(targets=(Path(1e-3, 0.3, 0.4), Path(1e-3, 0.7, 0.8)))
-        meas = simulate(scene, cfg, qpsk(), 0.0, rng)
-        got = estimate_noise_sigma(meas)
-        assert got == pytest.approx(0.1, rel=0.15)
-
-    def test_inflates_with_strong_interference(self):
-        # strong off-grid paths leak into every bin; the heuristic then reads
-        # high, which only makes the default weights conservative
-        cfg, scene, meas = make_instance(M=16, N=16, K=2, seed=16,
-                                         noise_power_db=-20.0)
-        assert estimate_noise_sigma(meas) > 0.1
-
-
 class TestAtomicNormValue:
     def test_single_atom_value(self):
         # for z = alpha * atom, the lifted program value equals |alpha|
         cfg, scene, meas = make_instance(M=4, N=4, K=1, seed=17,
                                          noise_power_db=-np.inf)
         lam = 0.005 * np.linalg.norm(meas.r_bar)
-        sol = solve(meas, SolverConfig(lam=lam, mu=0.0, max_iters=8000,
-                                       tol_primal=1e-8, tol_dual=1e-8))
+        sol = solve(meas, SolverConfig(lam=lam, mu=0.0, max_iters=8000, tol=1e-8))
         val = atomic_norm_sdp_value(sol.U, sol.t, 4, 4)
         alpha = scene.targets[0].alpha
         assert val == pytest.approx(abs(alpha), rel=0.05)

@@ -75,11 +75,50 @@ class TestSolve:
             docs.append(doc)
         assert docs[0] == docs[1]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_numeric_error_exits_3(self, tmp_path):
         meas_path = simulate_8x8_file(tmp_path)
         assert main(["solve", "--input", str(meas_path), "--algo", "anl1",
                      "--lambda", "1e308", "--quiet"]) == 3
+
+
+class TestMalformedInput:
+    def test_spec_missing_a_key_exits_2(self, tmp_path, capsys):
+        spec_path = spec_8x8_file(tmp_path)
+        spec = json.loads(spec_path.read_text())
+        del spec["n_targets"]
+        spec_path.write_text(json.dumps(spec))
+        assert main(["simulate", "--spec", str(spec_path), "--quiet"]) == 2
+        assert "n_targets" in capsys.readouterr().err
+
+    def test_spec_that_is_not_json_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text("n_targets = 3\n")
+        assert main(["bench", "--spec", str(spec_path), "--quiet"]) == 2
+        assert str(spec_path) in capsys.readouterr().err
+
+    def test_measurement_as_spec_exits_2(self, tmp_path):
+        meas_path = simulate_8x8_file(tmp_path)
+        assert main(["simulate", "--spec", str(meas_path), "--quiet"]) == 2
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize("kind", ["solution", "measurement"])
+    @pytest.mark.parametrize("flags, shape", [([], (128, 128)),
+                                              (["--grid-psi", "40"], (128, 40)),
+                                              (["--grid-phi", "24"], (24, 128))])
+    def test_grid_flags_set_the_csv_shape(self, tmp_path, kind, flags, shape):
+        path = simulate_8x8_file(tmp_path)
+        if kind == "solution":
+            sol_path = tmp_path / "sol.json"
+            assert main(["solve", "--input", str(path), "--algo", "an", "--iters", "5",
+                         "--out", str(sol_path), "--quiet"]) == 0
+            path = sol_path
+        out = tmp_path / "grid.csv"
+        assert main(["spectrum", "--input", str(path), *flags, "--out", str(out),
+                     "--quiet"]) == 0
+        rows = out.read_text().splitlines()
+        assert (len(rows), len(rows[0].split(","))) == shape
 
 
 def read_csv(path):
