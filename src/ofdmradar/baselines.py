@@ -145,9 +145,12 @@ def csl1_dictionary(M: int, N: int, M_grid: int, N_grid: int) -> np.ndarray:
     return np.kron(Gc, B)
 
 
-def _synthesize(x: np.ndarray, M: int, N: int, M_grid: int, N_grid: int) -> np.ndarray:
-    """C x for the dictionary of :func:`csl1_dictionary`, by zero-padded FFTs."""
-    X = x.reshape(M_grid, N_grid, order="F")
+def _synthesize(X: np.ndarray, M: int, N: int, M_grid: int, N_grid: int) -> np.ndarray:
+    """C x for the dictionary of :func:`csl1_dictionary`, by zero-padded FFTs.
+
+    ``X`` is x on its (M_grid, N_grid) lattice or flattened column-major.
+    """
+    X = X.reshape(M_grid, N_grid, order="F")
     Y = np.fft.fft(np.fft.ifft(X, axis=0)[:M] * M_grid, axis=1)[:, :N]
     return Y.ravel(order="F")
 
@@ -157,11 +160,17 @@ def csl1_estimate(measurement: Measurement, config: CsL1Config) -> Estimate:
 
     Minimizes 0.5*||r - S C alpha||^2 + gamma*||alpha||_1 for the dictionary
     C of :func:`csl1_dictionary`, applied by FFT: C x is :func:`_synthesize`
-    and C^H y is ``dual_poly_grid`` of y in column-major order.  The rows of
-    C are orthogonal, so L = M_grid * N_grid * max|s|^2 is exactly the largest
-    eigenvalue of the Gram matrix; the step is 1/(1.01 L).  Stops on relative
-    objective change below ``tol``.  Entries above 1e-3 of the largest
-    magnitude become paths at their grid frequencies.
+    and C^H y is ``dual_poly_grid`` of y, on the (M_grid, N_grid) lattice
+    that holds the iterate.  The rows of C are orthogonal, so
+    L = M_grid * N_grid * max|s|^2 is exactly the largest eigenvalue of the
+    Gram matrix; the step is 1/(1.01 L).
+
+    Each iteration runs one synthesis, of x, and one adjoint.  The
+    extrapolated point is y = x + beta (x - x_prev), so C y is the same
+    combination of C x and C x_prev; C x itself is always synthesized, so
+    rounding does not accumulate.  Stops on relative objective change below
+    ``tol``.  Entries above 1e-3 of the largest magnitude become paths at
+    their grid frequencies.
     """
     M, N = measurement.M, measurement.N
     Mg, Ng = config.M_grid, config.N_grid
@@ -171,30 +180,33 @@ def csl1_estimate(measurement: Measurement, config: CsL1Config) -> Estimate:
     r = measurement.r_bar
     gamma = config.gamma
 
-    def forward(v):
-        return s * _synthesize(v, M, N, Mg, Ng)
-
     L = 1.01 * Mg * Ng * float(np.max(np.abs(s))) ** 2
-    x = np.zeros(Mg * Ng, dtype=complex)
-    y = x
+    # The step 1/L scales the M*N residual rather than the lattice-sized gradient.
+    s_conj_step = np.conj(s) / L
+    x = np.zeros((Mg, Ng), dtype=complex)
+    Cx = np.zeros(M * N, dtype=complex)
+    y, Cy = x, Cx
     tau = 1.0
     obj_prev = 0.5 * float(np.vdot(r, r).real)
     increases = 0
     for _ in range(config.max_iters):
-        grad = dual_poly_grid(np.conj(s) * (forward(y) - r), M, N, Mg, Ng).ravel(order="F")
-        x_new = soft_threshold(y - grad / L, gamma / L)
+        step = dual_poly_grid(s_conj_step * (s * Cy - r), M, N, Mg, Ng)
+        x_new = soft_threshold(y - step, gamma / L)
+        Cx_new = _synthesize(x_new, M, N, Mg, Ng)
         tau_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tau * tau))
-        y = x_new + ((tau - 1.0) / tau_new) * (x_new - x)
-        x, tau = x_new, tau_new
+        beta = (tau - 1.0) / tau_new
+        y = x_new + beta * (x_new - x)
+        Cy = Cx_new + beta * (Cx_new - Cx)
+        x, Cx, tau = x_new, Cx_new, tau_new
 
-        fit = forward(x) - r
+        fit = s * Cx - r
         obj = 0.5 * float(np.vdot(fit, fit).real) + gamma * float(np.sum(np.abs(x)))
         if not math.isfinite(obj):
             raise NumericError("non-finite objective in proximal gradient")
         if obj > obj_prev:
             # Momentum overshoot: restart acceleration.  A restarted step is
             # plain proximal descent, so repeated increases mean a bad step.
-            y, tau = x, 1.0
+            y, Cy, tau = x, Cx, 1.0
             increases += 1
             if increases > 10:
                 raise NumericError("proximal gradient diverged (objective rose 10 steps in a row)")
@@ -204,6 +216,8 @@ def csl1_estimate(measurement: Measurement, config: CsL1Config) -> Estimate:
                 break
         obj_prev = obj
 
+    # Column-major flat index l = q*Mg + p, the dictionary's column order.
+    x = x.ravel(order="F")
     mags = np.abs(x)
     top = float(mags.max(initial=0.0))
     if top == 0.0:

@@ -34,12 +34,17 @@ def _write(text: str, out: str | None, quiet: bool):
 def _read_input(path: str, parsers: dict):
     """Parse a JSON input file by its ``kind``, one of the keys of ``parsers``.
 
-    Returns the kind and the parser's result.  A file that is not JSON, has
-    another kind, or lacks or mistypes a field its parser reads raises
+    Returns the kind and the parser's result.  A path that cannot be read
+    (missing, a directory, unreadable), a file that is not JSON, has another
+    kind, or lacks or mistypes a field its parser reads raises
     :class:`ConfigError` naming the file.
     """
     try:
-        obj = json.loads(FilePath(path).read_text())
+        text = FilePath(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    try:
+        obj = json.loads(text)
     except ValueError as exc:
         raise ConfigError(f"{path} is not a JSON file: {exc}") from exc
     kind = obj.get("kind") if isinstance(obj, dict) else None

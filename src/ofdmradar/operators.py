@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 
+_SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
+
 
 @lru_cache(maxsize=8)
 def _lift_index(M: int, N: int) -> np.ndarray:
@@ -88,6 +90,7 @@ def soft_threshold(v: np.ndarray, mu: float) -> np.ndarray:
         raise ConfigError(f"threshold must be nonnegative, got {mu}")
     v = np.asarray(v)
     mag = np.abs(v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(mag > mu, (mag - mu) / np.where(mag > 0, mag, 1.0), 0.0)
-    return v * scale
+    # The floor only replaces |v_i| == 0, so every nonzero magnitude, subnormal
+    # ones included, divides by itself; inf/inf (infinite input) gives NaN.
+    with np.errstate(invalid="ignore"):
+        return v * (np.maximum(mag - mu, 0.0) / np.maximum(mag, _SMALLEST_SUBNORMAL))

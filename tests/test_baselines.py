@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from ofdmradar import (ConfigError, CsL1Config, MusicConfig, NumericError, Path,
                        default_music_config, dual_poly_grid, music_estimate,
                        music_spectrum, qpsk, simulate, spatial_smooth)
 from ofdmradar.baselines import _synthesize, csl1_dictionary
+from ofdmradar.operators import soft_threshold
 from conftest import small_config
 
 
@@ -190,6 +193,52 @@ class TestCsL1:
         near = [p for p in est.paths
                 if abs(p.phi - off[0]) < 3 / grid and abs(p.psi - off[1]) < 3 / grid]
         assert len(near) >= 2
+
+    @pytest.mark.parametrize("M, N", [(4, 4), (3, 5)])
+    def test_matches_two_synthesis_reference(self, M, N):
+        # Reference: the loop that synthesizes y for the gradient and x for
+        # the objective, on flat column-major iterates; it counts restarts.
+        def reference(meas, ccfg):
+            Mg, Ng = ccfg.M_grid, ccfg.N_grid
+            s, r, gamma = meas.s_tilde, meas.r_bar, ccfg.gamma
+
+            def forward(v):
+                return s * _synthesize(v, M, N, Mg, Ng)
+
+            L = 1.01 * Mg * Ng * float(np.max(np.abs(s))) ** 2
+            x = y = np.zeros(Mg * Ng, dtype=complex)
+            tau, restarts = 1.0, 0
+            obj_prev = 0.5 * float(np.vdot(r, r).real)
+            for _ in range(ccfg.max_iters):
+                grad = dual_poly_grid(np.conj(s) * (forward(y) - r), M, N, Mg, Ng)
+                x_new = soft_threshold(y - grad.ravel(order="F") / L, gamma / L)
+                tau_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tau * tau))
+                y = x_new + ((tau - 1.0) / tau_new) * (x_new - x)
+                x, tau = x_new, tau_new
+                fit = forward(x) - r
+                obj = 0.5 * float(np.vdot(fit, fit).real) + gamma * float(np.sum(np.abs(x)))
+                if obj > obj_prev:
+                    y, tau = x, 1.0
+                    restarts += 1
+                elif abs(obj_prev - obj) <= ccfg.tol * max(1.0, abs(obj)):
+                    break
+                obj_prev = obj
+            return x, restarts
+
+        cfg = small_config(M, N, noise_power_db=-20.0)
+        scene = Scene(targets=(Path(1.0, 0.2, 0.3), Path(0.6, 0.55, 0.8)))
+        meas = simulate(scene, cfg, qpsk(), 0.0, 1)
+        ccfg = CsL1Config(4 * M, 4 * N, 0.01 * np.linalg.norm(meas.r_bar),
+                          max_iters=3000, tol=1e-12)
+        x, restarts = reference(meas, ccfg)
+        assert restarts > 0
+        mags = np.abs(x)
+        sel = np.flatnonzero(mags > 1e-3 * mags.max())
+        order = sel[np.argsort(-mags[sel])]
+        est = csl1_estimate(meas, ccfg)
+        assert [(p.phi, p.psi) for p in est.paths] == [
+            ((l % ccfg.M_grid) / ccfg.M_grid, (l // ccfg.M_grid) / ccfg.N_grid) for l in order]
+        np.testing.assert_allclose([p.alpha for p in est.paths], x[order], rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("M_grid, N_grid", [(7, 32), (32, 7)])
     def test_coarse_grid_rejected(self, M_grid, N_grid):

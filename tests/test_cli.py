@@ -101,6 +101,13 @@ class TestMalformedInput:
         meas_path = simulate_8x8_file(tmp_path)
         assert main(["simulate", "--spec", str(meas_path), "--quiet"]) == 2
 
+    @pytest.mark.parametrize("argv", [["solve", "--algo", "music", "--input"],
+                                      ["simulate", "--spec"]])
+    def test_directory_input_exits_2(self, tmp_path, capsys, argv):
+        assert main([*argv, str(tmp_path), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(tmp_path) in err[0]
+
 
 class TestSpectrum:
     @pytest.mark.parametrize("kind", ["solution", "measurement"])

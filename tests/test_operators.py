@@ -159,6 +159,30 @@ class TestSoftThreshold:
         lhs = np.linalg.norm(soft_threshold(a, mu) - soft_threshold(b, mu))
         assert lhs <= np.linalg.norm(a - b) + 1e-12
 
+    def test_matches_masked_formula(self):
+        # Reference: the masked form, scale = (|v| - mu)/|v| where |v| > mu, else 0.
+        def masked(v, mu):
+            mag = np.abs(v)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                scale = np.where(mag > mu, (mag - mu) / np.where(mag > 0, mag, 1.0), 0.0)
+            return v * scale
+
+        v = np.array([0, 0.5, -0.5j, 0.3 + 0.4j, 1.0, -2.0 + 1e-3j, 3j, 5e-324, 1e-310j])
+        for mu in (0.0, 0.5, 1.0, 1e-320):
+            # |v| < mu, |v| == mu (0.5 and 1.0) and |v| > mu, with v == 0 and
+            # subnormal |v| in each case
+            with np.errstate(all="raise", under="ignore"):
+                got = soft_threshold(v, mu)
+            want = masked(v, mu)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+    def test_non_finite_input_is_warning_free(self):
+        v = np.array([np.inf, np.nan, 1 + 1j * np.inf, 2.0])
+        with np.errstate(all="raise"):
+            got = soft_threshold(v, 0.5)
+        assert np.isnan(got[:3]).all() and got[3] == 1.5
+
     def test_negative_threshold_rejected(self):
         with pytest.raises(ConfigError):
             soft_threshold(np.array([1.0]), -0.1)

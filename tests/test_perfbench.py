@@ -1,6 +1,7 @@
-"""The benchmark harness's hold on the package: trace targets and one dual-8 trial."""
+"""The benchmark harness's hold on the package: trace targets and two trial runs."""
 
 import importlib.util
+import math
 import os
 import pathlib
 import sys
@@ -39,3 +40,13 @@ def test_dual_8_trial_runs_and_matches_the_dispatch(run):
     record = run.run_trial(workload, spec, trial, run.tracing.Tracer(active=False))
     assert [o.failure for o in record.outcomes] == ["", ""]
     assert run.self_test(workload, spec, trial, record)
+
+
+def test_baselines_16_trial_runs_and_csl1_objective_is_finite(run):
+    workload = run.workloads.WORKLOADS["baselines-16"]
+    spec = workload.spec()
+    trial = run.workloads.make_trial(workload, 1, 0)
+    record = run.run_trial(workload, spec, trial, run.tracing.Tracer(active=False))
+    assert [o.failure for o in record.outcomes] == ["", ""]
+    (csl1,) = [o for o in record.outcomes if o.receiver == "CS-L1"]
+    assert math.isfinite(run.csl1_objective(csl1.estimate, trial.measurement, spec.config))
