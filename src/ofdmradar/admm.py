@@ -39,16 +39,16 @@ class SolverConfig:
     tol: float = 1e-4
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ConfigError(f"lam must be positive, got {self.lam}")
-        if self.mu < 0:
-            raise ConfigError(f"mu must be nonnegative, got {self.mu}")
-        if self.rho <= 0:
-            raise ConfigError(f"rho must be positive, got {self.rho}")
+        if not 0 < self.lam < math.inf:
+            raise ConfigError(f"lam must be positive and finite, got {self.lam}")
+        if not 0 <= self.mu < math.inf:
+            raise ConfigError(f"mu must be nonnegative and finite, got {self.mu}")
+        if not 0 < self.rho < math.inf:
+            raise ConfigError(f"rho must be positive and finite, got {self.rho}")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
-        if self.tol <= 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .extract import Estimate, dual_poly_grid, ls_amplitudes, wrapped_local_maxima
+from .extract import Estimate, _dft_factors, dual_poly_grid, ls_amplitudes, wrapped_local_maxima
 from .operators import soft_threshold
 from .scene import Measurement, Path
 
@@ -105,7 +105,7 @@ def music_spectrum(observation: np.ndarray, config: MusicConfig) -> np.ndarray:
     """Noise-subspace spectrum 1/||F_n^H a'(phi, psi)||^2 on the config grid.
 
     The left singular vectors beyond the signal dimension form the noise
-    subspace F_n; each |f^H a'| is the ``dual_poly_grid`` magnitude of f.
+    subspace F_n; each |f^H a'| on the grid is ``|dual_poly_grid(f)|``, a DFT-factor product.
     """
     return _music(observation, config)[0]
 
@@ -136,7 +136,7 @@ def csl1_dictionary(M: int, N: int, M_grid: int, N_grid: int) -> np.ndarray:
     """Dense reference dictionary: atoms on the (p/M_grid, q/N_grid) lattice.
 
     Column q*M_grid+p is the atom at that lattice point.  :func:`csl1_estimate`
-    applies this matrix and its adjoint by FFT without building it.
+    applies this matrix and its adjoint as DFT-factor products without building it.
     """
     if M_grid < M or N_grid < N:
         raise ConfigError("dictionary grid must be at least as fine as the data")
@@ -146,22 +146,21 @@ def csl1_dictionary(M: int, N: int, M_grid: int, N_grid: int) -> np.ndarray:
 
 
 def _synthesize(X: np.ndarray, M: int, N: int, M_grid: int, N_grid: int) -> np.ndarray:
-    """C x for the dictionary of :func:`csl1_dictionary`, by zero-padded FFTs.
+    """C x for :func:`csl1_dictionary` as B^H X G^H: the exact adjoint of ``dual_poly_grid``.
 
     ``X`` is x on its (M_grid, N_grid) lattice or flattened column-major.
     """
-    X = X.reshape(M_grid, N_grid, order="F")
-    Y = np.fft.fft(np.fft.ifft(X, axis=0)[:M] * M_grid, axis=1)[:, :N]
-    return Y.ravel(order="F")
+    _, _, BH, GH = _dft_factors(M, N, M_grid, N_grid)
+    return (BH @ X.reshape(M_grid, N_grid, order="F") @ GH).ravel(order="F")
 
 
 def csl1_estimate(measurement: Measurement, config: CsL1Config) -> Estimate:
     """Accelerated proximal-gradient solve of the on-grid l1 program.
 
     Minimizes 0.5*||r - S C alpha||^2 + gamma*||alpha||_1 for the dictionary
-    C of :func:`csl1_dictionary`, applied by FFT: C x is :func:`_synthesize`
-    and C^H y is ``dual_poly_grid`` of y, on the (M_grid, N_grid) lattice
-    that holds the iterate.  The rows of C are orthogonal, so
+    C of :func:`csl1_dictionary`, applied by cached DFT factors: C x is
+    :func:`_synthesize` and C^H y is ``dual_poly_grid`` of y, on the (M_grid,
+    N_grid) lattice that holds the iterate.  The rows of C are orthogonal, so
     L = M_grid * N_grid * max|s|^2 is exactly the largest eigenvalue of the
     Gram matrix; the step is 1/(1.01 L).
 

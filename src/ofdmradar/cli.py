@@ -155,8 +155,8 @@ def cmd_spectrum(args) -> int:
     else:
         measurement = parsed[0]
         M, N = measurement.M, measurement.N
-    gp = args.grid_phi or extract.GRID_FACTOR * M
-    gq = args.grid_psi or extract.GRID_FACTOR * N
+    gp = extract.GRID_FACTOR * M if args.grid_phi is None else args.grid_phi
+    gq = extract.GRID_FACTOR * N if args.grid_psi is None else args.grid_psi
     if kind == "solution":
         grid = np.abs(extract.dual_poly_grid(nu, M, N, gp, gq))
     else:

@@ -3,14 +3,15 @@
 The dual vector of the denoising program defines a 2-D trigonometric
 polynomial ``Q(phi, psi) = <nu, atom(phi, psi)>`` whose magnitude touches the
 atomic-norm weight exactly at the recovered frequencies.  Peaks are found on
-an oversampled uniform grid (evaluated with zero-padded FFTs) and refined by
-Newton ascent on |Q|^2; amplitudes then come from least squares against the
-detected atoms.
+an oversampled uniform grid (evaluated as a product with cached DFT factors)
+and refined by Newton ascent on |Q|^2; amplitudes then come from least
+squares against the detected atoms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,14 +68,28 @@ def dual_polynomial(nu: np.ndarray, phi: float, psi: float, M: int, N: int) -> c
     return complex(np.vdot(atom(phi, psi, M, N), nu))
 
 
-def dual_poly_grid(nu: np.ndarray, M: int, N: int, grid_phi: int,
-                   grid_psi: int) -> np.ndarray:
-    """Q on the uniform grid (p/grid_phi, q/grid_psi) via zero-padded FFTs."""
+@lru_cache(maxsize=8)
+def _dft_factors(M: int, N: int, grid_phi: int, grid_psi: int):
+    """Read-only DFT factors (B, G, B^H, G^H): Q on the grid is B V G.
+
+    Phases are reduced mod the grid size before ``exp`` to stay accurate on large
+    grids.  B^H and G^H are transposed views, which BLAS takes without a copy.
+    """
     if grid_phi < M or grid_psi < N:
         raise ConfigError("grid must be at least as fine as the data dimensions")
-    V = _dual_matrix(nu, M, N)
-    inner = np.fft.ifft(V, n=grid_psi, axis=1) * grid_psi
-    return np.fft.fft(inner, n=grid_phi, axis=0)
+    B = np.exp(-2j * np.pi / grid_phi * (np.outer(np.arange(grid_phi), np.arange(M)) % grid_phi))
+    G = np.exp(2j * np.pi / grid_psi * (np.outer(np.arange(N), np.arange(grid_psi)) % grid_psi))
+    factors = (B, G, B.conj().T, G.conj().T)
+    for f in factors:
+        f.flags.writeable = False
+    return factors
+
+
+def dual_poly_grid(nu: np.ndarray, M: int, N: int, grid_phi: int,
+                   grid_psi: int) -> np.ndarray:
+    """Q on the grid (p/grid_phi, q/grid_psi) as B (V G); V G first is cheaper for N >= M."""
+    B, G, _, _ = _dft_factors(M, N, grid_phi, grid_psi)
+    return B @ (_dual_matrix(nu, M, N) @ G)
 
 
 def _poly_derivs(V: np.ndarray, phi: float, psi: float):

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -29,6 +30,12 @@ class TestSolverConfig:
             SolverConfig(lam=1.0, mu=-0.1)
         with pytest.raises(ConfigError):
             SolverConfig(lam=1.0, mu=0.0, rho=0.0)
+
+    @pytest.mark.parametrize("field", ["lam", "mu", "rho", "tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SolverConfig(**{"lam": 1.0, "mu": 0.1, field: value})
 
     def test_default_weights_formula(self):
         lam, mu = default_weights(0.01, 8, 8)

@@ -8,6 +8,7 @@ from ofdmradar import (ConfigError, CsL1Config, MusicConfig, NumericError, Path,
                        default_music_config, dual_poly_grid, music_estimate,
                        music_spectrum, qpsk, simulate, spatial_smooth)
 from ofdmradar.baselines import _synthesize, csl1_dictionary
+from ofdmradar.extract import _dft_factors
 from ofdmradar.operators import soft_threshold
 from conftest import small_config
 
@@ -116,7 +117,7 @@ GRID_SIZES = [(2, 3, 4, 6), (3, 2, 6, 4), (8, 8, 32, 32)]
 
 
 class TestCsL1Operators:
-    """FFT operators of the CS-L1 solver against the dense dictionary."""
+    """DFT-factor operators of the CS-L1 solver against the dense dictionary."""
 
     @pytest.mark.parametrize("M, N, Mg, Ng", GRID_SIZES)
     def test_forward(self, rng, M, N, Mg, Ng):
@@ -137,6 +138,27 @@ class TestCsL1Operators:
         A = s[:, None] * csl1_dictionary(M, N, Mg, Ng)
         assert Mg * Ng * np.max(np.abs(s)) ** 2 == pytest.approx(np.linalg.norm(A, 2) ** 2,
                                                                   rel=1e-12)
+
+    @pytest.mark.parametrize("M, N, Mg, Ng", [(3, 5, 7, 11), (16, 4, 64, 12)])
+    def test_adjoint_identity(self, rng, M, N, Mg, Ng):
+        y = rng.normal(size=M * N) + 1j * rng.normal(size=M * N)
+        X = rng.normal(size=(Mg, Ng)) + 1j * rng.normal(size=(Mg, Ng))
+        lhs = np.vdot(dual_poly_grid(y, M, N, Mg, Ng), X)
+        rhs = np.vdot(y, _synthesize(X, M, N, Mg, Ng))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    def test_factors_are_read_only(self):
+        for factor in _dft_factors(3, 5, 7, 11):
+            with pytest.raises(ValueError):
+                factor[0, 0] = 0
+
+    @pytest.mark.parametrize("Mg, Ng", [(2, 11), (7, 4), (0, 11)])
+    def test_coarse_grid_rejected(self, rng, Mg, Ng):
+        y = rng.normal(size=15) + 0j
+        with pytest.raises(ConfigError):
+            dual_poly_grid(y, 3, 5, Mg, Ng)
+        with pytest.raises(ConfigError):
+            _synthesize(np.zeros(Mg * Ng, dtype=complex), 3, 5, Mg, Ng)
 
 
 class TestCsL1:
@@ -239,6 +261,55 @@ class TestCsL1:
         assert [(p.phi, p.psi) for p in est.paths] == [
             ((l % ccfg.M_grid) / ccfg.M_grid, (l // ccfg.M_grid) / ccfg.N_grid) for l in order]
         np.testing.assert_allclose([p.alpha for p in est.paths], x[order], rtol=1e-10, atol=0)
+
+    def test_matches_zero_padded_fft_reference(self):
+        # Reference: the FISTA loop with C^H and C applied by zero-padded FFTs.
+        M = N = 8
+        cfg = small_config(M, N, noise_power_db=-20.0)
+        scene = Scene(targets=(Path(1.0, 0.2, 0.3), Path(0.5, 0.62, 0.71)),
+                      clutter=(Path(0.8, 0.05, 0.0),))
+        meas = simulate(scene, cfg, qpsk(), 1e-2, 4)
+        ccfg = default_csl1_config(M, N, cfg.sigma)
+        Mg, Ng = ccfg.M_grid, ccfg.N_grid
+        s, r, gamma = meas.s_tilde, meas.r_bar, ccfg.gamma
+
+        def adjoint(y):
+            V = y.reshape(M, N, order="F")
+            return np.fft.fft(np.fft.ifft(V, n=Ng, axis=1) * Ng, n=Mg, axis=0)
+
+        def synthesize(X):
+            Y = np.fft.fft(np.fft.ifft(X, axis=0)[:M] * Mg, axis=1)[:, :N]
+            return Y.ravel(order="F")
+
+        L = 1.01 * Mg * Ng * float(np.max(np.abs(s))) ** 2
+        x = y = np.zeros((Mg, Ng), dtype=complex)
+        Cx = Cy = np.zeros(M * N, dtype=complex)
+        tau = 1.0
+        obj_prev = 0.5 * float(np.vdot(r, r).real)
+        for _ in range(ccfg.max_iters):
+            x_new = soft_threshold(y - adjoint(np.conj(s) / L * (s * Cy - r)), gamma / L)
+            Cx_new = synthesize(x_new)
+            tau_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tau * tau))
+            beta = (tau - 1.0) / tau_new
+            y, Cy = x_new + beta * (x_new - x), Cx_new + beta * (Cx_new - Cx)
+            x, Cx, tau = x_new, Cx_new, tau_new
+            fit = s * Cx - r
+            obj = 0.5 * float(np.vdot(fit, fit).real) + gamma * float(np.sum(np.abs(x)))
+            if obj > obj_prev:
+                y, Cy, tau = x, Cx, 1.0
+            elif abs(obj_prev - obj) <= ccfg.tol * max(1.0, abs(obj)):
+                break
+            obj_prev = obj
+
+        x = x.ravel(order="F")
+        mags = np.abs(x)
+        sel = np.flatnonzero(mags > 1e-3 * mags.max())
+        order = sel[np.argsort(-mags[sel])]
+        est = csl1_estimate(meas, ccfg)
+        assert len(order) > 1
+        assert [(p.phi, p.psi) for p in est.paths] == [
+            ((l % Mg) / Mg, (l // Mg) / Ng) for l in order]
+        np.testing.assert_allclose([p.alpha for p in est.paths], x[order], rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("M_grid, N_grid", [(7, 32), (32, 7)])
     def test_coarse_grid_rejected(self, M_grid, N_grid):

@@ -81,6 +81,14 @@ class TestSolve:
         assert main(["solve", "--input", str(meas_path), "--algo", "anl1",
                      "--lambda", "1e308", "--quiet"]) == 3
 
+    @pytest.mark.parametrize("flag, value", [("--lambda", "nan"), ("--lambda", "inf"),
+                                             ("--mu", "nan"), ("--rho", "inf")])
+    def test_non_finite_weight_exits_2(self, tmp_path, capsys, flag, value):
+        meas_path = simulate_8x8_file(tmp_path)
+        assert main(["solve", "--input", str(meas_path), "--algo", "anl1", flag, value,
+                     "--quiet"]) == 2
+        assert "finite" in capsys.readouterr().err
+
 
 class TestMalformedInput:
     def test_spec_missing_a_key_exits_2(self, tmp_path, capsys):
@@ -126,6 +134,12 @@ class TestSpectrum:
                      "--quiet"]) == 0
         rows = out.read_text().splitlines()
         assert (len(rows), len(rows[0].split(","))) == shape
+
+    @pytest.mark.parametrize("flag", ["--grid-phi", "--grid-psi"])
+    def test_zero_grid_exits_2(self, tmp_path, flag):
+        path = simulate_8x8_file(tmp_path)
+        assert main(["spectrum", "--input", str(path), flag, "0",
+                     "--out", str(tmp_path / "grid.csv"), "--quiet"]) == 2
 
 
 def read_csv(path):

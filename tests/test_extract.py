@@ -6,6 +6,7 @@ from ofdmradar import (ConfigError, DegenerateDictionaryError, Path, Scene,
                        dual_poly_grid, estimate_from_solution, generate_symbols,
                        locate_peaks, ls_amplitudes, measure, qpsk, refine_peak,
                        simulate, solve)
+from ofdmradar.extract import _dft_factors
 from conftest import small_config
 
 
@@ -37,6 +38,27 @@ class TestDualPolynomial:
             for q in (0, 7, 14):
                 assert G[p, q] == pytest.approx(
                     dual_polynomial(nu, p / 12, q / 15, M, N))
+
+    def test_large_grid_matches_pointwise(self, rng):
+        # The scenario presets' size at the peak scan's 16x oversampling.
+        M, N, gp, gq = 16, 64, 256, 1024
+        nu = rng.normal(size=M * N) + 1j * rng.normal(size=M * N)
+        G = dual_poly_grid(nu, M, N, gp, gq)
+        assert G.shape == (gp, gq)
+        tol = 1e-12 * np.sum(np.abs(nu))
+        for p in (0, 1, 97, 128, gp - 1):
+            for q in (0, 1, 333, 512, gq - 1):
+                assert abs(G[p, q] - dual_polynomial(nu, p / gp, q / gq, M, N)) <= tol
+
+    def test_factor_phases_reduced_mod_grid(self):
+        # Entry (p, m) of B must be computed from (p*m) mod grid_phi, so it equals
+        # the m = 1 column's entry at that index bit for bit; likewise for G.
+        M, N, gp, gq = 16, 64, 256, 1024
+        B, G, _, _ = _dft_factors(M, N, gp, gq)
+        p, m = np.meshgrid(np.arange(gp), np.arange(M), indexing="ij")
+        assert np.array_equal(B, B[(p * m) % gp, 1])
+        n, q = np.meshgrid(np.arange(N), np.arange(gq), indexing="ij")
+        assert np.array_equal(G, G[1, (n * q) % gq])
 
 
 class TestLocatePeaks:
