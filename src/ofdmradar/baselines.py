@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .extract import Estimate, _dft_factors, dual_poly_grid, ls_amplitudes, wrapped_local_maxima
-from .operators import soft_threshold
+from .operators import _shrink
 from .scene import Measurement, Path
 
 # Per-axis oversampling of the default CS-L1 dictionary grid.
@@ -40,6 +40,16 @@ class CsL1Config:
     gamma: float
     max_iters: int = 4000
     tol: float = 1e-10
+
+    def __post_init__(self):
+        if self.M_grid < 1 or self.N_grid < 1:
+            raise ConfigError(f"need M_grid, N_grid >= 1, got ({self.M_grid}, {self.N_grid})")
+        if not 0 <= self.gamma < math.inf:
+            raise ConfigError(f"gamma must be nonnegative and finite, got {self.gamma}")
+        if self.max_iters < 1:
+            raise ConfigError("max_iters must be at least 1")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
 
 
 def default_music_config(M: int, N: int, K_signal="auto", grid_factor: int = 16) -> MusicConfig:
@@ -167,14 +177,14 @@ def csl1_estimate(measurement: Measurement, config: CsL1Config) -> Estimate:
     Each iteration runs one synthesis, of x, and one adjoint.  The
     extrapolated point is y = x + beta (x - x_prev), so C y is the same
     combination of C x and C x_prev; C x itself is always synthesized, so
-    rounding does not accumulate.  Stops on relative objective change below
-    ``tol``.  Entries above 1e-3 of the largest magnitude become paths at
-    their grid frequencies.
+    rounding does not accumulate.  Each step works in place in the adjoint's
+    output, and the l1 term sums the shrunk magnitudes max(|v| - gamma/L, 0)
+    that the threshold formed instead of taking |x| again.  Stops on relative
+    objective change below ``tol``.  Entries above 1e-3 of the largest
+    magnitude become paths at their grid frequencies.
     """
     M, N = measurement.M, measurement.N
     Mg, Ng = config.M_grid, config.N_grid
-    if Mg < M or Ng < N:
-        raise ConfigError("dictionary grid must be at least as fine as the data")
     s = measurement.s_tilde
     r = measurement.r_bar
     gamma = config.gamma
@@ -182,38 +192,43 @@ def csl1_estimate(measurement: Measurement, config: CsL1Config) -> Estimate:
     L = 1.01 * Mg * Ng * float(np.max(np.abs(s))) ** 2
     # The step 1/L scales the M*N residual rather than the lattice-sized gradient.
     s_conj_step = np.conj(s) / L
+    mag, shrunk = np.empty((Mg, Ng)), np.empty((Mg, Ng))
     x = np.zeros((Mg, Ng), dtype=complex)
     Cx = np.zeros(M * N, dtype=complex)
     y, Cy = x, Cx
     tau = 1.0
     obj_prev = 0.5 * float(np.vdot(r, r).real)
     increases = 0
-    for _ in range(config.max_iters):
-        step = dual_poly_grid(s_conj_step * (s * Cy - r), M, N, Mg, Ng)
-        x_new = soft_threshold(y - step, gamma / L)
-        Cx_new = _synthesize(x_new, M, N, Mg, Ng)
-        tau_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tau * tau))
-        beta = (tau - 1.0) / tau_new
-        y = x_new + beta * (x_new - x)
-        Cy = Cx_new + beta * (Cx_new - Cx)
-        x, Cx, tau = x_new, Cx_new, tau_new
+    with np.errstate(invalid="ignore"):
+        for _ in range(config.max_iters):
+            x_new = dual_poly_grid(s_conj_step * (s * Cy - r), M, N, Mg, Ng)
+            np.subtract(y, x_new, out=x_new)
+            _shrink(x_new, gamma / L, mag, shrunk)
+            Cx_new = _synthesize(x_new, M, N, Mg, Ng)
+            tau_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tau * tau))
+            beta = (tau - 1.0) / tau_new
+            y = x_new - x
+            y *= beta
+            y += x_new
+            Cy = Cx_new + beta * (Cx_new - Cx)
+            x, Cx, tau = x_new, Cx_new, tau_new
 
-        fit = s * Cx - r
-        obj = 0.5 * float(np.vdot(fit, fit).real) + gamma * float(np.sum(np.abs(x)))
-        if not math.isfinite(obj):
-            raise NumericError("non-finite objective in proximal gradient")
-        if obj > obj_prev:
-            # Momentum overshoot: restart acceleration.  A restarted step is
-            # plain proximal descent, so repeated increases mean a bad step.
-            y, Cy, tau = x, Cx, 1.0
-            increases += 1
-            if increases > 10:
-                raise NumericError("proximal gradient diverged (objective rose 10 steps in a row)")
-        else:
-            increases = 0
-            if abs(obj_prev - obj) <= config.tol * max(1.0, abs(obj)):
-                break
-        obj_prev = obj
+            fit = s * Cx - r
+            obj = 0.5 * float(np.vdot(fit, fit).real) + gamma * float(shrunk.sum())
+            if not math.isfinite(obj):
+                raise NumericError("non-finite objective in proximal gradient")
+            if obj > obj_prev:
+                # Momentum overshoot: restart acceleration.  A restarted step is
+                # plain proximal descent, so repeated increases mean a bad step.
+                y, Cy, tau = x, Cx, 1.0
+                increases += 1
+                if increases > 10:
+                    raise NumericError("proximal gradient diverged (objective rose 10 steps in a row)")
+            else:
+                increases = 0
+                if abs(obj_prev - obj) <= config.tol * max(1.0, abs(obj)):
+                    break
+            obj_prev = obj
 
     # Column-major flat index l = q*Mg + p, the dictionary's column order.
     x = x.ravel(order="F")

@@ -88,9 +88,17 @@ def soft_threshold(v: np.ndarray, mu: float) -> np.ndarray:
     """
     if mu < 0:
         raise ConfigError(f"threshold must be nonnegative, got {mu}")
-    v = np.asarray(v)
-    mag = np.abs(v)
+    with np.errstate(invalid="ignore"):
+        return _shrink(np.asarray(v), mu)[0]
+
+
+def _shrink(v: np.ndarray, mu: float, mag=None, shrunk=None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`soft_threshold` of ``v`` and max(|v_i| - mu, 0).  Given real buffers
+    ``mag`` and ``shrunk`` of v's shape, it overwrites them and ``v``; without, it
+    mutates nothing.  The caller ignores ``invalid`` floating-point errors."""
+    magnitude = np.abs(v, out=mag)
+    shrunk = np.maximum(np.subtract(magnitude, mu, out=shrunk), 0.0, out=shrunk)
     # The floor only replaces |v_i| == 0, so every nonzero magnitude, subnormal
     # ones included, divides by itself; inf/inf (infinite input) gives NaN.
-    with np.errstate(invalid="ignore"):
-        return v * (np.maximum(mag - mu, 0.0) / np.maximum(mag, _SMALLEST_SUBNORMAL))
+    ratio = np.divide(shrunk, np.maximum(magnitude, _SMALLEST_SUBNORMAL, out=mag), out=mag)
+    return np.multiply(v, ratio, out=None if mag is None else v), shrunk

@@ -28,7 +28,7 @@ class RadarConfig:
     T, T_cp       symbol and cyclic-prefix durations in seconds
     T_bar         block duration, must equal T + T_cp
     f_c           carrier frequency in Hz
-    noise_power_db  per-sample noise power in dB (sigma^2 = 10^(dB/10))
+    noise_power_db  per-sample noise power in dB (sigma^2 = 10^(dB/10)); -inf is noiseless
     """
 
     M: int
@@ -43,6 +43,12 @@ class RadarConfig:
     def __post_init__(self):
         if self.M < 2 or self.N < 2:
             raise ConfigError(f"need M >= 2 and N >= 2, got M={self.M}, N={self.N}")
+        for name in ("delta_f", "T", "T_cp", "T_bar", "f_c"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if not self.noise_power_db < np.inf:
+            raise ConfigError(f"noise_power_db must be finite or -inf, got {self.noise_power_db}")
         if abs(self.delta_f * self.T - 1.0) > 1e-12:
             raise ConfigError(f"delta_f must equal 1/T: delta_f={self.delta_f}, T={self.T}")
         if abs(self.T_bar - (self.T + self.T_cp)) > 1e-12 * abs(self.T_bar):
@@ -64,7 +70,7 @@ class RadarConfig:
         return 10.0 ** (self.noise_power_db / 20.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """One scatterer: complex amplitude and normalized (Doppler, delay) pair."""
 

@@ -9,7 +9,7 @@ from ofdmradar import (ConfigError, CsL1Config, MusicConfig, NumericError, Path,
                        music_spectrum, qpsk, simulate, spatial_smooth)
 from ofdmradar.baselines import _synthesize, csl1_dictionary
 from ofdmradar.extract import _dft_factors
-from ofdmradar.operators import soft_threshold
+from ofdmradar.operators import _shrink, soft_threshold
 from conftest import small_config
 
 
@@ -265,10 +265,7 @@ class TestCsL1:
     def test_matches_zero_padded_fft_reference(self):
         # Reference: the FISTA loop with C^H and C applied by zero-padded FFTs.
         M = N = 8
-        cfg = small_config(M, N, noise_power_db=-20.0)
-        scene = Scene(targets=(Path(1.0, 0.2, 0.3), Path(0.5, 0.62, 0.71)),
-                      clutter=(Path(0.8, 0.05, 0.0),))
-        meas = simulate(scene, cfg, qpsk(), 1e-2, 4)
+        cfg, meas = fixed_8x8_measurement()
         ccfg = default_csl1_config(M, N, cfg.sigma)
         Mg, Ng = ccfg.M_grid, ccfg.N_grid
         s, r, gamma = meas.s_tilde, meas.r_bar, ccfg.gamma
@@ -311,6 +308,19 @@ class TestCsL1:
             ((l % Mg) / Mg, (l // Mg) / Ng) for l in order]
         np.testing.assert_allclose([p.alpha for p in est.paths], x[order], rtol=1e-9, atol=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("M_grid", 0), ("N_grid", 0), ("gamma", -0.1), ("gamma", math.nan),
+        ("gamma", math.inf), ("max_iters", 0), ("tol", 0.0), ("tol", -1e-10),
+        ("tol", math.nan), ("tol", math.inf)])
+    def test_config_rejects_out_of_range(self, field, value):
+        kwargs = dict(M_grid=32, N_grid=32, gamma=0.1)
+        kwargs[field] = value
+        with pytest.raises(ConfigError, match=field):
+            CsL1Config(**kwargs)
+
+    def test_config_accepts_zero_gamma(self):
+        assert CsL1Config(M_grid=1, N_grid=1, gamma=0.0, max_iters=1).gamma == 0.0
+
     @pytest.mark.parametrize("M_grid, N_grid", [(7, 32), (32, 7)])
     def test_coarse_grid_rejected(self, M_grid, N_grid):
         cfg, scene, meas = noiseless_measurement()
@@ -322,6 +332,113 @@ class TestCsL1:
         assert ccfg.M_grid == 32 and ccfg.N_grid == 32
         assert ccfg.gamma == pytest.approx(2 * 0.1 * np.sqrt(2 * np.log(32 * 32)))
 
+
+def allocating_fista(meas, ccfg):
+    """Reference: the FISTA loop that allocates every lattice-sized step.
+
+    It thresholds through ``soft_threshold`` and takes the l1 term as
+    sum |x|; it returns x on its lattice and the number of momentum restarts.
+    """
+    M, N = meas.M, meas.N
+    Mg, Ng = ccfg.M_grid, ccfg.N_grid
+    s, r, gamma = meas.s_tilde, meas.r_bar, ccfg.gamma
+    L = 1.01 * Mg * Ng * float(np.max(np.abs(s))) ** 2
+    s_conj_step = np.conj(s) / L
+    x = y = np.zeros((Mg, Ng), dtype=complex)
+    Cx = Cy = np.zeros(M * N, dtype=complex)
+    tau, restarts = 1.0, 0
+    obj_prev = 0.5 * float(np.vdot(r, r).real)
+    for _ in range(ccfg.max_iters):
+        step = dual_poly_grid(s_conj_step * (s * Cy - r), M, N, Mg, Ng)
+        x_new = soft_threshold(y - step, gamma / L)
+        Cx_new = _synthesize(x_new, M, N, Mg, Ng)
+        tau_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tau * tau))
+        beta = (tau - 1.0) / tau_new
+        y = x_new + beta * (x_new - x)
+        Cy = Cx_new + beta * (Cx_new - Cx)
+        x, Cx, tau = x_new, Cx_new, tau_new
+        fit = s * Cx - r
+        obj = 0.5 * float(np.vdot(fit, fit).real) + gamma * float(np.sum(np.abs(x)))
+        if obj > obj_prev:
+            y, Cy, tau = x, Cx, 1.0
+            restarts += 1
+        elif abs(obj_prev - obj) <= ccfg.tol * max(1.0, abs(obj)):
+            break
+        obj_prev = obj
+    return x, restarts
+
+
+def fixed_8x8_measurement():
+    """A fixed 8x8 scene with targets, clutter and demodulation errors."""
+    cfg = small_config(8, 8, noise_power_db=-20.0)
+    scene = Scene(targets=(Path(1.0, 0.2, 0.3), Path(0.5, 0.62, 0.71)),
+                  clutter=(Path(0.8, 0.05, 0.0),))
+    return cfg, simulate(scene, cfg, qpsk(), 1e-2, 4)
+
+
+def restarting_8x8_measurement():
+    """An 8x8 scene whose FISTA run takes momentum restarts."""
+    cfg = small_config(8, 8, noise_power_db=-20.0)
+    scene = Scene(targets=(Path(1.0, 0.2, 0.3), Path(0.6, 0.55, 0.8)))
+    return cfg, simulate(scene, cfg, qpsk(), 0.0, 1)
+
+
+class TestCsL1InPlace:
+    """The in-place FISTA loop against the allocating one, and its kernel."""
+
+    @pytest.mark.parametrize("make", [fixed_8x8_measurement, restarting_8x8_measurement])
+    def test_matches_allocating_reference(self, make):
+        cfg, meas = make()
+        ccfg = default_csl1_config(8, 8, cfg.sigma)
+        x, restarts = allocating_fista(meas, ccfg)
+        # Both scenes take the restart branch, where y aliases x.
+        assert restarts > 0
+        Mg, Ng = ccfg.M_grid, ccfg.N_grid
+        x = x.ravel(order="F")
+        mags = np.abs(x)
+        sel = np.flatnonzero(mags > 1e-3 * mags.max())
+        order = sel[np.argsort(-mags[sel])]
+        est = csl1_estimate(meas, ccfg)
+        assert len(order) > 1
+        assert [(p.phi, p.psi) for p in est.paths] == [
+            ((l % Mg) / Mg, (l // Mg) / Ng) for l in order]
+        assert np.array_equal([p.alpha for p in est.paths], x[order])
+
+    def test_repeatable_and_leaves_input_unmutated(self):
+        cfg, meas = restarting_8x8_measurement()
+        r_bar, S_hat = meas.r_bar.copy(), meas.S_hat.copy()
+        ccfg = default_csl1_config(8, 8, cfg.sigma)
+        first = csl1_estimate(meas, ccfg)
+        assert csl1_estimate(meas, ccfg) == first
+        assert np.array_equal(meas.r_bar, r_bar) and np.array_equal(meas.s_tilde, S_hat.ravel("F"))
+
+    @staticmethod
+    def threshold_inputs():
+        # Zeros of both signs, magnitudes below, at and above mu, subnormals
+        # and non-finite entries, in every sign combination.
+        parts = np.array([0.0, -0.0, 0.3, -0.3, 0.5, -0.5, 2.0, -2.0, 5e-324, -1e-310,
+                          np.inf, -np.inf, np.nan])
+        v = np.empty((13, 13), dtype=complex)
+        v.real, v.imag = parts[:, None], parts[None, :]
+        return v
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+    def test_kernel_matches_soft_threshold_bitwise(self, mu):
+        v = self.threshold_inputs()
+        with np.errstate(invalid="ignore"):
+            want = soft_threshold(v, mu)
+            want_shrunk = np.maximum(np.abs(v) - mu, 0)
+            v_before = v.copy()
+            x, shrunk = _shrink(v, mu)
+            assert np.array_equal(v.view(np.uint64), v_before.view(np.uint64))
+            buf = v.copy()
+            mag, shrunk_buf = np.empty(v.shape), np.empty(v.shape)
+            x_buf, shrunk_out = _shrink(buf, mu, mag, shrunk_buf)
+        assert x_buf is buf and shrunk_out is shrunk_buf
+        for got in (x, x_buf):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for got in (shrunk, shrunk_out):
+            assert np.array_equal(got.view(np.uint64), want_shrunk.view(np.uint64))
 
 class TestEstimateContract:
     def test_music_paths_sorted(self):

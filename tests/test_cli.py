@@ -90,6 +90,16 @@ class TestSolve:
         assert "finite" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("algo", ["csl1", "anl1"])
+    def test_nan_noise_power_exits_2(self, tmp_path, capsys, algo):
+        meas_path = simulate_8x8_file(tmp_path)
+        doc = json.loads(meas_path.read_text())
+        doc["config"]["noise_power_db"] = math.nan
+        meas_path.write_text(json.dumps(doc))
+        assert main(["solve", "--input", str(meas_path), "--algo", algo, "--quiet"]) == 2
+        assert "noise_power_db" in capsys.readouterr().err
+
+
 class TestMalformedInput:
     def test_spec_missing_a_key_exits_2(self, tmp_path, capsys):
         spec_path = spec_8x8_file(tmp_path)

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,36 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RadarConfig.from_ofdm(M=1, N=4, delta_f=5e3, T_cp=1e-4, f_c=2e9,
                                   noise_power_db=-20)
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("noise_power_db", math.nan), ("noise_power_db", math.inf), ("f_c", math.nan),
+        ("f_c", math.inf), ("delta_f", math.nan), ("T", math.nan), ("T_cp", math.nan),
+        ("T_bar", math.nan)])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            dataclasses.replace(small_config(), **{field: value})
+
+    def test_minus_infinite_noise_power_is_noiseless(self):
+        assert small_config(noise_power_db=-math.inf).sigma2 == 0.0
+
+
+class TestPath:
+    def test_has_no_instance_dict(self):
+        assert not hasattr(Path(1.0, 0.1, 0.2), "__dict__")
+
+    @pytest.mark.parametrize("field, value", [("phi", 1.0), ("psi", -0.1)])
+    def test_replace_validates(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            dataclasses.replace(Path(1.0, 0.1, 0.2), **{field: value})
+
+    def test_value_equality_and_hash(self):
+        a, b = Path(1 + 2j, 0.1, 0.2), Path(1 + 2j, 0.1, 0.2)
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash((1 + 2j, 0.1, 0.2))
+        assert a != Path(1 + 2j, 0.1, 0.3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.phi = 0.5
 
 
 class TestSteering:
