@@ -119,9 +119,6 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     r = measurement.r_bar
     lam, mu, rho = config.lam, config.mu, config.rho
 
-    if np.any(s == 0):
-        raise ConfigError("symbol lift has zero diagonal entries")
-
     s_conj = np.conj(s)
     denom = np.abs(s) ** 2 + 2.0 * rho
     sh_r = s_conj * r
@@ -212,10 +209,7 @@ def objective_primal(solution: Solution, measurement: Measurement,
 def objective_dual(nu: np.ndarray, measurement: Measurement,
                    config: SolverConfig) -> float:
     """Dual objective <inv(S^H) nu, r>_R - ||inv(S^H) nu||^2 / 2."""
-    s = measurement.s_tilde
-    if np.any(s == 0):
-        raise ConfigError("symbol lift has zero diagonal entries")
-    x = nu / np.conj(s)
+    x = nu / np.conj(measurement.s_tilde)
     return float(np.vdot(measurement.r_bar, x).real) - 0.5 * float(np.vdot(x, x).real)
 
 

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .extract import Estimate, _dft_factors, dual_poly_grid, ls_amplitudes, wrapped_local_maxima
+from .extract import (Estimate, _dft_factors, dual_poly_grid, ls_amplitudes, ranked_estimate,
+                      wrapped_local_maxima)
 from .operators import _shrink
-from .scene import Measurement, Path
+from .scene import Measurement
 
 # Per-axis oversampling of the default CS-L1 dictionary grid.
 CSL1_GRID_FACTOR = 4
@@ -126,20 +127,13 @@ def music_estimate(measurement: Measurement, config: MusicConfig) -> Estimate:
     spectrum, k = _music(spatial_smooth(measurement, config), config)
 
     cells = np.argwhere(wrapped_local_maxima(spectrum))
-    if cells.size == 0:
-        return Estimate(paths=(), error_support=(), dual_peak_values=())
     vals = spectrum[cells[:, 0], cells[:, 1]]
     order = np.argsort(-vals)[:k]
     freqs = [(cells[i, 0] / config.grid_phi, cells[i, 1] / config.grid_psi)
              for i in order]
-    peak_vals = [float(vals[i]) for i in order]
-
-    alphas = ls_amplitudes(measurement.r_bar, measurement.s_tilde, None, freqs, M, N)
-    rank = np.argsort(-np.abs(alphas))
-    paths = tuple(Path(alpha=complex(alphas[i]), phi=freqs[i][0], psi=freqs[i][1])
-                  for i in rank)
-    return Estimate(paths=paths, error_support=(),
-                    dual_peak_values=tuple(peak_vals[i] for i in rank))
+    alphas = (ls_amplitudes(measurement.r_bar, measurement.s_tilde, None, freqs, M, N)
+              if freqs else [])
+    return ranked_estimate(freqs, alphas, vals[order])
 
 
 def csl1_dictionary(M: int, N: int, M_grid: int, N_grid: int) -> np.ndarray:
@@ -233,12 +227,6 @@ def csl1_estimate(measurement: Measurement, config: CsL1Config) -> Estimate:
     # Column-major flat index l = q*Mg + p, the dictionary's column order.
     x = x.ravel(order="F")
     mags = np.abs(x)
-    top = float(mags.max(initial=0.0))
-    if top == 0.0:
-        return Estimate(paths=(), error_support=(), dual_peak_values=())
-    sel = np.flatnonzero(mags > 1e-3 * top)
-    order = sel[np.argsort(-mags[sel])]
-    paths = tuple(Path(alpha=complex(x[l]), phi=int(l % Mg) / Mg, psi=int(l // Mg) / Ng)
-                  for l in order)
-    return Estimate(paths=paths, error_support=(),
-                    dual_peak_values=tuple(float(mags[l]) for l in order))
+    sel = np.flatnonzero(mags > 1e-3 * float(mags.max(initial=0.0)))
+    freqs = [(int(l % Mg) / Mg, int(l // Mg) / Ng) for l in sel]
+    return ranked_estimate(freqs, x[sel], mags[sel])

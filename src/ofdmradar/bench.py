@@ -27,18 +27,18 @@ BASELINE_GRID_FACTOR = baselines.CSL1_GRID_FACTOR
 AN_MAX_ITERS = 600
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioSpec:
-    """Random-scene recipe plus benchmark bookkeeping fields."""
+    """Random-scene recipe plus benchmark bookkeeping; the fields are a scenario file's keys."""
 
-    name: str
+    name: str = "custom"
     config: RadarConfig
     n_targets: int
     n_clutter: int
     target_powers_db: tuple[float, ...]
     clutter_power_db: float
     direct_path_power_db: float
-    direct_path_range_m: float
+    direct_path_range_m: float = 5e3
     range_bounds_m: tuple[float, float]
     clutter_velocity_bounds_mps: tuple[float, float]
     target_velocity_bounds_mps: tuple[float, float]
@@ -78,13 +78,11 @@ def preset(name: str) -> ScenarioSpec:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r} (choose from {', '.join(PRESETS)})")
     N, n_clutter, target_powers_db, direct_path_power_db, trials = PRESETS[name]
-    config = RadarConfig.from_ofdm(M=16, N=N, delta_f=5e3, T_cp=1e-4, f_c=2e9,
-                                   noise_power_db=-40.0)
+    config = RadarConfig(M=16, N=N, delta_f=5e3, T_cp=1e-4, f_c=2e9, noise_power_db=-40.0)
     return ScenarioSpec(name=name, config=config,
                         n_targets=len(target_powers_db), n_clutter=n_clutter,
                         target_powers_db=target_powers_db, clutter_power_db=-10.0,
-                        direct_path_power_db=direct_path_power_db,
-                        direct_path_range_m=5e3, range_bounds_m=(1e3, 30e3),
+                        direct_path_power_db=direct_path_power_db, range_bounds_m=(1e3, 30e3),
                         clutter_velocity_bounds_mps=(-3.0, 3.0),
                         target_velocity_bounds_mps=(-156.0, 156.0), trials=trials)
 

@@ -21,14 +21,31 @@ import numpy as np
 from . import admm, baselines, bench, extract, serialize
 from .errors import ConfigError, NumericError
 
+# Short receiver names of ``solve --algo`` and ``bench --algos``.
+ALGO_KEYS = {"anl1": "CS-ANL1", "an": "CS-AN", "csl1": "CS-L1", "music": "2D-MUSIC"}
+
 
 def _write(text: str, out: str | None, quiet: bool):
     if out:
-        FilePath(out).write_text(text)
+        try:
+            FilePath(out).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from exc
         if not quiet:
             print(f"wrote {out}")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _parse_list(text: str, parse, flag: str) -> list:
+    """Comma-separated entries through ``parse``; a bad entry raises ConfigError naming it."""
+    items = []
+    for entry in text.split(","):
+        try:
+            items.append(parse(entry.strip()))
+        except (KeyError, ValueError):
+            raise ConfigError(f"{flag}: bad entry {entry!r}") from None
+    return items
 
 
 def _read_input(path: str, parsers: dict):
@@ -63,22 +80,17 @@ def _solution_dual(obj: dict):
 def _load_spec(args) -> bench.ScenarioSpec:
     if getattr(args, "spec", None):
         _, spec = _read_input(args.spec, {"scenario": serialize.scenario_from_dict})
-    elif getattr(args, "preset", None):
+    elif args.preset:
         spec = bench.preset(args.preset)
     else:
         raise ConfigError("provide --preset or --spec")
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        overrides["trials"] = args.trials
+    overrides = {key: getattr(args, key) for key in ("seed", "trials")
+                 if getattr(args, key, None) is not None}
     return dataclasses.replace(spec, **overrides)
 
 
 def cmd_scenario(args) -> int:
-    spec = bench.preset(args.preset)
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
+    spec = _load_spec(args)
     _write(serialize.dumps(serialize.scenario_to_dict(spec)), args.out, args.quiet)
     return 0
 
@@ -96,19 +108,16 @@ def cmd_simulate(args) -> int:
 
 
 def _solve_dual(measurement, config, algo, args):
-    sigma = config.sigma
-    lam, mu = admm.default_weights(sigma, measurement.M, measurement.N)
+    lam, mu = admm.default_weights(config.sigma, measurement.M, measurement.N)
     if algo == "an":
         mu = 0.0
-    if args.lam is not None:
-        lam = args.lam
-    if args.mu is not None:
-        mu = args.mu
-    solver = admm.SolverConfig(lam=lam, mu=mu, rho=args.rho, max_iters=args.iters)
+    solver = admm.SolverConfig(lam=lam if args.lam is None else args.lam,
+                               mu=mu if args.mu is None else args.mu,
+                               rho=args.rho, max_iters=args.iters)
     t0 = time.perf_counter()
     solution = admm.solve(measurement, solver)
     t1 = time.perf_counter()
-    estimate = extract.estimate_from_solution(solution, measurement, lam, mu)
+    estimate = extract.estimate_from_solution(solution, measurement, solver.lam, solver.mu)
     t2 = time.perf_counter()
     timing = {"solve": t1 - t0, "extract": t2 - t1}
     doc = serialize.solution_to_dict(solution, measurement, solver, estimate,
@@ -122,28 +131,22 @@ def cmd_solve(args) -> int:
     M, N = measurement.M, measurement.N
     if args.algo in ("anl1", "an"):
         doc, estimate = _solve_dual(measurement, config, args.algo, args)
-    elif args.algo == "csl1":
-        cfg = baselines.default_csl1_config(M, N, config.sigma)
+    else:
+        if args.algo == "csl1":
+            cfg = baselines.default_csl1_config(M, N, config.sigma)
+            receiver, extra = baselines.csl1_estimate, {"gamma": cfg.gamma}
+        else:
+            k = args.music_k if args.music_k is not None else "auto"
+            cfg = baselines.default_music_config(M, N, K_signal=k)
+            receiver, extra = baselines.music_estimate, {}
         t0 = time.perf_counter()
-        estimate = baselines.csl1_estimate(measurement, cfg)
-        doc = {"kind": "estimate", "algo": "csl1", "M": M, "N": N,
-               "gamma": cfg.gamma,
+        estimate = receiver(measurement, cfg)
+        doc = {"kind": "estimate", "algo": args.algo, "M": M, "N": N, **extra,
                "timing_s": {"solve": time.perf_counter() - t0},
                "estimate": serialize.estimate_to_dict(estimate, config)}
-    elif args.algo == "music":
-        k = args.music_k if args.music_k is not None else "auto"
-        cfg = baselines.default_music_config(M, N, K_signal=k)
-        t0 = time.perf_counter()
-        estimate = baselines.music_estimate(measurement, cfg)
-        doc = {"kind": "estimate", "algo": "music", "M": M, "N": N,
-               "timing_s": {"solve": time.perf_counter() - t0},
-               "estimate": serialize.estimate_to_dict(estimate, config)}
-    else:
-        raise ConfigError(f"unknown algorithm {args.algo!r}")
-    if args.format == "csv":
-        _write(serialize.estimate_to_csv(estimate, config), args.out, args.quiet)
-    else:
-        _write(serialize.dumps(doc), args.out, args.quiet)
+    text = (serialize.estimate_to_csv(estimate, config) if args.format == "csv"
+            else serialize.dumps(doc))
+    _write(text, args.out, args.quiet)
     return 0
 
 
@@ -168,13 +171,10 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-ALGO_KEYS = {"anl1": "CS-ANL1", "an": "CS-AN", "csl1": "CS-L1", "music": "2D-MUSIC"}
-
-
 def cmd_bench(args) -> int:
     spec = _load_spec(args)
-    bers = [float(b) for b in args.ber.split(",")] if args.ber else [spec.ber]
-    algos = [ALGO_KEYS[a.strip()] for a in args.algos.split(",")]
+    bers = _parse_list(args.ber, float, "--ber") if args.ber else [spec.ber]
+    algos = _parse_list(args.algos, ALGO_KEYS.__getitem__, "--algos")
     progress = None
     if not args.quiet:
         def progress(rec):
@@ -183,14 +183,12 @@ def cmd_bench(args) -> int:
                   file=sys.stderr)
     report = bench.run_benchmark(spec, algos, bers, an_max_iters=args.iters,
                                  progress=progress)
-    if args.format == "json":
-        _write(serialize.dumps(serialize.report_to_dict(report)), args.out, args.quiet)
-    else:
-        _write(serialize.report_to_csv(report), args.out, args.quiet)
-    if args.trials_out:
-        FilePath(args.trials_out).write_text(serialize.trials_to_csv(report))
-    elif args.out:
-        FilePath(args.out + ".trials.csv").write_text(serialize.trials_to_csv(report))
+    text = (serialize.dumps(serialize.report_to_dict(report)) if args.format == "json"
+            else serialize.report_to_csv(report))
+    _write(text, args.out, args.quiet)
+    if args.trials_out or args.out:
+        _write(serialize.trials_to_csv(report), args.trials_out or args.out + ".trials.csv",
+               quiet=True)
     return 0
 
 
@@ -198,27 +196,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ofdmradar",
                                      description="Super-resolution delay-Doppler estimation for OFDM passive radar")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     common.add_argument("--out", default=None, help="output file (stdout when omitted)")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--quiet", action="store_true")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--preset", choices=tuple(bench.PRESETS))
+    source.add_argument("--spec", help="scenario spec JSON file")
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=("json", "csv"), default="json")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("scenario", parents=[common], help="emit a preset scenario spec file")
+    p = sub.add_parser("scenario", parents=[common, seeded],
+                       help="emit a preset scenario spec file")
     p.add_argument("--preset", required=True, choices=tuple(bench.PRESETS))
     p.set_defaults(func=cmd_scenario)
 
-    p = sub.add_parser("simulate", parents=[common], help="simulate one measurement")
-    p.add_argument("--preset", choices=tuple(bench.PRESETS))
-    p.add_argument("--spec", help="scenario spec JSON file")
+    p = sub.add_parser("simulate", parents=[common, seeded, source],
+                       help="simulate one measurement")
     p.add_argument("--ber", type=float, default=None)
     p.add_argument("--trial", type=int, default=0)
-    p.set_defaults(func=cmd_simulate, trials=None)
+    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("solve", parents=[common], help="estimate paths from a measurement file")
+    p = sub.add_parser("solve", parents=[common, formatted],
+                       help="estimate paths from a measurement file")
     p.add_argument("--input", required=True, help="measurement JSON file")
-    p.add_argument("--algo", required=True, choices=("anl1", "an", "csl1", "music"))
+    p.add_argument("--algo", required=True, choices=tuple(ALGO_KEYS))
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--mu", type=float, default=None)
     p.add_argument("--rho", type=float, default=0.05)
@@ -234,12 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--music-k", type=int, default=None)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("bench", parents=[common], help="run the RMSE benchmark sweep")
-    p.add_argument("--preset", choices=tuple(bench.PRESETS))
-    p.add_argument("--spec", help="scenario spec JSON file")
+    p = sub.add_parser("bench", parents=[common, seeded, source, formatted],
+                       help="run the RMSE benchmark sweep")
     p.add_argument("--ber", default=None, help="comma-separated BER list")
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--algos", default="anl1,an,csl1,music")
+    p.add_argument("--algos", default=",".join(ALGO_KEYS))
     p.add_argument("--iters", type=int, default=bench.AN_MAX_ITERS, help="ADMM iteration cap")
     p.add_argument("--trials-out", default=None, help="per-trial raw CSV path")
     p.set_defaults(func=cmd_bench)
@@ -257,9 +260,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -155,9 +155,10 @@ def refine_peak(nu: np.ndarray, phi: float, psi: float, M: int, N: int) -> Peak:
     return Peak(phi=float(x[0]), psi=float(x[1]), value=complex(Q))
 
 
-def _wrapped_dist(a: float, b: float) -> float:
-    d = abs(a - b) % 1.0
-    return min(d, 1.0 - d)
+def _same_cell(f, g, M: int, N: int) -> bool:
+    """Whether (phi, psi) pairs f and g lie within half a resolution cell on both wrapped axes."""
+    dphi, dpsi = abs(f[0] - g[0]) % 1.0, abs(f[1] - g[1]) % 1.0
+    return min(dphi, 1.0 - dphi) < 0.5 / M and min(dpsi, 1.0 - dpsi) < 0.5 / N
 
 
 def wrapped_local_maxima(values: np.ndarray) -> np.ndarray:
@@ -193,10 +194,8 @@ def locate_peaks(nu: np.ndarray, lam: float, M: int, N: int, *,
 
     kept: list[Peak] = []
     for pk in refined:
-        dup = any(_wrapped_dist(pk.phi, other.phi) < 0.5 / M
-                  and _wrapped_dist(pk.psi, other.psi) < 0.5 / N
-                  for other in kept)
-        if not dup:
+        if not any(_same_cell((pk.phi, pk.psi), (other.phi, other.psi), M, N)
+                   for other in kept):
             kept.append(pk)
     return kept
 
@@ -236,27 +235,29 @@ def ls_amplitudes(r_bar: np.ndarray, s_tilde: np.ndarray, e_hat,
     cond = float("inf") if svals[-1] == 0 else float(svals[0] / svals[-1])
     if cond > COND_MAX:
         close = [(i, j) for i in range(len(freqs)) for j in range(i + 1, len(freqs))
-                 if _wrapped_dist(freqs[i][0], freqs[j][0]) < 0.5 / M
-                 and _wrapped_dist(freqs[i][1], freqs[j][1]) < 0.5 / N]
+                 if _same_cell(freqs[i], freqs[j], M, N)]
         raise DegenerateDictionaryError(
             f"dictionary condition number {cond:.3e} exceeds {COND_MAX:.1e}",
             pairs=[(freqs[i], freqs[j]) for i, j in close] or list(freqs))
     return alpha
 
 
+def ranked_estimate(freqs, alphas, stats, error_support=()) -> Estimate:
+    """Paths at ``freqs`` ranked by |alpha|, descending, each keeping its statistic."""
+    order = np.argsort(-np.abs(alphas))
+    return Estimate(paths=tuple(Path(alpha=complex(alphas[i]), phi=freqs[i][0], psi=freqs[i][1])
+                                for i in order),
+                    error_support=error_support,
+                    dual_peak_values=tuple(float(stats[i]) for i in order))
+
+
 def estimate_from_solution(solution, measurement, lam: float, mu: float, *,
                            grid_factor: int = GRID_FACTOR) -> Estimate:
     """Peaks of the solver's dual certificate, error support and amplitudes."""
     M, N = measurement.M, measurement.N
-    nu_hat, e_hat = solution.nu_hat, solution.e_hat
-    peaks = locate_peaks(nu_hat, lam, M, N, grid_factor=grid_factor)
-    support = detect_error_support(e_hat, mu, float(np.max(np.abs(measurement.r_bar))))
-    if not peaks:
-        return Estimate(paths=(), error_support=support, dual_peak_values=())
+    peaks = locate_peaks(solution.nu_hat, lam, M, N, grid_factor=grid_factor)
+    support = detect_error_support(solution.e_hat, mu, float(np.max(np.abs(measurement.r_bar))))
     freqs = [(pk.phi, pk.psi) for pk in peaks]
-    alphas = ls_amplitudes(measurement.r_bar, measurement.s_tilde, e_hat, freqs, M, N)
-    order = np.argsort(-np.abs(alphas))
-    paths = tuple(Path(alpha=complex(alphas[i]), phi=peaks[i].phi, psi=peaks[i].psi)
-                  for i in order)
-    mags = tuple(peaks[i].magnitude for i in order)
-    return Estimate(paths=paths, error_support=support, dual_peak_values=mags)
+    alphas = (ls_amplitudes(measurement.r_bar, measurement.s_tilde, solution.e_hat, freqs, M, N)
+              if freqs else [])
+    return ranked_estimate(freqs, alphas, [pk.magnitude for pk in peaks], support)

@@ -21,45 +21,44 @@ C_LIGHT = 299_792_458.0
 
 @dataclass(frozen=True)
 class RadarConfig:
-    """OFDM and radar physical parameters.
+    """OFDM and radar physical parameters; the fields are the free ones.
 
     M, N          number of blocks / subcarriers (both >= 2)
-    delta_f       subcarrier spacing in Hz, must equal 1/T
-    T, T_cp       symbol and cyclic-prefix durations in seconds
-    T_bar         block duration, must equal T + T_cp
-    f_c           carrier frequency in Hz
-    noise_power_db  per-sample noise power in dB (sigma^2 = 10^(dB/10)); -inf is noiseless
+    delta_f       subcarrier spacing in Hz, positive
+    T_cp          cyclic-prefix duration in seconds, nonnegative
+    f_c           carrier frequency in Hz, positive
+    noise_power_db  per-sample noise power in dB; -inf is noiseless
+
+    Derived: symbol duration ``T = 1/delta_f``, block duration
+    ``T_bar = T + T_cp``, noise power ``sigma2 = 10^(dB/10)`` and ``sigma``.
     """
 
     M: int
     N: int
     delta_f: float
-    T: float
     T_cp: float
-    T_bar: float
     f_c: float
     noise_power_db: float
 
     def __post_init__(self):
         if self.M < 2 or self.N < 2:
             raise ConfigError(f"need M >= 2 and N >= 2, got M={self.M}, N={self.N}")
-        for name in ("delta_f", "T", "T_cp", "T_bar", "f_c"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+        if not 0 < self.delta_f < np.inf:
+            raise ConfigError(f"delta_f must be positive and finite, got {self.delta_f}")
+        if not 0 <= self.T_cp < np.inf:
+            raise ConfigError(f"T_cp must be nonnegative and finite, got {self.T_cp}")
+        if not 0 < self.f_c < np.inf:
+            raise ConfigError(f"f_c must be positive and finite, got {self.f_c}")
         if not self.noise_power_db < np.inf:
             raise ConfigError(f"noise_power_db must be finite or -inf, got {self.noise_power_db}")
-        if abs(self.delta_f * self.T - 1.0) > 1e-12:
-            raise ConfigError(f"delta_f must equal 1/T: delta_f={self.delta_f}, T={self.T}")
-        if abs(self.T_bar - (self.T + self.T_cp)) > 1e-12 * abs(self.T_bar):
-            raise ConfigError(f"T_bar must equal T + T_cp: T_bar={self.T_bar}")
 
-    @classmethod
-    def from_ofdm(cls, M, N, delta_f, T_cp, f_c, noise_power_db):
-        """Build a config from the free parameters (T and T_bar derived)."""
-        T = 1.0 / delta_f
-        return cls(M=M, N=N, delta_f=delta_f, T=T, T_cp=T_cp, T_bar=T + T_cp,
-                   f_c=f_c, noise_power_db=noise_power_db)
+    @property
+    def T(self) -> float:
+        return 1.0 / self.delta_f
+
+    @property
+    def T_bar(self) -> float:
+        return self.T + self.T_cp
 
     @property
     def sigma2(self) -> float:
@@ -170,7 +169,6 @@ class Measurement:
 
     S_hat: np.ndarray
     r_bar: np.ndarray
-    sigma2: float
     e_bar_true: np.ndarray | None = None
     v_bar_true: np.ndarray | None = None
 
@@ -261,8 +259,6 @@ def measure(scene: Scene, S: np.ndarray, S_hat: np.ndarray, config: RadarConfig,
     """
     if S.shape != S_hat.shape:
         raise ConfigError("S and S_hat must have the same shape")
-    if np.any(S_hat == 0):
-        raise ConfigError("S_hat must be entrywise nonzero")
     rng = np.random.default_rng(seed)
     M, N = config.M, config.N
     z_bar = synthesize_clean(scene, config)
@@ -272,8 +268,7 @@ def measure(scene: Scene, S: np.ndarray, S_hat: np.ndarray, config: RadarConfig,
     s_hat_bar = S_hat.flatten(order="F")
     r_bar = s_bar * z_bar + v_bar
     e_bar = (s_bar - s_hat_bar) * z_bar
-    return Measurement(S_hat=S_hat, r_bar=r_bar, sigma2=config.sigma2,
-                       e_bar_true=e_bar, v_bar_true=v_bar)
+    return Measurement(S_hat=S_hat, r_bar=r_bar, e_bar_true=e_bar, v_bar_true=v_bar)
 
 
 def simulate(scene: Scene, config: RadarConfig, constellation: Constellation,

@@ -3,12 +3,16 @@
 Complex vectors are stored as plain arrays of interleaved re/im doubles.
 Floats are emitted with Python's shortest round-trip repr so identical runs
 produce byte-identical files, apart from the wall times under ``timing_s``.
+
+Derived keys are written for readers but not read back: a config's ``T_s``
+and ``T_bar_s``, a measurement's ``sigma2`` and a path's range and velocity.
+The config reader only checks ``T_s`` and ``T_bar_s``, when present, against
+``delta_f_hz`` and ``T_cp_s``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 
 import numpy as np
@@ -40,12 +44,14 @@ def config_to_dict(config: RadarConfig) -> dict:
 
 
 def config_from_dict(obj: dict) -> RadarConfig:
-    return RadarConfig(M=int(obj["M"]), N=int(obj["N"]),
-                       delta_f=float(obj["delta_f_hz"]), T=float(obj["T_s"]),
-                       T_cp=float(obj["T_cp_s"]),
-                       T_bar=float(obj.get("T_bar_s", obj["T_s"] + obj["T_cp_s"])),
-                       f_c=float(obj["f_c_hz"]),
-                       noise_power_db=float(obj["noise_power_db"]))
+    config = RadarConfig(M=int(obj["M"]), N=int(obj["N"]), delta_f=float(obj["delta_f_hz"]),
+                         T_cp=float(obj["T_cp_s"]), f_c=float(obj["f_c_hz"]),
+                         noise_power_db=float(obj["noise_power_db"]))
+    if "T_s" in obj and not abs(config.delta_f * float(obj["T_s"]) - 1.0) <= 1e-12:
+        raise ConfigError(f"T_s must equal 1/delta_f_hz, got {obj['T_s']}")
+    if "T_bar_s" in obj and not abs(float(obj["T_bar_s"]) - config.T_bar) <= 1e-12 * config.T_bar:
+        raise ConfigError(f"T_bar_s must equal 1/delta_f_hz + T_cp_s, got {obj['T_bar_s']}")
+    return config
 
 
 def path_to_dict(path: Path) -> dict:
@@ -76,7 +82,7 @@ def measurement_to_dict(measurement: Measurement, config: RadarConfig,
            "metadata": dict(metadata or {}),
            "S_hat": interleave(measurement.S_hat.flatten(order="F")),
            "r_bar": interleave(measurement.r_bar),
-           "sigma2": measurement.sigma2}
+           "sigma2": config.sigma2}
     if measurement.e_bar_true is not None:
         out["e_bar_true"] = interleave(measurement.e_bar_true)
     if measurement.v_bar_true is not None:
@@ -92,53 +98,48 @@ def measurement_from_dict(obj: dict) -> tuple[Measurement, RadarConfig, Scene | 
     S_hat = deinterleave(obj["S_hat"]).reshape(M, N, order="F")
     measurement = Measurement(
         S_hat=S_hat, r_bar=deinterleave(obj["r_bar"]),
-        sigma2=float(obj.get("sigma2", config.sigma2)),
         e_bar_true=deinterleave(obj["e_bar_true"]) if "e_bar_true" in obj else None,
         v_bar_true=deinterleave(obj["v_bar_true"]) if "v_bar_true" in obj else None)
     truth = scene_from_dict(obj["truth"]) if "truth" in obj else None
     return measurement, config, truth
 
 
+# A scenario-file value by its ScenarioSpec field's declared type (the bare
+# name for tuples): how it is written, where not as is, and how it is read.
+_SPEC_TO_JSON = {"RadarConfig": config_to_dict, "tuple": list}
+_SPEC_FROM_JSON = {"str": str, "int": int, "float": float, "RadarConfig": config_from_dict,
+                   "tuple": lambda v: tuple(float(x) for x in v)}
+
+
+def _spec_fields():
+    return [(f, f.type.split("[")[0]) for f in dataclasses.fields(ScenarioSpec)]
+
+
 def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    return {"kind": "scenario", "name": spec.name,
-            "config": config_to_dict(spec.config),
-            "n_targets": spec.n_targets, "n_clutter": spec.n_clutter,
-            "target_powers_db": list(spec.target_powers_db),
-            "clutter_power_db": spec.clutter_power_db,
-            "direct_path_power_db": spec.direct_path_power_db,
-            "direct_path_range_m": spec.direct_path_range_m,
-            "range_bounds_m": list(spec.range_bounds_m),
-            "clutter_velocity_bounds_mps": list(spec.clutter_velocity_bounds_mps),
-            "target_velocity_bounds_mps": list(spec.target_velocity_bounds_mps),
-            "ber": spec.ber, "seed": spec.seed, "trials": spec.trials}
+    out = {"kind": "scenario"}
+    for f, kind in _spec_fields():
+        out[f.name] = _SPEC_TO_JSON.get(kind, lambda v: v)(getattr(spec, f.name))
+    return out
 
 
 def scenario_from_dict(obj: dict) -> ScenarioSpec:
-    return ScenarioSpec(
-        name=obj.get("name", "custom"),
-        config=config_from_dict(obj["config"]),
-        n_targets=int(obj["n_targets"]), n_clutter=int(obj["n_clutter"]),
-        target_powers_db=tuple(float(p) for p in obj["target_powers_db"]),
-        clutter_power_db=float(obj["clutter_power_db"]),
-        direct_path_power_db=float(obj["direct_path_power_db"]),
-        direct_path_range_m=float(obj.get("direct_path_range_m", 5e3)),
-        range_bounds_m=tuple(float(v) for v in obj["range_bounds_m"]),
-        clutter_velocity_bounds_mps=tuple(float(v) for v in obj["clutter_velocity_bounds_mps"]),
-        target_velocity_bounds_mps=tuple(float(v) for v in obj["target_velocity_bounds_mps"]),
-        ber=float(obj.get("ber", 0.0)), seed=int(obj.get("seed", 1)),
-        trials=int(obj.get("trials", 20)))
+    """Read the declared fields; a missing key takes the field's default."""
+    return ScenarioSpec(**{f.name: _SPEC_FROM_JSON[kind](obj[f.name]) for f, kind in _spec_fields()
+                           if f.name in obj or f.default is dataclasses.MISSING})
 
 
-def estimate_to_dict(estimate: Estimate, config: RadarConfig | None = None) -> dict:
-    paths = []
+def _path_rows(estimate: Estimate, config: RadarConfig):
+    """Per path: the Path, its range and velocity, and its statistic (None when absent)."""
+    stats = estimate.dual_peak_values
     for i, p in enumerate(estimate.paths):
-        row = {"phi": p.phi, "psi": p.psi,
-               "alpha_re": p.alpha.real, "alpha_im": p.alpha.imag,
-               "dual_peak_mag": (estimate.dual_peak_values[i]
-                                 if i < len(estimate.dual_peak_values) else None)}
-        if config is not None:
-            row["range_m"], row["velocity_mps"] = normalized_to_physical(p.phi, p.psi, config)
-        paths.append(row)
+        range_m, velocity = normalized_to_physical(p.phi, p.psi, config)
+        yield p, range_m, velocity, stats[i] if i < len(stats) else None
+
+
+def estimate_to_dict(estimate: Estimate, config: RadarConfig) -> dict:
+    paths = [{"phi": p.phi, "psi": p.psi, "alpha_re": p.alpha.real, "alpha_im": p.alpha.imag,
+              "dual_peak_mag": stat, "range_m": range_m, "velocity_mps": velocity}
+             for p, range_m, velocity, stat in _path_rows(estimate, config)]
     return {"paths": paths, "error_support": list(estimate.error_support)}
 
 
@@ -147,10 +148,8 @@ ESTIMATE_CSV_HEADER = "phi,psi,range_m,velocity_mps,amp_re,amp_im,dual_peak_mag"
 
 def estimate_to_csv(estimate: Estimate, config: RadarConfig) -> str:
     lines = [ESTIMATE_CSV_HEADER]
-    for i, p in enumerate(estimate.paths):
-        range_m, velocity = normalized_to_physical(p.phi, p.psi, config)
-        mag = (estimate.dual_peak_values[i]
-               if i < len(estimate.dual_peak_values) else float("nan"))
+    for p, range_m, velocity, stat in _path_rows(estimate, config):
+        mag = float("nan") if stat is None else stat
         lines.append(",".join(repr(float(v)) for v in
                               (p.phi, p.psi, range_m, velocity,
                                p.alpha.real, p.alpha.imag, mag)))
@@ -163,9 +162,7 @@ def solution_to_dict(solution, measurement: Measurement, solver_config,
     d = solution.diagnostics
     return {"kind": "solution", "algo": algo,
             "M": measurement.M, "N": measurement.N,
-            "solver": {"lam": solver_config.lam, "mu": solver_config.mu,
-                       "rho": solver_config.rho, "max_iters": solver_config.max_iters,
-                       "tol": solver_config.tol},
+            "solver": dataclasses.asdict(solver_config),
             "z_hat": interleave(solution.z_hat),
             "e_hat": interleave(solution.e_hat),
             "nu_hat": interleave(solution.nu_hat),
@@ -207,11 +204,7 @@ def report_to_dict(report: RmseReport) -> dict:
 
 
 def grid_to_csv(grid: np.ndarray) -> str:
-    buf = io.StringIO()
-    for row in np.asarray(grid):
-        buf.write(",".join(repr(float(v)) for v in row))
-        buf.write("\n")
-    return buf.getvalue()
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in np.asarray(grid))
 
 
 def dumps(obj: dict) -> str:

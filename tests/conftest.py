@@ -10,8 +10,8 @@ def rng():
 
 
 def small_config(M=8, N=8, noise_power_db=-20.0):
-    return RadarConfig.from_ofdm(M=M, N=N, delta_f=5e3, T_cp=1e-4, f_c=2e9,
-                                 noise_power_db=noise_power_db)
+    return RadarConfig(M=M, N=N, delta_f=5e3, T_cp=1e-4, f_c=2e9,
+                       noise_power_db=noise_power_db)
 
 
 def random_consistent_param(rng, M, N):

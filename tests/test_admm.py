@@ -46,8 +46,7 @@ class TestSolverConfig:
 class TestSolve:
     def test_zero_input(self):
         cfg, scene, meas = make_instance(seed=1)
-        zero = type(meas)(S_hat=meas.S_hat, r_bar=np.zeros_like(meas.r_bar),
-                          sigma2=meas.sigma2)
+        zero = type(meas)(S_hat=meas.S_hat, r_bar=np.zeros_like(meas.r_bar))
         sol = solve(zero, SolverConfig(lam=0.5, mu=0.1, max_iters=500))
         assert np.abs(sol.z_hat).max() < 1e-8
         assert np.abs(sol.e_hat).max() < 1e-8
@@ -125,8 +124,7 @@ class TestSolve:
 class TestObjectives:
     def test_primal_zero_state(self):
         cfg, scene, meas = make_instance(seed=8)
-        zero = type(meas)(S_hat=meas.S_hat, r_bar=np.zeros_like(meas.r_bar),
-                          sigma2=meas.sigma2)
+        zero = type(meas)(S_hat=meas.S_hat, r_bar=np.zeros_like(meas.r_bar))
         sol = solve(zero, SolverConfig(lam=1.0, mu=0.1, max_iters=1))
         sol.z_hat = np.zeros_like(sol.z_hat)
         sol.e_hat = np.zeros_like(sol.e_hat)
@@ -137,7 +135,7 @@ class TestObjectives:
     def test_primal_zero_state_energy(self):
         cfg, scene, meas = make_instance(seed=9)
         r = meas.r_bar * (2.0 / np.linalg.norm(meas.r_bar))
-        scaled = type(meas)(S_hat=meas.S_hat, r_bar=r, sigma2=meas.sigma2)
+        scaled = type(meas)(S_hat=meas.S_hat, r_bar=r)
         sol = solve(scaled, SolverConfig(lam=1.0, mu=0.1, max_iters=1))
         sol.z_hat = np.zeros_like(sol.z_hat)
         sol.e_hat = np.zeros_like(sol.e_hat)

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from ofdmradar import baselines, serialize
-from ofdmradar.cli import main
+from ofdmradar.cli import ALGO_KEYS, build_parser, main
 
 
 def simulate_file(tmp_path):
@@ -181,3 +181,60 @@ class TestBench:
             assert float(row["velocity_rmse_mps"]) == math.sqrt(sq_v / matched)
             assert float(row["identification_rate"]) == matched / (3 * len(used))
         assert rows[0] == rows[1]
+
+
+class TestConfigRanges:
+    # Each file's timing keys agree with its delta_f_hz and T_cp_s.
+    @pytest.mark.parametrize("algo, changes, field", [
+        ("csl1", {"delta_f_hz": -5000.0, "T_s": -2e-4, "T_bar_s": -1e-4}, "delta_f"),
+        ("music", {"f_c_hz": 0.0}, "f_c")])
+    def test_out_of_range_config_exits_2(self, tmp_path, capsys, algo, changes, field):
+        meas_path = simulate_8x8_file(tmp_path)
+        doc = json.loads(meas_path.read_text())
+        doc["config"].update(changes)
+        meas_path.write_text(json.dumps(doc))
+        out = tmp_path / "est.json"
+        assert main(["solve", "--input", str(meas_path), "--algo", algo, "--out", str(out),
+                     "--quiet"]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestArguments:
+    @pytest.mark.parametrize("flag, value, entry", [("--algos", "csl1,foo", "'foo'"),
+                                                    ("--ber", "0.01,abc", "'abc'")])
+    def test_bad_list_entry_exits_2(self, capsys, flag, value, entry):
+        assert main(["bench", "--preset", "rmse1", flag, value, "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and flag in err[0] and entry in err[0]
+
+    def test_algo_names_are_the_short_keys(self):
+        args = build_parser().parse_args(["bench", "--preset", "rmse1"])
+        assert args.algos.split(",") == list(ALGO_KEYS) == ["anl1", "an", "csl1", "music"]
+
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "--preset", "rmse1", "--format", "csv"],
+        ["simulate", "--preset", "rmse1", "--format", "csv"],
+        ["spectrum", "--input", "meas.json", "--format", "json"],
+        ["solve", "--input", "meas.json", "--algo", "music", "--seed", "9"],
+        ["spectrum", "--input", "meas.json", "--seed", "9"]])
+    def test_flag_the_subcommand_does_not_read_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    def test_scenario_out_directory_exits_2(self, tmp_path, capsys):
+        assert main(["scenario", "--preset", "rmse1", "--out", str(tmp_path), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(tmp_path) in err[0]
+
+    def test_trials_out_directory_exits_2(self, tmp_path, capsys):
+        spec_path = spec_8x8_file(tmp_path)
+        assert main(["bench", "--spec", str(spec_path), "--trials", "1", "--algos", "music",
+                     "--out", str(tmp_path / "report.csv"), "--trials-out", str(tmp_path),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(tmp_path) in err[0]

@@ -6,7 +6,7 @@ from ofdmradar import (ConfigError, DegenerateDictionaryError, Path, Scene,
                        dual_poly_grid, estimate_from_solution, generate_symbols,
                        locate_peaks, ls_amplitudes, measure, qpsk, refine_peak,
                        simulate, solve)
-from ofdmradar.extract import _dft_factors
+from ofdmradar.extract import Estimate, _dft_factors, _same_cell, ranked_estimate
 from conftest import small_config
 
 
@@ -145,6 +145,31 @@ class TestLsAmplitudes:
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             ls_amplitudes(np.zeros(4), np.ones(4), None, [], 2, 2)
+
+
+class TestRankedEstimate:
+    def test_ranks_by_amplitude_and_keeps_each_statistic_with_its_path(self):
+        freqs = [(0.1, 0.2), (0.3, 0.4), (0.5, 0.6)]
+        est = ranked_estimate(freqs, np.array([1.0, -3.0j, 2.0]), np.array([7.0, 5.0, 9.0]),
+                              (4,))
+        assert [p.alpha for p in est.paths] == [-3.0j, 2.0, 1.0]
+        assert [(p.phi, p.psi) for p in est.paths] == [freqs[1], freqs[2], freqs[0]]
+        assert est.dual_peak_values == (5.0, 9.0, 7.0)
+        assert all(type(v) is float for v in est.dual_peak_values)
+        assert est.error_support == (4,)
+
+    def test_empty_input_gives_an_empty_estimate(self):
+        assert ranked_estimate([], [], []) == Estimate(paths=())
+
+
+class TestSameCell:
+    @pytest.mark.parametrize("f, g, same", [
+        ((0.99, 0.5), (0.01, 0.5), True),     # wraps around phi = 0
+        ((0.5, 0.02), (0.5, 0.97), True),     # wraps around psi = 0
+        ((0.1, 0.5), (0.1, 0.6), False),      # a psi cell is 1/8 wide here
+        ((0.1, 0.5), (0.2, 0.5), False)])
+    def test_half_a_cell_on_both_axes(self, f, g, same):
+        assert _same_cell(f, g, 8, 8) is same
 
 
 class TestEndToEnd:

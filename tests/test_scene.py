@@ -20,24 +20,34 @@ class TestConfig:
         assert cfg.T_bar == pytest.approx(3e-4)
         assert cfg.sigma2 == pytest.approx(0.01)
 
-    def test_inconsistent_timing_rejected(self):
-        with pytest.raises(ConfigError):
-            RadarConfig(M=4, N=4, delta_f=5e3, T=1e-4, T_cp=1e-4, T_bar=3e-4,
-                        f_c=2e9, noise_power_db=-20)
+    def test_timing_is_derived_from_the_free_parameters(self):
+        cfg = small_config()
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "M", "N", "delta_f", "T_cp", "f_c", "noise_power_db"]
+        cfg = dataclasses.replace(cfg, delta_f=1e4)
+        assert (cfg.T, cfg.T_bar) == (1.0 / 1e4, 1.0 / 1e4 + 1e-4)
 
     def test_small_dimensions_rejected(self):
         with pytest.raises(ConfigError):
-            RadarConfig.from_ofdm(M=1, N=4, delta_f=5e3, T_cp=1e-4, f_c=2e9,
-                                  noise_power_db=-20)
-
+            RadarConfig(M=1, N=4, delta_f=5e3, T_cp=1e-4, f_c=2e9, noise_power_db=-20)
 
     @pytest.mark.parametrize("field, value", [
         ("noise_power_db", math.nan), ("noise_power_db", math.inf), ("f_c", math.nan),
-        ("f_c", math.inf), ("delta_f", math.nan), ("T", math.nan), ("T_cp", math.nan),
-        ("T_bar", math.nan)])
+        ("f_c", math.inf), ("delta_f", math.nan), ("T_cp", math.nan)])
     def test_non_finite_field_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             dataclasses.replace(small_config(), **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("delta_f", -5e3), ("delta_f", 0.0), ("delta_f", math.inf), ("T_cp", -1e-4),
+        ("T_cp", -math.inf), ("f_c", -2e9), ("f_c", 0.0)])
+    def test_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            dataclasses.replace(small_config(), **{field: value})
+
+    def test_zero_cyclic_prefix_accepted(self):
+        cfg = dataclasses.replace(small_config(), T_cp=0.0)
+        assert cfg.T_bar == cfg.T
 
     def test_minus_infinite_noise_power_is_noiseless(self):
         assert small_config(noise_power_db=-math.inf).sigma2 == 0.0
@@ -170,8 +180,7 @@ class TestDemodErrors:
         assert not mask.any()
 
     def test_half_ber_flip_fraction(self):
-        cfg = RadarConfig.from_ofdm(M=64, N=64, delta_f=5e3, T_cp=1e-4, f_c=2e9,
-                                    noise_power_db=-20)
+        cfg = RadarConfig(M=64, N=64, delta_f=5e3, T_cp=1e-4, f_c=2e9, noise_power_db=-20)
         S = generate_symbols(cfg, bpsk(), 5)
         _, mask = inject_demod_errors(S, 0.5, bpsk(), 6)
         frac = mask.mean()
@@ -251,7 +260,7 @@ class TestMeasure:
         with pytest.raises(ConfigError):
             measure(scene, S, S_hat, cfg, 8)
         with pytest.raises(ConfigError):
-            Measurement(S_hat=S_hat, r_bar=np.zeros(16, complex), sigma2=0.0)
+            Measurement(S_hat=S_hat, r_bar=np.zeros(16, complex))
 
 
 class TestPhysicalMapping:
