@@ -5,8 +5,11 @@ part ``z`` (penalized through the Toeplitz-lifted semidefinite surrogate of
 the atomic norm, weight ``lam``) and a sparse demodulation-error part ``e``
 (penalized by ``mu * ||e||_1``; ``mu = 0`` pins ``e`` to zero).  Each
 iteration performs closed-form block updates followed by one projection of
-the lifted variable onto the positive semidefinite cone and a dual ascent
-step.
+the lifted variable onto the positive semidefinite cone.  The iteration runs
+in scaled form (Boyd et al., *Distributed Optimization and Statistical
+Learning via ADMM*, 2011, section 3.1.1): it carries W = Upsilon / rho, so
+the projection's Moreau split yields both the PSD block and the multiplier's
+ascent step, and the dual vector is read as nu = -2 rho W[:MN, MN].
 """
 
 from __future__ import annotations
@@ -91,17 +94,6 @@ def default_weights(sigma: float, M: int, N: int) -> tuple[float, float]:
     return lam, lam / math.sqrt(mn)
 
 
-def _assemble(TU: np.ndarray, z: np.ndarray, t: float) -> np.ndarray:
-    """The (MN+1) x (MN+1) block [[T(U), z], [z^H, t]] of the lift."""
-    mn = z.shape[0]
-    A = np.empty((mn + 1, mn + 1), dtype=complex)
-    A[:mn, :mn] = TU
-    A[:mn, mn] = z
-    A[mn, :mn] = np.conj(z)
-    A[mn, mn] = t
-    return A
-
-
 def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     """Run the ADMM iteration to convergence or ``max_iters``.
 
@@ -110,8 +102,12 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     the symbol lift being diagonal), the scalar ``t``, the Toeplitz parameter
     ``U`` (normalized adjoint with center-shifted penalty, then Hermitian
     symmetrization), the error ``e`` (soft threshold of the data residual,
-    skipped when ``mu == 0``), the PSD block ``Theta`` (cone projection), and
-    the multiplier ``Upsilon`` (ascent step).
+    skipped when ``mu == 0``), then the PSD block ``Theta`` and the scaled
+    multiplier ``W = Upsilon / rho`` together.  With A the lift
+    [[T(U), z], [z^H, t]] and G = A - W, the Moreau split G = P+(G) - P-(G)
+    of one cone projection gives Theta = P+(G) and the ascent step
+    W + Theta - A = Theta - G.  The primal residual is ||Theta - A||, the
+    change in W; the dual residual is rho ||Theta - Theta_prev||.
     """
     M, N = measurement.M, measurement.N
     mn = M * N
@@ -127,7 +123,8 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     e = np.zeros(mn, dtype=complex)
     t = 0.0
     Theta = np.zeros((mn + 1, mn + 1), dtype=complex)
-    Upsilon = np.zeros((mn + 1, mn + 1), dtype=complex)
+    W = np.zeros((mn + 1, mn + 1), dtype=complex)
+    A, G = np.empty_like(W), np.empty_like(W)
 
     diag = Diagnostics()
     scale = mn + 1
@@ -137,28 +134,27 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for it in range(1, config.max_iters + 1):
-                theta1 = Theta[:mn, mn]
-                theta_bar = Theta[mn, mn].real
-                ups1 = Upsilon[:mn, mn]
-                ups_bar = Upsilon[mn, mn].real
+                z = (sh_r - s_conj * e + 2.0 * rho * (Theta[:mn, mn] + W[:mn, mn])) / denom
+                t = Theta[mn, mn].real + W[mn, mn].real - 0.5 * lam / rho
 
-                z = (sh_r - s_conj * e + 2.0 * rho * theta1 + 2.0 * ups1) / denom
-                t = theta_bar + (ups_bar - 0.5 * lam) / rho
-
-                U = adjoint_normalized(Theta[:mn, :mn] + Upsilon[:mn, :mn] / rho, M, N)
+                U = adjoint_normalized(Theta[:mn, :mn] + W[:mn, :mn], M, N)
                 U[M - 1, N - 1] -= lam / (2.0 * mn * rho)
                 U = symmetrize_param(U)
 
                 if mu > 0:
                     e = soft_threshold(r - s * z, mu)
 
-                A = _assemble(block_toeplitz(U, M, N), z, t)
-                Theta_new = psd_project(A - Upsilon / rho)
+                A[:mn, :mn] = block_toeplitz(U, M, N)
+                A[:mn, mn] = z
+                A[mn, :mn] = np.conj(z)
+                A[mn, mn] = t
+                Theta_new = psd_project(np.subtract(A, W, out=G))
+                W_new = np.subtract(Theta_new, G, out=G)
 
-                primal = float(np.linalg.norm(Theta_new - A))
+                primal = float(np.linalg.norm(W_new - W))
                 dual = rho * float(np.linalg.norm(Theta_new - Theta))
-                Upsilon = Upsilon + rho * (Theta_new - A)
-                Theta = Theta_new
+                # The old multiplier's storage is the next sweep's G.
+                Theta, W, G = Theta_new, W_new, W
 
                 obj = _primal_objective(measurement, z, e, U, t, config)
 
@@ -176,10 +172,10 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
 
     diag.iterations = it
 
-    # The stationarity condition for z ties the multiplier's border block to
-    # the data residual mapped through the conjugate symbols, off by a factor
-    # of -2; undoing it recovers the dual vector of the denoising program.
-    nu_hat = -2.0 * Upsilon[:mn, mn]
+    # The stationarity condition for z ties the multiplier's border block
+    # (rho W) to the data residual mapped through the conjugate symbols, off
+    # by a factor of -2; undoing it recovers the dual vector of the program.
+    nu_hat = -2.0 * rho * W[:mn, mn]
 
     return Solution(z_hat=z, e_hat=e, nu_hat=nu_hat, U=U, t=t, Theta=Theta,
                     diagnostics=diag)

@@ -55,6 +55,8 @@ class ScenarioSpec:
                 raise ConfigError(f"bounds must be ordered, got ({lo}, {hi})")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 # Preset name -> (N, clutter paths, target powers in dB, direct-path power
@@ -120,6 +122,8 @@ def draw_scene(spec: ScenarioSpec, rng: np.random.Generator) -> Scene:
 
 def simulate_trial(spec: ScenarioSpec, ber: float, trial: int) -> tuple[Scene, Measurement]:
     """Scene plus measurement from one generator seeded by (seed, trial)."""
+    if trial < 0:
+        raise ConfigError(f"trial must be nonnegative, got {trial}")
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, trial)))
     scene = draw_scene(spec, rng)
     measurement = simulate(scene, spec.config, qpsk(), ber, rng)

@@ -33,6 +33,18 @@ def _lift_index(M: int, N: int) -> np.ndarray:
     return index
 
 
+@lru_cache(maxsize=8)
+def _adjoint_tables(M: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bin in ``U``'s (real, imag) float view of each float of the lift, and
+    each bin's count (both read-only)."""
+    index = 2 * _lift_index(M, N).ravel()
+    bins = np.stack([index, index + 1], axis=1).ravel()
+    counts = np.bincount(bins).astype(float)
+    bins.flags.writeable = False
+    counts.flags.writeable = False
+    return bins, counts
+
+
 def block_toeplitz(U: np.ndarray, M: int, N: int) -> np.ndarray:
     """Two-level Toeplitz lift of ``U``.
 
@@ -52,12 +64,10 @@ def adjoint_normalized(P: np.ndarray, M: int, N: int) -> np.ndarray:
     """
     if P.shape != (M * N, M * N):
         raise ConfigError(f"P must be {(M * N, M * N)}, got {P.shape}")
-    index = _lift_index(M, N).ravel()
-    size = (2 * M - 1) * (2 * N - 1)
-    P = P.ravel()
-    sums = (np.bincount(index, weights=P.real, minlength=size)
-            + 1j * np.bincount(index, weights=P.imag, minlength=size))
-    return (sums / np.bincount(index, minlength=size)).reshape(2 * M - 1, 2 * N - 1)
+    bins, counts = _adjoint_tables(M, N)
+    floats = np.ascontiguousarray(P, dtype=complex).view(float).ravel()
+    sums = np.bincount(bins, weights=floats)
+    return (sums / counts).view(complex).reshape(2 * M - 1, 2 * N - 1)
 
 
 def symmetrize_param(U: np.ndarray) -> np.ndarray:
@@ -68,16 +78,22 @@ def symmetrize_param(U: np.ndarray) -> np.ndarray:
 def psd_project(A: np.ndarray) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix (negative eigenvalues clamped).
 
-    The input is symmetrized first; eigendecomposition failures surface as
-    :class:`NumericError`.
+    The input is symmetrized to H first; eigendecomposition failures surface as
+    :class:`NumericError`.  The result is rebuilt from whichever side of the
+    spectrum has fewer eigenpairs: V+ w+ V+^H from the positive ones, or
+    H - V- w- V-^H from the rest, so H itself when every eigenvalue is positive
+    and zero when none is.  It is exactly Hermitian.
     """
     H = 0.5 * (A + A.conj().T)
     try:
         w, V = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed on {H.shape} matrix: {exc}") from exc
-    w = np.maximum(w, 0.0)
-    X = (V * w) @ V.conj().T
+    k = int(np.searchsorted(w, 0.0, side="right"))  # eigenvalues are ascending
+    if 2 * k > w.size:
+        X = (V[:, k:] * w[k:]) @ V[:, k:].conj().T
+    else:
+        X = H - (V[:, :k] * w[:k]) @ V[:, :k].conj().T
     return 0.5 * (X + X.conj().T)
 
 

@@ -9,6 +9,7 @@ from ofdmradar import (ConfigError, NumericError, Path, Scene, SolverConfig,
                        objective_primal, optimality_residuals, qpsk, simulate, solve,
                        synthesize_clean)
 from ofdmradar.admm import atomic_norm_sdp_value
+from ofdmradar.operators import adjoint_normalized, block_toeplitz, soft_threshold, symmetrize_param
 from conftest import small_config
 
 
@@ -119,6 +120,69 @@ class TestSolve:
             with pytest.raises(NumericError) as err:
                 solve(meas, SolverConfig(lam=1e308, mu=0.1, max_iters=5))
         assert err.value.iteration == 1
+
+
+def unscaled_reference(meas, config):
+    """The sweep in unscaled form: multiplier Upsilon, separate ascent step, and
+    a projection rebuilt from every clamped eigenpair.  Returns
+    (z, nu, objectives, iterations, converged)."""
+    M, N = meas.M, meas.N
+    mn = M * N
+    s, r = meas.s_tilde, meas.r_bar
+    lam, mu, rho = config.lam, config.mu, config.rho
+    denom = np.abs(s) ** 2 + 2.0 * rho
+    z = np.zeros(mn, dtype=complex)
+    e = np.zeros(mn, dtype=complex)
+    Theta = np.zeros((mn + 1, mn + 1), dtype=complex)
+    Upsilon = np.zeros_like(Theta)
+    objectives = []
+    converged = False
+    for it in range(1, config.max_iters + 1):
+        z = (np.conj(s) * r - np.conj(s) * e + 2.0 * rho * Theta[:mn, mn]
+             + 2.0 * Upsilon[:mn, mn]) / denom
+        t = Theta[mn, mn].real + (Upsilon[mn, mn].real - 0.5 * lam) / rho
+        U = adjoint_normalized(Theta[:mn, :mn] + Upsilon[:mn, :mn] / rho, M, N)
+        U[M - 1, N - 1] -= lam / (2.0 * mn * rho)
+        U = symmetrize_param(U)
+        if mu > 0:
+            e = soft_threshold(r - s * z, mu)
+        A = np.empty_like(Theta)
+        A[:mn, :mn] = block_toeplitz(U, M, N)
+        A[:mn, mn] = z
+        A[mn, :mn] = np.conj(z)
+        A[mn, mn] = t
+        H = A - Upsilon / rho
+        H = 0.5 * (H + H.conj().T)
+        w, V = np.linalg.eigh(H)
+        X = (V * np.maximum(w, 0.0)) @ V.conj().T
+        Theta_new = 0.5 * (X + X.conj().T)
+        primal = np.linalg.norm(Theta_new - A)
+        dual = rho * np.linalg.norm(Theta_new - Theta)
+        Upsilon = Upsilon + rho * (Theta_new - A)
+        Theta = Theta_new
+        fit = r - e - s * z
+        objectives.append(0.5 * np.vdot(fit, fit).real
+                          + lam * atomic_norm_sdp_value(U, t, M, N) + mu * np.abs(e).sum())
+        if primal < config.tol * (mn + 1) and dual < config.tol * (mn + 1):
+            converged = True
+            break
+    return z, -2.0 * Upsilon[:mn, mn], objectives, it, converged
+
+
+class TestScaledForm:
+    @pytest.mark.parametrize("M, N, mu_scale, max_iters", [(4, 4, 1.0, 300), (4, 4, 0.0, 300),
+                                                           (8, 8, 1.0, 600), (8, 8, 0.0, 600)])
+    def test_matches_unscaled_sweep(self, M, N, mu_scale, max_iters):
+        cfg, scene, meas = make_instance(M=M, N=N, K=3, seed=19, ber=0.05)
+        lam, mu = default_weights(cfg.sigma, M, N)
+        c = SolverConfig(lam=lam, mu=mu * mu_scale, max_iters=max_iters)
+        sol = solve(meas, c)
+        z, nu, objectives, iterations, converged = unscaled_reference(meas, c)
+        assert sol.diagnostics.iterations == iterations
+        assert sol.diagnostics.converged == converged
+        for got, want in ((sol.z_hat, z), (sol.nu_hat, nu),
+                          (np.array(sol.diagnostics.objectives), np.array(objectives))):
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 
 class TestObjectives:

@@ -1,8 +1,9 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
-from ofdmradar import (Path, gate_identification, gates, normalized_to_physical,
+from ofdmradar import (ConfigError, Path, gate_identification, gates, normalized_to_physical,
                        physical_to_normalized, preset, simulate_trial)
 from ofdmradar.extract import Estimate
 
@@ -21,6 +22,17 @@ class TestSimulateTrial:
         assert scene_a == scene_b
         assert np.array_equal(meas_a.r_bar, meas_b.r_bar)
         assert np.array_equal(meas_a.S_hat, meas_b.S_hat)
+
+
+class TestScenarioSpec:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            dataclasses.replace(preset("rmse1"), seed=-1)
+        assert dataclasses.replace(preset("rmse1"), seed=0).seed == 0
+
+    def test_negative_trial_rejected(self):
+        with pytest.raises(ConfigError, match="trial"):
+            simulate_trial(preset("rmse1"), 0.0, -1)
 
 
 CONFIG = preset("rmse1").config

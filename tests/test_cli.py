@@ -208,6 +208,17 @@ class TestArguments:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and flag in err[0] and entry in err[0]
 
+    @pytest.mark.parametrize("argv, field", [
+        (["simulate", "--preset", "rmse1", "--trial", "-1"], "trial"),
+        (["simulate", "--preset", "rmse1", "--seed", "-2"], "seed"),
+        (["scenario", "--preset", "rmse1", "--seed", "-2"], "seed")])
+    def test_negative_seed_or_trial_exits_2(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "out.json"
+        assert main([*argv, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and field in err[0]
+        assert not out.exists()
+
     def test_algo_names_are_the_short_keys(self):
         args = build_parser().parse_args(["bench", "--preset", "rmse1"])
         assert args.algos.split(",") == list(ALGO_KEYS) == ["anl1", "an", "csl1", "music"]

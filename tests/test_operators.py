@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ofdmradar import (ConfigError, adjoint_normalized, block_toeplitz, psd_project,
                        soft_threshold, symmetrize_param)
+from ofdmradar.operators import _adjoint_tables
 from conftest import random_consistent_param
 
 # (M, N) pairs for the index-layout oracles: square, and both non-square
@@ -15,6 +16,30 @@ SIZES = [(2, 2), (2, 3), (3, 2)]
 def hermitian(rng, n):
     A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return 0.5 * (A + A.conj().T)
+
+
+def hermitian_with_spectrum(rng, w):
+    """Exactly Hermitian matrix whose eigenvalues are ``w`` up to rounding."""
+    n = len(w)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    A = (Q * np.asarray(w, dtype=float)) @ Q.conj().T
+    return 0.5 * (A + A.conj().T)
+
+
+def mean_over_index_sets(P, M, N):
+    """Brute-force adjoint: the mean of P over each (block, within-block) offset pair."""
+    U = np.empty((2 * M - 1, 2 * N - 1), dtype=complex)
+    for l in range(-(N - 1), N):
+        for k in range(-(M - 1), M):
+            vals = []
+            for n1 in range(N):
+                for n2 in range(N):
+                    for m1 in range(M):
+                        for m2 in range(M):
+                            if n1 - n2 == l and m1 - m2 == k:
+                                vals.append(P[n1 * M + m1, n2 * M + m2])
+            U[k + M - 1, l + N - 1] = np.mean(vals)
+    return U
 
 
 class TestBlockToeplitz:
@@ -68,18 +93,29 @@ class TestAdjoint:
     def test_arbitrary_matrix_against_enumeration(self, rng):
         for M, N in SIZES:
             P = rng.normal(size=(M * N, M * N)) + 1j * rng.normal(size=(M * N, M * N))
-            U = adjoint_normalized(P, M, N)
-            # brute-force oracle: mean over the index set of each offset pair
-            for l in range(-(N - 1), N):
-                for k in range(-(M - 1), M):
-                    vals = []
-                    for n1 in range(N):
-                        for n2 in range(N):
-                            for m1 in range(M):
-                                for m2 in range(M):
-                                    if n1 - n2 == l and m1 - m2 == k:
-                                        vals.append(P[n1 * M + m1, n2 * M + m2])
-                    assert U[k + M - 1, l + N - 1] == pytest.approx(np.mean(vals))
+            assert adjoint_normalized(P, M, N) == pytest.approx(mean_over_index_sets(P, M, N))
+
+    def test_strided_view_and_real_input_against_enumeration(self, rng):
+        # The solver passes the MN x MN corner of an (MN+1) x (MN+1) array.
+        for M, N in SIZES:
+            mn = M * N
+            Theta = rng.normal(size=(mn + 1, mn + 1)) + 1j * rng.normal(size=(mn + 1, mn + 1))
+            view = Theta[:mn, :mn]
+            assert not view.flags.c_contiguous
+            real = rng.normal(size=(mn, mn))
+            for P in (view, real):
+                U = adjoint_normalized(P, M, N)
+                assert U.shape == (2 * M - 1, 2 * N - 1) and U.dtype == complex
+                want = mean_over_index_sets(P, M, N)
+                assert np.abs(U - want).max() <= 1e-15 * np.abs(P).max() * 4
+
+    def test_cached_tables_are_read_only(self):
+        for M, N in SIZES:
+            adjoint_normalized(np.eye(M * N), M, N)
+            for table in _adjoint_tables(M, N):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0] = 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
@@ -109,6 +145,33 @@ class TestPsdProject:
         A = hermitian(rng, 5)
         X = psd_project(A)
         assert np.abs(psd_project(X) - X).max() < 1e-10
+
+    @pytest.mark.parametrize("positive", [1, 2, 7, 8])
+    def test_both_rebuild_sides_match_full_oracle(self, rng, positive):
+        # 1-2 positive eigenvalues of 9 rebuild from the positive pairs,
+        # 7-8 from the nonpositive ones.
+        w = np.concatenate([rng.uniform(0.5, 2.0, positive),
+                            -rng.uniform(0.5, 2.0, 9 - positive)])
+        H = hermitian_with_spectrum(rng, w)
+        vals, V = np.linalg.eigh(H)
+        assert np.sum(vals > 0) == positive
+        oracle = (V * np.maximum(vals, 0.0)) @ V.conj().T
+        X = psd_project(H)
+        assert np.abs(X - oracle).max() <= 1e-12 * np.linalg.norm(H)
+        assert np.array_equal(X, X.conj().T)
+
+    def test_all_positive_returns_input(self, rng):
+        H = hermitian_with_spectrum(rng, rng.uniform(0.5, 2.0, 9))
+        assert np.linalg.eigvalsh(H).min() > 0
+        X = psd_project(H)
+        assert np.array_equal(X, H)
+        assert np.array_equal(X, X.conj().T)
+
+    def test_none_positive_returns_zero(self, rng):
+        H = hermitian_with_spectrum(rng, -rng.uniform(0.5, 2.0, 9))
+        assert np.linalg.eigvalsh(H).max() < 0
+        X = psd_project(H)
+        assert np.array_equal(X, np.zeros_like(H))
 
     def test_min_eigenvalue_floor(self, rng):
         for _ in range(20):

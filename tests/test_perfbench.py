@@ -50,3 +50,19 @@ def test_baselines_16_trial_runs_and_csl1_objective_is_finite(run):
     assert [o.failure for o in record.outcomes] == ["", ""]
     (csl1,) = [o for o in record.outcomes if o.receiver == "CS-L1"]
     assert math.isfinite(run.csl1_objective(csl1.estimate, trial.measurement, spec.config))
+
+
+def test_dual_8_trial_traces_one_operator_span_per_sweep(run):
+    workload = run.workloads.WORKLOADS["dual-8"]
+    spec = workload.spec()
+    trial = run.workloads.make_trial(workload, 1, 0)
+    tracer = run.tracing.Tracer()
+    with tracer.instrument(run.trace_targets()):
+        record = run.run_trial(workload, spec, trial, tracer)
+    sweeps = sum(o.iterations for o in record.outcomes)
+    assert sweeps > 0
+    totals = tracer.summarize()
+    assert totals["admm.solve"].calls == len(workload.receivers)
+    for name in ("operators.psd_project", "operators.adjoint_normalized",
+                 "operators.block_toeplitz"):
+        assert totals[name].calls == sweeps, name
