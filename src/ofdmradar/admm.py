@@ -202,13 +202,6 @@ def objective_primal(solution: Solution, measurement: Measurement,
                              solution.U, solution.t, config)
 
 
-def objective_dual(nu: np.ndarray, measurement: Measurement,
-                   config: SolverConfig) -> float:
-    """Dual objective <inv(S^H) nu, r>_R - ||inv(S^H) nu||^2 / 2."""
-    x = nu / np.conj(measurement.s_tilde)
-    return float(np.vdot(measurement.r_bar, x).real) - 0.5 * float(np.vdot(x, x).real)
-
-
 @dataclass
 class OptimalityReport:
     """Residuals of the four stationarity/feasibility conditions.

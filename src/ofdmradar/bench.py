@@ -1,13 +1,14 @@
-"""Scenario builders, identification gating, and the RMSE benchmark harness.
+"""The receiver table and dispatch, scenario builders, gating, and the RMSE benchmark.
 
-Every algorithm runs through the same pipeline: simulate a random scene,
-estimate paths, match estimates to the true targets inside per-axis gates,
-and accumulate range/velocity errors over the matched pairs only.
+``receiver_settings`` and ``run_receiver`` are the one dispatch of the CLI's ``solve``
+and of the benchmark, whose trials simulate a random scene, estimate paths, match
+them to the true targets inside per-axis gates, and sum errors over matched pairs.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,9 @@ from .errors import ConfigError, NumericError
 from .scene import (C_LIGHT, Measurement, Path, RadarConfig, Scene,
                     normalized_to_physical, physical_to_normalized, qpsk, simulate)
 
-ALGORITHMS = ("CS-ANL1", "CS-AN", "CS-L1", "2D-MUSIC")
+# Short receiver names of ``solve --algo`` and ``bench --algos``, in benchmark order.
+ALGO_KEYS = {"anl1": "CS-ANL1", "an": "CS-AN", "csl1": "CS-L1", "music": "2D-MUSIC"}
+ALGORITHMS = tuple(ALGO_KEYS.values())
 # Estimated paths at or below this speed are taken as clutter, not targets.
 CLUTTER_EXCLUSION_MPS = 3.0
 # Grid oversampling of the gridded baselines: MUSIC scans at the CS-L1
@@ -178,33 +181,46 @@ def gate_identification(estimate: extract.Estimate, truth: list[Path],
     return matched
 
 
-def run_algorithm(name: str, measurement: Measurement, config: RadarConfig,
-                  n_paths: int, *, an_max_iters: int = AN_MAX_ITERS) -> extract.Estimate:
-    """Dispatch one receiver on a measurement.
-
-    ``n_paths`` is the model order handed to MUSIC (the benchmark runs with
-    the true path count, as the accuracy protocol assumes).  The gridded
-    baselines share the 4x dictionary density the identification gates are
-    derived from; the dual-certificate receivers scan at the extractor's
-    default density and refine off-grid.
+def receiver_settings(name: str, measurement: Measurement, config: RadarConfig, n_paths,
+                      max_iters: int, grid_factor: int):
+    """Settings of receiver ``name``: ``max_iters`` caps the ADMM sweeps, and MUSIC runs at
+    order ``n_paths`` (``"auto"`` estimates it) on a ``grid_factor`` oversampled grid.
     """
     M, N = measurement.M, measurement.N
-    sigma = config.sigma
     if name in ("CS-ANL1", "CS-AN"):
-        lam, mu = admm.default_weights(sigma, M, N)
-        if name == "CS-AN":
-            mu = 0.0
-        solver = admm.SolverConfig(lam=lam, mu=mu, max_iters=an_max_iters)
-        solution = admm.solve(measurement, solver)
-        return extract.estimate_from_solution(solution, measurement, lam, mu)
+        lam, mu = admm.default_weights(config.sigma, M, N)
+        return admm.SolverConfig(lam=lam, mu=mu if name == "CS-ANL1" else 0.0, max_iters=max_iters)
     if name == "CS-L1":
-        return baselines.csl1_estimate(measurement, baselines.default_csl1_config(M, N, sigma))
+        return baselines.default_csl1_config(M, N, config.sigma)
     if name == "2D-MUSIC":
-        k = min(n_paths, (M // 2) * (N // 2) - 1)
-        cfg = baselines.default_music_config(M, N, K_signal=k,
-                                             grid_factor=BASELINE_GRID_FACTOR)
-        return baselines.music_estimate(measurement, cfg)
+        return baselines.default_music_config(M, N, K_signal=n_paths, grid_factor=grid_factor)
     raise ConfigError(f"unknown algorithm {name!r} (choose from {ALGORITHMS})")
+
+
+def run_receiver(measurement: Measurement, settings):
+    """(Estimate, Solution or None, seconds per stage) of the receiver ``settings`` select."""
+    # Receivers are read from their modules per call, so a rebinding (a tracer's) is seen.
+    t0 = time.perf_counter()
+    if isinstance(settings, admm.SolverConfig):
+        solution = admm.solve(measurement, settings)
+        t1 = time.perf_counter()
+        estimate = extract.estimate_from_solution(solution, measurement, settings.lam, settings.mu)
+        return estimate, solution, {"solve": t1 - t0, "extract": time.perf_counter() - t1}
+    receiver = (baselines.csl1_estimate if isinstance(settings, baselines.CsL1Config)
+                else baselines.music_estimate)
+    estimate = receiver(measurement, settings)
+    return estimate, None, {"solve": time.perf_counter() - t0}
+
+
+def run_algorithm(name: str, measurement: Measurement, config: RadarConfig,
+                  n_paths: int, *, an_max_iters: int = AN_MAX_ITERS) -> extract.Estimate:
+    """One receiver's estimate under the benchmark protocol: the dual receivers stop at
+    ``an_max_iters`` sweeps; MUSIC scans the gates' 4x grid at the true path count,
+    capped below its subarray size.
+    """
+    k = min(n_paths, (measurement.M // 2) * (measurement.N // 2) - 1)
+    settings = receiver_settings(name, measurement, config, k, an_max_iters, BASELINE_GRID_FACTOR)
+    return run_receiver(measurement, settings)[0]
 
 
 @dataclass

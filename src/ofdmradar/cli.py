@@ -5,6 +5,10 @@ measurement JSON), ``solve`` (measurement -> solution/estimate JSON),
 ``spectrum`` (solution or measurement -> grid CSV), ``bench`` (RMSE sweep ->
 CSV/JSON report).  Exit codes: 0 success, 2 configuration error, 3 numerical
 error.
+
+``solve`` runs :mod:`bench`'s dispatch at 2000 ADMM sweeps, and MUSIC on a 16x grid at
+an estimated order.  ``--lambda``/``--rho``/``--iters`` go to ``anl1`` and ``an``,
+``--mu`` to ``anl1``, ``--music-k`` to ``music``; others reject all but ``--iters``.
 """
 
 from __future__ import annotations
@@ -13,16 +17,12 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 from pathlib import Path as FilePath
 
 import numpy as np
 
 from . import admm, baselines, bench, extract, serialize
 from .errors import ConfigError, NumericError
-
-# Short receiver names of ``solve --algo`` and ``bench --algos``.
-ALGO_KEYS = {"anl1": "CS-ANL1", "an": "CS-AN", "csl1": "CS-L1", "music": "2D-MUSIC"}
 
 
 def _write(text: str, out: str | None, quiet: bool):
@@ -107,42 +107,30 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _solve_dual(measurement, config, algo, args):
-    lam, mu = admm.default_weights(config.sigma, measurement.M, measurement.N)
-    if algo == "an":
-        mu = 0.0
-    solver = admm.SolverConfig(lam=lam if args.lam is None else args.lam,
-                               mu=mu if args.mu is None else args.mu,
-                               rho=args.rho, max_iters=args.iters)
-    t0 = time.perf_counter()
-    solution = admm.solve(measurement, solver)
-    t1 = time.perf_counter()
-    estimate = extract.estimate_from_solution(solution, measurement, solver.lam, solver.mu)
-    t2 = time.perf_counter()
-    timing = {"solve": t1 - t0, "extract": t2 - t1}
-    doc = serialize.solution_to_dict(solution, measurement, solver, estimate,
-                                     algo=algo, config=config, timing=timing)
-    return doc, estimate
-
-
 def cmd_solve(args) -> int:
     _, (measurement, config, _) = _read_input(
         args.input, {"measurement": serialize.measurement_from_dict})
-    M, N = measurement.M, measurement.N
-    if args.algo in ("anl1", "an"):
-        doc, estimate = _solve_dual(measurement, config, args.algo, args)
+    k = "auto" if args.music_k is None else args.music_k
+    settings = bench.receiver_settings(bench.ALGO_KEYS[args.algo], measurement, config, k,
+                                       args.iters, extract.GRID_FACTOR)
+    dual = isinstance(settings, admm.SolverConfig)
+    # CS-AN fixes mu = 0, so only CS-ANL1 reads --mu.
+    for flag, value, read in (("--lambda", args.lam, dual), ("--rho", args.rho, dual),
+                              ("--mu", args.mu, dual and settings.mu > 0),
+                              ("--music-k", args.music_k,
+                               isinstance(settings, baselines.MusicConfig))):
+        if value is not None and not read:
+            raise ConfigError(f"{flag} is not read by --algo {args.algo}")
+    weights = {"lam": args.lam, "mu": args.mu, "rho": args.rho}
+    settings = dataclasses.replace(settings, **{k: v for k, v in weights.items() if v is not None})
+    estimate, solution, timing = bench.run_receiver(measurement, settings)
+    if solution is not None:
+        doc = serialize.solution_to_dict(solution, measurement, settings, estimate,
+                                         algo=args.algo, config=config, timing=timing)
     else:
-        if args.algo == "csl1":
-            cfg = baselines.default_csl1_config(M, N, config.sigma)
-            receiver, extra = baselines.csl1_estimate, {"gamma": cfg.gamma}
-        else:
-            k = args.music_k if args.music_k is not None else "auto"
-            cfg = baselines.default_music_config(M, N, K_signal=k)
-            receiver, extra = baselines.music_estimate, {}
-        t0 = time.perf_counter()
-        estimate = receiver(measurement, cfg)
-        doc = {"kind": "estimate", "algo": args.algo, "M": M, "N": N, **extra,
-               "timing_s": {"solve": time.perf_counter() - t0},
+        extra = {"gamma": settings.gamma} if isinstance(settings, baselines.CsL1Config) else {}
+        doc = {"kind": "estimate", "algo": args.algo, "M": measurement.M, "N": measurement.N,
+               **extra, "timing_s": timing,
                "estimate": serialize.estimate_to_dict(estimate, config)}
     text = (serialize.estimate_to_csv(estimate, config) if args.format == "csv"
             else serialize.dumps(doc))
@@ -174,7 +162,7 @@ def cmd_spectrum(args) -> int:
 def cmd_bench(args) -> int:
     spec = _load_spec(args)
     bers = _parse_list(args.ber, float, "--ber") if args.ber else [spec.ber]
-    algos = _parse_list(args.algos, ALGO_KEYS.__getitem__, "--algos")
+    algos = _parse_list(args.algos, bench.ALGO_KEYS.__getitem__, "--algos")
     progress = None
     if not args.quiet:
         def progress(rec):
@@ -222,12 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", parents=[common, formatted],
                        help="estimate paths from a measurement file")
     p.add_argument("--input", required=True, help="measurement JSON file")
-    p.add_argument("--algo", required=True, choices=tuple(ALGO_KEYS))
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--rho", type=float, default=0.05)
-    p.add_argument("--iters", type=int, default=2000)
-    p.add_argument("--music-k", type=int, default=None)
+    p.add_argument("--algo", required=True, choices=tuple(bench.ALGO_KEYS))
+    p.add_argument("--lambda", dest="lam", type=float, default=None, help="anl1, an: weight")
+    p.add_argument("--mu", type=float, default=None, help="anl1: l1 error weight")
+    p.add_argument("--rho", type=float, default=None, help="anl1, an: ADMM penalty (0.05)")
+    p.add_argument("--iters", type=int, default=2000, help="anl1, an: ADMM sweep cap")
+    p.add_argument("--music-k", type=int, default=None, help="music: model order (estimated)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("spectrum", parents=[common],
@@ -242,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the RMSE benchmark sweep")
     p.add_argument("--ber", default=None, help="comma-separated BER list")
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--algos", default=",".join(ALGO_KEYS))
+    p.add_argument("--algos", default=",".join(bench.ALGO_KEYS))
     p.add_argument("--iters", type=int, default=bench.AN_MAX_ITERS, help="ADMM iteration cap")
     p.add_argument("--trials-out", default=None, help="per-trial raw CSV path")
     p.set_defaults(func=cmd_bench)

@@ -63,11 +63,6 @@ def _dual_matrix(nu: np.ndarray, M: int, N: int) -> np.ndarray:
     return np.asarray(nu).reshape(M, N, order="F")
 
 
-def dual_polynomial(nu: np.ndarray, phi: float, psi: float, M: int, N: int) -> complex:
-    """Evaluate Q(phi, psi) = sum_j nu_j * conj(atom_j(phi, psi))."""
-    return complex(np.vdot(atom(phi, psi, M, N), nu))
-
-
 @lru_cache(maxsize=8)
 def _dft_factors(M: int, N: int, grid_phi: int, grid_psi: int):
     """Read-only DFT factors (B, G, B^H, G^H): Q on the grid is B V G.

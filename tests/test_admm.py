@@ -5,12 +5,18 @@ import numpy as np
 import pytest
 
 from ofdmradar import (ConfigError, NumericError, Path, Scene, SolverConfig,
-                       default_weights, generate_symbols, measure, objective_dual,
+                       default_weights, generate_symbols, measure,
                        objective_primal, optimality_residuals, qpsk, simulate, solve,
                        synthesize_clean)
 from ofdmradar.admm import atomic_norm_sdp_value
 from ofdmradar.operators import adjoint_normalized, block_toeplitz, soft_threshold, symmetrize_param
 from conftest import small_config
+
+
+def objective_dual(nu, measurement, config):
+    """Dual objective oracle: <inv(S^H) nu, r>_R - ||inv(S^H) nu||^2 / 2."""
+    x = nu / np.conj(measurement.s_tilde)
+    return float(np.vdot(measurement.r_bar, x).real) - 0.5 * float(np.vdot(x, x).real)
 
 
 def make_instance(M=4, N=4, K=1, seed=0, noise_power_db=-20.0, ber=0.0):

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ofdmradar import (ConfigError, Path, gate_identification, gates, normalized_to_physical,
-                       physical_to_normalized, preset, simulate_trial)
+from ofdmradar import (ConfigError, Path, admm, baselines, bench, extract, gate_identification,
+                       gates, normalized_to_physical, physical_to_normalized, preset,
+                       simulate_trial)
 from ofdmradar.extract import Estimate
 
 
@@ -73,3 +74,45 @@ class TestGateIdentification:
         # Nearest first: estimate 2 takes target 0; estimate 0 is then the
         # nearest left for target 1, and estimate 1 matches nothing.
         assert match(truth, estimates) == [(0, 2), (1, 0)]
+
+
+def written_out_dispatch(name, measurement, config, n_paths):
+    """The benchmark protocol spelled out: 600 ADMM sweeps, MUSIC at min(K, 15) on a 4x grid."""
+    M, N = measurement.M, measurement.N
+    if name in ("CS-ANL1", "CS-AN"):
+        lam, mu = admm.default_weights(config.sigma, M, N)
+        if name == "CS-AN":
+            mu = 0.0
+        solution = admm.solve(measurement, admm.SolverConfig(lam=lam, mu=mu, max_iters=600))
+        return extract.estimate_from_solution(solution, measurement, lam, mu)
+    if name == "CS-L1":
+        return baselines.csl1_estimate(measurement,
+                                       baselines.default_csl1_config(M, N, config.sigma))
+    cfg = baselines.default_music_config(M, N, K_signal=min(n_paths, 15), grid_factor=4)
+    return baselines.music_estimate(measurement, cfg)
+
+
+class TestRunAlgorithm:
+    SPEC = dataclasses.replace(
+        preset("rmse1"), config=dataclasses.replace(preset("rmse1").config, M=8, N=8))
+
+    @pytest.mark.parametrize("name, n_paths", [("CS-ANL1", 9), ("CS-AN", 9), ("CS-L1", 9),
+                                               ("2D-MUSIC", 9), ("2D-MUSIC", 40)])
+    def test_equals_the_written_out_dispatch(self, name, n_paths):
+        _, measurement = simulate_trial(self.SPEC, 1e-2, 0)
+        got = bench.run_algorithm(name, measurement, self.SPEC.config, n_paths)
+        assert got.paths
+        assert got == written_out_dispatch(name, measurement, self.SPEC.config, n_paths)
+
+    def test_unknown_name_is_a_config_error(self):
+        _, measurement = simulate_trial(self.SPEC, 1e-2, 0)
+        with pytest.raises(ConfigError, match="unknown algorithm"):
+            bench.run_algorithm("CS-XYZ", measurement, self.SPEC.config, 3)
+
+    def test_iteration_cap_reaches_the_dual_receivers_only(self):
+        _, measurement = simulate_trial(self.SPEC, 1e-2, 0)
+        caps = {name: bench.receiver_settings(name, measurement, self.SPEC.config, 3, 7,
+                                              4).max_iters
+                for name in ("CS-ANL1", "CS-AN", "CS-L1")}
+        assert caps == {"CS-ANL1": 7, "CS-AN": 7,
+                        "CS-L1": baselines.default_csl1_config(8, 8, 1.0).max_iters}

@@ -1,11 +1,14 @@
 import csv
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
-from ofdmradar import baselines, serialize
-from ofdmradar.cli import ALGO_KEYS, build_parser, main
+from ofdmradar import admm, baselines, extract, serialize
+from ofdmradar.bench import ALGO_KEYS
+from ofdmradar.cli import build_parser, main
 
 
 def simulate_file(tmp_path):
@@ -98,6 +101,40 @@ class TestSolve:
         meas_path.write_text(json.dumps(doc))
         assert main(["solve", "--input", str(meas_path), "--algo", algo, "--quiet"]) == 2
         assert "noise_power_db" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("algo", ["anl1", "an"])
+    def test_dual_json_is_the_receivers_solution(self, tmp_path, algo):
+        meas_path = simulate_8x8_file(tmp_path)
+        out = tmp_path / "sol.json"
+        assert main(["solve", "--input", str(meas_path), "--algo", algo, "--iters", "50",
+                     "--out", str(out), "--quiet"]) == 0
+        doc = json.loads(out.read_text())
+        measurement, config, _ = serialize.measurement_from_dict(
+            json.loads(meas_path.read_text()))
+        lam, mu = admm.default_weights(config.sigma, 8, 8)
+        solver = admm.SolverConfig(lam=lam, mu=mu if algo == "anl1" else 0.0, rho=0.05,
+                                   max_iters=50)
+        solution = admm.solve(measurement, solver)
+        estimate = extract.estimate_from_solution(solution, measurement, solver.lam, solver.mu)
+        assert doc["solver"] == dataclasses.asdict(solver)
+        assert np.array_equal(serialize.deinterleave(doc["nu_hat"]), solution.nu_hat)
+        assert doc["estimate"] == json.loads(serialize.dumps(
+            serialize.estimate_to_dict(estimate, config)))
+
+    @pytest.mark.parametrize("algo, flag, value", [
+        ("an", "--mu", "0.05"), ("csl1", "--rho", "3"), ("csl1", "--lambda", "0.5"),
+        ("music", "--mu", "0.05"), ("music", "--rho", "3"), ("anl1", "--music-k", "3"),
+        ("an", "--music-k", "3"), ("csl1", "--music-k", "3")])
+    def test_flag_the_receiver_does_not_read_exits_2(self, tmp_path, capsys, algo, flag,
+                                                     value):
+        meas_path = simulate_8x8_file(tmp_path)
+        out = tmp_path / "est.json"
+        assert main(["solve", "--input", str(meas_path), "--algo", algo, flag, value,
+                     "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and flag in err[0] and algo in err[0]
+        assert not out.exists()
 
 
 class TestMalformedInput:

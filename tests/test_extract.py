@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 
 from ofdmradar import (ConfigError, DegenerateDictionaryError, Path, Scene,
-                       SolverConfig, atom, detect_error_support, dual_polynomial,
+                       SolverConfig, atom, detect_error_support,
                        dual_poly_grid, estimate_from_solution, generate_symbols,
                        locate_peaks, ls_amplitudes, measure, qpsk, refine_peak,
                        simulate, solve)
 from ofdmradar.extract import Estimate, _dft_factors, _same_cell, ranked_estimate
 from conftest import small_config
+
+
+def dual_polynomial(nu, phi, psi, M, N):
+    """Pointwise oracle: Q(phi, psi) = sum_j nu_j * conj(atom_j(phi, psi))."""
+    return complex(np.vdot(atom(phi, psi, M, N), nu))
 
 
 class TestDualPolynomial:

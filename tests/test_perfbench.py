@@ -66,3 +66,18 @@ def test_dual_8_trial_traces_one_operator_span_per_sweep(run):
     for name in ("operators.psd_project", "operators.adjoint_normalized",
                  "operators.block_toeplitz"):
         assert totals[name].calls == sweeps, name
+
+
+def test_baselines_16_traced_trial_sees_each_baseline_once(run):
+    # bench dispatches the baselines through their module attributes at call
+    # time, so the tracer's rebinding of them is what runs.
+    workload = run.workloads.WORKLOADS["baselines-16"]
+    spec = workload.spec()
+    trial = run.workloads.make_trial(workload, 1, 0)
+    tracer = run.tracing.Tracer()
+    with tracer.instrument(run.trace_targets()):
+        run.run_trial(workload, spec, trial, tracer)
+    totals = tracer.summarize()
+    assert totals["baselines.csl1_estimate"].calls == 1
+    assert totals["baselines.music_estimate"].calls == 1
+    assert totals["bench.run_algorithm"].calls == 2
