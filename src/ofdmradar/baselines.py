@@ -19,6 +19,10 @@ from .scene import Measurement
 
 # Per-axis oversampling of the default CS-L1 dictionary grid.
 CSL1_GRID_FACTOR = 4
+# CS-L1's ADMM: over-relaxation, penalty scale and iterations between gap checks.
+CSL1_RELAXATION = 1.8
+CSL1_PENALTY = 1.5
+CSL1_GAP_EVERY = 10
 
 
 @dataclass(frozen=True)
@@ -34,13 +38,18 @@ class MusicConfig:
 
 @dataclass(frozen=True)
 class CsL1Config:
-    """Dictionary grid sizes and l1 weight for the on-grid sparse fit."""
+    """Dictionary grid, l1 weight and stopping rule of the on-grid sparse fit.
+
+    :func:`csl1_estimate` stops once the relative duality gap at its iterate
+    is at most ``tol`` (a certificate that the objective is within ``tol`` of
+    the optimum, relatively), or after ``max_iters`` ADMM iterations.
+    """
 
     M_grid: int
     N_grid: int
     gamma: float
     max_iters: int = 4000
-    tol: float = 1e-10
+    tol: float = 1e-4
 
     def __post_init__(self):
         if self.M_grid < 1 or self.N_grid < 1:
@@ -158,74 +167,101 @@ def _synthesize(X: np.ndarray, M: int, N: int, M_grid: int, N_grid: int) -> np.n
     return (BH @ X.reshape(M_grid, N_grid, order="F") @ GH).ravel(order="F")
 
 
-def csl1_estimate(measurement: Measurement, config: CsL1Config) -> Estimate:
-    """Accelerated proximal-gradient solve of the on-grid l1 program.
+def _csl1_solve(measurement: Measurement, config: CsL1Config) -> tuple[np.ndarray, int, float]:
+    """Over-relaxed scaled ADMM on the split x = w of the on-grid l1 program.
 
-    Minimizes 0.5*||r - S C alpha||^2 + gamma*||alpha||_1 for the dictionary
-    C of :func:`csl1_dictionary`, applied by cached DFT factors: C x is
-    :func:`_synthesize` and C^H y is ``dual_poly_grid`` of y, on the (M_grid,
-    N_grid) lattice that holds the iterate.  The rows of C are orthogonal, so
-    L = M_grid * N_grid * max|s|^2 is exactly the largest eigenvalue of the
-    Gram matrix; the step is 1/(1.01 L).
-
-    Each iteration runs one synthesis, of x, and one adjoint.  The
-    extrapolated point is y = x + beta (x - x_prev), so C y is the same
-    combination of C x and C x_prev; C x itself is always synthesized, so
-    rounding does not accumulate.  Each step works in place in the adjoint's
-    output, and the l1 term sums the shrunk magnitudes max(|v| - gamma/L, 0)
-    that the threshold formed instead of taking |x| again.  Stops on relative
-    objective change below ``tol``.  Entries above 1e-3 of the largest
-    magnitude become paths at their grid frequencies.
+    Returns w on its (M_grid, N_grid) lattice, the iterations run and the
+    relative duality gap at w.  See :func:`csl1_estimate` for the iteration.
     """
     M, N = measurement.M, measurement.N
     Mg, Ng = config.M_grid, config.N_grid
-    s = measurement.s_tilde
-    r = measurement.r_bar
-    gamma = config.gamma
-
-    L = 1.01 * Mg * Ng * float(np.max(np.abs(s))) ** 2
-    # The step 1/L scales the M*N residual rather than the lattice-sized gradient.
-    s_conj_step = np.conj(s) / L
+    s, r, gamma = measurement.s_tilde, measurement.r_bar, config.gamma
+    s_conj = np.conj(s)
+    w = np.zeros((Mg, Ng), dtype=complex)
+    corr_max = float(np.abs(dual_poly_grid(s_conj * r, M, N, Mg, Ng)).max())
+    if corr_max <= gamma:
+        return w, 0, 0.0
+    if gamma == 0:
+        raise ConfigError("csl1_estimate needs gamma > 0")
+    rho = CSL1_PENALTY * Mg * Ng * gamma / corr_max
+    a = CSL1_RELAXATION
+    # alpha conj(s) D, with the x-step's Woodbury weights D = 1/(rho + M_grid N_grid |s|^2).
+    s_conj_weight = a * s_conj / (rho + Mg * Ng * np.abs(s) ** 2)
+    u, z = np.zeros((Mg, Ng), dtype=complex), np.empty((Mg, Ng), dtype=complex)
     mag, shrunk = np.empty((Mg, Ng)), np.empty((Mg, Ng))
-    x = np.zeros((Mg, Ng), dtype=complex)
-    Cx = np.zeros(M * N, dtype=complex)
-    y, Cy = x, Cx
-    tau = 1.0
-    obj_prev = 0.5 * float(np.vdot(r, r).real)
-    increases = 0
     with np.errstate(invalid="ignore"):
-        for _ in range(config.max_iters):
-            x_new = dual_poly_grid(s_conj_step * (s * Cy - r), M, N, Mg, Ng)
-            np.subtract(y, x_new, out=x_new)
-            _shrink(x_new, gamma / L, mag, shrunk)
-            Cx_new = _synthesize(x_new, M, N, Mg, Ng)
-            tau_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tau * tau))
-            beta = (tau - 1.0) / tau_new
-            y = x_new - x
-            y *= beta
-            y += x_new
-            Cy = Cx_new + beta * (Cx_new - Cx)
-            x, Cx, tau = x_new, Cx_new, tau_new
-
-            fit = s * Cx - r
-            obj = 0.5 * float(np.vdot(fit, fit).real) + gamma * float(shrunk.sum())
-            if not math.isfinite(obj):
-                raise NumericError("non-finite objective in proximal gradient")
-            if obj > obj_prev:
-                # Momentum overshoot: restart acceleration.  A restarted step is
-                # plain proximal descent, so repeated increases mean a bad step.
-                y, Cy, tau = x, Cx, 1.0
-                increases += 1
-                if increases > 10:
-                    raise NumericError("proximal gradient diverged (objective rose 10 steps in a row)")
-            else:
-                increases = 0
-                if abs(obj_prev - obj) <= config.tol * max(1.0, abs(obj)):
+        for it in range(1, config.max_iters + 1):
+            # The x-step at z = w - u is x = z + A^H D (r - A z); step is alpha (x - z).
+            np.subtract(w, u, out=z)
+            step = dual_poly_grid(s_conj_weight * (r - s * _synthesize(z, M, N, Mg, Ng)),
+                                  M, N, Mg, Ng)
+            # u + alpha x + (1 - alpha) w, which is w + (1 - alpha) u + step, into u;
+            # w = shrink(u) and u - w is the new u.
+            u *= 1.0 - a
+            u += w
+            u += step
+            np.copyto(w, u)
+            _shrink(w, gamma / rho, mag, shrunk)
+            u -= w
+            if it % CSL1_GAP_EVERY == 0 or it == config.max_iters:
+                gap = _csl1_gap(w, float(shrunk.sum()), measurement, config)
+                if gap <= config.tol:
                     break
-            obj_prev = obj
+    return w, it, gap
 
+
+def _csl1_gap(w: np.ndarray, l1: float, measurement: Measurement, config: CsL1Config) -> float:
+    """Relative duality gap (P(w) - D(nu)) / P(w) at w, whose l1 norm is ``l1``.
+
+    D(nu) = Re<r, nu> - ||nu||^2 / 2 is the lasso dual; nu is the residual
+    r - A w scaled into the dual's feasible set |C^H(conj(s) nu)| <= gamma.
+    """
+    M, N = measurement.M, measurement.N
+    s, r, gamma = measurement.s_tilde, measurement.r_bar, config.gamma
+    nu = r - s * _synthesize(w, M, N, config.M_grid, config.N_grid)
+    corr_max = float(np.abs(dual_poly_grid(np.conj(s) * nu, M, N, config.M_grid,
+                                           config.N_grid)).max())
+    theta = gamma / max(corr_max, gamma)
+    sq = float(np.vdot(nu, nu).real)
+    primal = 0.5 * sq + gamma * l1
+    dual = theta * float(np.vdot(r, nu).real) - 0.5 * theta * theta * sq
+    gap = (primal - dual) / primal
+    if not math.isfinite(gap):
+        raise NumericError("non-finite duality gap in CS-L1")
+    return gap
+
+
+def csl1_estimate(measurement: Measurement, config: CsL1Config) -> Estimate:
+    """ADMM solve of the on-grid l1 program, stopped on a duality-gap certificate.
+
+    Minimizes P(x) = 0.5*||r - A x||^2 + gamma*||x||_1 with A = diag(s) C for the
+    dictionary C of :func:`csl1_dictionary`, applied by cached DFT factors: C x
+    is :func:`_synthesize` and C^H y is ``dual_poly_grid`` of y, on the
+    (M_grid, N_grid) lattice that holds the iterate.
+
+    Scaled ADMM on the split x = w (Boyd et al. 2011, sections 6.4 and 3.4.3).
+    The rows of C are orthogonal, C C^H = M_grid N_grid I, so the x-step's
+    inverse has the exact Woodbury form (A^H A + rho I)^-1 v =
+    (v - A^H diag(1/(rho + M_grid N_grid |s|^2)) A v) / rho: each iteration runs
+    one synthesis and one adjoint.  The x-iterate is over-relaxed by
+    ``CSL1_RELAXATION`` (1.8), and w is its soft threshold at gamma/rho.  The
+    penalty rho = ``CSL1_PENALTY`` * M_grid N_grid gamma / ||C^H(conj(s) r)||_inf
+    makes the iteration homogeneous in the data scale: scaling r and gamma by
+    k scales every iterate by k.  If ||C^H(conj(s) r)||_inf <= gamma, x = 0 is
+    optimal and no iteration runs.
+
+    Every ``CSL1_GAP_EVERY`` iterations and at ``max_iters`` the relative
+    duality gap (P(w) - D(nu)) / P(w) is taken at w, with the dual point nu the
+    residual r - A w scaled into |A^H nu| <= gamma.  The solve stops once it is
+    at most ``config.tol``: D(nu) bounds the optimum from below, so then P(w)
+    is within ``tol * P(w)`` of it.  ``gamma`` must be positive unless r = 0.
+    Entries of w above 1e-3 of the largest magnitude become paths at
+    their grid frequencies.
+    """
+    w = _csl1_solve(measurement, config)[0]
+    Mg, Ng = config.M_grid, config.N_grid
     # Column-major flat index l = q*Mg + p, the dictionary's column order.
-    x = x.ravel(order="F")
+    x = w.ravel(order="F")
     mags = np.abs(x)
     sel = np.flatnonzero(mags > 1e-3 * float(mags.max(initial=0.0)))
     freqs = [(int(l % Mg) / Mg, int(l // Mg) / Ng) for l in sel]

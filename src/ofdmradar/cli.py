@@ -6,9 +6,9 @@ measurement JSON), ``solve`` (measurement -> solution/estimate JSON),
 CSV/JSON report).  Exit codes: 0 success, 2 configuration error, 3 numerical
 error.
 
-``solve`` runs :mod:`bench`'s dispatch at 2000 ADMM sweeps, and MUSIC on a 16x grid at
-an estimated order.  ``--lambda``/``--rho``/``--iters`` go to ``anl1`` and ``an``,
-``--mu`` to ``anl1``, ``--music-k`` to ``music``; others reject all but ``--iters``.
+``solve`` runs :mod:`bench`'s dispatch at ``SOLVE_MAX_ITERS`` ADMM sweeps, and MUSIC on a
+16x grid at an estimated order.  ``--lambda``/``--rho``/``--iters`` go to ``anl1`` and
+``an``, ``--mu`` to ``anl1``, ``--music-k`` to ``music``; a receiver rejects the others.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ import numpy as np
 
 from . import admm, baselines, bench, extract, serialize
 from .errors import ConfigError, NumericError
+
+# ``solve``'s ADMM sweep cap when ``--iters`` is not given.
+SOLVE_MAX_ITERS = 2000
 
 
 def _write(text: str, out: str | None, quiet: bool):
@@ -111,11 +114,13 @@ def cmd_solve(args) -> int:
     _, (measurement, config, _) = _read_input(
         args.input, {"measurement": serialize.measurement_from_dict})
     k = "auto" if args.music_k is None else args.music_k
+    iters = SOLVE_MAX_ITERS if args.iters is None else args.iters
     settings = bench.receiver_settings(bench.ALGO_KEYS[args.algo], measurement, config, k,
-                                       args.iters, extract.GRID_FACTOR)
+                                       iters, extract.GRID_FACTOR)
     dual = isinstance(settings, admm.SolverConfig)
     # CS-AN fixes mu = 0, so only CS-ANL1 reads --mu.
     for flag, value, read in (("--lambda", args.lam, dual), ("--rho", args.rho, dual),
+                              ("--iters", args.iters, dual),
                               ("--mu", args.mu, dual and settings.mu > 0),
                               ("--music-k", args.music_k,
                                isinstance(settings, baselines.MusicConfig))):
@@ -143,6 +148,8 @@ def cmd_spectrum(args) -> int:
                                             "measurement": serialize.measurement_from_dict})
     if kind == "solution":
         M, N, nu = parsed
+        if args.music_k is not None:
+            raise ConfigError("--music-k is not read for a solution input")
     else:
         measurement = parsed[0]
         M, N = measurement.M, measurement.N
@@ -214,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="anl1, an: weight")
     p.add_argument("--mu", type=float, default=None, help="anl1: l1 error weight")
     p.add_argument("--rho", type=float, default=None, help="anl1, an: ADMM penalty (0.05)")
-    p.add_argument("--iters", type=int, default=2000, help="anl1, an: ADMM sweep cap")
+    p.add_argument("--iters", type=int, default=None,
+                   help=f"anl1, an: ADMM sweep cap ({SOLVE_MAX_ITERS})")
     p.add_argument("--music-k", type=int, default=None, help="music: model order (estimated)")
     p.set_defaults(func=cmd_solve)
 
@@ -223,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="solution or measurement JSON file")
     p.add_argument("--grid-phi", type=int, default=None)
     p.add_argument("--grid-psi", type=int, default=None)
-    p.add_argument("--music-k", type=int, default=None)
+    p.add_argument("--music-k", type=int, default=None, help="measurement input: MUSIC order")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("bench", parents=[common, seeded, source, formatted],

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ from ofdmradar import (ConfigError, CsL1Config, MusicConfig, NumericError, Path,
                        Scene, csl1_estimate, default_csl1_config,
                        default_music_config, dual_poly_grid, music_estimate,
                        music_spectrum, qpsk, simulate, spatial_smooth)
-from ofdmradar.baselines import _synthesize, csl1_dictionary
+from ofdmradar.baselines import (CSL1_GAP_EVERY, CSL1_PENALTY, CSL1_RELAXATION, _csl1_solve,
+                                 _synthesize, csl1_dictionary)
 from ofdmradar.extract import _dft_factors
 from ofdmradar.operators import _shrink, soft_threshold
 from conftest import small_config
@@ -216,97 +218,18 @@ class TestCsL1:
                 if abs(p.phi - off[0]) < 3 / grid and abs(p.psi - off[1]) < 3 / grid]
         assert len(near) >= 2
 
-    @pytest.mark.parametrize("M, N", [(4, 4), (3, 5)])
-    def test_matches_two_synthesis_reference(self, M, N):
-        # Reference: the loop that synthesizes y for the gradient and x for
-        # the objective, on flat column-major iterates; it counts restarts.
-        def reference(meas, ccfg):
-            Mg, Ng = ccfg.M_grid, ccfg.N_grid
-            s, r, gamma = meas.s_tilde, meas.r_bar, ccfg.gamma
+    def test_large_gamma_runs_no_iteration(self):
+        cfg, scene, meas = noiseless_measurement(seed=10)
+        A = meas.s_tilde[:, None] * csl1_dictionary(8, 8, 16, 16)
+        g0 = np.abs(A.conj().T @ meas.r_bar).max()
+        ccfg = CsL1Config(M_grid=16, N_grid=16, gamma=(1 + 1e-9) * g0)
+        w, iterations, gap = _csl1_solve(meas, ccfg)
+        assert iterations == 0 and gap == 0.0 and not w.any()
 
-            def forward(v):
-                return s * _synthesize(v, M, N, Mg, Ng)
-
-            L = 1.01 * Mg * Ng * float(np.max(np.abs(s))) ** 2
-            x = y = np.zeros(Mg * Ng, dtype=complex)
-            tau, restarts = 1.0, 0
-            obj_prev = 0.5 * float(np.vdot(r, r).real)
-            for _ in range(ccfg.max_iters):
-                grad = dual_poly_grid(np.conj(s) * (forward(y) - r), M, N, Mg, Ng)
-                x_new = soft_threshold(y - grad.ravel(order="F") / L, gamma / L)
-                tau_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tau * tau))
-                y = x_new + ((tau - 1.0) / tau_new) * (x_new - x)
-                x, tau = x_new, tau_new
-                fit = forward(x) - r
-                obj = 0.5 * float(np.vdot(fit, fit).real) + gamma * float(np.sum(np.abs(x)))
-                if obj > obj_prev:
-                    y, tau = x, 1.0
-                    restarts += 1
-                elif abs(obj_prev - obj) <= ccfg.tol * max(1.0, abs(obj)):
-                    break
-                obj_prev = obj
-            return x, restarts
-
-        cfg = small_config(M, N, noise_power_db=-20.0)
-        scene = Scene(targets=(Path(1.0, 0.2, 0.3), Path(0.6, 0.55, 0.8)))
-        meas = simulate(scene, cfg, qpsk(), 0.0, 1)
-        ccfg = CsL1Config(4 * M, 4 * N, 0.01 * np.linalg.norm(meas.r_bar),
-                          max_iters=3000, tol=1e-12)
-        x, restarts = reference(meas, ccfg)
-        assert restarts > 0
-        mags = np.abs(x)
-        sel = np.flatnonzero(mags > 1e-3 * mags.max())
-        order = sel[np.argsort(-mags[sel])]
-        est = csl1_estimate(meas, ccfg)
-        assert [(p.phi, p.psi) for p in est.paths] == [
-            ((l % ccfg.M_grid) / ccfg.M_grid, (l // ccfg.M_grid) / ccfg.N_grid) for l in order]
-        np.testing.assert_allclose([p.alpha for p in est.paths], x[order], rtol=1e-10, atol=0)
-
-    def test_matches_zero_padded_fft_reference(self):
-        # Reference: the FISTA loop with C^H and C applied by zero-padded FFTs.
-        M = N = 8
-        cfg, meas = fixed_8x8_measurement()
-        ccfg = default_csl1_config(M, N, cfg.sigma)
-        Mg, Ng = ccfg.M_grid, ccfg.N_grid
-        s, r, gamma = meas.s_tilde, meas.r_bar, ccfg.gamma
-
-        def adjoint(y):
-            V = y.reshape(M, N, order="F")
-            return np.fft.fft(np.fft.ifft(V, n=Ng, axis=1) * Ng, n=Mg, axis=0)
-
-        def synthesize(X):
-            Y = np.fft.fft(np.fft.ifft(X, axis=0)[:M] * Mg, axis=1)[:, :N]
-            return Y.ravel(order="F")
-
-        L = 1.01 * Mg * Ng * float(np.max(np.abs(s))) ** 2
-        x = y = np.zeros((Mg, Ng), dtype=complex)
-        Cx = Cy = np.zeros(M * N, dtype=complex)
-        tau = 1.0
-        obj_prev = 0.5 * float(np.vdot(r, r).real)
-        for _ in range(ccfg.max_iters):
-            x_new = soft_threshold(y - adjoint(np.conj(s) / L * (s * Cy - r)), gamma / L)
-            Cx_new = synthesize(x_new)
-            tau_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tau * tau))
-            beta = (tau - 1.0) / tau_new
-            y, Cy = x_new + beta * (x_new - x), Cx_new + beta * (Cx_new - Cx)
-            x, Cx, tau = x_new, Cx_new, tau_new
-            fit = s * Cx - r
-            obj = 0.5 * float(np.vdot(fit, fit).real) + gamma * float(np.sum(np.abs(x)))
-            if obj > obj_prev:
-                y, Cy, tau = x, Cx, 1.0
-            elif abs(obj_prev - obj) <= ccfg.tol * max(1.0, abs(obj)):
-                break
-            obj_prev = obj
-
-        x = x.ravel(order="F")
-        mags = np.abs(x)
-        sel = np.flatnonzero(mags > 1e-3 * mags.max())
-        order = sel[np.argsort(-mags[sel])]
-        est = csl1_estimate(meas, ccfg)
-        assert len(order) > 1
-        assert [(p.phi, p.psi) for p in est.paths] == [
-            ((l % Mg) / Mg, (l // Mg) / Ng) for l in order]
-        np.testing.assert_allclose([p.alpha for p in est.paths], x[order], rtol=1e-9, atol=0)
+    def test_zero_gamma_rejected(self):
+        cfg, scene, meas = noiseless_measurement()
+        with pytest.raises(ConfigError, match="gamma"):
+            csl1_estimate(meas, CsL1Config(M_grid=32, N_grid=32, gamma=0.0))
 
     @pytest.mark.parametrize("field, value", [
         ("M_grid", 0), ("N_grid", 0), ("gamma", -0.1), ("gamma", math.nan),
@@ -334,10 +257,11 @@ class TestCsL1:
 
 
 def allocating_fista(meas, ccfg):
-    """Reference: the FISTA loop that allocates every lattice-sized step.
+    """Oracle: restarting FISTA on CS-L1's program, allocating every step.
 
-    It thresholds through ``soft_threshold`` and takes the l1 term as
-    sum |x|; it returns x on its lattice and the number of momentum restarts.
+    It thresholds through ``soft_threshold``, takes the l1 term as sum |x|,
+    stops on relative objective change below ``ccfg.tol`` and returns x on
+    its lattice.
     """
     M, N = meas.M, meas.N
     Mg, Ng = ccfg.M_grid, ccfg.N_grid
@@ -346,7 +270,7 @@ def allocating_fista(meas, ccfg):
     s_conj_step = np.conj(s) / L
     x = y = np.zeros((Mg, Ng), dtype=complex)
     Cx = Cy = np.zeros(M * N, dtype=complex)
-    tau, restarts = 1.0, 0
+    tau = 1.0
     obj_prev = 0.5 * float(np.vdot(r, r).real)
     for _ in range(ccfg.max_iters):
         step = dual_poly_grid(s_conj_step * (s * Cy - r), M, N, Mg, Ng)
@@ -361,11 +285,10 @@ def allocating_fista(meas, ccfg):
         obj = 0.5 * float(np.vdot(fit, fit).real) + gamma * float(np.sum(np.abs(x)))
         if obj > obj_prev:
             y, Cy, tau = x, Cx, 1.0
-            restarts += 1
         elif abs(obj_prev - obj) <= ccfg.tol * max(1.0, abs(obj)):
             break
         obj_prev = obj
-    return x, restarts
+    return x
 
 
 def fixed_8x8_measurement():
@@ -376,36 +299,121 @@ def fixed_8x8_measurement():
     return cfg, simulate(scene, cfg, qpsk(), 1e-2, 4)
 
 
-def restarting_8x8_measurement():
-    """An 8x8 scene whose FISTA run takes momentum restarts."""
-    cfg = small_config(8, 8, noise_power_db=-20.0)
+def two_target_measurement(M, N):
+    """Two targets at -20 dB noise, without demodulation errors."""
+    cfg = small_config(M, N, noise_power_db=-20.0)
     scene = Scene(targets=(Path(1.0, 0.2, 0.3), Path(0.6, 0.55, 0.8)))
     return cfg, simulate(scene, cfg, qpsk(), 0.0, 1)
 
 
-class TestCsL1InPlace:
-    """The in-place FISTA loop against the allocating one, and its kernel."""
+MEASUREMENTS = {
+    "fixed-8x8": fixed_8x8_measurement,
+    "two-target-8x8": lambda: two_target_measurement(8, 8),
+    "two-target-4x4": lambda: two_target_measurement(4, 4),
+    "two-target-3x5": lambda: two_target_measurement(3, 5),
+}
 
-    @pytest.mark.parametrize("make", [fixed_8x8_measurement, restarting_8x8_measurement])
-    def test_matches_allocating_reference(self, make):
-        cfg, meas = make()
-        ccfg = default_csl1_config(8, 8, cfg.sigma)
-        x, restarts = allocating_fista(meas, ccfg)
-        # Both scenes take the restart branch, where y aliases x.
-        assert restarts > 0
+
+def dense_gap(A, r, gamma, w):
+    """Relative duality gap (P - D) / P at w, the dual point r - A w scaled into |A^H nu| <= gamma."""
+    nu = r - A @ w
+    theta = min(1.0, gamma / np.abs(A.conj().T @ nu).max())
+    sq = np.vdot(nu, nu).real
+    primal = 0.5 * sq + gamma * np.abs(w).sum()
+    return (primal - (theta * np.vdot(r, nu).real - 0.5 * theta ** 2 * sq)) / primal
+
+
+def allocating_admm(meas, ccfg):
+    """Reference: over-relaxed scaled ADMM on x = w with the dense dictionary.
+
+    The x-step applies (A^H A + rho I)^-1 as an explicit Woodbury matrix.  It
+    returns w flat column-major, the iterations run and the gap at w.
+    """
+    Mg, Ng = ccfg.M_grid, ccfg.N_grid
+    s, r, gamma = meas.s_tilde, meas.r_bar, ccfg.gamma
+    A = s[:, None] * csl1_dictionary(meas.M, meas.N, Mg, Ng)
+    AH = A.conj().T
+    AHr = AH @ r
+    rho = CSL1_PENALTY * Mg * Ng * gamma / np.abs(AHr).max()
+    inverse = (np.eye(Mg * Ng) - AH @ (A / (rho + Mg * Ng * np.abs(s) ** 2)[:, None])) / rho
+    w = u = np.zeros(Mg * Ng, dtype=complex)
+    for it in range(1, ccfg.max_iters + 1):
+        x = inverse @ (AHr + rho * (w - u))
+        x_hat = CSL1_RELAXATION * x + (1 - CSL1_RELAXATION) * w
+        w = soft_threshold(x_hat + u, gamma / rho)
+        u = u + x_hat - w
+        if it % CSL1_GAP_EVERY == 0 or it == ccfg.max_iters:
+            gap = dense_gap(A, r, gamma, w)
+            if gap <= ccfg.tol:
+                break
+    return w, it, gap
+
+
+class TestCsL1InPlace:
+    """The in-place ADMM loop against allocating references, and its kernel."""
+
+    @pytest.mark.parametrize("case", MEASUREMENTS)
+    def test_matches_allocating_admm_reference(self, case):
+        cfg, meas = MEASUREMENTS[case]()
+        ccfg = default_csl1_config(meas.M, meas.N, cfg.sigma)
+        w, iterations, _ = allocating_admm(meas, ccfg)
+        assert iterations < ccfg.max_iters
+        assert _csl1_solve(meas, ccfg)[1] == iterations
         Mg, Ng = ccfg.M_grid, ccfg.N_grid
-        x = x.ravel(order="F")
-        mags = np.abs(x)
+        mags = np.abs(w)
         sel = np.flatnonzero(mags > 1e-3 * mags.max())
         order = sel[np.argsort(-mags[sel])]
         est = csl1_estimate(meas, ccfg)
         assert len(order) > 1
         assert [(p.phi, p.psi) for p in est.paths] == [
             ((l % Mg) / Mg, (l // Mg) / Ng) for l in order]
-        assert np.array_equal([p.alpha for p in est.paths], x[order])
+        np.testing.assert_allclose([p.alpha for p in est.paths], w[order], rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("case", ["fixed-8x8", "two-target-8x8"])
+    def test_objective_at_most_fistas(self, case):
+        cfg, meas = MEASUREMENTS[case]()
+        ccfg = default_csl1_config(8, 8, cfg.sigma)
+        A = meas.s_tilde[:, None] * csl1_dictionary(8, 8, ccfg.M_grid, ccfg.N_grid)
+
+        def objective(x):
+            fit = meas.r_bar - A @ x.ravel(order="F")
+            return 0.5 * np.vdot(fit, fit).real + ccfg.gamma * np.abs(x).sum()
+
+        # A vanishing tol switches FISTA's relative-change stop off: it runs to its cap.
+        capped = dataclasses.replace(ccfg, tol=1e-300)
+        fista = objective(allocating_fista(meas, capped))
+        # The certified solve is within its gap of the optimum, which FISTA's value bounds.
+        w, _, gap = _csl1_solve(meas, ccfg)
+        assert 0 < gap <= ccfg.tol
+        assert objective(w) - fista <= gap * objective(w)
+        # With FISTA's iteration budget, ADMM ends no higher.
+        assert objective(_csl1_solve(meas, capped)[0]) <= fista
+
+    @pytest.mark.parametrize("case", MEASUREMENTS)
+    @pytest.mark.parametrize("tol", [1e-4, 1e-7])
+    def test_gap_certificate(self, case, tol):
+        cfg, meas = MEASUREMENTS[case]()
+        ccfg = dataclasses.replace(default_csl1_config(meas.M, meas.N, cfg.sigma), tol=tol)
+        w, iterations, gap = _csl1_solve(meas, ccfg)
+        assert iterations < ccfg.max_iters
+        A = meas.s_tilde[:, None] * csl1_dictionary(meas.M, meas.N, ccfg.M_grid, ccfg.N_grid)
+        dense = dense_gap(A, meas.r_bar, ccfg.gamma, w.ravel(order="F"))
+        assert dense <= tol
+        assert dense == pytest.approx(gap, rel=1e-6)
+
+    @pytest.mark.parametrize("k", [1e-3, 37.0])
+    def test_scale_equivariant(self, k):
+        cfg, meas = fixed_8x8_measurement()
+        est = csl1_estimate(meas, default_csl1_config(8, 8, cfg.sigma))
+        scaled = csl1_estimate(dataclasses.replace(meas, r_bar=k * meas.r_bar),
+                               default_csl1_config(8, 8, k * cfg.sigma))
+        assert len(est.paths) > 1
+        assert [(p.phi, p.psi) for p in scaled.paths] == [(p.phi, p.psi) for p in est.paths]
+        np.testing.assert_allclose([p.alpha for p in scaled.paths],
+                                   [k * p.alpha for p in est.paths], rtol=1e-9, atol=0)
 
     def test_repeatable_and_leaves_input_unmutated(self):
-        cfg, meas = restarting_8x8_measurement()
+        cfg, meas = two_target_measurement(8, 8)
         r_bar, S_hat = meas.r_bar.copy(), meas.S_hat.copy()
         ccfg = default_csl1_config(8, 8, cfg.sigma)
         first = csl1_estimate(meas, ccfg)

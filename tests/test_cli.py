@@ -8,7 +8,7 @@ import pytest
 
 from ofdmradar import admm, baselines, extract, serialize
 from ofdmradar.bench import ALGO_KEYS
-from ofdmradar.cli import build_parser, main
+from ofdmradar.cli import SOLVE_MAX_ITERS, build_parser, main
 
 
 def simulate_file(tmp_path):
@@ -125,7 +125,8 @@ class TestSolve:
     @pytest.mark.parametrize("algo, flag, value", [
         ("an", "--mu", "0.05"), ("csl1", "--rho", "3"), ("csl1", "--lambda", "0.5"),
         ("music", "--mu", "0.05"), ("music", "--rho", "3"), ("anl1", "--music-k", "3"),
-        ("an", "--music-k", "3"), ("csl1", "--music-k", "3")])
+        ("an", "--music-k", "3"), ("csl1", "--music-k", "3"), ("csl1", "--iters", "5"),
+        ("music", "--iters", "5")])
     def test_flag_the_receiver_does_not_read_exits_2(self, tmp_path, capsys, algo, flag,
                                                      value):
         meas_path = simulate_8x8_file(tmp_path)
@@ -135,6 +136,13 @@ class TestSolve:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and flag in err[0] and algo in err[0]
         assert not out.exists()
+
+    def test_dual_solve_without_iters_runs_at_the_named_cap(self, tmp_path):
+        meas_path = simulate_8x8_file(tmp_path)
+        out = tmp_path / "sol.json"
+        assert main(["solve", "--input", str(meas_path), "--algo", "an",
+                     "--out", str(out), "--quiet"]) == 0
+        assert json.loads(out.read_text())["solver"]["max_iters"] == SOLVE_MAX_ITERS
 
 
 class TestMalformedInput:
@@ -181,6 +189,20 @@ class TestSpectrum:
                      "--quiet"]) == 0
         rows = out.read_text().splitlines()
         assert (len(rows), len(rows[0].split(","))) == shape
+
+    def test_music_k_with_a_solution_input_exits_2(self, tmp_path, capsys):
+        path = simulate_8x8_file(tmp_path)
+        sol_path, out = tmp_path / "sol.json", tmp_path / "grid.csv"
+        assert main(["solve", "--input", str(path), "--algo", "an", "--iters", "5",
+                     "--out", str(sol_path), "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["spectrum", "--input", str(sol_path), "--music-k", "3",
+                     "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--music-k" in err[0]
+        assert not out.exists()
+        assert main(["spectrum", "--input", str(path), "--music-k", "3",
+                     "--out", str(out), "--quiet"]) == 0
 
     @pytest.mark.parametrize("flag", ["--grid-phi", "--grid-psi"])
     def test_zero_grid_exits_2(self, tmp_path, flag):

@@ -1,4 +1,5 @@
-"""The benchmark harness's hold on the package: trace targets and two trial runs."""
+"""The benchmark harness's hold on the package: trace targets, trial runs and the
+baselines-16 CS-L1 certificate."""
 
 import importlib.util
 import math
@@ -50,6 +51,18 @@ def test_baselines_16_trial_runs_and_csl1_objective_is_finite(run):
     assert [o.failure for o in record.outcomes] == ["", ""]
     (csl1,) = [o for o in record.outcomes if o.receiver == "CS-L1"]
     assert math.isfinite(run.csl1_objective(csl1.estimate, trial.measurement, spec.config))
+
+
+def test_baselines_16_csl1_solve_certifies_before_its_cap(run):
+    workload = run.workloads.WORKLOADS["baselines-16"]
+    spec = workload.spec()
+    trial = run.workloads.make_trial(workload, 1, 0)
+    bench = run.bench
+    settings = bench.receiver_settings("CS-L1", trial.measurement, spec.config, trial.scene.K,
+                                       bench.AN_MAX_ITERS, bench.BASELINE_GRID_FACTOR)
+    _, iterations, gap = run.baselines._csl1_solve(trial.measurement, settings)
+    assert iterations < settings.max_iters
+    assert 0 < gap <= settings.tol
 
 
 def test_dual_8_trial_traces_one_operator_span_per_sweep(run):
