@@ -15,7 +15,7 @@ from .errors import ConfigError, NumericError
 from .extract import (Estimate, _dft_factors, dual_poly_grid, ls_amplitudes, ranked_estimate,
                       wrapped_local_maxima)
 from .operators import _shrink
-from .scene import Measurement
+from .scene import Measurement, steering
 
 # Per-axis oversampling of the default CS-L1 dictionary grid.
 CSL1_GRID_FACTOR = 4
@@ -148,14 +148,14 @@ def music_estimate(measurement: Measurement, config: MusicConfig) -> Estimate:
 def csl1_dictionary(M: int, N: int, M_grid: int, N_grid: int) -> np.ndarray:
     """Dense reference dictionary: atoms on the (p/M_grid, q/N_grid) lattice.
 
-    Column q*M_grid+p is the atom at that lattice point.  :func:`csl1_estimate`
+    Column q*M_grid+p is the atom at that lattice point: ``scene.atoms`` of the lattice, built
+    as the Kronecker product of the axis steering matrices.  :func:`csl1_estimate`
     applies this matrix and its adjoint as DFT-factor products without building it.
     """
     if M_grid < M or N_grid < N:
         raise ConfigError("dictionary grid must be at least as fine as the data")
-    B = np.exp(2j * np.pi * np.outer(np.arange(M), np.arange(M_grid) / M_grid))
-    Gc = np.exp(-2j * np.pi * np.outer(np.arange(N), np.arange(N_grid) / N_grid))
-    return np.kron(Gc, B)
+    return np.kron(steering(np.arange(N_grid) / N_grid, N).conj(),
+                   steering(np.arange(M_grid) / M_grid, M))
 
 
 def _synthesize(X: np.ndarray, M: int, N: int, M_grid: int, N_grid: int) -> np.ndarray:

@@ -9,6 +9,7 @@ error.
 ``solve`` runs :mod:`bench`'s dispatch at ``SOLVE_MAX_ITERS`` ADMM sweeps, and MUSIC on a
 16x grid at an estimated order.  ``--lambda``/``--rho``/``--iters`` go to ``anl1`` and
 ``an``, ``--mu`` to ``anl1``, ``--music-k`` to ``music``; a receiver rejects the others.
+``bench --iters`` likewise needs ``anl1`` or ``an`` among ``--algos``.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ def _read_input(path: str, parsers: dict):
 
 
 def _solution_dual(obj: dict):
-    return int(obj["M"]), int(obj["N"]), serialize.deinterleave(obj["nu_hat"])
+    M, N = serialize.whole_number(obj, "M"), serialize.whole_number(obj, "N")
+    return M, N, serialize.deinterleave(obj["nu_hat"])
 
 
 def _load_spec(args) -> bench.ScenarioSpec:
@@ -170,14 +172,16 @@ def cmd_bench(args) -> int:
     spec = _load_spec(args)
     bers = _parse_list(args.ber, float, "--ber") if args.ber else [spec.ber]
     algos = _parse_list(args.algos, bench.ALGO_KEYS.__getitem__, "--algos")
+    if args.iters is not None and not {"CS-ANL1", "CS-AN"} & set(algos):
+        raise ConfigError(f"--iters is not read by --algos {args.algos}")
     progress = None
     if not args.quiet:
         def progress(rec):
             status = "FAIL" if rec.failed else f"matched={rec.n_matched}"
             print(f"ber={rec.ber} {rec.algorithm} trial={rec.trial}: {status}",
                   file=sys.stderr)
-    report = bench.run_benchmark(spec, algos, bers, an_max_iters=args.iters,
-                                 progress=progress)
+    iters = bench.AN_MAX_ITERS if args.iters is None else args.iters
+    report = bench.run_benchmark(spec, algos, bers, an_max_iters=iters, progress=progress)
     text = (serialize.dumps(serialize.report_to_dict(report)) if args.format == "json"
             else serialize.report_to_csv(report))
     _write(text, args.out, args.quiet)
@@ -239,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ber", default=None, help="comma-separated BER list")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--algos", default=",".join(bench.ALGO_KEYS))
-    p.add_argument("--iters", type=int, default=bench.AN_MAX_ITERS, help="ADMM iteration cap")
+    p.add_argument("--iters", type=int, default=None,
+                   help=f"anl1, an: ADMM sweep cap ({bench.AN_MAX_ITERS})")
     p.add_argument("--trials-out", default=None, help="per-trial raw CSV path")
     p.set_defaults(func=cmd_bench)
     return parser

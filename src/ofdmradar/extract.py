@@ -3,9 +3,9 @@
 The dual vector of the denoising program defines a 2-D trigonometric
 polynomial ``Q(phi, psi) = <nu, atom(phi, psi)>`` whose magnitude touches the
 atomic-norm weight exactly at the recovered frequencies.  Peaks are found on
-an oversampled uniform grid (evaluated as a product with cached DFT factors)
-and refined by Newton ascent on |Q|^2; amplitudes then come from least
-squares against the detected atoms.
+an oversampled uniform grid (the DFT lattice, whose factors :func:`_dft_factors`
+owns) and refined by Newton ascent on |Q|^2 (``scene.steering`` owns the atom
+off the lattice); amplitudes come from least squares against ``scene.atoms``.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DegenerateDictionaryError
-from .scene import Path, atom
+from .scene import Path, atoms, steering
 
-TWO_PI = 2.0 * np.pi
 # Oversampling of the peak scan grid over the data dimensions.
 GRID_FACTOR = 16
 # Peaks count when |Q| reaches (1 - REL_THRESHOLD) * lam.
@@ -87,21 +86,14 @@ def dual_poly_grid(nu: np.ndarray, M: int, N: int, grid_phi: int,
     return B @ (_dual_matrix(nu, M, N) @ G)
 
 
-def _poly_derivs(V: np.ndarray, phi: float, psi: float):
-    """Q and its first/second partial derivatives at one point."""
+def _poly_derivs(V: np.ndarray, phi: float, psi: float) -> np.ndarray:
+    """Derivatives of Q = b(phi)^H V g(psi): T[i, j] = d^(i+j) Q / dphi^i dpsi^j, i, j <= 2."""
     M, N = V.shape
-    m = np.arange(M)
-    n = np.arange(N)
-    W = V * np.exp(-1j * TWO_PI * phi * m)[:, None] * np.exp(1j * TWO_PI * psi * n)[None, :]
-    cm = -1j * TWO_PI * m
-    cn = 1j * TWO_PI * n
-    Q = W.sum()
-    Qp = (cm[:, None] * W).sum()
-    Qs = (cn[None, :] * W).sum()
-    Qpp = ((cm ** 2)[:, None] * W).sum()
-    Qss = ((cn ** 2)[None, :] * W).sum()
-    Qps = (cm[:, None] * cn[None, :] * W).sum()
-    return Q, Qp, Qs, Qpp, Qss, Qps
+    b_g = steering([phi, psi], max(M, N))
+    slope = 2j * np.pi * np.arange(max(M, N))[:, None]
+    # D[i, :, 0] is the i-th derivative of b in phi, D[i, :, 1] that of g in psi.
+    D = np.stack([b_g, slope * b_g, slope * (slope * b_g)])
+    return D[:, :M, 0].conj() @ V @ D[:, :N, 1].T
 
 
 def refine_peak(nu: np.ndarray, phi: float, psi: float, M: int, N: int) -> Peak:
@@ -114,16 +106,15 @@ def refine_peak(nu: np.ndarray, phi: float, psi: float, M: int, N: int) -> Peak:
     V = _dual_matrix(nu, M, N)
 
     def value_grad_hess(p, s):
-        Q, Qp, Qs, Qpp, Qss, Qps = _poly_derivs(V, p, s)
-        F = abs(Q) ** 2
-        g = np.array([2.0 * (np.conj(Q) * Qp).real, 2.0 * (np.conj(Q) * Qs).real])
-        H = np.array([
-            [2.0 * (abs(Qp) ** 2 + (np.conj(Q) * Qpp).real),
-             2.0 * ((np.conj(Qp) * Qs).real + (np.conj(Q) * Qps).real)],
-            [2.0 * ((np.conj(Qp) * Qs).real + (np.conj(Q) * Qps).real),
-             2.0 * (abs(Qs) ** 2 + (np.conj(Q) * Qss).real)],
-        ])
-        return Q, F, g, H
+        # Q, its gradient J and Hessian; |Q|^2 has gradient 2 Re(conj(Q) J) and
+        # Hessian 2 Re(conj(J) J^T + conj(Q) Hess Q).
+        T = _poly_derivs(V, p, s)
+        Q = T[0, 0]
+        J = np.array([T[1, 0], T[0, 1]])
+        hess_Q = np.array([[T[2, 0], T[1, 1]], [T[1, 1], T[0, 2]]])
+        g = 2.0 * (np.conj(Q) * J).real
+        H = 2.0 * (np.outer(J.conj(), J) + np.conj(Q) * hess_Q).real
+        return Q, abs(Q) ** 2, g, H
 
     x = np.array([phi, psi], dtype=float)
     Q, F, g, H = value_grad_hess(*x)
@@ -139,6 +130,7 @@ def refine_peak(nu: np.ndarray, phi: float, psi: float, M: int, N: int) -> Peak:
         improved = False
         for _ in range(25):
             cand = (x + step) % 1.0
+            cand[cand == 1.0] = 0.0  # a tiny negative x + step wraps to 1.0
             Qc, Fc, gc, Hc = value_grad_hess(*cand)
             if Fc > F:
                 x, Q, F, g, H = cand, Qc, Fc, gc, Hc
@@ -224,7 +216,7 @@ def ls_amplitudes(r_bar: np.ndarray, s_tilde: np.ndarray, e_hat,
         raise ConfigError("freqs must be nonempty")
     if len(freqs) > M * N:
         raise ConfigError(f"cannot fit {len(freqs)} paths with {M * N} samples")
-    A = np.stack([s_tilde * atom(phi, psi, M, N) for phi, psi in freqs], axis=1)
+    A = s_tilde[:, None] * atoms(freqs, M, N)
     target = r_bar - (0 if e_hat is None else e_hat)
     alpha, _, _, svals = np.linalg.lstsq(A, target, rcond=None)
     cond = float("inf") if svals[-1] == 0 else float(svals[0] / svals[-1])

@@ -5,7 +5,8 @@ subcarriers (index n, delay axis).  A propagation path with complex amplitude
 ``alpha``, normalized Doppler ``phi`` and normalized delay ``psi`` contributes
 ``alpha * exp(i*(2*pi*m*phi - 2*pi*n*psi))`` to the clean signal ``z_m(n)``.
 Matrices are vectorized column-major, so vector index ``n*M + m`` holds entry
-(m, n); all steering/atom layouts follow that convention.
+(m, n).  :func:`steering` and :func:`atoms` own the atom at continuous
+frequencies; ``extract._dft_factors`` owns it on DFT lattices.
 """
 
 from __future__ import annotations
@@ -193,33 +194,25 @@ class Measurement:
         return self.S_hat.flatten(order="F")
 
 
-def steering_b(phi: float, M: int) -> np.ndarray:
-    """Doppler steering vector, element m = exp(i*2*pi*m*phi)."""
-    if not (0.0 <= phi < 1.0):
-        raise ConfigError(f"phi must be in [0, 1), got {phi}")
-    return np.exp(2j * np.pi * phi * np.arange(M))
+def steering(freqs, n: int) -> np.ndarray:
+    """n x K steering matrix of K frequencies in [0, 1): entry (j, k) is exp(i*2*pi*j*f_k)."""
+    f = np.asarray(freqs, dtype=float)
+    if not ((0.0 <= f) & (f < 1.0)).all():
+        raise ConfigError(f"frequencies must be in [0, 1), got {f}")
+    return np.exp(np.arange(n)[:, None] * (2j * np.pi * f))
 
 
-def steering_g(psi: float, N: int) -> np.ndarray:
-    """Delay steering vector, element n = exp(i*2*pi*n*psi)."""
-    if not (0.0 <= psi < 1.0):
-        raise ConfigError(f"psi must be in [0, 1), got {psi}")
-    return np.exp(2j * np.pi * psi * np.arange(N))
-
-
-def atom(phi: float, psi: float, M: int, N: int) -> np.ndarray:
-    """2-D sinusoid atom conj(g(psi)) kron b(phi); entry n*M+m = e^{i(2pi m phi - 2pi n psi)}."""
-    return np.kron(np.conj(steering_g(psi, N)), steering_b(phi, M))
+def atoms(freqs, M: int, N: int) -> np.ndarray:
+    """MN x K atoms of (phi, psi) pairs: column k is conj(steering(psi_k)) kron steering(phi_k)."""
+    phi, psi = np.asarray(freqs, dtype=float).reshape(-1, 2).T
+    return (steering(psi, N).conj()[:, None, :] * steering(phi, M)).reshape(M * N, -1)
 
 
 def synthesize_clean(scene: Scene, config: RadarConfig) -> np.ndarray:
     """Clean vectorized signal: sum of paths' atoms scaled by their amplitudes."""
-    M, N = config.M, config.N
     paths = scene.paths
-    alphas = np.array([p.alpha for p in paths])
-    B = np.stack([steering_b(p.phi, M) for p in paths], axis=1)
-    G = np.stack([steering_g(p.psi, N) for p in paths], axis=1)
-    Z = (B * alphas) @ G.conj().T
+    B = steering([p.phi for p in paths], config.M) * np.array([p.alpha for p in paths])
+    Z = B @ steering([p.psi for p in paths], config.N).conj().T
     return Z.flatten(order="F")
 
 

@@ -37,6 +37,14 @@ def deinterleave(values) -> np.ndarray:
     return arr[0::2] + 1j * arr[1::2]
 
 
+def whole_number(obj: dict, key: str) -> int:
+    """Integer field ``key``; a boolean, a non-number or a number that is not whole raises."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def config_to_dict(config: RadarConfig) -> dict:
     return {"M": config.M, "N": config.N, "delta_f_hz": config.delta_f,
             "T_s": config.T, "T_cp_s": config.T_cp, "T_bar_s": config.T_bar,
@@ -44,9 +52,9 @@ def config_to_dict(config: RadarConfig) -> dict:
 
 
 def config_from_dict(obj: dict) -> RadarConfig:
-    config = RadarConfig(M=int(obj["M"]), N=int(obj["N"]), delta_f=float(obj["delta_f_hz"]),
-                         T_cp=float(obj["T_cp_s"]), f_c=float(obj["f_c_hz"]),
-                         noise_power_db=float(obj["noise_power_db"]))
+    config = RadarConfig(M=whole_number(obj, "M"), N=whole_number(obj, "N"),
+                         delta_f=float(obj["delta_f_hz"]), T_cp=float(obj["T_cp_s"]),
+                         f_c=float(obj["f_c_hz"]), noise_power_db=float(obj["noise_power_db"]))
     if "T_s" in obj and not abs(config.delta_f * float(obj["T_s"]) - 1.0) <= 1e-12:
         raise ConfigError(f"T_s must equal 1/delta_f_hz, got {obj['T_s']}")
     if "T_bar_s" in obj and not abs(float(obj["T_bar_s"]) - config.T_bar) <= 1e-12 * config.T_bar:
@@ -107,7 +115,7 @@ def measurement_from_dict(obj: dict) -> tuple[Measurement, RadarConfig, Scene | 
 # A scenario-file value by its ScenarioSpec field's declared type (the bare
 # name for tuples): how it is written, where not as is, and how it is read.
 _SPEC_TO_JSON = {"RadarConfig": config_to_dict, "tuple": list}
-_SPEC_FROM_JSON = {"str": str, "int": int, "float": float, "RadarConfig": config_from_dict,
+_SPEC_FROM_JSON = {"str": str, "float": float, "RadarConfig": config_from_dict,
                    "tuple": lambda v: tuple(float(x) for x in v)}
 
 
@@ -124,7 +132,8 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
 
 def scenario_from_dict(obj: dict) -> ScenarioSpec:
     """Read the declared fields; a missing key takes the field's default."""
-    return ScenarioSpec(**{f.name: _SPEC_FROM_JSON[kind](obj[f.name]) for f, kind in _spec_fields()
+    return ScenarioSpec(**{f.name: whole_number(obj, f.name) if kind == "int"
+                           else _SPEC_FROM_JSON[kind](obj[f.name]) for f, kind in _spec_fields()
                            if f.name in obj or f.default is dataclasses.MISSING})
 
 

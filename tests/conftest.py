@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ofdmradar import Path, RadarConfig, Scene, symmetrize_param
+from ofdmradar import Path, RadarConfig, Scene, atoms, symmetrize_param
 
 
 @pytest.fixture
@@ -12,6 +12,11 @@ def rng():
 def small_config(M=8, N=8, noise_power_db=-20.0):
     return RadarConfig(M=M, N=N, delta_f=5e3, T_cp=1e-4, f_c=2e9,
                        noise_power_db=noise_power_db)
+
+
+def atom(phi, psi, M, N):
+    """The one atom at (phi, psi): column 0 of ``atoms``."""
+    return atoms([(phi, psi)], M, N)[:, 0]
 
 
 def random_consistent_param(rng, M, N):

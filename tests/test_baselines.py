@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ofdmradar import (ConfigError, CsL1Config, MusicConfig, NumericError, Path,
-                       Scene, csl1_estimate, default_csl1_config,
+                       Scene, atoms, csl1_estimate, default_csl1_config,
                        default_music_config, dual_poly_grid, music_estimate,
                        music_spectrum, qpsk, simulate, spatial_smooth)
 from ofdmradar.baselines import (CSL1_GAP_EVERY, CSL1_PENALTY, CSL1_RELAXATION, _csl1_solve,
@@ -133,6 +133,11 @@ class TestCsL1Operators:
         want = csl1_dictionary(M, N, Mg, Ng).conj().T @ y
         got = dual_poly_grid(y, M, N, Mg, Ng).ravel(order="F")
         assert np.allclose(got, want, rtol=0, atol=1e-12 * M * N)
+
+    @pytest.mark.parametrize("M, N, Mg, Ng", GRID_SIZES)
+    def test_dictionary_is_the_lattice_atoms(self, M, N, Mg, Ng):
+        lattice = [(p / Mg, q / Ng) for q in range(Ng) for p in range(Mg)]
+        assert np.array_equal(csl1_dictionary(M, N, Mg, Ng), atoms(lattice, M, N))
 
     @pytest.mark.parametrize("M, N, Mg, Ng", GRID_SIZES)
     def test_closed_form_lipschitz(self, rng, M, N, Mg, Ng):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ofdmradar import admm, baselines, extract, serialize
+from ofdmradar import admm, baselines, bench, extract, serialize
 from ofdmradar.bench import ALGO_KEYS
 from ofdmradar.cli import SOLVE_MAX_ITERS, build_parser, main
 
@@ -171,6 +171,41 @@ class TestMalformedInput:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and str(tmp_path) in err[0]
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("scenario", "M", 8.9), ("scenario", "trials", 2.7), ("scenario", "trials", True),
+        ("scenario", "n_targets", "3"), ("measurement", "N", 8.5),
+        ("measurement", "M", float("inf")), ("solution", "M", True)])
+    def test_integer_field_that_is_not_whole_exits_2(self, tmp_path, capsys, kind, field,
+                                                     value):
+        # Scenario and measurement files keep M and N under "config", solutions at the top.
+        if kind == "scenario":
+            path, argv = spec_8x8_file(tmp_path), ["simulate", "--spec"]
+        elif kind == "measurement":
+            path, argv = simulate_8x8_file(tmp_path), ["solve", "--algo", "music", "--input"]
+        else:
+            path, argv = tmp_path / "sol.json", ["spectrum", "--input"]
+            assert main(["solve", "--input", str(simulate_8x8_file(tmp_path)), "--algo", "an",
+                         "--iters", "5", "--out", str(path), "--quiet"]) == 0
+        doc = json.loads(path.read_text())
+        (doc if kind == "solution" or field not in ("M", "N") else doc["config"])[field] = value
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out.txt"
+        capsys.readouterr()
+        assert main([*argv, str(path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{field} must be a whole number" in err[0]
+        assert not out.exists()
+
+    def test_whole_float_is_read_as_an_integer(self, tmp_path):
+        spec_path = spec_8x8_file(tmp_path)
+        spec = json.loads(spec_path.read_text())
+        spec["config"]["M"], spec["trials"] = 8.0, 2.0
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "meas.json"
+        assert main(["simulate", "--spec", str(spec_path), "--out", str(out), "--quiet"]) == 0
+        assert json.loads(out.read_text())["config"]["M"] == 8
+        assert type(serialize.scenario_from_dict(spec).trials) is int
+
 
 class TestSpectrum:
     @pytest.mark.parametrize("kind", ["solution", "measurement"])
@@ -240,6 +275,30 @@ class TestBench:
             assert float(row["velocity_rmse_mps"]) == math.sqrt(sq_v / matched)
             assert float(row["identification_rate"]) == matched / (3 * len(used))
         assert rows[0] == rows[1]
+
+
+class TestBenchIters:
+    @pytest.mark.parametrize("algos", ["music", "csl1,music"])
+    def test_iters_without_a_dual_receiver_exits_2(self, tmp_path, capsys, algos):
+        out = tmp_path / "report.csv"
+        assert main(["bench", "--spec", str(spec_8x8_file(tmp_path)), "--algos", algos,
+                     "--iters", "5", "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--iters" in err[0] and algos in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, cap", [([], bench.AN_MAX_ITERS), (["--iters", "7"], 7)])
+    def test_iters_sets_the_dual_receivers_cap(self, tmp_path, monkeypatch, flags, cap):
+        seen = []
+
+        def run_benchmark(spec, algorithms, ber_list, *, an_max_iters, progress):
+            seen.append(an_max_iters)
+            return bench.RmseReport(spec=spec, algorithms=tuple(algorithms))
+
+        monkeypatch.setattr(bench, "run_benchmark", run_benchmark)
+        assert main(["bench", "--preset", "rmse1", "--algos", "an,music", *flags,
+                     "--out", str(tmp_path / "report.csv"), "--quiet"]) == 0
+        assert seen == [cap]
 
 
 class TestConfigRanges:

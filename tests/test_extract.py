@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from ofdmradar import (ConfigError, DegenerateDictionaryError, Path, Scene,
-                       SolverConfig, atom, detect_error_support,
+                       SolverConfig, atoms, detect_error_support,
                        dual_poly_grid, estimate_from_solution, generate_symbols,
                        locate_peaks, ls_amplitudes, measure, qpsk, refine_peak,
                        simulate, solve)
-from ofdmradar.extract import Estimate, _dft_factors, _same_cell, ranked_estimate
-from conftest import small_config
+from ofdmradar.extract import (Estimate, _dft_factors, _dual_matrix, _poly_derivs, _same_cell,
+                               ranked_estimate)
+from conftest import atom, small_config
 
 
 def dual_polynomial(nu, phi, psi, M, N):
@@ -65,6 +66,16 @@ class TestDualPolynomial:
         n, q = np.meshgrid(np.arange(N), np.arange(gq), indexing="ij")
         assert np.array_equal(G, G[1, (n * q) % gq])
 
+    @pytest.mark.parametrize("M, N, gp, gq", [(3, 5, 6, 10), (16, 16, 64, 48)])
+    def test_grid_is_the_lattice_atoms_adjoint(self, rng, M, N, gp, gq):
+        # The two owners of the atom's phases agree: the DFT factors of
+        # dual_poly_grid and atoms() at the lattice points, column q*gp + p.
+        nu = rng.normal(size=M * N) + 1j * rng.normal(size=M * N)
+        lattice = [(p / gp, q / gq) for q in range(gq) for p in range(gp)]
+        want = (atoms(lattice, M, N).conj().T @ nu).reshape(gp, gq, order="F")
+        got = dual_poly_grid(nu, M, N, gp, gq)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestLocatePeaks:
     def test_rank_one_certificate(self):
@@ -99,6 +110,46 @@ class TestLocatePeaks:
             locate_peaks(np.zeros(16), 0.0, 4, 4)
 
 
+def elementwise_poly_derivs(V, phi, psi):
+    """Oracle: Q and its first and second partial derivatives, term by term.
+
+    Returns (Q, Q_phi, Q_psi, Q_phiphi, Q_psipsi, Q_phipsi) and, for each, the
+    sum of its terms' magnitudes, the scale its rounding error is relative to.
+    """
+    M, N = V.shape
+    m = np.arange(M)
+    n = np.arange(N)
+    W = V * np.exp(-1j * 2 * np.pi * phi * m)[:, None] * np.exp(1j * 2 * np.pi * psi * n)[None, :]
+    cm = (-1j * 2 * np.pi * m)[:, None]
+    cn = (1j * 2 * np.pi * n)[None, :]
+    terms = [W, cm * W, cn * W, cm ** 2 * W, cn ** 2 * W, cm * cn * W]
+    return [t.sum() for t in terms], [np.abs(t).sum() for t in terms]
+
+
+class TestPolyDerivs:
+    # Entries of the derivative table in the oracle's order.
+    TABLE = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
+
+    @pytest.mark.parametrize("M, N", [(3, 5), (8, 8), (16, 16), (16, 64)])
+    def test_matches_elementwise_oracle(self, rng, M, N):
+        V = rng.normal(size=(M, N)) + 1j * rng.normal(size=(M, N))
+        for phi, psi in [(0.0, 0.0), (0.123, 0.987), (0.5, 0.25), *rng.uniform(size=(3, 2))]:
+            T = _poly_derivs(V, phi, psi)
+            want, scale = elementwise_poly_derivs(V, phi, psi)
+            for (i, j), w, s in zip(self.TABLE, want, scale):
+                assert abs(T[i, j] - w) <= 1e-12 * s
+
+    def test_value_is_the_grid_polynomial_on_the_lattice(self, rng):
+        M, N, gp, gq = 6, 10, 24, 40
+        nu = rng.normal(size=M * N) + 1j * rng.normal(size=M * N)
+        grid = dual_poly_grid(nu, M, N, gp, gq)
+        V = _dual_matrix(nu, M, N)
+        tol = 1e-12 * np.sum(np.abs(nu))
+        for p in (0, 1, 13, gp - 1):
+            for q in (0, 7, 20, gq - 1):
+                assert abs(_poly_derivs(V, p / gp, q / gq)[0, 0] - grid[p, q]) <= tol
+
+
 class TestRefinePeak:
     def test_converges_to_true_maximum(self):
         M = N = 6
@@ -107,6 +158,18 @@ class TestRefinePeak:
         pk = refine_peak(nu, 0.377 + 1 / (16 * M), 0.612 - 1 / (16 * N), M, N)
         assert pk.phi == pytest.approx(0.377, abs=1e-8)
         assert pk.psi == pytest.approx(0.612, abs=1e-8)
+
+    @pytest.mark.parametrize("psi", [0.25, 0.75, 0.95])
+    def test_peak_at_zero_frequency_stays_in_range(self, psi):
+        # At phi = 0 the phi-gradient is rounding noise, so Newton steps of
+        # about -1e-20 occur; wrapped by % 1.0 alone they land on 1.0.
+        M = N = 8
+        nu = atom(0.0, psi, M, N)
+        for offset in (-0.9, -0.5, 0.5, 0.9):
+            pk = refine_peak(nu, 0.0, psi + offset / (16 * N), M, N)
+            assert 0.0 <= pk.phi < 1.0 and 0.0 <= pk.psi < 1.0
+            assert min(pk.phi, 1.0 - pk.phi) < 1e-12
+            assert pk.psi == pytest.approx(psi, abs=1e-8)
 
 
 class TestErrorSupport:

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofdmradar import (C_LIGHT, ConfigError, Measurement, Path, RadarConfig, Scene,
-                       atom, bpsk, generate_symbols, inject_demod_errors, measure,
+                       atoms, bpsk, generate_symbols, inject_demod_errors, measure,
                        normalized_to_physical, physical_to_normalized, qpsk,
-                       steering_b, steering_g, synthesize_clean)
-from conftest import small_config
+                       steering, synthesize_clean)
+from conftest import atom, small_config
 
 
 class TestConfig:
@@ -73,27 +73,27 @@ class TestPath:
 
 class TestSteering:
     def test_zero_frequency(self):
-        assert np.allclose(steering_b(0.0, 4), np.ones(4))
-        assert np.allclose(steering_g(0.0, 3), np.ones(3))
+        assert np.allclose(steering([0.0], 4), np.ones((4, 1)))
+        assert np.allclose(steering([0.0, 0.0], 3), np.ones((3, 2)))
 
     def test_half_cycle(self):
-        assert np.allclose(steering_b(0.5, 2), [1, -1])
-        assert np.allclose(steering_g(0.5, 3), [1, -1, 1])
+        assert np.allclose(steering([0.5], 2)[:, 0], [1, -1])
+        assert np.allclose(steering([0.5], 3)[:, 0], [1, -1, 1])
 
     def test_roots_of_unity(self):
-        assert np.allclose(steering_b(0.25, 4), [1, 1j, -1, -1j])
         w = np.exp(2j * np.pi / 3)
-        assert np.allclose(steering_g(1 / 3, 3), [1, w, w ** 2])
+        S = steering([0.25, 1 / 3], 4)
+        assert np.allclose(S[:, 0], [1, 1j, -1, -1j])
+        assert np.allclose(S[:3, 1], [1, w, w ** 2])
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ConfigError):
-            steering_b(1.0, 4)
-        with pytest.raises(ConfigError):
-            steering_g(-0.1, 4)
+        for freqs in ([1.0], [-0.1], [0.2, 1.0], [np.nan]):
+            with pytest.raises(ConfigError, match=r"\[0, 1\)"):
+                steering(freqs, 4)
 
     @given(phi=st.floats(0, 1, exclude_max=True), m=st.integers(0, 7))
     def test_element_formula(self, phi, m):
-        vec = steering_b(phi, 8)
+        vec = steering([0.1, phi], 8)[:, 1]
         assert vec[m] == pytest.approx(np.exp(2j * np.pi * m * phi))
 
 
@@ -121,6 +121,20 @@ class TestAtom:
             for m in range(M):
                 want = np.exp(1j * (2 * np.pi * m * phi - 2 * np.pi * n * psi))
                 assert a[n * M + m] == pytest.approx(want)
+
+    def test_columns_match_double_loop(self, rng):
+        M, N = 5, 7
+        freqs = rng.uniform(size=(6, 2))
+        A = atoms(freqs, M, N)
+        assert A.shape == (M * N, 6)
+        for k, (phi, psi) in enumerate(freqs):
+            want = np.array([np.exp(1j * (2 * np.pi * m * phi - 2 * np.pi * n * psi))
+                             for n in range(N) for m in range(M)])
+            assert np.max(np.abs(A[:, k] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ConfigError):
+            atoms([(0.2, 0.3), (0.4, 1.0)], 3, 4)
 
 
 class TestSynthesize:
