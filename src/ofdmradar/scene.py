@@ -7,6 +7,10 @@ subcarriers (index n, delay axis).  A propagation path with complex amplitude
 Matrices are vectorized column-major, so vector index ``n*M + m`` holds entry
 (m, n).  :func:`steering` and :func:`atoms` own the atom at continuous
 frequencies; ``extract._dft_factors`` owns it on DFT lattices.
+
+A constellation is a plain array of unit-magnitude points whose index order
+carries the bit labels: point k has the Gray label k ^ (k >> 1).
+:func:`inject_demod_errors` flips label bits to make demodulation errors.
 """
 
 from __future__ import annotations
@@ -107,56 +111,16 @@ class Scene:
         return len(self.targets) + len(self.clutter)
 
 
-@dataclass(frozen=True)
-class Constellation:
-    """PSK constellation with a Gray bit labeling.
-
-    ``points[i]`` is the unit-magnitude symbol whose bit label is
-    ``labels[i]``; adjacent points differ in exactly one bit.
-    """
-
-    name: str
-    points: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=complex)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=int))
-        if not np.allclose(np.abs(pts), 1.0, atol=1e-12):
-            raise ConfigError(f"{self.name}: constellation points must have unit magnitude")
-
-    @property
-    def bits_per_symbol(self) -> int:
-        return self.labels.shape[1]
-
-    def indices_of(self, symbols: np.ndarray) -> np.ndarray:
-        """Map symbols back to constellation indices (exact match expected)."""
-        d = np.abs(symbols[..., None] - self.points)
-        idx = np.argmin(d, axis=-1)
-        if not np.allclose(np.take(self.points, idx), symbols, atol=1e-9):
-            raise ConfigError("symbols do not belong to the constellation")
-        return idx
-
-    def indices_from_bits(self, bits: np.ndarray) -> np.ndarray:
-        """Inverse of the bit labeling: bit rows -> point indices."""
-        nbits = self.bits_per_symbol
-        weights = 1 << np.arange(nbits - 1, -1, -1)
-        table = np.empty(1 << nbits, dtype=int)
-        table[self.labels @ weights] = np.arange(len(self.points))
-        return table[bits @ weights]
+def bpsk() -> np.ndarray:
+    """BPSK points 1, -1; point k has the Gray label k ^ (k >> 1), here 0, 1."""
+    return np.array([1.0 + 0j, -1.0 + 0j])
 
 
-def bpsk() -> Constellation:
-    return Constellation("BPSK", np.array([1.0 + 0j, -1.0 + 0j]),
-                         np.array([[0], [1]]))
+def qpsk() -> np.ndarray:
+    """QPSK points exp(i*(pi/4 + k*pi/2)); point k has the Gray label k ^ (k >> 1).
 
-
-def qpsk() -> Constellation:
-    # Gray order around the circle: 00, 01, 11, 10.
-    angles = np.pi / 4 + np.pi / 2 * np.arange(4)
-    return Constellation("QPSK", np.exp(1j * angles),
-                         np.array([[0, 0], [0, 1], [1, 1], [1, 0]]))
+    Around the circle the labels read 00, 01, 11, 10: neighbours differ in one bit."""
+    return np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))
 
 
 @dataclass(frozen=True)
@@ -216,30 +180,36 @@ def synthesize_clean(scene: Scene, config: RadarConfig) -> np.ndarray:
     return Z.flatten(order="F")
 
 
-def generate_symbols(config: RadarConfig, constellation: Constellation,
-                     seed) -> np.ndarray:
+def generate_symbols(config: RadarConfig, constellation: np.ndarray, seed) -> np.ndarray:
     """Draw an M x N matrix of i.i.d. uniform constellation symbols."""
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(constellation.points), size=(config.M, config.N))
-    return constellation.points[idx]
+    idx = rng.integers(0, len(constellation), size=(config.M, config.N))
+    return np.asarray(constellation)[idx]
 
 
-def inject_demod_errors(S: np.ndarray, ber: float, constellation: Constellation,
+def inject_demod_errors(S: np.ndarray, ber: float, constellation: np.ndarray,
                         seed) -> tuple[np.ndarray, np.ndarray]:
-    """Flip each Gray-mapped bit independently with probability ``ber``.
+    """Flip each bit of every symbol's Gray label independently with probability ``ber``.
 
-    Returns the corrupted symbol matrix and the boolean mask of symbols that
-    changed.
+    ``constellation`` is 2 or 4 unit-magnitude points labelled by index, as
+    :func:`bpsk` and :func:`qpsk` return them.  Returns the corrupted symbol
+    matrix and the boolean mask of symbols that changed.
     """
     if not (0.0 <= ber <= 0.5):
         raise ConfigError(f"ber must be in [0, 0.5], got {ber}")
+    points = np.asarray(constellation, dtype=complex)
+    if len(points) not in (2, 4) or not np.allclose(np.abs(points), 1.0, atol=1e-12):
+        raise ConfigError("a constellation is 2 or 4 unit-magnitude points")
+    bits = len(points).bit_length() - 1
     rng = np.random.default_rng(seed)
-    idx = constellation.indices_of(S)
-    bits = constellation.labels[idx]
-    flips = rng.random(bits.shape) < ber
-    new_idx = constellation.indices_from_bits(np.bitwise_xor(bits, flips.astype(int)))
-    S_hat = constellation.points[new_idx]
-    return S_hat, new_idx != idx
+    idx = np.argmin(np.abs(S[..., None] - points), axis=-1)
+    if not np.allclose(points[idx], S, atol=1e-9):
+        raise ConfigError("symbols do not belong to the constellation")
+    # Flip bits packed MSB first; label ^ (label >> 1) inverts a Gray code of up to two bits.
+    flips = rng.random(idx.shape + (bits,)) < ber
+    label = idx ^ (idx >> 1) ^ flips @ (1 << np.arange(bits)[::-1])
+    new_idx = label ^ (label >> 1)
+    return points[new_idx], new_idx != idx
 
 
 def measure(scene: Scene, S: np.ndarray, S_hat: np.ndarray, config: RadarConfig,
@@ -264,7 +234,7 @@ def measure(scene: Scene, S: np.ndarray, S_hat: np.ndarray, config: RadarConfig,
     return Measurement(S_hat=S_hat, r_bar=r_bar, e_bar_true=e_bar, v_bar_true=v_bar)
 
 
-def simulate(scene: Scene, config: RadarConfig, constellation: Constellation,
+def simulate(scene: Scene, config: RadarConfig, constellation: np.ndarray,
              ber: float, seed) -> Measurement:
     """Symbols, demodulation errors, and noise from one seeded generator."""
     rng = np.random.default_rng(seed)

@@ -24,6 +24,15 @@ class TestSimulateTrial:
         assert np.array_equal(meas_a.r_bar, meas_b.r_bar)
         assert np.array_equal(meas_a.S_hat, meas_b.S_hat)
 
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_scene_and_noise_do_not_depend_on_ber(self, index):
+        # The error draw has one shape at every BER, so the noise after it is shared.
+        scene0, meas0 = simulate_trial(preset("rmse1"), 0.0, index)
+        for ber in (1e-3, 1e-2, 1e-1, 0.5):
+            scene, meas = simulate_trial(preset("rmse1"), ber, index)
+            assert scene == scene0
+            assert np.array_equal(meas.v_bar_true, meas0.v_bar_true)
+
 
 class TestScenarioSpec:
     def test_negative_seed_rejected(self):

@@ -202,14 +202,34 @@ class TestDemodErrors:
         assert abs(frac - 0.5) < 3 * se
 
     def test_single_bit_flip_is_gray_adjacent(self):
-        c = qpsk()
-        for i, point in enumerate(c.points):
-            for b in range(2):
-                flip = np.zeros((1, 2), dtype=int)
-                flip[0, b] = 1
-                j = c.indices_from_bits(np.bitwise_xor(c.labels[i][None, :], flip))[0]
-                # one bit flip moves to a 90-degree neighbour, never the antipode
-                assert abs(c.points[j] - point) == pytest.approx(np.sqrt(2), rel=1e-12)
+        # Replay inject_demod_errors' one uniform draw to count each symbol's flipped
+        # label bits: one flip moves to a 90-degree neighbour, two to the antipode.
+        S = generate_symbols(small_config(), qpsk(), 3)
+        S_hat, _ = inject_demod_errors(S, 0.5, qpsk(), 4)
+        n_flips = (np.random.default_rng(4).random(S.shape + (2,)) < 0.5).sum(axis=-1)
+        moved = np.abs(S_hat - S)
+        assert (n_flips == 1).any() and (n_flips == 2).any()
+        assert np.allclose(moved[n_flips == 1], np.sqrt(2), rtol=1e-12, atol=0)
+        assert np.allclose(moved[n_flips == 2], 2.0, rtol=1e-12, atol=0)
+        assert not moved[n_flips == 0].any()
+
+    @pytest.mark.parametrize("constellation", [qpsk(), bpsk()], ids=["qpsk", "bpsk"])
+    def test_flipped_symbols_are_nested_in_ber(self, constellation):
+        # One uniform draw per label bit, whatever the BER, so a symbol flipped at
+        # a lower BER is flipped at every higher one.
+        S = generate_symbols(small_config(64, 64), constellation, 5)
+        masks = [inject_demod_errors(S, ber, constellation, 6)[1] for ber in (1e-3, 1e-2, 1e-1)]
+        assert masks[0].any()
+        for inner, outer in zip(masks, masks[1:]):
+            assert not (inner & ~outer).any()
+            assert outer.sum() > inner.sum()
+
+    @pytest.mark.parametrize("points", [np.array([1.0, 1j, -1.0]), 2 * qpsk()],
+                             ids=["three", "off-circle"])
+    def test_other_constellation_rejected(self, points):
+        S = generate_symbols(small_config(), points, 3)
+        with pytest.raises(ConfigError, match="constellation"):
+            inject_demod_errors(S, 0.1, points, 4)
 
     def test_bad_ber_rejected(self):
         S = generate_symbols(small_config(), qpsk(), 3)
