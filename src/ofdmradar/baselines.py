@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import extract
 from .errors import ConfigError, NumericError
-from .extract import (Estimate, _dft_factors, dual_poly_grid, ls_amplitudes, ranked_estimate,
-                      wrapped_local_maxima)
+from .extract import Estimate, _dft_factors, ls_amplitudes, ranked_estimate, wrapped_local_maxima
 from .operators import _shrink
 from .scene import Measurement, steering
 
@@ -105,8 +105,12 @@ def _signal_dimension(svals: np.ndarray, config: MusicConfig) -> int:
     return k
 
 
-def _music(observation: np.ndarray, config: MusicConfig) -> tuple[np.ndarray, int]:
-    """Spectrum and signal dimension from one SVD of the observation."""
+def music_spectrum(observation: np.ndarray, config: MusicConfig) -> tuple[np.ndarray, int]:
+    """Noise-subspace spectrum 1/||F_n^H a'(phi, psi)||^2 on the config grid, and its order k.
+
+    One SVD of the observation gives k and the noise subspace F_n, its left singular
+    vectors beyond k; each |f^H a'| on the grid is ``|dual_poly_grid(f)|``.
+    """
     Ms, Ns = config.M_sub, config.N_sub
     if observation.shape[0] != Ms * Ns:
         raise ConfigError(f"observation must have {Ms * Ns} rows, got {observation.shape[0]}")
@@ -117,23 +121,15 @@ def _music(observation: np.ndarray, config: MusicConfig) -> tuple[np.ndarray, in
     k = _signal_dimension(svals, config)
     denom = np.zeros((config.grid_phi, config.grid_psi))
     for j in range(k, F.shape[1]):
-        denom += np.abs(dual_poly_grid(F[:, j], Ms, Ns, config.grid_phi, config.grid_psi)) ** 2
+        denom += np.abs(extract.dual_poly_grid(F[:, j], Ms, Ns, config.grid_phi,
+                                               config.grid_psi)) ** 2
     return 1.0 / np.maximum(denom, 1e-300), k
-
-
-def music_spectrum(observation: np.ndarray, config: MusicConfig) -> np.ndarray:
-    """Noise-subspace spectrum 1/||F_n^H a'(phi, psi)||^2 on the config grid.
-
-    The left singular vectors beyond the signal dimension form the noise
-    subspace F_n; each |f^H a'| on the grid is ``|dual_poly_grid(f)|``, a DFT-factor product.
-    """
-    return _music(observation, config)[0]
 
 
 def music_estimate(measurement: Measurement, config: MusicConfig) -> Estimate:
     """Pick the strongest spectrum peaks and fit amplitudes by least squares."""
     M, N = measurement.M, measurement.N
-    spectrum, k = _music(spatial_smooth(measurement, config), config)
+    spectrum, k = music_spectrum(spatial_smooth(measurement, config), config)
 
     cells = np.argwhere(wrapped_local_maxima(spectrum))
     vals = spectrum[cells[:, 0], cells[:, 1]]
@@ -178,7 +174,7 @@ def _csl1_solve(measurement: Measurement, config: CsL1Config) -> tuple[np.ndarra
     s, r, gamma = measurement.s_tilde, measurement.r_bar, config.gamma
     s_conj = np.conj(s)
     w = np.zeros((Mg, Ng), dtype=complex)
-    corr_max = float(np.abs(dual_poly_grid(s_conj * r, M, N, Mg, Ng)).max())
+    corr_max = float(np.abs(extract.dual_poly_grid(s_conj * r, M, N, Mg, Ng)).max())
     if corr_max <= gamma:
         return w, 0, 0.0
     if gamma == 0:
@@ -193,8 +189,8 @@ def _csl1_solve(measurement: Measurement, config: CsL1Config) -> tuple[np.ndarra
         for it in range(1, config.max_iters + 1):
             # The x-step at z = w - u is x = z + A^H D (r - A z); step is alpha (x - z).
             np.subtract(w, u, out=z)
-            step = dual_poly_grid(s_conj_weight * (r - s * _synthesize(z, M, N, Mg, Ng)),
-                                  M, N, Mg, Ng)
+            step = extract.dual_poly_grid(
+                s_conj_weight * (r - s * _synthesize(z, M, N, Mg, Ng)), M, N, Mg, Ng)
             # u + alpha x + (1 - alpha) w, which is w + (1 - alpha) u + step, into u;
             # w = shrink(u) and u - w is the new u.
             u *= 1.0 - a
@@ -219,8 +215,8 @@ def _csl1_gap(w: np.ndarray, l1: float, measurement: Measurement, config: CsL1Co
     M, N = measurement.M, measurement.N
     s, r, gamma = measurement.s_tilde, measurement.r_bar, config.gamma
     nu = r - s * _synthesize(w, M, N, config.M_grid, config.N_grid)
-    corr_max = float(np.abs(dual_poly_grid(np.conj(s) * nu, M, N, config.M_grid,
-                                           config.N_grid)).max())
+    corr_max = float(np.abs(extract.dual_poly_grid(np.conj(s) * nu, M, N, config.M_grid,
+                                                   config.N_grid)).max())
     theta = gamma / max(corr_max, gamma)
     sq = float(np.vdot(nu, nu).real)
     primal = 0.5 * sq + gamma * l1

@@ -79,7 +79,10 @@ def _read_input(path: str, parsers: dict):
 
 def _solution_dual(obj: dict):
     M, N = serialize.whole_number(obj, "M"), serialize.whole_number(obj, "N")
-    return M, N, serialize.deinterleave(obj["nu_hat"])
+    nu = serialize.deinterleave(obj["nu_hat"])
+    if len(nu) != M * N:
+        raise ConfigError(f"nu_hat must hold M*N={M * N} complex entries, got {len(nu)}")
+    return M, N, nu
 
 
 def _load_spec(args) -> bench.ScenarioSpec:
@@ -163,7 +166,7 @@ def cmd_spectrum(args) -> int:
         k = args.music_k if args.music_k is not None else "auto"
         mcfg = dataclasses.replace(baselines.default_music_config(M, N, K_signal=k),
                                    grid_phi=gp, grid_psi=gq)
-        grid = baselines.music_spectrum(baselines.spatial_smooth(measurement, mcfg), mcfg)
+        grid = baselines.music_spectrum(baselines.spatial_smooth(measurement, mcfg), mcfg)[0]
     _write(serialize.grid_to_csv(grid), args.out, args.quiet)
     return 0
 

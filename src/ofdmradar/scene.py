@@ -8,9 +8,9 @@ Matrices are vectorized column-major, so vector index ``n*M + m`` holds entry
 (m, n).  :func:`steering` and :func:`atoms` own the atom at continuous
 frequencies; ``extract._dft_factors`` owns it on DFT lattices.
 
-A constellation is a plain array of unit-magnitude points whose index order
-carries the bit labels: point k has the Gray label k ^ (k >> 1).
-:func:`inject_demod_errors` flips label bits to make demodulation errors.
+A constellation is an array of unit-magnitude points whose index carries the
+bit label: point k has the Gray label k ^ (k >> 1), the bits that
+:func:`inject_demod_errors` flips to make demodulation errors.
 """
 
 from __future__ import annotations
@@ -117,9 +117,7 @@ def bpsk() -> np.ndarray:
 
 
 def qpsk() -> np.ndarray:
-    """QPSK points exp(i*(pi/4 + k*pi/2)); point k has the Gray label k ^ (k >> 1).
-
-    Around the circle the labels read 00, 01, 11, 10: neighbours differ in one bit."""
+    """QPSK points exp(i*pi*(2k+1)/4); Gray labels k ^ (k >> 1) read 00, 01, 11, 10 around."""
     return np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))
 
 
@@ -143,6 +141,8 @@ class Measurement:
         M, N = self.S_hat.shape
         if self.r_bar.shape != (M * N,):
             raise ConfigError(f"r_bar must have length M*N={M * N}")
+        if not (np.isfinite(self.S_hat).all() and np.isfinite(self.r_bar).all()):
+            raise ConfigError("S_hat and r_bar must be finite")
 
     @property
     def M(self) -> int:
@@ -191,9 +191,8 @@ def inject_demod_errors(S: np.ndarray, ber: float, constellation: np.ndarray,
                         seed) -> tuple[np.ndarray, np.ndarray]:
     """Flip each bit of every symbol's Gray label independently with probability ``ber``.
 
-    ``constellation`` is 2 or 4 unit-magnitude points labelled by index, as
-    :func:`bpsk` and :func:`qpsk` return them.  Returns the corrupted symbol
-    matrix and the boolean mask of symbols that changed.
+    ``constellation`` is 2 or 4 unit-magnitude points, as from :func:`bpsk` or :func:`qpsk`.
+    Returns the corrupted symbols and the boolean mask of symbols that changed.
     """
     if not (0.0 <= ber <= 0.5):
         raise ConfigError(f"ber must be in [0, 0.5], got {ber}")
@@ -201,12 +200,11 @@ def inject_demod_errors(S: np.ndarray, ber: float, constellation: np.ndarray,
     if len(points) not in (2, 4) or not np.allclose(np.abs(points), 1.0, atol=1e-12):
         raise ConfigError("a constellation is 2 or 4 unit-magnitude points")
     bits = len(points).bit_length() - 1
-    rng = np.random.default_rng(seed)
     idx = np.argmin(np.abs(S[..., None] - points), axis=-1)
     if not np.allclose(points[idx], S, atol=1e-9):
         raise ConfigError("symbols do not belong to the constellation")
     # Flip bits packed MSB first; label ^ (label >> 1) inverts a Gray code of up to two bits.
-    flips = rng.random(idx.shape + (bits,)) < ber
+    flips = np.random.default_rng(seed).random(idx.shape + (bits,)) < ber
     label = idx ^ (idx >> 1) ^ flips @ (1 << np.arange(bits)[::-1])
     new_idx = label ^ (label >> 1)
     return points[new_idx], new_idx != idx

@@ -30,19 +30,30 @@ def interleave(x: np.ndarray) -> list[float]:
     return out.tolist()
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def deinterleave(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.size % 2:
-        raise ConfigError("interleaved array must have even length")
-    return arr[0::2] + 1j * arr[1::2]
+    if len(values) % 2 or not all(map(_is_number, values)):
+        raise ConfigError("an interleaved array must be an even-length list of numbers")
+    return np.asarray(values, dtype=float).view(complex)
 
 
 def whole_number(obj: dict, key: str) -> int:
     """Integer field ``key``; a boolean, a non-number or a number that is not whole raises."""
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
+    if not _is_number(value) or value % 1 != 0:
         raise ConfigError(f"{key} must be a whole number, got {value!r}")
     return int(value)
+
+
+def real_number(obj: dict, key: str) -> float:
+    """Float field ``key``; a boolean or a non-number, such as a numeric string, raises."""
+    value = obj[key]
+    if not _is_number(value):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def config_to_dict(config: RadarConfig) -> dict:
@@ -52,13 +63,12 @@ def config_to_dict(config: RadarConfig) -> dict:
 
 
 def config_from_dict(obj: dict) -> RadarConfig:
-    config = RadarConfig(M=whole_number(obj, "M"), N=whole_number(obj, "N"),
-                         delta_f=float(obj["delta_f_hz"]), T_cp=float(obj["T_cp_s"]),
-                         f_c=float(obj["f_c_hz"]), noise_power_db=float(obj["noise_power_db"]))
-    if "T_s" in obj and not abs(config.delta_f * float(obj["T_s"]) - 1.0) <= 1e-12:
-        raise ConfigError(f"T_s must equal 1/delta_f_hz, got {obj['T_s']}")
-    if "T_bar_s" in obj and not abs(float(obj["T_bar_s"]) - config.T_bar) <= 1e-12 * config.T_bar:
-        raise ConfigError(f"T_bar_s must equal 1/delta_f_hz + T_cp_s, got {obj['T_bar_s']}")
+    floats = (real_number(obj, key) for key in ("delta_f_hz", "T_cp_s", "f_c_hz", "noise_power_db"))
+    config = RadarConfig(whole_number(obj, "M"), whole_number(obj, "N"), *floats)
+    for key, derived, rule in (("T_s", config.T, "1/delta_f_hz"),
+                               ("T_bar_s", config.T_bar, "1/delta_f_hz + T_cp_s")):
+        if key in obj and not abs(real_number(obj, key) - derived) <= 1e-12 * derived:
+            raise ConfigError(f"{key} must equal {rule}, got {obj[key]}")
     return config
 
 
@@ -68,8 +78,8 @@ def path_to_dict(path: Path) -> dict:
 
 
 def path_from_dict(obj: dict) -> Path:
-    return Path(alpha=complex(obj["alpha_re"], obj["alpha_im"]),
-                phi=float(obj["phi"]), psi=float(obj["psi"]))
+    return Path(alpha=complex(real_number(obj, "alpha_re"), real_number(obj, "alpha_im")),
+                phi=real_number(obj, "phi"), psi=real_number(obj, "psi"))
 
 
 def scene_to_dict(scene: Scene) -> dict:
@@ -112,11 +122,12 @@ def measurement_from_dict(obj: dict) -> tuple[Measurement, RadarConfig, Scene | 
     return measurement, config, truth
 
 
-# A scenario-file value by its ScenarioSpec field's declared type (the bare
-# name for tuples): how it is written, where not as is, and how it is read.
+# A scenario-file value by its ScenarioSpec field's declared type (the bare name
+# for tuples): how it is written, where not as is, and how field ``key`` is read.
 _SPEC_TO_JSON = {"RadarConfig": config_to_dict, "tuple": list}
-_SPEC_FROM_JSON = {"str": str, "float": float, "RadarConfig": config_from_dict,
-                   "tuple": lambda v: tuple(float(x) for x in v)}
+_SPEC_FROM_JSON = {"int": whole_number, "float": real_number, "str": lambda obj, key: str(obj[key]),
+                   "RadarConfig": lambda obj, key: config_from_dict(obj[key]),
+                   "tuple": lambda obj, key: tuple(real_number({key: x}, key) for x in obj[key])}
 
 
 def _spec_fields():
@@ -132,8 +143,7 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
 
 def scenario_from_dict(obj: dict) -> ScenarioSpec:
     """Read the declared fields; a missing key takes the field's default."""
-    return ScenarioSpec(**{f.name: whole_number(obj, f.name) if kind == "int"
-                           else _SPEC_FROM_JSON[kind](obj[f.name]) for f, kind in _spec_fields()
+    return ScenarioSpec(**{f.name: _SPEC_FROM_JSON[kind](obj, f.name) for f, kind in _spec_fields()
                            if f.name in obj or f.default is dataclasses.MISSING})
 
 

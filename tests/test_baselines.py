@@ -61,7 +61,8 @@ class TestMusicSpectrum:
     def test_single_path_peak_within_cell(self):
         cfg, scene, meas = noiseless_measurement(paths=((1.0, 0.37, 0.81),))
         mcfg = default_music_config(8, 8, K_signal=1)
-        spec = music_spectrum(spatial_smooth(meas, mcfg), mcfg)
+        spec, k = music_spectrum(spatial_smooth(meas, mcfg), mcfg)
+        assert k == 1
         p, q = np.unravel_index(np.argmax(spec), spec.shape)
         assert abs(p / mcfg.grid_phi - 0.37) <= 1.0 / mcfg.grid_phi
         assert abs(q / mcfg.grid_psi - 0.81) <= 1.0 / mcfg.grid_psi
@@ -70,7 +71,6 @@ class TestMusicSpectrum:
         cfg, scene, meas = noiseless_measurement(
             paths=((1.0, 0.2, 0.3), (0.8, 0.62, 0.75)), seed=5)
         mcfg = default_music_config(8, 8, K_signal=2)
-        spec = music_spectrum(spatial_smooth(meas, mcfg), mcfg)
         est = music_estimate(meas, mcfg)
         assert len(est.paths) == 2
         for truth in scene.targets:
@@ -88,12 +88,12 @@ class TestMusicSpectrum:
         cfg, scene, meas = noiseless_measurement(paths=((1.0, 0.37, 0.81),), seed=6)
         mcfg = default_music_config(8, 8, K_signal=1)
         Y = spatial_smooth(meas, mcfg)
-        ref = np.unravel_index(np.argmax(music_spectrum(Y, mcfg)), (128, 128))
+        ref = np.unravel_index(np.argmax(music_spectrum(Y, mcfg)[0]), (128, 128))
         for _ in range(5):
             c = rng.normal() + 1j * rng.normal()
             if abs(c) < 1e-3:
                 continue
-            got = np.unravel_index(np.argmax(music_spectrum(c * Y, mcfg)), (128, 128))
+            got = np.unravel_index(np.argmax(music_spectrum(c * Y, mcfg)[0]), (128, 128))
             assert got == ref
 
     def test_matches_fft_formula(self, rng):
@@ -105,7 +105,8 @@ class TestMusicSpectrum:
         X = np.fft.ifft(mats, n=12, axis=0) * 12
         X = np.fft.fft(X, n=20, axis=1)
         want = 1.0 / np.sum(np.abs(X) ** 2, axis=2)
-        assert np.allclose(music_spectrum(Y, mcfg), want, rtol=1e-12, atol=0)
+        spectrum, k = music_spectrum(Y, mcfg)
+        assert k == 2 and np.allclose(spectrum, want, rtol=1e-12, atol=0)
 
     def test_auto_dimension_single_path(self):
         cfg, scene, meas = noiseless_measurement(paths=((1.0, 0.37, 0.81),), seed=7)

@@ -206,6 +206,51 @@ class TestMalformedInput:
         assert json.loads(out.read_text())["config"]["M"] == 8
         assert type(serialize.scenario_from_dict(spec).trials) is int
 
+    # One case per kind of float field: config, the derived-timing check, a
+    # truth path, an interleaved sample, a scenario float and a tuple entry.
+    @pytest.mark.parametrize("kind, keys, value", [
+        ("measurement", ("config", "f_c_hz"), True), ("measurement", ("config", "f_c_hz"), "2e9"),
+        ("measurement", ("config", "T_bar_s"), "3e-4"),
+        ("measurement", ("truth", "targets", 0, "phi"), "0.5"),
+        ("measurement", ("r_bar", 0), True), ("scenario", ("clutter_power_db",), "-10"),
+        ("scenario", ("range_bounds_m", 1), True), ("scenario", ("config", "delta_f_hz"), "5e3")])
+    def test_float_field_that_is_not_a_number_exits_2(self, tmp_path, capsys, kind, keys,
+                                                      value):
+        if kind == "scenario":
+            path, argv = spec_8x8_file(tmp_path), ["simulate", "--spec"]
+        else:
+            path, argv = simulate_8x8_file(tmp_path), ["solve", "--algo", "music", "--input"]
+        doc = json.loads(path.read_text())
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out.txt"
+        capsys.readouterr()
+        assert main([*argv, str(path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(path) in err[0] and "must be" in err[0]
+        assert "number" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["solve", "--algo", "anl1"], ["solve", "--algo", "an"],
+                                      ["solve", "--algo", "csl1"], ["solve", "--algo", "music"],
+                                      ["spectrum"]])
+    @pytest.mark.parametrize("field, value", [("r_bar", math.inf), ("r_bar", math.nan),
+                                              ("S_hat", -math.inf)])
+    def test_non_finite_sample_exits_2(self, tmp_path, capsys, argv, field, value):
+        path = simulate_8x8_file(tmp_path)
+        doc = json.loads(path.read_text())
+        doc[field][5] = value
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out.txt"
+        capsys.readouterr()
+        assert main([*argv, "--input", str(path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(path) in err[0] and "finite" in err[0]
+        assert not out.exists()
+
 
 class TestSpectrum:
     @pytest.mark.parametrize("kind", ["solution", "measurement"])
@@ -238,6 +283,19 @@ class TestSpectrum:
         assert not out.exists()
         assert main(["spectrum", "--input", str(path), "--music-k", "3",
                      "--out", str(out), "--quiet"]) == 0
+
+    def test_short_nu_hat_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "sol.json"
+        assert main(["solve", "--input", str(simulate_8x8_file(tmp_path)), "--algo", "an",
+                     "--iters", "5", "--out", str(path), "--quiet"]) == 0
+        doc = json.loads(path.read_text())
+        doc["nu_hat"] = doc["nu_hat"][:-2]
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "grid.csv"
+        assert main(["spectrum", "--input", str(path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(path) in err[0] and "nu_hat" in err[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--grid-phi", "--grid-psi"])
     def test_zero_grid_exits_2(self, tmp_path, flag):

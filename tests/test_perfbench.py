@@ -82,8 +82,9 @@ def test_dual_8_trial_traces_one_operator_span_per_sweep(run):
 
 
 def test_baselines_16_traced_trial_sees_each_baseline_once(run):
-    # bench dispatches the baselines through their module attributes at call
-    # time, so the tracer's rebinding of them is what runs.
+    # bench dispatches the baselines, and the baselines call music_spectrum and
+    # dual_poly_grid, through module attributes at call time, so the tracer's
+    # rebinding of them is what runs.
     workload = run.workloads.WORKLOADS["baselines-16"]
     spec = workload.spec()
     trial = run.workloads.make_trial(workload, 1, 0)
@@ -94,3 +95,5 @@ def test_baselines_16_traced_trial_sees_each_baseline_once(run):
     assert totals["baselines.csl1_estimate"].calls == 1
     assert totals["baselines.music_estimate"].calls == 1
     assert totals["bench.run_algorithm"].calls == 2
+    assert totals["baselines.music_spectrum"].calls == 1
+    assert totals["extract.dual_poly_grid"].calls > 0
