@@ -117,7 +117,7 @@ def bpsk() -> np.ndarray:
 
 
 def qpsk() -> np.ndarray:
-    """QPSK points exp(i*pi*(2k+1)/4) with Gray labels k ^ (k >> 1): 00, 01, 11, 10 in turn."""
+    """QPSK points exp(i*pi*(2k+1)/4); point k has the Gray label k ^ (k >> 1): 00, 01, 11, 10."""
     return np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))
 
 
