@@ -9,7 +9,9 @@ the lifted variable onto the positive semidefinite cone.  The iteration runs
 in scaled form (Boyd et al., *Distributed Optimization and Statistical
 Learning via ADMM*, 2011, section 3.1.1): it carries W = Upsilon / rho, so
 the projection's Moreau split yields both the PSD block and the multiplier's
-ascent step, and the dual vector is read as nu = -2 rho W[:MN, MN].
+ascent step, and the dual vector is read as nu = -2 rho W[:MN, MN].  A solve
+records its residual histories, ``converged`` and ``iterations``; the
+objective is computed on demand by :func:`objective_primal`.
 """
 
 from __future__ import annotations
@@ -58,13 +60,8 @@ class SolverConfig:
 class Diagnostics:
     primal_residuals: list = field(default_factory=list)
     dual_residuals: list = field(default_factory=list)
-    objectives: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
-
-    @property
-    def final_objective(self) -> float:
-        return self.objectives[-1] if self.objectives else math.nan
 
 
 @dataclass
@@ -74,8 +71,7 @@ class Solution:
     ``z_hat`` is the denoised signal and ``e_hat`` the sparse error estimate;
     ``nu_hat`` is the dual vector read from the multiplier.  ``U`` (the
     (2M-1) x (2N-1) Toeplitz parameter) and the scalar ``t`` are the lift's
-    values at the last sweep, and ``Theta`` is the final (MN+1) x (MN+1)
-    positive semidefinite block.
+    values at the last sweep.
     """
 
     z_hat: np.ndarray
@@ -83,7 +79,6 @@ class Solution:
     nu_hat: np.ndarray
     U: np.ndarray
     t: float
-    Theta: np.ndarray
     diagnostics: Diagnostics
 
 
@@ -107,7 +102,8 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     [[T(U), z], [z^H, t]] and G = A - W, the Moreau split G = P+(G) - P-(G)
     of one cone projection gives Theta = P+(G) and the ascent step
     W + Theta - A = Theta - G.  The primal residual is ||Theta - A||, the
-    change in W; the dual residual is rho ||Theta - Theta_prev||.
+    change in W; the dual residual is rho ||Theta - Theta_prev||.  The
+    record is both residual histories, ``converged`` and ``iterations``.
     """
     M, N = measurement.M, measurement.N
     mn = M * N
@@ -156,13 +152,10 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
                 # The old multiplier's storage is the next sweep's G.
                 Theta, W, G = Theta_new, W_new, W
 
-                obj = _primal_objective(measurement, z, e, U, t, config)
-
                 diag.primal_residuals.append(primal)
                 diag.dual_residuals.append(dual)
-                diag.objectives.append(obj)
 
-                if not (math.isfinite(primal) and math.isfinite(dual) and math.isfinite(obj)):
+                if not (math.isfinite(primal) and math.isfinite(dual)):
                     raise NumericError(f"non-finite iterate at iteration {it}", iteration=it)
                 if primal < config.tol * scale and dual < config.tol * scale:
                     diag.converged = True
@@ -177,8 +170,7 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     # by a factor of -2; undoing it recovers the dual vector of the program.
     nu_hat = -2.0 * rho * W[:mn, mn]
 
-    return Solution(z_hat=z, e_hat=e, nu_hat=nu_hat, U=U, t=t, Theta=Theta,
-                    diagnostics=diag)
+    return Solution(z_hat=z, e_hat=e, nu_hat=nu_hat, U=U, t=t, diagnostics=diag)
 
 
 def atomic_norm_sdp_value(U: np.ndarray, t: float, M: int, N: int) -> float:
@@ -186,20 +178,15 @@ def atomic_norm_sdp_value(U: np.ndarray, t: float, M: int, N: int) -> float:
     return 0.5 * float(U[M - 1, N - 1].real) + 0.5 * t
 
 
-def _primal_objective(measurement: Measurement, z: np.ndarray, e: np.ndarray,
-                      U: np.ndarray, t: float, config: SolverConfig) -> float:
-    """0.5 ||r - e - s*z||^2 + lam * (lift value) + mu * ||e||_1."""
-    fit = measurement.r_bar - e - measurement.s_tilde * z
-    return (0.5 * float(np.vdot(fit, fit).real)
-            + config.lam * atomic_norm_sdp_value(U, t, measurement.M, measurement.N)
-            + config.mu * float(np.sum(np.abs(e))))
-
-
 def objective_primal(solution: Solution, measurement: Measurement,
                      config: SolverConfig) -> float:
-    """Value of the semidefinite objective at the solution's final iterates."""
-    return _primal_objective(measurement, solution.z_hat, solution.e_hat,
-                             solution.U, solution.t, config)
+    """0.5 ||r - e - s*z||^2 + lam * (lift value) + mu * ||e||_1 at the final iterates."""
+    e = solution.e_hat
+    fit = measurement.r_bar - e - measurement.s_tilde * solution.z_hat
+    return (0.5 * float(np.vdot(fit, fit).real)
+            + config.lam * atomic_norm_sdp_value(solution.U, solution.t, measurement.M,
+                                                 measurement.N)
+            + config.mu * float(np.sum(np.abs(e))))
 
 
 @dataclass

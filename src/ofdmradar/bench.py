@@ -292,20 +292,18 @@ def run_benchmark(spec: ScenarioSpec, algorithms, ber_list, *,
         for trial in range(spec.trials):
             scene, measurement = simulate_trial(spec, ber, trial)
             for name in algorithms:
+                matches, failure = [], None
                 try:
                     est = run_algorithm(name, measurement, spec.config, scene.K,
                                         an_max_iters=an_max_iters)
                     matches = gate_identification(est, list(scene.targets), spec.config)
                 except NumericError as exc:
-                    rec = TrialRecord(ber=ber, algorithm=name, trial=trial, n_matched=0,
-                                      sq_range_error=0.0, sq_velocity_error=0.0,
-                                      failed=True, failure=str(exc))
-                else:
-                    rec = TrialRecord(
-                        ber=ber, algorithm=name, trial=trial, n_matched=len(matches),
-                        sq_range_error=sum((m.range_error_m ** 2 for m in matches), 0.0),
-                        sq_velocity_error=sum((m.velocity_error_mps ** 2 for m in matches),
-                                              0.0))
+                    failure = str(exc)
+                rec = TrialRecord(
+                    ber=ber, algorithm=name, trial=trial, n_matched=len(matches),
+                    sq_range_error=sum((m.range_error_m ** 2 for m in matches), 0.0),
+                    sq_velocity_error=sum((m.velocity_error_mps ** 2 for m in matches), 0.0),
+                    failed=failure is not None, failure=failure or "")
                 report.trials.append(rec)
                 if progress is not None:
                     progress(rec)

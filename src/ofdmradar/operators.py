@@ -75,16 +75,15 @@ def symmetrize_param(U: np.ndarray) -> np.ndarray:
     return 0.5 * (U + np.conj(U[::-1, ::-1]))
 
 
-def psd_project(A: np.ndarray) -> np.ndarray:
+def psd_project(H: np.ndarray) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix (negative eigenvalues clamped).
 
-    The input is symmetrized to H first; eigendecomposition failures surface as
-    :class:`NumericError`.  The result is rebuilt from whichever side of the
-    spectrum has fewer eigenpairs: V+ w+ V+^H from the positive ones, or
-    H - V- w- V-^H from the rest, so H itself when every eigenvalue is positive
-    and zero when none is.  It is exactly Hermitian.
+    ``H`` must be exactly Hermitian, H == H^H entry for entry: ``eigh`` reads only
+    its lower triangle.  Eigendecomposition failures surface as :class:`NumericError`.
+    The result is rebuilt from whichever side of the spectrum has fewer eigenpairs:
+    V+ w+ V+^H from the positive ones, or H - V- w- V-^H from the rest, so H itself
+    when every eigenvalue is positive and zero when none is.  It is exactly Hermitian.
     """
-    H = 0.5 * (A + A.conj().T)
     try:
         w, V = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:

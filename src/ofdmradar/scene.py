@@ -143,6 +143,10 @@ class Measurement:
             raise ConfigError(f"r_bar must have length M*N={M * N}")
         if not (np.isfinite(self.S_hat).all() and np.isfinite(self.r_bar).all()):
             raise ConfigError("S_hat and r_bar must be finite")
+        for name in ("e_bar_true", "v_bar_true"):
+            x = getattr(self, name)
+            if x is not None and not (x.shape == (M * N,) and np.isfinite(x).all()):
+                raise ConfigError(f"{name} must hold M*N={M * N} finite entries")
 
     @property
     def M(self) -> int:

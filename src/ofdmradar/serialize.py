@@ -12,11 +12,13 @@ The config reader only checks ``T_s`` and ``T_bar_s``, when present, against
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import json
 
 import numpy as np
 
+from .admm import objective_primal
 from .bench import RmseReport, RmseRow, ScenarioSpec, TrialRecord
 from .errors import ConfigError
 from .extract import Estimate
@@ -78,8 +80,10 @@ def path_to_dict(path: Path) -> dict:
 
 
 def path_from_dict(obj: dict) -> Path:
-    return Path(alpha=complex(real_number(obj, "alpha_re"), real_number(obj, "alpha_im")),
-                phi=real_number(obj, "phi"), psi=real_number(obj, "psi"))
+    alpha = complex(real_number(obj, "alpha_re"), real_number(obj, "alpha_im"))
+    if not cmath.isfinite(alpha):
+        raise ConfigError(f"a path's alpha must be finite, got {alpha}")
+    return Path(alpha=alpha, phi=real_number(obj, "phi"), psi=real_number(obj, "psi"))
 
 
 def scene_to_dict(scene: Scene) -> dict:
@@ -186,7 +190,7 @@ def solution_to_dict(solution, measurement: Measurement, solver_config,
             "e_hat": interleave(solution.e_hat),
             "nu_hat": interleave(solution.nu_hat),
             "residuals": {"primal": d.primal_residuals, "dual": d.dual_residuals},
-            "objective": d.final_objective,
+            "objective": objective_primal(solution, measurement, solver_config),
             "converged": d.converged,
             "iterations": d.iterations,
             "timing_s": timing,

@@ -1,11 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from ofdmradar import (ConfigError, Path, admm, baselines, bench, extract, gate_identification,
-                       gates, normalized_to_physical, physical_to_normalized, preset,
-                       simulate_trial)
+from ofdmradar import (ConfigError, NumericError, Path, admm, baselines, bench, extract,
+                       gate_identification, gates, normalized_to_physical,
+                       physical_to_normalized, preset, simulate_trial)
 from ofdmradar.extract import Estimate
 
 
@@ -125,3 +126,37 @@ class TestRunAlgorithm:
                 for name in ("CS-ANL1", "CS-AN", "CS-L1")}
         assert caps == {"CS-ANL1": 7, "CS-AN": 7,
                         "CS-L1": baselines.default_csl1_config(8, 8, 1.0).max_iters}
+
+
+class TestRunBenchmark:
+    SPEC = dataclasses.replace(TestRunAlgorithm.SPEC, seed=7, trials=2)
+
+    def test_failed_trial_is_recorded_and_left_out_of_its_row(self, monkeypatch):
+        # MUSIC raises on its second trial; CS-L1 runs both.
+        run_algorithm, music_calls = bench.run_algorithm, []
+
+        def failing_on_music_trial_1(name, *args, **kwargs):
+            if name == "2D-MUSIC":
+                music_calls.append(name)
+                if len(music_calls) == 2:
+                    raise NumericError("non-finite iterate at iteration 4", iteration=4)
+            return run_algorithm(name, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_algorithm", failing_on_music_trial_1)
+        seen = []
+        report = bench.run_benchmark(self.SPEC, ("CS-L1", "2D-MUSIC"), [1e-2],
+                                     progress=seen.append)
+        assert seen == report.trials
+        assert [(r.algorithm, r.trial, r.failed) for r in report.trials] == [
+            ("CS-L1", 0, False), ("2D-MUSIC", 0, False),
+            ("CS-L1", 1, False), ("2D-MUSIC", 1, True)]
+        failed = report.trials[3]
+        assert failed.failure == "non-finite iterate at iteration 4"
+        assert (failed.n_matched, failed.sq_range_error, failed.sq_velocity_error) == (0, 0.0, 0.0)
+        assert all(r.failure == "" for r in report.trials[:3])
+        csl1_row, music_row = report.rows
+        assert (csl1_row.trials_used, music_row.trials_used) == (2, 1)
+        music_0 = report.trials[1]
+        assert music_0.n_matched > 0
+        assert music_row.range_rmse_m == math.sqrt(music_0.sq_range_error / music_0.n_matched)
+        assert music_row.identification_rate == music_0.n_matched / 3

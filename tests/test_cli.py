@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ofdmradar import admm, baselines, bench, extract, serialize
+from ofdmradar import NumericError, admm, baselines, bench, extract, serialize
 from ofdmradar.bench import ALGO_KEYS
 from ofdmradar.cli import SOLVE_MAX_ITERS, build_parser, main
 
@@ -238,7 +238,8 @@ class TestMalformedInput:
                                       ["solve", "--algo", "csl1"], ["solve", "--algo", "music"],
                                       ["spectrum"]])
     @pytest.mark.parametrize("field, value", [("r_bar", math.inf), ("r_bar", math.nan),
-                                              ("S_hat", -math.inf)])
+                                              ("S_hat", -math.inf), ("e_bar_true", math.nan),
+                                              ("v_bar_true", math.inf)])
     def test_non_finite_sample_exits_2(self, tmp_path, capsys, argv, field, value):
         path = simulate_8x8_file(tmp_path)
         doc = json.loads(path.read_text())
@@ -249,6 +250,29 @@ class TestMalformedInput:
         assert main([*argv, "--input", str(path), "--out", str(out), "--quiet"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and str(path) in err[0] and "finite" in err[0]
+        assert not out.exists()
+
+    # Ground truth is checked where it is read, so a file with a bad one fails
+    # before any receiver runs, whichever receiver it names.
+    @pytest.mark.parametrize("keys, value", [
+        (("truth", "targets", 0, "alpha_re"), math.nan),
+        (("truth", "clutter", 1, "alpha_im"), -math.inf),
+        (("v_bar_true",), []), (("e_bar_true",), [0.0, 0.0])])
+    def test_bad_ground_truth_exits_2(self, tmp_path, capsys, keys, value):
+        path = simulate_8x8_file(tmp_path)
+        doc = json.loads(path.read_text())
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "est.json"
+        capsys.readouterr()
+        assert main(["solve", "--algo", "music", "--input", str(path), "--out", str(out),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(path) in err[0] and "finite" in err[0]
+        assert ("alpha" if keys[0] == "truth" else keys[0]) in err[0]
         assert not out.exists()
 
 
@@ -425,3 +449,47 @@ class TestUnwritableOutput:
                      "--quiet"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and str(tmp_path) in err[0]
+
+
+class TestOutput:
+    def test_without_out_the_document_goes_to_stdout(self, capsys):
+        assert main(["scenario", "--preset", "rmse1"]) == 0
+        captured = capsys.readouterr()
+        want = serialize.dumps(serialize.scenario_to_dict(bench.preset("rmse1")))
+        assert (captured.out, captured.err) == (want + "\n", "")
+
+    def test_out_without_quiet_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        assert main(["scenario", "--preset", "rmse1", "--out", str(path)]) == 0
+        assert capsys.readouterr().out == f"wrote {path}\n"
+        assert path.read_text() == serialize.dumps(serialize.scenario_to_dict(bench.preset("rmse1")))
+
+    def test_bench_reports_each_trial_on_stderr(self, tmp_path, monkeypatch, capsys):
+        run_algorithm, calls = bench.run_algorithm, []
+
+        def failing_on_the_second_call(name, *args, **kwargs):
+            calls.append(name)
+            if len(calls) == 2:
+                raise NumericError("non-finite iterate at iteration 4", iteration=4)
+            return run_algorithm(name, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_algorithm", failing_on_the_second_call)
+        spec_path, out = spec_8x8_file(tmp_path), tmp_path / "report.csv"
+        capsys.readouterr()
+        assert main(["bench", "--spec", str(spec_path), "--seed", "7", "--trials", "2",
+                     "--ber", "0.01", "--algos", "music", "--format", "csv",
+                     "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"wrote {out}\n"
+        trials = read_csv(tmp_path / "report.csv.trials.csv")
+        assert [t["failed"] for t in trials] == ["0", "1"]
+        assert captured.err.splitlines() == [
+            f"ber=0.01 2D-MUSIC trial=0: matched={trials[0]['n_matched']}",
+            "ber=0.01 2D-MUSIC trial=1: FAIL"]
+
+    @pytest.mark.parametrize("command", ["simulate", "bench"])
+    def test_no_scenario_source_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "out.txt"
+        assert main([command, "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == "configuration error: provide --preset or --spec\n"
+        assert not out.exists()

@@ -296,6 +296,15 @@ class TestMeasure:
         with pytest.raises(ConfigError):
             Measurement(S_hat=S_hat, r_bar=np.zeros(16, complex))
 
+    @pytest.mark.parametrize("field", ["e_bar_true", "v_bar_true"])
+    @pytest.mark.parametrize("bad", [np.full(16, np.nan, complex), np.r_[np.zeros(15), np.inf],
+                                     np.zeros(15, complex), np.zeros((4, 4), complex)])
+    def test_ground_truth_must_be_finite_and_of_length_mn(self, field, bad):
+        S_hat = generate_symbols(small_config(4, 4), qpsk(), 7)
+        Measurement(S_hat=S_hat, r_bar=np.zeros(16, complex), **{field: np.ones(16, complex)})
+        with pytest.raises(ConfigError, match=field):
+            Measurement(S_hat=S_hat, r_bar=np.zeros(16, complex), **{field: bad})
+
 
 class TestPhysicalMapping:
     def test_origin(self):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ofdmradar import ConfigError, RmseReport, RmseRow, preset, serialize, simulate_trial
+from ofdmradar import ConfigError, Path, RmseReport, RmseRow, preset, serialize, simulate_trial
 from ofdmradar.bench import PRESETS, TrialRecord
 
 
@@ -71,6 +71,16 @@ def test_measurement_round_trip():
     assert doc["sigma2"] == spec.config.sigma2
     for name in ("S_hat", "r_bar", "e_bar_true", "v_bar_true"):
         assert np.array_equal(getattr(got, name), getattr(measurement, name))
+
+
+@pytest.mark.parametrize("key, value", [("alpha_re", math.nan), ("alpha_im", math.inf)])
+def test_path_with_non_finite_alpha_rejected(key, value):
+    path = Path(alpha=0.5 - 0.25j, phi=0.2, psi=0.3)
+    doc = serialize.path_to_dict(path)
+    assert serialize.path_from_dict(doc) == path
+    doc[key] = value
+    with pytest.raises(ConfigError, match="alpha"):
+        serialize.path_from_dict(doc)
 
 
 def test_records_are_written_by_declared_type():
