@@ -17,8 +17,7 @@ from .bench import (ALGORITHMS, Match, RmseReport, RmseRow, ScenarioSpec,
 from .errors import ConfigError, DegenerateDictionaryError, NumericError
 from .extract import (Estimate, detect_error_support, dual_atomic_norm, dual_poly_grid,
                       estimate_from_solution, locate_peaks, ls_amplitudes, refine_peak)
-from .operators import (adjoint_normalized, block_toeplitz, psd_project,
-                        soft_threshold, symmetrize_param)
+from .operators import adjoint_normalized, block_toeplitz, psd_project, soft_threshold
 from .scene import (C_LIGHT, Measurement, Path, RadarConfig, Scene, atoms, bpsk,
                     generate_symbols, inject_demod_errors, measure, normalized_to_physical,
                     physical_to_normalized, qpsk, simulate, steering, synthesize_clean)

@@ -70,11 +70,6 @@ def adjoint_normalized(P: np.ndarray, M: int, N: int) -> np.ndarray:
     return (sums / counts).view(complex).reshape(2 * M - 1, 2 * N - 1)
 
 
-def symmetrize_param(U: np.ndarray) -> np.ndarray:
-    """Project onto Hermitian-consistent parameters: u_l(k) <- (u_l(k) + conj(u_{-l}(-k)))/2."""
-    return 0.5 * (U + np.conj(U[::-1, ::-1]))
-
-
 def psd_project(H: np.ndarray) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix (negative eigenvalues clamped).
 

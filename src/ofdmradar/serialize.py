@@ -39,7 +39,11 @@ def _is_number(value) -> bool:
 def deinterleave(values) -> np.ndarray:
     if len(values) % 2 or not all(map(_is_number, values)):
         raise ConfigError("an interleaved array must be an even-length list of numbers")
-    return np.asarray(values, dtype=float).view(complex)
+    try:
+        return np.asarray(values, dtype=float).view(complex)
+    except OverflowError:
+        raise ConfigError("an interleaved array must be a list of numbers in float range, "
+                          "got an integer too large for a float") from None
 
 
 def whole_number(obj: dict, key: str) -> int:
@@ -51,11 +55,16 @@ def whole_number(obj: dict, key: str) -> int:
 
 
 def real_number(obj: dict, key: str) -> float:
-    """Float field ``key``; a boolean or a non-number, such as a numeric string, raises."""
+    """Float field ``key``; a boolean, a non-number, such as a numeric string, or an
+    integer too large for a float raises."""
     value = obj[key]
     if not _is_number(value):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} must be a number in float range, "
+                          "got an integer too large for a float") from None
 
 
 def config_to_dict(config: RadarConfig) -> dict:

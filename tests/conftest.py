@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ofdmradar import Path, RadarConfig, Scene, atoms, symmetrize_param
+from ofdmradar import Path, RadarConfig, Scene, atoms
 
 
 @pytest.fixture
@@ -17,6 +17,11 @@ def small_config(M=8, N=8, noise_power_db=-20.0):
 def atom(phi, psi, M, N):
     """The one atom at (phi, psi): column 0 of ``atoms``."""
     return atoms([(phi, psi)], M, N)[:, 0]
+
+
+def symmetrize_param(U):
+    """Project onto Hermitian-consistent parameters: u_l(k) <- (u_l(k) + conj(u_{-l}(-k)))/2."""
+    return 0.5 * (U + np.conj(U[::-1, ::-1]))
 
 
 def random_consistent_param(rng, M, N):

@@ -9,8 +9,8 @@ from ofdmradar import (ConfigError, NumericError, Path, Scene, SolverConfig, adm
                        objective_primal, optimality_residuals, qpsk, simulate, solve,
                        synthesize_clean)
 from ofdmradar.admm import atomic_norm_sdp_value
-from ofdmradar.operators import adjoint_normalized, block_toeplitz, soft_threshold, symmetrize_param
-from conftest import small_config
+from ofdmradar.operators import adjoint_normalized, block_toeplitz, soft_threshold
+from conftest import small_config, symmetrize_param
 
 
 def objective_dual(nu, measurement, config):
@@ -94,8 +94,10 @@ class TestSolve:
         assert rel < 1e-3
 
     def test_theta_psd_and_consistent(self):
-        # The last primal residual is ||Theta - A|| for the PSD Theta, so the
-        # lift A of the reported U, z and t lies within it of the PSD cone.
+        # The last primal residual is ||Theta+ - A_hat|| for the PSD Theta+ and
+        # the relaxed lift A_hat = alpha A + (1 - alpha) Theta, whose gap to the
+        # lift A of the reported U, z and t, (1 - alpha)(Theta - A), vanishes at
+        # convergence; at this tolerance A still lies within it of the PSD cone.
         cfg, scene, meas = make_instance(M=4, N=4, K=1, seed=6)
         sol = solve(meas, SolverConfig(lam=0.7, mu=0.17, max_iters=20000, tol=1e-6))
         A = np.zeros((17, 17), dtype=complex)
@@ -137,12 +139,15 @@ class TestSolve:
 
 def unscaled_reference(meas, config):
     """The sweep in unscaled form: multiplier Upsilon, separate ascent step, and
-    a projection rebuilt from every clamped eigenpair.  Returns (z, nu, primal
-    residuals, dual residuals, final objective, iterations, converged)."""
+    a projection rebuilt from every clamped eigenpair, all at the relaxed lift
+    A_hat = alpha A + (1 - alpha) Theta for alpha = ``admm.RELAXATION``.  Returns
+    (z, nu, primal residuals, dual residuals, final objective, iterations,
+    converged)."""
     M, N = meas.M, meas.N
     mn = M * N
     s, r = meas.s_tilde, meas.r_bar
     lam, mu, rho = config.lam, config.mu, config.rho
+    alpha = admm.RELAXATION
     denom = np.abs(s) ** 2 + 2.0 * rho
     z = np.zeros(mn, dtype=complex)
     e = np.zeros(mn, dtype=complex)
@@ -164,14 +169,15 @@ def unscaled_reference(meas, config):
         A[:mn, mn] = z
         A[mn, :mn] = np.conj(z)
         A[mn, mn] = t
-        H = A - Upsilon / rho
+        A_hat = alpha * A + (1.0 - alpha) * Theta
+        H = A_hat - Upsilon / rho
         H = 0.5 * (H + H.conj().T)
         w, V = np.linalg.eigh(H)
         X = (V * np.maximum(w, 0.0)) @ V.conj().T
         Theta_new = 0.5 * (X + X.conj().T)
-        primal = np.linalg.norm(Theta_new - A)
+        primal = np.linalg.norm(Theta_new - A_hat)
         dual = rho * np.linalg.norm(Theta_new - Theta)
-        Upsilon = Upsilon + rho * (Theta_new - A)
+        Upsilon = Upsilon + rho * (Theta_new - A_hat)
         Theta = Theta_new
         primals.append(primal)
         duals.append(dual)
@@ -184,10 +190,16 @@ def unscaled_reference(meas, config):
     return z, -2.0 * Upsilon[:mn, mn], primals, duals, objective, it, converged
 
 
+SWEEP_CASES = [(4, 4, 1.0, 300), (4, 4, 0.0, 300), (8, 8, 1.0, 600), (8, 8, 0.0, 600)]
+
+
 class TestScaledForm:
-    @pytest.mark.parametrize("M, N, mu_scale, max_iters", [(4, 4, 1.0, 300), (4, 4, 0.0, 300),
-                                                           (8, 8, 1.0, 600), (8, 8, 0.0, 600)])
-    def test_matches_unscaled_sweep(self, M, N, mu_scale, max_iters):
+    # The relaxed sweep keeps the case's plain id; the plain ADMM sweep adds "unrelaxed".
+    @pytest.mark.parametrize("relaxation, M, N, mu_scale, max_iters", [
+        pytest.param(relaxation, *case, id="-".join(map(str, case)) + suffix)
+        for relaxation, suffix in ((1.8, ""), (1.0, "-unrelaxed")) for case in SWEEP_CASES])
+    def test_matches_unscaled_sweep(self, monkeypatch, relaxation, M, N, mu_scale, max_iters):
+        monkeypatch.setattr(admm, "RELAXATION", relaxation)
         cfg, scene, meas = make_instance(M=M, N=N, K=3, seed=19, ber=0.05)
         lam, mu = default_weights(cfg.sigma, M, N)
         c = SolverConfig(lam=lam, mu=mu * mu_scale, max_iters=max_iters)
@@ -204,9 +216,10 @@ class TestScaledForm:
 
     @pytest.mark.parametrize("mu_scale", [1.0, 0.0])
     def test_projection_input_is_exactly_hermitian(self, monkeypatch, mu_scale):
-        # psd_project does not symmetrize, so every sweep must build G = A - W
-        # exactly Hermitian: T(U) of a Hermitian-consistent U, the z/conj(z)
-        # border, a real t and the previous sweep's Hermitian Theta.
+        # psd_project does not symmetrize, so every sweep must build
+        # G = alpha A + (1 - alpha) Theta - W exactly Hermitian: T(U) of a
+        # Hermitian-consistent U, the z/conj(z) border, a real t, the previous
+        # sweep's Hermitian Theta and W, combined elementwise with real scalars.
         cfg, scene, meas = make_instance(M=8, N=8, K=3, seed=19, ber=0.05)
         lam, mu = default_weights(cfg.sigma, 8, 8)
         project, calls = admm.psd_project, []
@@ -219,6 +232,28 @@ class TestScaledForm:
         sol = solve(meas, SolverConfig(lam=lam, mu=mu * mu_scale, max_iters=600))
         assert len(calls) == sol.diagnostics.iterations > 1
         assert all(calls)
+
+
+class TestRelaxation:
+    @pytest.mark.parametrize("mu_scale", [1.0, 0.0])
+    @pytest.mark.parametrize("seed", [20, 21])
+    def test_relaxed_sweep_stops_sooner_and_no_less_optimal(self, monkeypatch, seed, mu_scale):
+        # At 8x8 and tol 1e-5, the module's relaxation against the plain sweep
+        # (alpha = 1) on the same instance and weights.
+        cfg, scene, meas = make_instance(M=8, N=8, K=3, seed=seed, ber=0.05)
+        lam, mu = default_weights(cfg.sigma, 8, 8)
+        c = SolverConfig(lam=lam, mu=mu * mu_scale, max_iters=5000, tol=1e-5)
+
+        def sweeps_and_violation():
+            sol = solve(meas, c)
+            assert sol.diagnostics.converged
+            return sol.diagnostics.iterations, optimality_residuals(sol, meas, c).max_violation()
+
+        relaxed_sweeps, relaxed_violation = sweeps_and_violation()
+        monkeypatch.setattr(admm, "RELAXATION", 1.0)
+        plain_sweeps, plain_violation = sweeps_and_violation()
+        assert relaxed_sweeps < plain_sweeps
+        assert relaxed_violation <= plain_violation
 
 
 class TestObjectives:

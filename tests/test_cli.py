@@ -207,13 +207,18 @@ class TestMalformedInput:
         assert type(serialize.scenario_from_dict(spec).trials) is int
 
     # One case per kind of float field: config, the derived-timing check, a
-    # truth path, an interleaved sample, a scenario float and a tuple entry.
+    # truth path, an interleaved sample, a scenario float and a tuple entry;
+    # then -1 followed by 400 zeros, an int that JSON reads and float() cannot
+    # hold, in a config field and an interleaved sample.
     @pytest.mark.parametrize("kind, keys, value", [
         ("measurement", ("config", "f_c_hz"), True), ("measurement", ("config", "f_c_hz"), "2e9"),
         ("measurement", ("config", "T_bar_s"), "3e-4"),
         ("measurement", ("truth", "targets", 0, "phi"), "0.5"),
         ("measurement", ("r_bar", 0), True), ("scenario", ("clutter_power_db",), "-10"),
-        ("scenario", ("range_bounds_m", 1), True), ("scenario", ("config", "delta_f_hz"), "5e3")])
+        ("scenario", ("range_bounds_m", 1), True), ("scenario", ("config", "delta_f_hz"), "5e3"),
+        pytest.param("measurement", ("config", "noise_power_db"), -10 ** 400,
+                     id="measurement-noise_power_db-int-too-large"),
+        pytest.param("measurement", ("r_bar", 0), -10 ** 400, id="measurement-r_bar-int-too-large")])
     def test_float_field_that_is_not_a_number_exits_2(self, tmp_path, capsys, kind, keys,
                                                       value):
         if kind == "scenario":

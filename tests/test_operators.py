@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofdmradar import (ConfigError, adjoint_normalized, block_toeplitz, psd_project,
-                       soft_threshold, symmetrize_param)
+from ofdmradar import ConfigError, adjoint_normalized, block_toeplitz, psd_project, soft_threshold
 from ofdmradar.operators import _adjoint_tables
-from conftest import random_consistent_param
+from conftest import random_consistent_param, symmetrize_param
 
 # (M, N) pairs for the index-layout oracles: square, and both non-square
 # orientations, which a layout with M and N swapped fails.
