@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_max_iters
 from .extract import dual_atomic_norm
 from .operators import adjoint_normalized, block_toeplitz, psd_project, soft_threshold
 from .scene import Measurement
@@ -58,8 +58,7 @@ class SolverConfig:
             raise ConfigError(f"mu must be nonnegative and finite, got {self.mu}")
         if not 0 < self.rho < math.inf:
             raise ConfigError(f"rho must be positive and finite, got {self.rho}")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be at least 1")
+        check_max_iters(self.max_iters)
         if not 0 < self.tol < math.inf:
             raise ConfigError(f"tol must be positive and finite, got {self.tol}")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import extract
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_max_iters
 from .extract import Estimate, _dft_factors, ls_amplitudes, ranked_estimate, wrapped_local_maxima
 from .operators import _shrink
 from .scene import Measurement, steering
@@ -42,7 +42,12 @@ class CsL1Config:
 
     :func:`csl1_estimate` stops once the relative duality gap at its iterate
     is at most ``tol`` (a certificate that the objective is within ``tol`` of
-    the optimum, relatively), or after ``max_iters`` ADMM iterations.
+    the optimum, relatively), or after ``max_iters`` ADMM iterations.  The gap
+    takes the better of two dual points: the residual r - A w at the iterate w,
+    and the residual r - A x at the x-step's iterate, which is rho D times the
+    x-step's residual r - A z for D = 1/(rho + M_grid N_grid |s|^2), exact
+    because C C^H = M_grid N_grid I.  Either point is feasible once scaled,
+    so the certificate is the same whichever one gives the bound.
     """
 
     M_grid: int
@@ -56,8 +61,7 @@ class CsL1Config:
             raise ConfigError(f"need M_grid, N_grid >= 1, got ({self.M_grid}, {self.N_grid})")
         if not 0 <= self.gamma < math.inf:
             raise ConfigError(f"gamma must be nonnegative and finite, got {self.gamma}")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be at least 1")
+        check_max_iters(self.max_iters)
         if not 0 < self.tol < math.inf:
             raise ConfigError(f"tol must be positive and finite, got {self.tol}")
 
@@ -181,16 +185,19 @@ def _csl1_solve(measurement: Measurement, config: CsL1Config) -> tuple[np.ndarra
         raise ConfigError("csl1_estimate needs gamma > 0")
     rho = CSL1_PENALTY * Mg * Ng * gamma / corr_max
     a = CSL1_RELAXATION
-    # alpha conj(s) D, with the x-step's Woodbury weights D = 1/(rho + M_grid N_grid |s|^2).
+    # alpha conj(s) D and rho D, for the x-step's Woodbury weights
+    # D = 1/(rho + M_grid N_grid |s|^2); rho D resid is r - A x.
     s_conj_weight = a * s_conj / (rho + Mg * Ng * np.abs(s) ** 2)
+    x_weight = rho / (rho + Mg * Ng * np.abs(s) ** 2)
     u, z = np.zeros((Mg, Ng), dtype=complex), np.empty((Mg, Ng), dtype=complex)
     mag, shrunk = np.empty((Mg, Ng)), np.empty((Mg, Ng))
     with np.errstate(invalid="ignore"):
         for it in range(1, config.max_iters + 1):
-            # The x-step at z = w - u is x = z + A^H D (r - A z); step is alpha (x - z).
+            # The x-step at z = w - u is x = z + A^H D resid with resid = r - A z;
+            # step is alpha (x - z).
             np.subtract(w, u, out=z)
-            step = extract.dual_poly_grid(
-                s_conj_weight * (r - s * _synthesize(z, M, N, Mg, Ng)), M, N, Mg, Ng)
+            resid = r - s * _synthesize(z, M, N, Mg, Ng)
+            step = extract.dual_poly_grid(s_conj_weight * resid, M, N, Mg, Ng)
             # u + alpha x + (1 - alpha) w, which is w + (1 - alpha) u + step, into u;
             # w = shrink(u) and u - w is the new u.
             u *= 1.0 - a
@@ -200,31 +207,41 @@ def _csl1_solve(measurement: Measurement, config: CsL1Config) -> tuple[np.ndarra
             _shrink(w, gamma / rho, mag, shrunk)
             u -= w
             if it % CSL1_GAP_EVERY == 0 or it == config.max_iters:
-                gap = _csl1_gap(w, float(shrunk.sum()), measurement, config)
+                gap = _csl1_gap(w, float(shrunk.sum()), x_weight * resid, measurement, config)
                 if gap <= config.tol:
                     break
     return w, it, gap
 
 
-def _csl1_gap(w: np.ndarray, l1: float, measurement: Measurement, config: CsL1Config) -> float:
+def _csl1_gap(w: np.ndarray, l1: float, nu_x: np.ndarray, measurement: Measurement,
+              config: CsL1Config) -> float:
     """Relative duality gap (P(w) - D(nu)) / P(w) at w, whose l1 norm is ``l1``.
 
-    D(nu) = Re<r, nu> - ||nu||^2 / 2 is the lasso dual; nu is the residual
-    r - A w scaled into the dual's feasible set |C^H(conj(s) nu)| <= gamma.
+    D(nu) = Re<r, nu> - ||nu||^2 / 2 is the lasso dual, taken at the better of
+    two points, each scaled into the dual's feasible set
+    |C^H(conj(s) nu)| <= gamma: the residual r - A w, and ``nu_x`` = r - A x
+    at the last x-step's iterate x (see :func:`csl1_estimate`).
     """
     M, N = measurement.M, measurement.N
-    s, r, gamma = measurement.s_tilde, measurement.r_bar, config.gamma
-    nu = r - s * _synthesize(w, M, N, config.M_grid, config.N_grid)
-    corr_max = float(np.abs(extract.dual_poly_grid(np.conj(s) * nu, M, N, config.M_grid,
-                                                   config.N_grid)).max())
-    theta = gamma / max(corr_max, gamma)
-    sq = float(np.vdot(nu, nu).real)
+    s, gamma = measurement.s_tilde, config.gamma
+    nu_w = measurement.r_bar - s * _synthesize(w, M, N, config.M_grid, config.N_grid)
+    sq = float(np.vdot(nu_w, nu_w).real)
     primal = 0.5 * sq + gamma * l1
-    dual = theta * float(np.vdot(r, nu).real) - 0.5 * theta * theta * sq
+    dual = max(_csl1_dual(nu_w, measurement, config), _csl1_dual(nu_x, measurement, config))
     gap = (primal - dual) / primal
     if not math.isfinite(gap):
         raise NumericError("non-finite duality gap in CS-L1")
     return gap
+
+
+def _csl1_dual(nu: np.ndarray, measurement: Measurement, config: CsL1Config) -> float:
+    """D(theta nu) for theta = gamma / max(||C^H(conj(s) nu)||_inf, gamma)."""
+    M, N = measurement.M, measurement.N
+    corr_max = float(np.abs(extract.dual_poly_grid(np.conj(measurement.s_tilde) * nu, M, N,
+                                                   config.M_grid, config.N_grid)).max())
+    theta = config.gamma / max(corr_max, config.gamma)
+    sq = float(np.vdot(nu, nu).real)
+    return theta * float(np.vdot(measurement.r_bar, nu).real) - 0.5 * theta * theta * sq
 
 
 def csl1_estimate(measurement: Measurement, config: CsL1Config) -> Estimate:
@@ -247,10 +264,16 @@ def csl1_estimate(measurement: Measurement, config: CsL1Config) -> Estimate:
     optimal and no iteration runs.
 
     Every ``CSL1_GAP_EVERY`` iterations and at ``max_iters`` the relative
-    duality gap (P(w) - D(nu)) / P(w) is taken at w, with the dual point nu the
-    residual r - A w scaled into |A^H nu| <= gamma.  The solve stops once it is
-    at most ``config.tol``: D(nu) bounds the optimum from below, so then P(w)
-    is within ``tol * P(w)`` of it.  ``gamma`` must be positive unless r = 0.
+    duality gap (P(w) - D(nu)) / P(w) is taken at w, with D at the better of
+    two dual points, each scaled into |A^H nu| <= gamma: the residual r - A w,
+    and the residual r - A x at the x-step's iterate x before relaxation.  The
+    x-step already forms resid = r - A z, and since A A^H = M_grid N_grid
+    diag(|s|^2) (from C C^H = M_grid N_grid I), r - A x = (I - A A^H D) resid
+    = rho D resid exactly, with no extra synthesis.  The solve stops once the
+    gap is at most ``config.tol``: any feasible nu gives D(nu) <= P*, so then
+    P(w) is within ``tol * P(w)`` of the optimum, whichever point gave D; the
+    second point can only make the stop come sooner.  ``gamma`` must be
+    positive unless r = 0.
     Entries of w above 1e-3 of the largest magnitude become paths at
     their grid frequencies.
     """

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the iteration-cap check of both solvers."""
+
+import numbers
 
 
 class ConfigError(ValueError):
@@ -19,3 +21,9 @@ class DegenerateDictionaryError(NumericError):
     def __init__(self, message, pairs=None):
         super().__init__(message)
         self.pairs = list(pairs) if pairs else []
+
+
+def check_max_iters(max_iters) -> None:
+    """Raise :class:`ConfigError` unless ``max_iters`` is a whole number (not a bool) >= 1."""
+    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral) or max_iters < 1:
+        raise ConfigError(f"max_iters must be a whole number of at least 1, got {max_iters!r}")

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ofdmradar import Path, RadarConfig, Scene, atoms
+from ofdmradar import Path, RadarConfig, Scene, atoms, dual_poly_grid
+from ofdmradar.baselines import _synthesize
 
 
 @pytest.fixture
@@ -22,6 +23,23 @@ def atom(phi, psi, M, N):
 def symmetrize_param(U):
     """Project onto Hermitian-consistent parameters: u_l(k) <- (u_l(k) + conj(u_{-l}(-k)))/2."""
     return 0.5 * (U + np.conj(U[::-1, ::-1]))
+
+
+def residual_at_w_gap(w, l1, nu_x, measurement, config):
+    """Oracle: CS-L1's relative duality gap with the residual r - A w as its only dual point.
+
+    It takes the x-step's point ``nu_x`` as ``baselines._csl1_gap`` does and ignores it, so
+    patched in for that function it gives the solve the earlier, residual-at-w stop.
+    """
+    M, N = measurement.M, measurement.N
+    s, r, gamma = measurement.s_tilde, measurement.r_bar, config.gamma
+    nu = r - s * _synthesize(w, M, N, config.M_grid, config.N_grid)
+    corr_max = float(np.abs(dual_poly_grid(np.conj(s) * nu, M, N, config.M_grid,
+                                           config.N_grid)).max())
+    theta = gamma / max(corr_max, gamma)
+    sq = float(np.vdot(nu, nu).real)
+    primal = 0.5 * sq + gamma * l1
+    return (primal - (theta * float(np.vdot(r, nu).real) - 0.5 * theta * theta * sq)) / primal
 
 
 def random_consistent_param(rng, M, N):

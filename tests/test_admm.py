@@ -44,6 +44,14 @@ class TestSolverConfig:
         with pytest.raises(ConfigError, match=field):
             SolverConfig(**{"lam": 1.0, "mu": 0.1, field: value})
 
+    @pytest.mark.parametrize("value", [0, -3, 2.5, True, math.nan, "10"])
+    def test_max_iters_must_be_a_whole_number(self, value):
+        with pytest.raises(ConfigError, match="max_iters"):
+            SolverConfig(lam=1.0, mu=0.1, max_iters=value)
+
+    def test_accepts_a_numpy_integer_cap(self):
+        assert SolverConfig(lam=1.0, mu=0.1, max_iters=np.int64(3)).max_iters == 3
+
     def test_default_weights_formula(self):
         lam, mu = default_weights(0.01, 8, 8)
         assert lam == pytest.approx(0.01 * np.sqrt(64 * np.log(64)))

@@ -8,11 +8,12 @@ from ofdmradar import (ConfigError, CsL1Config, MusicConfig, NumericError, Path,
                        Scene, atoms, csl1_estimate, default_csl1_config,
                        default_music_config, dual_poly_grid, music_estimate,
                        music_spectrum, qpsk, simulate, spatial_smooth)
+from ofdmradar import baselines
 from ofdmradar.baselines import (CSL1_GAP_EVERY, CSL1_PENALTY, CSL1_RELAXATION, _csl1_solve,
                                  _synthesize, csl1_dictionary)
 from ofdmradar.extract import _dft_factors
 from ofdmradar.operators import _shrink, soft_threshold
-from conftest import small_config
+from conftest import residual_at_w_gap, small_config
 
 
 def noiseless_measurement(M=8, N=8, paths=((1.0, 0.2, 0.3),), seed=0):
@@ -239,7 +240,8 @@ class TestCsL1:
 
     @pytest.mark.parametrize("field, value", [
         ("M_grid", 0), ("N_grid", 0), ("gamma", -0.1), ("gamma", math.nan),
-        ("gamma", math.inf), ("max_iters", 0), ("tol", 0.0), ("tol", -1e-10),
+        ("gamma", math.inf), ("max_iters", 0), ("max_iters", 2.5), ("max_iters", True),
+        ("max_iters", math.nan), ("max_iters", "10"), ("tol", 0.0), ("tol", -1e-10),
         ("tol", math.nan), ("tol", math.inf)])
     def test_config_rejects_out_of_range(self, field, value):
         kwargs = dict(M_grid=32, N_grid=32, gamma=0.1)
@@ -249,6 +251,9 @@ class TestCsL1:
 
     def test_config_accepts_zero_gamma(self):
         assert CsL1Config(M_grid=1, N_grid=1, gamma=0.0, max_iters=1).gamma == 0.0
+
+    def test_config_accepts_a_numpy_integer_cap(self):
+        assert CsL1Config(M_grid=1, N_grid=1, gamma=0.1, max_iters=np.int64(3)).max_iters == 3
 
     @pytest.mark.parametrize("M_grid, N_grid", [(7, 32), (32, 7)])
     def test_coarse_grid_rejected(self, M_grid, N_grid):
@@ -320,39 +325,76 @@ MEASUREMENTS = {
 }
 
 
-def dense_gap(A, r, gamma, w):
-    """Relative duality gap (P - D) / P at w, the dual point r - A w scaled into |A^H nu| <= gamma."""
-    nu = r - A @ w
-    theta = min(1.0, gamma / np.abs(A.conj().T @ nu).max())
-    sq = np.vdot(nu, nu).real
-    primal = 0.5 * sq + gamma * np.abs(w).sum()
-    return (primal - (theta * np.vdot(r, nu).real - 0.5 * theta ** 2 * sq)) / primal
+def dense_gap(A, r, gamma, w, x=None):
+    """Relative duality gap (P - D) / P at w, D at the better of r - A w and r - A x.
 
-
-def allocating_admm(meas, ccfg):
-    """Reference: over-relaxed scaled ADMM on x = w with the dense dictionary.
-
-    The x-step applies (A^H A + rho I)^-1 as an explicit Woodbury matrix.  It
-    returns w flat column-major, the iterations run and the gap at w.
+    Each dual point is scaled into |A^H nu| <= gamma; without ``x`` only r - A w is taken,
+    which is CS-L1's earlier, residual-at-w rule.
     """
+    def dual(nu):
+        theta = min(1.0, gamma / np.abs(A.conj().T @ nu).max())
+        return theta * np.vdot(r, nu).real - 0.5 * theta ** 2 * np.vdot(nu, nu).real
+
+    nu = r - A @ w
+    primal = 0.5 * np.vdot(nu, nu).real + gamma * np.abs(w).sum()
+    best = dual(nu) if x is None else max(dual(nu), dual(r - A @ x))
+    return (primal - best) / primal
+
+
+def dense_program(meas, ccfg):
+    """The dense A, A^H r, the solve's penalty rho and the x-step's explicit Woodbury inverse."""
     Mg, Ng = ccfg.M_grid, ccfg.N_grid
-    s, r, gamma = meas.s_tilde, meas.r_bar, ccfg.gamma
+    s = meas.s_tilde
     A = s[:, None] * csl1_dictionary(meas.M, meas.N, Mg, Ng)
     AH = A.conj().T
-    AHr = AH @ r
-    rho = CSL1_PENALTY * Mg * Ng * gamma / np.abs(AHr).max()
+    AHr = AH @ meas.r_bar
+    rho = CSL1_PENALTY * Mg * Ng * ccfg.gamma / np.abs(AHr).max()
     inverse = (np.eye(Mg * Ng) - AH @ (A / (rho + Mg * Ng * np.abs(s) ** 2)[:, None])) / rho
-    w = u = np.zeros(Mg * Ng, dtype=complex)
+    return A, AHr, rho, inverse
+
+
+def allocating_admm(meas, ccfg, x_point=True):
+    """Reference: over-relaxed scaled ADMM on x = w with the dense dictionary.
+
+    The x-step applies (A^H A + rho I)^-1 as an explicit Woodbury matrix.  The gap at w
+    takes the x-iterate before relaxation as its second dual point, or with
+    ``x_point=False`` the residual at w alone.  It returns w flat column-major, the
+    iterations run and the gap at w.
+    """
+    r, gamma = meas.r_bar, ccfg.gamma
+    A, AHr, rho, inverse = dense_program(meas, ccfg)
+    w = u = np.zeros(A.shape[1], dtype=complex)
     for it in range(1, ccfg.max_iters + 1):
         x = inverse @ (AHr + rho * (w - u))
         x_hat = CSL1_RELAXATION * x + (1 - CSL1_RELAXATION) * w
         w = soft_threshold(x_hat + u, gamma / rho)
         u = u + x_hat - w
         if it % CSL1_GAP_EVERY == 0 or it == ccfg.max_iters:
-            gap = dense_gap(A, r, gamma, w)
+            gap = dense_gap(A, r, gamma, w, x if x_point else None)
             if gap <= ccfg.tol:
                 break
     return w, it, gap
+
+
+def record_gap_checks(monkeypatch):
+    """Record (z, nu_x) at each of ``_csl1_solve``'s gap checks, z flat column-major.
+
+    z = w - u is the input of the x-step's synthesis, the last one before the check.
+    """
+    checks, last_z = [], []
+    synthesize, gap = baselines._synthesize, baselines._csl1_gap
+
+    def recording_synthesize(X, *args):
+        last_z[:] = [np.array(X).ravel(order="F")]
+        return synthesize(X, *args)
+
+    def recording_gap(w, l1, nu_x, *args):
+        checks.append((last_z[0], nu_x.copy()))
+        return gap(w, l1, nu_x, *args)
+
+    monkeypatch.setattr(baselines, "_synthesize", recording_synthesize)
+    monkeypatch.setattr(baselines, "_csl1_gap", recording_gap)
+    return checks
 
 
 class TestCsL1InPlace:
@@ -397,15 +439,66 @@ class TestCsL1InPlace:
 
     @pytest.mark.parametrize("case", MEASUREMENTS)
     @pytest.mark.parametrize("tol", [1e-4, 1e-7])
-    def test_gap_certificate(self, case, tol):
+    def test_gap_certificate(self, monkeypatch, case, tol):
         cfg, meas = MEASUREMENTS[case]()
         ccfg = dataclasses.replace(default_csl1_config(meas.M, meas.N, cfg.sigma), tol=tol)
+        checks = record_gap_checks(monkeypatch)
         w, iterations, gap = _csl1_solve(meas, ccfg)
         assert iterations < ccfg.max_iters
-        A = meas.s_tilde[:, None] * csl1_dictionary(meas.M, meas.N, ccfg.M_grid, ccfg.N_grid)
-        dense = dense_gap(A, meas.r_bar, ccfg.gamma, w.ravel(order="F"))
+        # The dense x-iterate of the last check, from the z its x-step saw.
+        z, _ = checks[-1]
+        A, AHr, rho, inverse = dense_program(meas, ccfg)
+        x = inverse @ (AHr + rho * z)
+        dense = dense_gap(A, meas.r_bar, ccfg.gamma, w.ravel(order="F"), x)
         assert dense <= tol
         assert dense == pytest.approx(gap, rel=1e-6)
+
+    @pytest.mark.parametrize("case", MEASUREMENTS)
+    @pytest.mark.parametrize("unit_symbols", [True, False])
+    def test_x_point_is_the_dense_x_iterate_residual(self, monkeypatch, case, unit_symbols):
+        # r - A x = rho D (r - A z) rests on A A^H = M_grid N_grid diag(|s|^2), which
+        # holds for any symbol magnitudes.
+        cfg, meas = MEASUREMENTS[case]()
+        if not unit_symbols:
+            gains = np.random.default_rng(7).uniform(0.5, 2.0, meas.S_hat.shape)
+            meas = dataclasses.replace(meas, S_hat=gains * meas.S_hat)
+        ccfg = default_csl1_config(meas.M, meas.N, cfg.sigma)
+        checks = record_gap_checks(monkeypatch)
+        _csl1_solve(meas, ccfg)
+        A, AHr, rho, inverse = dense_program(meas, ccfg)
+        assert len(checks) > 1
+        for z, nu_x in checks:
+            want = meas.r_bar - A @ (inverse @ (AHr + rho * z))
+            np.testing.assert_allclose(nu_x, want, rtol=0,
+                                       atol=1e-12 * np.linalg.norm(meas.r_bar))
+
+    @pytest.mark.parametrize("case", MEASUREMENTS)
+    def test_stops_no_later_than_the_residual_at_w_rule(self, monkeypatch, case):
+        cfg, meas = MEASUREMENTS[case]()
+        ccfg = default_csl1_config(meas.M, meas.N, cfg.sigma)
+        iterations = _csl1_solve(meas, ccfg)[1]
+        w_only = allocating_admm(meas, ccfg, x_point=False)[1]
+        assert iterations <= w_only < ccfg.max_iters
+        # The fast solve under the earlier rule stops where the dense one does.
+        monkeypatch.setattr(baselines, "_csl1_gap", residual_at_w_gap)
+        assert _csl1_solve(meas, ccfg)[1] == w_only
+
+    @pytest.mark.parametrize("case", MEASUREMENTS)
+    def test_objective_within_tol_of_a_tight_solve(self, case):
+        # No dual point enters: the certified w against w_ref from a solve at tol 1e-12.
+        cfg, meas = MEASUREMENTS[case]()
+        ccfg = default_csl1_config(meas.M, meas.N, cfg.sigma)
+        tight = dataclasses.replace(ccfg, tol=1e-12, max_iters=20000)
+        w, _, _ = _csl1_solve(meas, ccfg)
+        w_ref, iterations, _ = _csl1_solve(meas, tight)
+        assert iterations < tight.max_iters
+        A = dense_program(meas, ccfg)[0]
+
+        def objective(x):
+            fit = meas.r_bar - A @ x.ravel(order="F")
+            return 0.5 * np.vdot(fit, fit).real + ccfg.gamma * np.abs(x).sum()
+
+        assert objective(w) - objective(w_ref) <= ccfg.tol * objective(w)
 
     @pytest.mark.parametrize("k", [1e-3, 37.0])
     def test_scale_equivariant(self, k):

@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+from conftest import residual_at_w_gap
+
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -53,16 +55,36 @@ def test_baselines_16_trial_runs_and_csl1_objective_is_finite(run):
     assert math.isfinite(run.csl1_objective(csl1.estimate, trial.measurement, spec.config))
 
 
-def test_baselines_16_csl1_solve_certifies_before_its_cap(run):
+def baselines_16_csl1_solve(run, seed, index):
+    """CS-L1's solve of trial ``index`` of a baselines-16 run with ``seed``, as bench sets it."""
     workload = run.workloads.WORKLOADS["baselines-16"]
     spec = workload.spec()
-    trial = run.workloads.make_trial(workload, 1, 0)
+    trial = run.workloads.make_trial(workload, seed, index)
     bench = run.bench
     settings = bench.receiver_settings("CS-L1", trial.measurement, spec.config, trial.scene.K,
                                        bench.AN_MAX_ITERS, bench.BASELINE_GRID_FACTOR)
-    _, iterations, gap = run.baselines._csl1_solve(trial.measurement, settings)
+    return settings, run.baselines._csl1_solve(trial.measurement, settings)
+
+
+def test_baselines_16_csl1_solve_certifies_before_its_cap(run):
+    settings, (_, iterations, gap) = baselines_16_csl1_solve(run, 1, 0)
     assert iterations < settings.max_iters
     assert 0 < gap <= settings.tol
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_baselines_16_panel_csl1_solves_certify_before_their_caps(run, seed):
+    for index in range(run.workloads.WORKLOADS["baselines-16"].panel):
+        settings, (_, iterations, gap) = baselines_16_csl1_solve(run, seed, index)
+        assert iterations < settings.max_iters, index
+        assert 0 < gap <= settings.tol, index
+
+
+def test_baselines_16_csl1_certifies_sooner_than_the_residual_at_w_rule(run, monkeypatch):
+    _, (_, iterations, _) = baselines_16_csl1_solve(run, 1, 0)
+    monkeypatch.setattr(run.baselines, "_csl1_gap", residual_at_w_gap)
+    settings, (_, w_only, _) = baselines_16_csl1_solve(run, 1, 0)
+    assert iterations < w_only < settings.max_iters
 
 
 def test_dual_8_trial_traces_one_operator_span_per_sweep(run):
