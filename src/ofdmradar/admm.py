@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, check_max_iters
+from .errors import ConfigError, NumericError, check_whole_number
 from .extract import dual_atomic_norm
 from .operators import adjoint_normalized, block_toeplitz, psd_project, soft_threshold
 from .scene import Measurement
@@ -58,7 +58,7 @@ class SolverConfig:
             raise ConfigError(f"mu must be nonnegative and finite, got {self.mu}")
         if not 0 < self.rho < math.inf:
             raise ConfigError(f"rho must be positive and finite, got {self.rho}")
-        check_max_iters(self.max_iters)
+        check_whole_number("max_iters", self.max_iters)
         if not 0 < self.tol < math.inf:
             raise ConfigError(f"tol must be positive and finite, got {self.tol}")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import extract
-from .errors import ConfigError, NumericError, check_max_iters
+from .errors import ConfigError, NumericError, check_whole_number
 from .extract import Estimate, _dft_factors, ls_amplitudes, ranked_estimate, wrapped_local_maxima
 from .operators import _shrink
 from .scene import Measurement, steering
@@ -27,13 +27,23 @@ CSL1_GAP_EVERY = 10
 
 @dataclass(frozen=True)
 class MusicConfig:
-    """Subarray sizes, signal-subspace dimension, and spectrum grid."""
+    """Subarray sizes, signal-subspace dimension, and spectrum grid.
+
+    Sizes are whole numbers of at least 1; ``K_signal`` is ``"auto"`` or a whole
+    number, which :func:`music_spectrum` checks against M_sub N_sub.
+    """
 
     M_sub: int
     N_sub: int
     K_signal: int | str = "auto"
     grid_phi: int = 256
     grid_psi: int = 256
+
+    def __post_init__(self):
+        for name in ("M_sub", "N_sub", "grid_phi", "grid_psi"):
+            check_whole_number(name, getattr(self, name))
+        if self.K_signal != "auto":
+            check_whole_number("K_signal", self.K_signal, least=None)
 
 
 @dataclass(frozen=True)
@@ -57,11 +67,11 @@ class CsL1Config:
     tol: float = 1e-4
 
     def __post_init__(self):
-        if self.M_grid < 1 or self.N_grid < 1:
-            raise ConfigError(f"need M_grid, N_grid >= 1, got ({self.M_grid}, {self.N_grid})")
+        check_whole_number("M_grid", self.M_grid)
+        check_whole_number("N_grid", self.N_grid)
         if not 0 <= self.gamma < math.inf:
             raise ConfigError(f"gamma must be nonnegative and finite, got {self.gamma}")
-        check_max_iters(self.max_iters)
+        check_whole_number("max_iters", self.max_iters)
         if not 0 < self.tol < math.inf:
             raise ConfigError(f"tol must be positive and finite, got {self.tol}")
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the iteration-cap check of both solvers."""
+"""Exception types shared across the package, and the whole-number check of config fields."""
 
 import numbers
 
@@ -23,7 +23,13 @@ class DegenerateDictionaryError(NumericError):
         self.pairs = list(pairs) if pairs else []
 
 
-def check_max_iters(max_iters) -> None:
-    """Raise :class:`ConfigError` unless ``max_iters`` is a whole number (not a bool) >= 1."""
-    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral) or max_iters < 1:
-        raise ConfigError(f"max_iters must be a whole number of at least 1, got {max_iters!r}")
+def check_whole_number(name: str, value, least: int | None = 1) -> None:
+    """Raise :class:`ConfigError` naming ``name`` unless ``value`` is a whole number.
+
+    Booleans are rejected and numpy integers accepted; ``least``, unless None,
+    is the smallest value allowed.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (least is not None and value < least)):
+        bound = "" if least is None else f" of at least {least}"
+        raise ConfigError(f"{name} must be a whole number{bound}, got {value!r}")

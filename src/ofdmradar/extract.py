@@ -4,8 +4,10 @@ The dual vector of the denoising program defines a 2-D trigonometric
 polynomial ``Q(phi, psi) = <nu, atom(phi, psi)>`` whose magnitude touches the
 atomic-norm weight exactly at the recovered frequencies.  Peaks are found on
 an oversampled uniform grid (the DFT lattice, whose factors :func:`_dft_factors`
-owns) and refined by Newton ascent on |Q|^2 (``scene.steering`` owns the atom
-off the lattice); amplitudes come from least squares against ``scene.atoms``.
+owns) and refined all at once by one batched Newton ascent on |Q|^2, which
+evaluates Q and its derivatives at every pending point in two stacked matrix
+products (``scene.steering`` owns the atom off the lattice); amplitudes come
+from least squares against ``scene.atoms``.
 """
 
 from __future__ import annotations
@@ -86,60 +88,96 @@ def dual_poly_grid(nu: np.ndarray, M: int, N: int, grid_phi: int,
     return B @ (_dual_matrix(nu, M, N) @ G)
 
 
-def _poly_derivs(V: np.ndarray, phi: float, psi: float) -> np.ndarray:
-    """Derivatives of Q = b(phi)^H V g(psi): T[i, j] = d^(i+j) Q / dphi^i dpsi^j, i, j <= 2."""
+def _poly_derivs(V: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Derivative tables of Q = b(phi)^H V g(psi) at the P points x (P x 2).
+
+    T[k, i, j] = d^(i+j) Q / dphi^i dpsi^j at x[k], i, j <= 2: one product of the
+    stacked phi-derivative rows with V, then one stacked product with the psi columns.
+    """
     M, N = V.shape
-    b_g = steering([phi, psi], max(M, N))
-    slope = 2j * np.pi * np.arange(max(M, N))[:, None]
-    # D[i, :, 0] is the i-th derivative of b in phi, D[i, :, 1] that of g in psi.
-    D = np.stack([b_g, slope * b_g, slope * (slope * b_g)])
-    return D[:, :M, 0].conj() @ V @ D[:, :N, 1].T
+    P, L = len(x), max(M, N)
+    slope = 2j * np.pi * np.arange(L)
+    b_g = steering(x.ravel(), L).T.reshape(P, 2, 1, L)
+    # D[k, 0, i] is the i-th derivative of b at phi_k, D[k, 1, i] that of g at psi_k.
+    D = np.concatenate([b_g, slope * b_g, slope * (slope * b_g)], axis=2)
+    rows = (D[:, 0, :, :M].conj().reshape(3 * P, M) @ V).reshape(P, 3, N)
+    return rows @ D[:, 1, :, :N].transpose(0, 2, 1)
+
+
+def _value_grad_hess(V: np.ndarray, x: np.ndarray):
+    """Q, |Q|^2 and the gradient (P x 2) and Hessian (P x 3: H00, H01, H11) of |Q|^2 at x.
+
+    |Q|^2 has gradient 2 Re(conj(Q) J) and Hessian 2 Re(conj(J) J^T + conj(Q) Hess Q)
+    for the gradient J and Hessian Hess Q of Q.
+    """
+    T = _poly_derivs(V, x).reshape(-1, 9)
+    # Flat index 3i + j holds d^(i+j) Q / dphi^i dpsi^j: J is (3, 1), Hess Q is (6, 4, 2).
+    Q, J = T[:, 0], T[:, 3:0:-2]
+    conj_Q = Q.conj()[:, None]
+    H = conj_Q * T[:, 6:1:-2]
+    H[:, :2] += J[:, :1].conj() * J
+    H[:, 2] += J[:, 1].conj() * J[:, 1]
+    return Q, np.abs(Q) ** 2, 2.0 * (conj_Q * J).real, 2.0 * H.real
+
+
+def _ascent_steps(g: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Newton steps -H^-1 g of P 2x2 systems in closed form, with each one's fallbacks.
+
+    A singular Hessian steps along g / max(||H||_2, 1); a step that does not ascend
+    is replaced by g / max(|H_00| + |H_11|, 1).
+    """
+    det = H[:, 0] * H[:, 2] - H[:, 1] * H[:, 1]
+    # -H^-1 g = (H01 g1 - H11 g0, H01 g0 - H00 g1) / det; H[:, ::-2] is (H11, H00).
+    step = H[:, 1:2] * g[:, ::-1] - H[:, ::-2] * g
+    singular = np.flatnonzero(det == 0)
+    det[singular] = 1.0
+    step /= det[:, None]
+    if singular.size:
+        norms = np.linalg.norm(H[singular][:, [[0, 1], [1, 2]]], ord=2, axis=(1, 2))
+        step[singular] = g[singular] / np.maximum(norms, 1.0)[:, None]
+    flat = (step * g).sum(axis=1) <= 0
+    if flat.any():
+        step[flat] = g[flat] / np.maximum(np.abs(H[flat, 0]) + np.abs(H[flat, 2]), 1.0)[:, None]
+    return step
+
+
+def _newton_ascent(V: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton ascent on |Q|^2 from P start points at once; returns the points and Q there.
+
+    Each candidate runs its own ascent: up to MAX_NEWTON_STEPS steps, each halved
+    up to 25 times until |Q|^2 rises, with coordinates wrapped into [0, 1).  A
+    candidate stops once its gradient norm is at most GRAD_TOL * max(1, |Q|^2), or
+    when no halving rises; a step is taken only when |Q|^2 rises, so the point
+    kept is the best one seen.  Each evaluation covers only the candidates still
+    moving, and in the line search only those still pending.
+    """
+    x = np.array(starts, dtype=float)
+    Q, F, g, H = _value_grad_hess(V, x)
+    moving = np.arange(len(x))
+    for _ in range(MAX_NEWTON_STEPS):
+        moving = moving[np.linalg.norm(g[moving], axis=1) > GRAD_TOL * np.maximum(1.0, F[moving])]
+        if not moving.size:
+            break
+        pending, step = moving, _ascent_steps(g[moving], H[moving])
+        for _ in range(25):
+            cand = (x[pending] + step) % 1.0
+            cand[cand == 1.0] = 0.0  # a tiny negative x + step wraps to 1.0
+            Qc, Fc, gc, Hc = _value_grad_hess(V, cand)
+            up = Fc > F[pending]
+            k = pending[up]
+            x[k], Q[k], F[k], g[k], H[k] = cand[up], Qc[up], Fc[up], gc[up], Hc[up]
+            pending, step = pending[~up], step[~up] * 0.5
+            if not pending.size:
+                break
+        if pending.size:
+            moving = np.setdiff1d(moving, pending, assume_unique=True)
+    return x, Q
 
 
 def refine_peak(nu: np.ndarray, phi: float, psi: float, M: int, N: int) -> Peak:
-    """Newton ascent on |Q|^2 from a grid-local maximum.
-
-    Falls back to damped steps when the full Newton step does not increase
-    |Q|^2.  A step is taken only when |Q|^2 rises, so the point returned when
-    the gradient tolerance is not reached is the best one seen.
-    """
-    V = _dual_matrix(nu, M, N)
-
-    def value_grad_hess(p, s):
-        # Q, its gradient J and Hessian; |Q|^2 has gradient 2 Re(conj(Q) J) and
-        # Hessian 2 Re(conj(J) J^T + conj(Q) Hess Q).
-        T = _poly_derivs(V, p, s)
-        Q = T[0, 0]
-        J = np.array([T[1, 0], T[0, 1]])
-        hess_Q = np.array([[T[2, 0], T[1, 1]], [T[1, 1], T[0, 2]]])
-        g = 2.0 * (np.conj(Q) * J).real
-        H = 2.0 * (np.outer(J.conj(), J) + np.conj(Q) * hess_Q).real
-        return Q, abs(Q) ** 2, g, H
-
-    x = np.array([phi, psi], dtype=float)
-    Q, F, g, H = value_grad_hess(*x)
-    for _ in range(MAX_NEWTON_STEPS):
-        if np.linalg.norm(g) <= GRAD_TOL * max(1.0, F):
-            break
-        try:
-            step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            step = g / max(np.linalg.norm(H, ord=2), 1.0)
-        if step @ g <= 0:
-            step = g / max(abs(H[0, 0]) + abs(H[1, 1]), 1.0)
-        improved = False
-        for _ in range(25):
-            cand = (x + step) % 1.0
-            cand[cand == 1.0] = 0.0  # a tiny negative x + step wraps to 1.0
-            Qc, Fc, gc, Hc = value_grad_hess(*cand)
-            if Fc > F:
-                x, Q, F, g, H = cand, Qc, Fc, gc, Hc
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return Peak(phi=float(x[0]), psi=float(x[1]), value=complex(Q))
+    """Newton ascent on |Q|^2 from one start: :func:`_newton_ascent` on a batch of one."""
+    x, Q = _newton_ascent(_dual_matrix(nu, M, N), np.array([[phi, psi]]))
+    return Peak(phi=float(x[0, 0]), psi=float(x[0, 1]), value=complex(Q[0]))
 
 
 def _same_cell(f, g, M: int, N: int) -> bool:
@@ -164,9 +202,9 @@ def locate_peaks(nu: np.ndarray, lam: float, M: int, N: int, *,
     """Frequencies where |Q| reaches the certificate level.
 
     Strict local maxima of |Q| on a ``grid_factor``-oversampled wrapped grid
-    with |Q| >= (1 - REL_THRESHOLD) * lam are Newton-refined, then peaks
-    closer than half a resolution cell in both coordinates are merged
-    (largest magnitude wins).
+    with |Q| >= (1 - REL_THRESHOLD) * lam are refined together by one batched
+    Newton ascent (:func:`_newton_ascent`), then peaks closer than half a
+    resolution cell in both coordinates are merged (largest magnitude wins).
     """
     if lam <= 0:
         raise ConfigError(f"lam must be positive, got {lam}")
@@ -175,8 +213,9 @@ def locate_peaks(nu: np.ndarray, lam: float, M: int, N: int, *,
     level = (1.0 - REL_THRESHOLD) * lam
     cand = np.argwhere(wrapped_local_maxima(mag) & (mag >= level))
 
-    refined = [refine_peak(nu, p / grid_phi, q / grid_psi, M, N) for p, q in cand]
-    refined = [pk for pk in refined if pk.magnitude >= level]
+    x, Q = _newton_ascent(_dual_matrix(nu, M, N), cand / (grid_phi, grid_psi))
+    refined = [Peak(phi=float(f[0]), psi=float(f[1]), value=complex(v)) for f, v in zip(x, Q)
+               if abs(v) >= level]
     refined.sort(key=lambda pk: (-pk.magnitude, pk.phi, pk.psi))
 
     kept: list[Peak] = []

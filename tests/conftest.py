@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ofdmradar import Path, RadarConfig, Scene, atoms, dual_poly_grid
+from ofdmradar import Path, RadarConfig, Scene, atoms, dual_poly_grid, steering
 from ofdmradar.baselines import _synthesize
+from ofdmradar.extract import GRAD_TOL, MAX_NEWTON_STEPS, Peak, _dual_matrix
 
 
 @pytest.fixture
@@ -23,6 +24,52 @@ def atom(phi, psi, M, N):
 def symmetrize_param(U):
     """Project onto Hermitian-consistent parameters: u_l(k) <- (u_l(k) + conj(u_{-l}(-k)))/2."""
     return 0.5 * (U + np.conj(U[::-1, ::-1]))
+
+
+def scalar_refine_peak(nu, phi, psi, M, N):
+    """Oracle: Newton ascent on |Q|^2 from one start, one point per evaluation.
+
+    Same steps, fallbacks, line search, stop rules and wrap rule as
+    ``extract.refine_peak``, with the Newton system solved by ``np.linalg.solve``.
+    """
+    V = _dual_matrix(nu, M, N)
+
+    def value_grad_hess(p, s):
+        b_g = steering([p, s], max(M, N))
+        slope = 2j * np.pi * np.arange(max(M, N))[:, None]
+        D = np.stack([b_g, slope * b_g, slope * (slope * b_g)])
+        T = D[:, :M, 0].conj() @ V @ D[:, :N, 1].T
+        Q = T[0, 0]
+        J = np.array([T[1, 0], T[0, 1]])
+        hess_Q = np.array([[T[2, 0], T[1, 1]], [T[1, 1], T[0, 2]]])
+        g = 2.0 * (np.conj(Q) * J).real
+        H = 2.0 * (np.outer(J.conj(), J) + np.conj(Q) * hess_Q).real
+        return Q, abs(Q) ** 2, g, H
+
+    x = np.array([phi, psi], dtype=float)
+    Q, F, g, H = value_grad_hess(*x)
+    for _ in range(MAX_NEWTON_STEPS):
+        if np.linalg.norm(g) <= GRAD_TOL * max(1.0, F):
+            break
+        try:
+            step = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:
+            step = g / max(np.linalg.norm(H, ord=2), 1.0)
+        if step @ g <= 0:
+            step = g / max(abs(H[0, 0]) + abs(H[1, 1]), 1.0)
+        improved = False
+        for _ in range(25):
+            cand = (x + step) % 1.0
+            cand[cand == 1.0] = 0.0
+            Qc, Fc, gc, Hc = value_grad_hess(*cand)
+            if Fc > F:
+                x, Q, F, g, H = cand, Qc, Fc, gc, Hc
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+    return Peak(phi=float(x[0]), psi=float(x[1]), value=complex(Q))
 
 
 def residual_at_w_gap(w, l1, nu_x, measurement, config):

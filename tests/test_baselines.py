@@ -58,6 +58,27 @@ class TestSpatialSmooth:
             spatial_smooth(meas, MusicConfig(M_sub=8, N_sub=4, K_signal=1))
 
 
+class TestMusicConfig:
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, np.float64(4.0), "4", 0])
+    @pytest.mark.parametrize("field", ["M_sub", "N_sub", "grid_phi", "grid_psi"])
+    def test_sizes_must_be_whole_numbers(self, field, value):
+        kwargs = dict(M_sub=4, N_sub=4, K_signal=2)
+        kwargs[field] = value
+        with pytest.raises(ConfigError, match=field):
+            MusicConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, False, "2", "AUTO", None])
+    def test_signal_dimension_is_auto_or_a_whole_number(self, value):
+        with pytest.raises(ConfigError, match="K_signal"):
+            MusicConfig(M_sub=4, N_sub=4, K_signal=value)
+
+    def test_numpy_integers_accepted(self):
+        cfg = MusicConfig(M_sub=np.int64(4), N_sub=np.int32(4), K_signal=np.int64(2),
+                          grid_phi=np.int64(64), grid_psi=64)
+        meas = noiseless_measurement(paths=((1.0, 0.37, 0.81), (0.8, 0.62, 0.2)))[2]
+        assert music_spectrum(spatial_smooth(meas, cfg), cfg)[1] == 2
+
+
 class TestMusicSpectrum:
     def test_single_path_peak_within_cell(self):
         cfg, scene, meas = noiseless_measurement(paths=((1.0, 0.37, 0.81),))
@@ -248,6 +269,18 @@ class TestCsL1:
         kwargs[field] = value
         with pytest.raises(ConfigError, match=field):
             CsL1Config(**kwargs)
+
+    @pytest.mark.parametrize("value", [32.5, 32.0, True, np.float64(32.0), "32", -1])
+    @pytest.mark.parametrize("field", ["M_grid", "N_grid"])
+    def test_grid_sizes_must_be_whole_numbers(self, field, value):
+        kwargs = dict(M_grid=32, N_grid=32, gamma=0.1)
+        kwargs[field] = value
+        with pytest.raises(ConfigError, match=field):
+            CsL1Config(**kwargs)
+
+    def test_config_accepts_numpy_integer_grid_sizes(self):
+        cfg = CsL1Config(M_grid=np.int64(32), N_grid=np.int32(16), gamma=0.1)
+        assert (cfg.M_grid, cfg.N_grid) == (32, 16)
 
     def test_config_accepts_zero_gamma(self):
         assert CsL1Config(M_grid=1, N_grid=1, gamma=0.0, max_iters=1).gamma == 0.0

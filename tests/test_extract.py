@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,12 @@ from ofdmradar import (ConfigError, DegenerateDictionaryError, Path, Scene,
                        dual_poly_grid, estimate_from_solution, generate_symbols,
                        locate_peaks, ls_amplitudes, measure, qpsk, refine_peak,
                        simulate, solve)
-from ofdmradar.extract import (Estimate, _dft_factors, _dual_matrix, _poly_derivs, _same_cell,
-                               ranked_estimate)
-from conftest import atom, small_config
+from ofdmradar import bench
+from ofdmradar.extract import (GRID_FACTOR, REL_THRESHOLD, Estimate, _ascent_steps,
+                               _dft_factors, _dual_matrix, _newton_ascent, _poly_derivs,
+                               _same_cell, _value_grad_hess, ranked_estimate,
+                               wrapped_local_maxima)
+from conftest import atom, scalar_refine_peak, small_config
 
 
 def dual_polynomial(nu, phi, psi, M, N):
@@ -133,8 +138,8 @@ class TestPolyDerivs:
     @pytest.mark.parametrize("M, N", [(3, 5), (8, 8), (16, 16), (16, 64)])
     def test_matches_elementwise_oracle(self, rng, M, N):
         V = rng.normal(size=(M, N)) + 1j * rng.normal(size=(M, N))
-        for phi, psi in [(0.0, 0.0), (0.123, 0.987), (0.5, 0.25), *rng.uniform(size=(3, 2))]:
-            T = _poly_derivs(V, phi, psi)
+        points = np.vstack([[(0.0, 0.0), (0.123, 0.987), (0.5, 0.25)], rng.uniform(size=(3, 2))])
+        for (phi, psi), T in zip(points, _poly_derivs(V, points)):
             want, scale = elementwise_poly_derivs(V, phi, psi)
             for (i, j), w, s in zip(self.TABLE, want, scale):
                 assert abs(T[i, j] - w) <= 1e-12 * s
@@ -145,9 +150,10 @@ class TestPolyDerivs:
         grid = dual_poly_grid(nu, M, N, gp, gq)
         V = _dual_matrix(nu, M, N)
         tol = 1e-12 * np.sum(np.abs(nu))
-        for p in (0, 1, 13, gp - 1):
-            for q in (0, 7, 20, gq - 1):
-                assert abs(_poly_derivs(V, p / gp, q / gq)[0, 0] - grid[p, q]) <= tol
+        cells = [(p, q) for p in (0, 1, 13, gp - 1) for q in (0, 7, 20, gq - 1)]
+        values = _poly_derivs(V, np.array(cells) / (gp, gq))[:, 0, 0]
+        for (p, q), value in zip(cells, values):
+            assert abs(value - grid[p, q]) <= tol
 
 
 class TestRefinePeak:
@@ -170,6 +176,74 @@ class TestRefinePeak:
             assert 0.0 <= pk.phi < 1.0 and 0.0 <= pk.psi < 1.0
             assert min(pk.phi, 1.0 - pk.phi) < 1e-12
             assert pk.psi == pytest.approx(psi, abs=1e-8)
+
+
+def wrapped_gap(a, b):
+    """Largest distance between two (phi, psi) points on the wrapped axes."""
+    d = np.abs(np.subtract(a, b)) % 1.0
+    return float(np.max(np.minimum(d, 1.0 - d)))
+
+
+def assert_matches_scalar_oracle(nu, starts, M, N):
+    """Every start of one batched ascent ends where the scalar oracle ends from it."""
+    x, Q = _newton_ascent(_dual_matrix(nu, M, N), starts)
+    for start, point, value in zip(starts, x, Q):
+        want = scalar_refine_peak(nu, *start, M, N)
+        assert 0.0 <= point[0] < 1.0 and 0.0 <= point[1] < 1.0
+        assert wrapped_gap(point, (want.phi, want.psi)) <= 1e-8
+        assert abs(abs(value) - want.magnitude) <= 1e-12 * want.magnitude
+    return x, Q
+
+
+class TestNewtonAscent:
+    @pytest.fixture(scope="class")
+    def certificates(self):
+        """Dual vectors and weights of seeded 8x8 CS-ANL1 and CS-AN solves of an rmse1 scene."""
+        base = bench.preset("rmse1")
+        spec = dataclasses.replace(base, config=dataclasses.replace(base.config, M=8, N=8))
+        scene, meas = bench.simulate_trial(spec, 1e-2, 0)
+        out = {}
+        for name in ("CS-ANL1", "CS-AN"):
+            settings = bench.receiver_settings(name, meas, spec.config, scene.K, 600, GRID_FACTOR)
+            out[name] = (solve(meas, settings).nu_hat, settings.lam)
+        return out
+
+    @pytest.mark.parametrize("name", ["CS-ANL1", "CS-AN"])
+    def test_grid_candidates_match_the_scalar_oracle(self, certificates, name):
+        nu, lam = certificates[name]
+        M = N = 8
+        grid_phi, grid_psi = GRID_FACTOR * M, GRID_FACTOR * N
+        mag = np.abs(dual_poly_grid(nu, M, N, grid_phi, grid_psi))
+        cand = np.argwhere(wrapped_local_maxima(mag) & (mag >= (1.0 - REL_THRESHOLD) * lam))
+        assert len(cand) >= 5
+        assert_matches_scalar_oracle(nu, cand / (grid_phi, grid_psi), M, N)
+
+    def test_special_starts_in_one_batch(self):
+        # Q(phi, psi) = A(phi) + C(psi) with A'(0) = 0 exactly and Q(0, 0) purely
+        # imaginary, so at (0, 0) the Hessian of |Q|^2 is exactly singular while
+        # the psi-gradient is not zero.  At (1/3, 0) the psi-gradient and the
+        # mixed derivative vanish up to rounding, so the first Newton step moves
+        # psi = 0 by about 1e-17, which the wrap rule keeps in [0, 1).
+        M = N = 8
+        V = np.zeros((M, N), complex)
+        V[1, 0], V[2, 0], V[0, 1], V[0, 3] = -2.0, 1.0, 1.0, 0.5
+        V[0, 0] = -0.5 + 1j * np.nextafter(-1.5 * np.sqrt(3.0), -np.inf)
+        nu = V.reshape(-1, order="F")
+        singular, wrapping = (0.0, 0.0), (1.0 / 3.0, 0.0)
+        _, _, g, H = _value_grad_hess(V, np.array([singular, wrapping]))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(H[0, [[0, 1], [1, 2]]], -g[0])
+        assert g[0, 1] != 0.0
+        assert abs(_ascent_steps(g, H)[1, 1]) < 1e-15
+
+        mag = np.abs(dual_poly_grid(nu, M, N, 128, 128))
+        is_max = wrapped_local_maxima(mag)
+        ordinary = np.argwhere(is_max) / 128
+        top = scalar_refine_peak(nu, *ordinary[np.argmax(mag[is_max])], M, N)
+        on_max = (top.phi, top.psi)
+        starts = np.vstack([ordinary[:2], [on_max, wrapping], ordinary[2:], [singular]])
+        x, _ = assert_matches_scalar_oracle(nu, starts, M, N)
+        assert tuple(x[2]) == on_max
 
 
 class TestErrorSupport:
