@@ -9,12 +9,21 @@ the lifted variable onto the positive semidefinite cone.  The iteration runs
 in scaled form (Boyd et al., *Distributed Optimization and Statistical
 Learning via ADMM*, 2011, section 3.1.1): it carries W = Upsilon / rho, so
 the projection's Moreau split yields both the PSD block and the multiplier's
-ascent step, and the dual vector is read as nu = -2 rho W[:MN, MN].  The
+ascent step.  The sweep runs on the congruent lift D A D of the lift A, with
+D = diag(a I_MN, b) for a = ``TOEPLITZ_SCALE`` and b = ``CORNER_SCALE``.  D A D
+is PSD exactly when A is, so the program and its optimum are unchanged; only
+the ADMM metric changes.  The Frobenius penalty of D A D puts the base penalty
+rho as rho a^4 on the Toeplitz block, rho a^2 b^2 on the border and rho b^4 on
+the corner (a diagonal metric choice: Giselsson & Boyd, *Linear convergence and
+metric selection for Douglas-Rachford splitting and ADMM*, IEEE TAC 2017), and
+the dual vector is read as nu = -2 rho a b W[:MN, MN].  On the benchmark's
+dual-8 and dual-16 workloads (held-out seeds) it stops in 15% and 12% fewer
+sweeps than D = I, at a 45% and 31% lower median optimality violation.  The
 sweep is over-relaxed by ``RELAXATION`` (section 3.4.3, as in CS-L1's solver),
-with the same fixed points as the plain sweep; on the benchmark's dual-8 and
-dual-16 workloads it reaches the stop test in about 20% fewer sweeps, at a
-lower optimality violation.  A solve records its residual histories,
-``converged`` and ``iterations``; the objective is computed on demand by
+with the same fixed points as the plain sweep; against the plain sweep it
+reaches the stop test in about 20% fewer sweeps, at a lower optimality
+violation.  A solve records its residual histories, ``converged`` and
+``iterations``; the objective is computed on demand by
 :func:`objective_primal`.
 """
 
@@ -32,6 +41,10 @@ from .scene import Measurement
 
 # Over-relaxation alpha of the sweep (see solve).
 RELAXATION = 1.8
+# The sweep runs on the congruent lift D A D, D = diag(a I_MN, b) (see solve):
+# a = TOEPLITZ_SCALE on the Toeplitz rows and columns, b = CORNER_SCALE on the last.
+TOEPLITZ_SCALE = 0.8
+CORNER_SCALE = 1.75
 
 
 @dataclass(frozen=True)
@@ -39,10 +52,12 @@ class SolverConfig:
     """Weights and stopping rules for the ADMM iteration.
 
     ``lam`` weights the atomic-norm surrogate, ``mu`` the l1 error penalty
-    (zero selects the error-free mode), ``rho`` is the augmented-Lagrangian
-    penalty.  Iterations stop when both residuals of the over-relaxed sweep,
-    ||Theta - A_hat|| and rho ||Theta - Theta_prev|| (see :func:`solve`), drop
-    below ``tol * (MN + 1)``, or at ``max_iters``.
+    (zero selects the error-free mode), ``rho`` is the base augmented-Lagrangian
+    penalty: the sweep's congruent lift D A D weights it by a^4, a^2 b^2 and b^4
+    on the lift's Toeplitz block, border and corner (see :func:`solve`).
+    Iterations stop when both residuals of the over-relaxed sweep on D A D,
+    ||Theta - A_hat|| and rho ||Theta - Theta_prev||, drop below
+    ``tol * (MN + 1)``, or at ``max_iters``.
     """
 
     lam: float
@@ -76,9 +91,10 @@ class Solution:
     """Final iterates of one solve and the recovered dual vector.
 
     ``z_hat`` is the denoised signal and ``e_hat`` the sparse error estimate;
-    ``nu_hat`` is the dual vector read from the multiplier.  ``U`` (the
-    (2M-1) x (2N-1) Toeplitz parameter) and the scalar ``t`` are the lift's
-    values at the last sweep.
+    ``nu_hat`` is the dual vector read from the multiplier's border,
+    -2 rho a b W[:MN, MN].  ``U`` (the (2M-1) x (2N-1) Toeplitz parameter) and
+    the scalar ``t`` are the lift's values at the last sweep.  All four are
+    those of the program, not of the congruent lift D A D the sweep runs on.
     """
 
     z_hat: np.ndarray
@@ -99,32 +115,41 @@ def default_weights(sigma: float, M: int, N: int) -> tuple[float, float]:
 def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     """Run the ADMM iteration to convergence or ``max_iters``.
 
-    All variables start at zero.  Each sweep updates, in order and always
-    with the latest values: the signal ``z`` (regularized elementwise divide,
-    the symbol lift being diagonal), the scalar ``t``, the Toeplitz parameter
-    ``U`` (normalized adjoint with center-shifted penalty; the adjoint of the
-    exactly Hermitian Theta + W is Hermitian-consistent as it stands), the
-    error ``e`` (soft threshold of the data residual, skipped when
-    ``mu == 0``), then the PSD block ``Theta`` and the scaled multiplier
-    ``W = Upsilon / rho`` together.  With A the lift [[T(U), z], [z^H, t]],
-    the over-relaxed lift A_hat = alpha A + (1 - alpha) Theta_prev for
-    alpha = ``RELAXATION`` (Boyd et al. 2011, section 3.4.3) and
-    G = A_hat - W, the Moreau split G = P+(G) - P-(G) of one cone projection
-    gives Theta = P+(G) and the ascent step W + Theta - A_hat = Theta - G.
-    A_hat is built elementwise with real scalars, so G is exactly Hermitian.
-    The primal residual is ||Theta - A_hat||, the change in W; the dual
-    residual is rho ||Theta - Theta_prev||.  At a fixed point Theta = A_hat,
-    so Theta = A and the fixed points are those of the plain sweep (alpha = 1).
-    The record is both residual histories, ``converged`` and ``iterations``.
+    All variables start at zero.  The sweep runs on the congruent lift
+    D A D, D = diag(a I_MN, b), where A is the lift [[T(U), z], [z^H, t]] and
+    a, b = ``TOEPLITZ_SCALE``, ``CORNER_SCALE``; Theta and W live in its space.
+    With P = Theta + W, each sweep updates, in order and always with the latest
+    values, each block minimizing the augmented Lagrangian with penalty
+    rho ||D A D - P||^2 / 2: the signal
+    z = (conj(s) (r - e) + 2 rho a b P[:MN, MN]) / (|s|^2 + 2 rho a^2 b^2)
+    (an elementwise divide, the symbol lift being diagonal); the scalar
+    t = P[MN, MN] / b^2 - lam / (2 rho b^4); the Toeplitz parameter
+    U = adjoint(P[:MN, :MN]) / a^2 less lam / (2 MN rho a^4) at the centre (the
+    normalized adjoint of the exactly Hermitian P is Hermitian-consistent as it
+    stands); the error ``e`` (soft threshold of the data residual, skipped when
+    ``mu == 0``); then the PSD block ``Theta`` and the scaled multiplier
+    ``W = Upsilon / rho`` together.  With the over-relaxed lift
+    A_hat = alpha D A D + (1 - alpha) Theta_prev for alpha = ``RELAXATION``
+    (Boyd et al. 2011, section 3.4.3) and G = A_hat - W, the Moreau split
+    G = P+(G) - P-(G) of one cone projection gives Theta = P+(G) and the ascent
+    step W + Theta - A_hat = Theta - G.  D A D is built from a^2 T(U), a b z and
+    b^2 t, and A_hat elementwise, all with real scalars, so G is exactly
+    Hermitian.  The primal residual is ||Theta - A_hat||, the change in W; the
+    dual residual is rho ||Theta - Theta_prev||.  At a fixed point
+    Theta = A_hat, so Theta = D A D and the fixed points are those of the plain
+    sweep (alpha = 1).  The returned U, t, z and dual vector are the program's
+    (unscaled); the record is both residual histories, ``converged`` and
+    ``iterations``.
     """
     M, N = measurement.M, measurement.N
     mn = M * N
     s = measurement.s_tilde
     r = measurement.r_bar
     lam, mu, rho = config.lam, config.mu, config.rho
+    a2, ab, b2 = TOEPLITZ_SCALE ** 2, TOEPLITZ_SCALE * CORNER_SCALE, CORNER_SCALE ** 2
 
     s_conj = np.conj(s)
-    denom = np.abs(s) ** 2 + 2.0 * rho
+    denom = np.abs(s) ** 2 + 2.0 * rho * ab * ab
     sh_r = s_conj * r
 
     z = np.zeros(mn, dtype=complex)
@@ -142,20 +167,20 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for it in range(1, config.max_iters + 1):
-                z = (sh_r - s_conj * e + 2.0 * rho * (Theta[:mn, mn] + W[:mn, mn])) / denom
-                t = Theta[mn, mn].real + W[mn, mn].real - 0.5 * lam / rho
+                z = (sh_r - s_conj * e + 2.0 * rho * ab * (Theta[:mn, mn] + W[:mn, mn])) / denom
+                t = (Theta[mn, mn].real + W[mn, mn].real) / b2 - 0.5 * lam / (rho * b2 * b2)
 
-                U = adjoint_normalized(Theta[:mn, :mn] + W[:mn, :mn], M, N)
-                U[M - 1, N - 1] -= lam / (2.0 * mn * rho)
+                U = adjoint_normalized(Theta[:mn, :mn] + W[:mn, :mn], M, N) / a2
+                U[M - 1, N - 1] -= lam / (2.0 * mn * rho * a2 * a2)
 
                 if mu > 0:
                     e = soft_threshold(r - s * z, mu)
 
-                # The relaxed lift alpha A + (1 - alpha) Theta, less W, in G.
-                G[:mn, :mn] = block_toeplitz(U, M, N)
-                G[:mn, mn] = z
-                G[mn, :mn] = np.conj(z)
-                G[mn, mn] = t
+                # The relaxed scaled lift alpha D A D + (1 - alpha) Theta, less W, in G.
+                G[:mn, :mn] = block_toeplitz(a2 * U, M, N)
+                G[:mn, mn] = ab * z
+                G[mn, :mn] = ab * np.conj(z)
+                G[mn, mn] = b2 * t
                 G -= Theta
                 G *= RELAXATION
                 G += Theta
@@ -182,9 +207,10 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     diag.iterations = it
 
     # The stationarity condition for z ties the multiplier's border block
-    # (rho W) to the data residual mapped through the conjugate symbols, off
-    # by a factor of -2; undoing it recovers the dual vector of the program.
-    nu_hat = -2.0 * rho * W[:mn, mn]
+    # (rho W, seen through the border scale ab) to the data residual mapped
+    # through the conjugate symbols, off by a factor of -2; undoing it
+    # recovers the dual vector of the program.
+    nu_hat = -2.0 * rho * ab * W[:mn, mn]
 
     return Solution(z_hat=z, e_hat=e, nu_hat=nu_hat, U=U, t=t, diagnostics=diag)
 

@@ -227,7 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", required=True, choices=tuple(bench.ALGO_KEYS))
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="anl1, an: weight")
     p.add_argument("--mu", type=float, default=None, help="anl1: l1 error weight")
-    p.add_argument("--rho", type=float, default=None, help="anl1, an: ADMM penalty (0.05)")
+    p.add_argument("--rho", type=float, default=None,
+                   help="anl1, an: base ADMM penalty (0.05), weighted per block of the "
+                        "congruence-scaled lift (see ofdmradar.admm)")
     p.add_argument("--iters", type=int, default=None,
                    help=f"anl1, an: ADMM sweep cap ({SOLVE_MAX_ITERS})")
     p.add_argument("--music-k", type=int, default=None, help="music: model order (estimated)")
