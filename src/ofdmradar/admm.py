@@ -9,21 +9,35 @@ the lifted variable onto the positive semidefinite cone.  The iteration runs
 in scaled form (Boyd et al., *Distributed Optimization and Statistical
 Learning via ADMM*, 2011, section 3.1.1): it carries W = Upsilon / rho, so
 the projection's Moreau split yields both the PSD block and the multiplier's
-ascent step.  The sweep runs on the congruent lift D A D of the lift A, with
-D = diag(a I_MN, b) for a = ``TOEPLITZ_SCALE`` and b = ``CORNER_SCALE``.  D A D
-is PSD exactly when A is, so the program and its optimum are unchanged; only
-the ADMM metric changes.  The Frobenius penalty of D A D puts the base penalty
-rho as rho a^4 on the Toeplitz block, rho a^2 b^2 on the border and rho b^4 on
-the corner (a diagonal metric choice: Giselsson & Boyd, *Linear convergence and
-metric selection for Douglas-Rachford splitting and ADMM*, IEEE TAC 2017), and
-the dual vector is read as nu = -2 rho a b W[:MN, MN].  On the benchmark's
-dual-8 and dual-16 workloads (held-out seeds) it stops in 15% and 12% fewer
-sweeps than D = I, at a 45% and 31% lower median optimality violation.  The
-sweep is over-relaxed by ``RELAXATION`` (section 3.4.3, as in CS-L1's solver),
-with the same fixed points as the plain sweep; against the plain sweep it
-reaches the stop test in about 20% fewer sweeps, at a lower optimality
-violation.  A solve records its residual histories, ``converged`` and
-``iterations``; the objective is computed on demand by
+ascent step.
+
+The lift A = [[T(U), z], [z^H, t]] is complex of order MN+1, but T(U) is
+centro-Hermitian, so the fixed unitary Q of :mod:`.operators` makes Q^H T(U) Q
+real symmetric.  With w = Q^H z and B = [Re w, Im w], A is PSD exactly when
+the real lift L = [[Q^H T(U) Q, B], [B^T, S]] of order MN+2 is for some real
+symmetric 2 x 2 S with tr S = t: by the Schur complement both say
+t >= w^H (Q^H T Q)^+ w, and the right side is the sum of the two real quadratic
+forms in Re w and Im w.  The objective's lam t / 2 becomes lam tr S / 2, so the
+program on L has the same optimum, and each sweep projects a real symmetric
+matrix: a real ``eigh``, about a third of the cost of the complex one of order
+MN+1.  Q pairs index i with MN-1-i, so the sweep applies it in O((MN)^2).
+
+The sweep runs on the congruent lift D L D, with D = diag(a I_MN, b I_2) for
+a = ``TOEPLITZ_SCALE`` and b = ``CORNER_SCALE``.  D L D is PSD exactly when L
+is, so the program and its optimum are unchanged; only the ADMM metric changes.
+The Frobenius penalty of D L D puts the base penalty rho as rho a^4 on the
+Toeplitz block, rho a^2 b^2 on the border and rho b^4 on the corner (a diagonal
+metric choice: Giselsson & Boyd, *Linear convergence and metric selection for
+Douglas-Rachford splitting and ADMM*, IEEE TAC 2017), and the dual vector is
+read as nu = -2 rho a b Q (W[:MN, MN] + i W[:MN, MN+1]).  With a and b chosen
+for the real lift on held-out seeds of the benchmark's dual-8 and dual-16
+workloads, a solve stops in 9% and 14% fewer sweeps than on the complex lift at
+its own constants (a, b) = (0.8, 1.75), at a 31% and 18% lower median
+optimality violation.  The sweep is over-relaxed by ``RELAXATION`` (section
+3.4.3, as in CS-L1's solver), with the same fixed points as the plain sweep;
+against the plain sweep it reaches the stop test in about 20% fewer sweeps, at
+a lower optimality violation.  A solve records its residual histories,
+``converged`` and ``iterations``; the objective is computed on demand by
 :func:`objective_primal`.
 """
 
@@ -36,14 +50,15 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, check_whole_number
 from .extract import dual_atomic_norm
-from .operators import adjoint_normalized, block_toeplitz, psd_project, soft_threshold
+from .operators import (adjoint_normalized, block_toeplitz, complex_frame, complex_frame_vector,
+                        psd_project, real_frame, real_frame_vector, soft_threshold)
 from .scene import Measurement
 
 # Over-relaxation alpha of the sweep (see solve).
 RELAXATION = 1.8
-# The sweep runs on the congruent lift D A D, D = diag(a I_MN, b) (see solve):
-# a = TOEPLITZ_SCALE on the Toeplitz rows and columns, b = CORNER_SCALE on the last.
-TOEPLITZ_SCALE = 0.8
+# The sweep runs on the congruent lift D L D, D = diag(a I_MN, b I_2) (see solve):
+# a = TOEPLITZ_SCALE on the Toeplitz rows and columns, b = CORNER_SCALE on the last two.
+TOEPLITZ_SCALE = 0.7
 CORNER_SCALE = 1.75
 
 
@@ -53,9 +68,9 @@ class SolverConfig:
 
     ``lam`` weights the atomic-norm surrogate, ``mu`` the l1 error penalty
     (zero selects the error-free mode), ``rho`` is the base augmented-Lagrangian
-    penalty: the sweep's congruent lift D A D weights it by a^4, a^2 b^2 and b^4
-    on the lift's Toeplitz block, border and corner (see :func:`solve`).
-    Iterations stop when both residuals of the over-relaxed sweep on D A D,
+    penalty: the sweep's congruent real lift D L D weights it by a^4, a^2 b^2 and
+    b^4 on the lift's Toeplitz block, border and corner (see :func:`solve`).
+    Iterations stop when both residuals of the over-relaxed sweep on D L D,
     ||Theta - A_hat|| and rho ||Theta - Theta_prev||, drop below
     ``tol * (MN + 1)``, or at ``max_iters``.
     """
@@ -92,9 +107,10 @@ class Solution:
 
     ``z_hat`` is the denoised signal and ``e_hat`` the sparse error estimate;
     ``nu_hat`` is the dual vector read from the multiplier's border,
-    -2 rho a b W[:MN, MN].  ``U`` (the (2M-1) x (2N-1) Toeplitz parameter) and
-    the scalar ``t`` are the lift's values at the last sweep.  All four are
-    those of the program, not of the congruent lift D A D the sweep runs on.
+    -2 rho a b Q (W[:MN, MN] + i W[:MN, MN+1]).  ``U`` (the (2M-1) x (2N-1)
+    Toeplitz parameter) and the scalar ``t`` = tr S, the trace of the real lift's
+    2 x 2 corner, are the lift's values at the last sweep.  All four are those of
+    the program [[T(U), z], [z^H, t]], not of the real lift D L D the sweep runs on.
     """
 
     z_hat: np.ndarray
@@ -115,31 +131,31 @@ def default_weights(sigma: float, M: int, N: int) -> tuple[float, float]:
 def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     """Run the ADMM iteration to convergence or ``max_iters``.
 
-    All variables start at zero.  The sweep runs on the congruent lift
-    D A D, D = diag(a I_MN, b), where A is the lift [[T(U), z], [z^H, t]] and
-    a, b = ``TOEPLITZ_SCALE``, ``CORNER_SCALE``; Theta and W live in its space.
-    With P = Theta + W, each sweep updates, in order and always with the latest
-    values, each block minimizing the augmented Lagrangian with penalty
-    rho ||D A D - P||^2 / 2: the signal
-    z = (conj(s) (r - e) + 2 rho a b P[:MN, MN]) / (|s|^2 + 2 rho a^2 b^2)
-    (an elementwise divide, the symbol lift being diagonal); the scalar
-    t = P[MN, MN] / b^2 - lam / (2 rho b^4); the Toeplitz parameter
-    U = adjoint(P[:MN, :MN]) / a^2 less lam / (2 MN rho a^4) at the centre (the
-    normalized adjoint of the exactly Hermitian P is Hermitian-consistent as it
-    stands); the error ``e`` (soft threshold of the data residual, skipped when
-    ``mu == 0``); then the PSD block ``Theta`` and the scaled multiplier
-    ``W = Upsilon / rho`` together.  With the over-relaxed lift
-    A_hat = alpha D A D + (1 - alpha) Theta_prev for alpha = ``RELAXATION``
-    (Boyd et al. 2011, section 3.4.3) and G = A_hat - W, the Moreau split
-    G = P+(G) - P-(G) of one cone projection gives Theta = P+(G) and the ascent
-    step W + Theta - A_hat = Theta - G.  D A D is built from a^2 T(U), a b z and
-    b^2 t, and A_hat elementwise, all with real scalars, so G is exactly
-    Hermitian.  The primal residual is ||Theta - A_hat||, the change in W; the
-    dual residual is rho ||Theta - Theta_prev||.  At a fixed point
-    Theta = A_hat, so Theta = D A D and the fixed points are those of the plain
-    sweep (alpha = 1).  The returned U, t, z and dual vector are the program's
-    (unscaled); the record is both residual histories, ``converged`` and
-    ``iterations``.
+    All variables start at zero.  The sweep runs on the congruent real lift
+    D L D of order MN+2 (see the module docstring), D = diag(a I_MN, b I_2) for
+    a, b = ``TOEPLITZ_SCALE``, ``CORNER_SCALE``; Theta and W are real symmetric
+    and live in its space.  With P = Theta + W and p = P[:MN, MN] + i P[:MN, MN+1],
+    each sweep updates, in order and always with the latest values, each block
+    minimizing the augmented Lagrangian with penalty rho ||D L D - P||^2 / 2: the
+    signal z = (conj(s) (r - e) + 2 rho a b Q p) / (|s|^2 + 2 rho a^2 b^2) (an
+    elementwise divide, the symbol lift being diagonal); the corner
+    S = P[MN:, MN:] / b^2 - lam / (2 rho b^4) I_2; the Toeplitz parameter
+    U = adjoint(Q P[:MN, :MN] Q^H) / a^2 less lam / (2 MN rho a^4) at the centre
+    (Q P Q^H of the exactly symmetric P is exactly Hermitian, so its normalized
+    adjoint is Hermitian-consistent as it stands); the error ``e`` (soft threshold
+    of the data residual, skipped when ``mu == 0``); then the PSD block ``Theta``
+    and the scaled multiplier ``W = Upsilon / rho`` together.  With the
+    over-relaxed lift A_hat = alpha D L D + (1 - alpha) Theta_prev for
+    alpha = ``RELAXATION`` (Boyd et al. 2011, section 3.4.3) and G = A_hat - W,
+    the Moreau split G = P+(G) - P-(G) of one cone projection gives Theta = P+(G)
+    and the ascent step W + Theta - A_hat = Theta - G.  D L D is built from
+    a^2 Re(Q^H T(U) Q), a b [Re w, Im w] for w = Q^H z, and b^2 S, and A_hat
+    elementwise, all with real scalars, so G is an exactly symmetric float64
+    array.  The primal residual is ||Theta - A_hat||, the change in W; the dual
+    residual is rho ||Theta - Theta_prev||.  At a fixed point Theta = A_hat, so
+    Theta = D L D and the fixed points are those of the plain sweep (alpha = 1).
+    The returned U, t = tr S, z and dual vector are the program's (unscaled); the
+    record is both residual histories, ``converged`` and ``iterations``.
     """
     M, N = measurement.M, measurement.N
     mn = M * N
@@ -151,12 +167,12 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     s_conj = np.conj(s)
     denom = np.abs(s) ** 2 + 2.0 * rho * ab * ab
     sh_r = s_conj * r
+    corner_shift = 0.5 * lam / (rho * b2 * b2) * np.eye(2)
 
     z = np.zeros(mn, dtype=complex)
     e = np.zeros(mn, dtype=complex)
-    t = 0.0
-    Theta = np.zeros((mn + 1, mn + 1), dtype=complex)
-    W = np.zeros((mn + 1, mn + 1), dtype=complex)
+    Theta = np.zeros((mn + 2, mn + 2))
+    W = np.zeros((mn + 2, mn + 2))
     G = np.empty_like(W)
 
     diag = Diagnostics()
@@ -167,20 +183,24 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for it in range(1, config.max_iters + 1):
-                z = (sh_r - s_conj * e + 2.0 * rho * ab * (Theta[:mn, mn] + W[:mn, mn])) / denom
-                t = (Theta[mn, mn].real + W[mn, mn].real) / b2 - 0.5 * lam / (rho * b2 * b2)
+                border = Theta[:mn, mn:] + W[:mn, mn:]
+                p = complex_frame_vector(border[:, 0] + 1j * border[:, 1])
+                z = (sh_r - s_conj * e + 2.0 * rho * ab * p) / denom
+                S = (Theta[mn:, mn:] + W[mn:, mn:]) / b2 - corner_shift
 
-                U = adjoint_normalized(Theta[:mn, :mn] + W[:mn, :mn], M, N) / a2
+                U = adjoint_normalized(complex_frame(Theta[:mn, :mn] + W[:mn, :mn]), M, N) / a2
                 U[M - 1, N - 1] -= lam / (2.0 * mn * rho * a2 * a2)
 
                 if mu > 0:
                     e = soft_threshold(r - s * z, mu)
 
-                # The relaxed scaled lift alpha D A D + (1 - alpha) Theta, less W, in G.
-                G[:mn, :mn] = block_toeplitz(a2 * U, M, N)
-                G[:mn, mn] = ab * z
-                G[mn, :mn] = ab * np.conj(z)
-                G[mn, mn] = b2 * t
+                # The relaxed scaled lift alpha D L D + (1 - alpha) Theta, less W, in G.
+                real_frame(block_toeplitz(a2 * U, M, N), out=G[:mn, :mn])
+                w = real_frame_vector(z)
+                G[:mn, mn] = ab * w.real
+                G[:mn, mn + 1] = ab * w.imag
+                G[mn:, :mn] = G[:mn, mn:].T
+                G[mn:, mn:] = b2 * S
                 G -= Theta
                 G *= RELAXATION
                 G += Theta
@@ -206,11 +226,12 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
 
     diag.iterations = it
 
-    # The stationarity condition for z ties the multiplier's border block
-    # (rho W, seen through the border scale ab) to the data residual mapped
-    # through the conjugate symbols, off by a factor of -2; undoing it
+    # The stationarity condition for z ties the multiplier's border (rho W, seen
+    # through the border scale ab and mapped back by Q) to the data residual
+    # mapped through the conjugate symbols, off by a factor of -2; undoing it
     # recovers the dual vector of the program.
-    nu_hat = -2.0 * rho * ab * W[:mn, mn]
+    nu_hat = -2.0 * rho * ab * complex_frame_vector(W[:mn, mn] + 1j * W[:mn, mn + 1])
+    t = float(S[0, 0] + S[1, 1])
 
     return Solution(z_hat=z, e_hat=e, nu_hat=nu_hat, U=U, t=t, diagnostics=diag)
 

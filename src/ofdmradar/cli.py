@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=None, help="anl1: l1 error weight")
     p.add_argument("--rho", type=float, default=None,
                    help="anl1, an: base ADMM penalty (0.05), weighted per block of the "
-                        "congruence-scaled lift (see ofdmradar.admm)")
+                        "congruence-scaled real lift of order MN+2 (see ofdmradar.admm)")
     p.add_argument("--iters", type=int, default=None,
                    help=f"anl1, an: ADMM sweep cap ({SOLVE_MAX_ITERS})")
     p.add_argument("--music-k", type=int, default=None, help="music: model order (estimated)")

@@ -7,11 +7,22 @@ lifted MN x MN matrix with block offset l and within-block offset k: entry
 that layout as the flat (row-major) position in ``U`` of each lift entry;
 :func:`block_toeplitz` gathers through it and :func:`adjoint_normalized`
 averages back through it.  The lift is Hermitian exactly when
-u_{-l}(-k) == conj(u_l(k)).
+u_{-l}(-k) == conj(u_l(k)), and is then also centro-Hermitian, J T J == conj(T)
+for the exchange matrix J: reversing both flat indices negates both offsets.
+
+With n = MN and h = n // 2, the fixed unitary
+Q = [[I_h, 0, i J_h], [0, sqrt(2), 0], [J_h, 0, -i I_h]] / sqrt(2) (the middle row
+and column only for odd n) makes Q^H T Q real symmetric for every centro-Hermitian
+T (Lee, *Centrohermitian and skew-centrohermitian matrices*, LAA 1980; the unitary
+transform of Haardt & Nossek, *Unitary ESPRIT*, IEEE TSP 1995).  Each row of Q pairs
+index i with n-1-i, so :func:`real_frame` and :func:`complex_frame` apply the
+congruence and its inverse, and :func:`real_frame_vector` and
+:func:`complex_frame_vector` Q^H and Q, with reversed views in O(n^2) and O(n).
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -19,6 +30,7 @@ import numpy as np
 from .errors import ConfigError, NumericError
 
 _SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @lru_cache(maxsize=8)
@@ -70,14 +82,99 @@ def adjoint_normalized(P: np.ndarray, M: int, N: int) -> np.ndarray:
     return (sums / counts).view(complex).reshape(2 * M - 1, 2 * N - 1)
 
 
+def real_frame(T: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Re(Q^H T Q) of a centro-Hermitian T, exactly symmetric (into ``out`` if given).
+
+    T must be Hermitian and centro-Hermitian entry for entry, as :func:`block_toeplitz`
+    of a Hermitian-consistent parameter is.  Then, with A + iB = T and p, q both in the
+    first n - h indices (top) or both in the last h (bottom), entry (p, q) is
+    A[p, q] + A[p, n-1-q] (top) or A[p, q] - A[p, n-1-q] (bottom), and entry (p, q)
+    with p top and q bottom is B[p, q] - B[p, n-1-q]; the middle row and column of
+    odd n take a further 1/sqrt(2).  Each entry is one sum of two entries of T that
+    its mirror entry sums alike, and the bottom-left block is the top-right one
+    transposed, so the result is exactly symmetric.
+    """
+    n = T.shape[0]
+    h = n // 2
+    top, bottom = slice(None, n - h), slice(n - h, None)
+    A, B = T.real, T.imag
+    A_rev, B_rev = A[:, ::-1], B[:, ::-1]
+    if out is None:
+        out = np.empty((n, n))
+    np.add(A[top, top], A_rev[top, top], out=out[top, top])
+    np.subtract(A[bottom, bottom], A_rev[bottom, bottom], out=out[bottom, bottom])
+    np.subtract(B[top, bottom], B_rev[top, bottom], out=out[top, bottom])
+    if n % 2:
+        out[h] *= _SQRT_HALF
+        out[top, h] *= _SQRT_HALF
+    out[bottom, top] = out[top, bottom].T
+    return out
+
+
+def complex_frame(P: np.ndarray) -> np.ndarray:
+    """Q P Q^H of a real symmetric P: exactly Hermitian, and centro-Hermitian.
+
+    With S = (P + P[::-1, ::-1]) / 2 and D = (P[::-1] - P[:, ::-1]) / 2, the result is
+    S + iD on the top-top and bottom-bottom blocks and -D + iS on the top-bottom one
+    (blocks as in :func:`real_frame`), and the bottom-top block is its conjugate
+    transpose.  For odd n the middle row is (P[h, q] - i P[h, n-1-q]) / sqrt(2) for
+    q < h and (P[h, n-1-q] + i P[h, q]) / sqrt(2) for q > h, with P[h, h] at the
+    centre, and the middle column is its conjugate.  P must be exactly symmetric.
+    """
+    n = P.shape[0]
+    h = n // 2
+    top, bottom = slice(None, n - h), slice(n - h, None)
+    half = 0.5 * P
+    flipped, rows_rev, cols_rev = half[::-1, ::-1], half[::-1], half[:, ::-1]
+    X = np.empty((n, n), dtype=complex)
+    re, im = X.real, X.imag
+    for block in (top, bottom):
+        np.add(half[block, block], flipped[block, block], out=re[block, block])
+        np.subtract(rows_rev[block, block], cols_rev[block, block], out=im[block, block])
+    np.subtract(cols_rev[top, bottom], rows_rev[top, bottom], out=re[top, bottom])
+    np.add(half[top, bottom], flipped[top, bottom], out=im[top, bottom])
+    X[bottom, top] = X[top, bottom].conj().T
+    if n % 2:
+        row, row_rev = P[h] * _SQRT_HALF, P[h, ::-1] * _SQRT_HALF
+        re[h, :h], im[h, :h] = row[:h], -row_rev[:h]
+        re[h, h + 1:], im[h, h + 1:] = row_rev[h + 1:], row[h + 1:]
+        X[:, h] = X[h].conj()
+    return X
+
+
+def real_frame_vector(z: np.ndarray) -> np.ndarray:
+    """Q^H z: (z[p] + z[n-1-p]) / sqrt(2) on the first h entries, i (z[p] - z[n-1-p])
+    / sqrt(2) on the last h, and z's middle entry for odd n."""
+    n = z.shape[0]
+    h = n // 2
+    w = np.array(z, dtype=complex)
+    w[:h] = (z[:h] + z[::-1][:h]) * _SQRT_HALF
+    w[n - h:] = (z[n - h:] - z[::-1][n - h:]) * (1j * _SQRT_HALF)
+    return w
+
+
+def complex_frame_vector(w: np.ndarray) -> np.ndarray:
+    """Q w, the inverse of :func:`real_frame_vector`: (w[p] + i w[n-1-p]) / sqrt(2)
+    on the first h entries, (w[n-1-p] - i w[p]) / sqrt(2) on the last h, and w's
+    middle entry for odd n."""
+    n = w.shape[0]
+    h = n // 2
+    z = np.array(w, dtype=complex)
+    z[:h] = (w[:h] + 1j * w[::-1][:h]) * _SQRT_HALF
+    z[n - h:] = (w[::-1][n - h:] - 1j * w[n - h:]) * _SQRT_HALF
+    return z
+
+
 def psd_project(H: np.ndarray) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix (negative eigenvalues clamped).
 
-    ``H`` must be exactly Hermitian, H == H^H entry for entry: ``eigh`` reads only
-    its lower triangle.  Eigendecomposition failures surface as :class:`NumericError`.
-    The result is rebuilt from whichever side of the spectrum has fewer eigenpairs:
+    ``H`` is real symmetric (as the ADMM sweep's real lift is) or complex Hermitian,
+    and must be so exactly, H == H^H entry for entry: ``eigh`` reads only its lower
+    triangle.  Eigendecomposition failures surface as :class:`NumericError`.  The
+    result is rebuilt from whichever side of the spectrum has fewer eigenpairs:
     V+ w+ V+^H from the positive ones, or H - V- w- V-^H from the rest, so H itself
-    when every eigenvalue is positive and zero when none is.  It is exactly Hermitian.
+    when every eigenvalue is positive and zero when none is.  It has H's dtype and
+    is exactly symmetric (Hermitian).
     """
     try:
         w, V = np.linalg.eigh(H)

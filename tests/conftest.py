@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from ofdmradar import Path, RadarConfig, Scene, atoms, dual_poly_grid, steering
+from ofdmradar import Path, RadarConfig, Scene, admm, atoms, dual_poly_grid, steering
 from ofdmradar.baselines import _synthesize
 from ofdmradar.extract import GRAD_TOL, MAX_NEWTON_STEPS, Peak, _dual_matrix
+from ofdmradar.operators import adjoint_normalized, block_toeplitz, psd_project, soft_threshold
 
 
 @pytest.fixture
@@ -24,6 +27,20 @@ def atom(phi, psi, M, N):
 def symmetrize_param(U):
     """Project onto Hermitian-consistent parameters: u_l(k) <- (u_l(k) + conj(u_{-l}(-k)))/2."""
     return 0.5 * (U + np.conj(U[::-1, ::-1]))
+
+
+def dense_q(n):
+    """The unitary Q of ``ofdmradar.operators`` for order n, built densely from its blocks
+    [[I_h, 0, i J_h], [0, sqrt(2), 0], [J_h, 0, -i I_h]] / sqrt(2), h = n // 2."""
+    h = n // 2
+    I, J = np.eye(h), np.eye(h)[::-1]
+    Q = np.zeros((n, n), dtype=complex)
+    Q[:h, :h], Q[:h, n - h:] = I, 1j * J
+    Q[n - h:, :h], Q[n - h:, n - h:] = J, -1j * I
+    Q /= math.sqrt(2.0)
+    if n % 2:
+        Q[h, h] = 1.0
+    return Q
 
 
 def scalar_refine_peak(nu, phi, psi, M, N):
@@ -107,3 +124,60 @@ def two_path_scene(rng, M, N, min_sep=1.5, amp=1.0):
     paths = tuple(Path(alpha=amp * np.exp(2j * np.pi * rng.uniform()),
                        phi=float(phis[k]), psi=float(psis[k])) for k in range(2))
     return Scene(targets=paths)
+
+
+def complex_lift_solve(measurement, config, scale=(0.8, 1.75)):
+    """Oracle: ``admm.solve``'s sweep on the complex lift [[T(U), z], [z^H, t]] of order MN+1.
+
+    The same scaled-form, over-relaxed ADMM (alpha = ``admm.RELAXATION``) on the congruent
+    lift D A D, D = diag(a I_MN, b) for (a, b) = ``scale``, with the same stop test, each
+    sweep projecting one complex Hermitian matrix.  Returns an ``admm.Solution``.
+    """
+    M, N = measurement.M, measurement.N
+    mn = M * N
+    s = measurement.s_tilde
+    r = measurement.r_bar
+    lam, mu, rho = config.lam, config.mu, config.rho
+    a2, ab, b2 = scale[0] ** 2, scale[0] * scale[1], scale[1] ** 2
+    alpha = admm.RELAXATION
+
+    s_conj = np.conj(s)
+    denom = np.abs(s) ** 2 + 2.0 * rho * ab * ab
+    sh_r = s_conj * r
+    z = np.zeros(mn, dtype=complex)
+    e = np.zeros(mn, dtype=complex)
+    t = 0.0
+    Theta = np.zeros((mn + 1, mn + 1), dtype=complex)
+    W = np.zeros((mn + 1, mn + 1), dtype=complex)
+    G = np.empty_like(W)
+    diag = admm.Diagnostics()
+    for it in range(1, config.max_iters + 1):
+        z = (sh_r - s_conj * e + 2.0 * rho * ab * (Theta[:mn, mn] + W[:mn, mn])) / denom
+        t = (Theta[mn, mn].real + W[mn, mn].real) / b2 - 0.5 * lam / (rho * b2 * b2)
+        U = adjoint_normalized(Theta[:mn, :mn] + W[:mn, :mn], M, N) / a2
+        U[M - 1, N - 1] -= lam / (2.0 * mn * rho * a2 * a2)
+        if mu > 0:
+            e = soft_threshold(r - s * z, mu)
+        G[:mn, :mn] = block_toeplitz(a2 * U, M, N)
+        G[:mn, mn] = ab * z
+        G[mn, :mn] = ab * np.conj(z)
+        G[mn, mn] = b2 * t
+        G -= Theta
+        G *= alpha
+        G += Theta
+        G -= W
+        Theta_new = psd_project(G)
+        W_new = np.subtract(Theta_new, G, out=G)
+        primal = float(np.linalg.norm(W_new - W))
+        dual = rho * float(np.linalg.norm(Theta_new - Theta))
+        Theta, W, G = Theta_new, W_new, W
+        diag.primal_residuals.append(primal)
+        diag.dual_residuals.append(dual)
+        if not (math.isfinite(primal) and math.isfinite(dual)):
+            raise AssertionError(f"non-finite iterate at iteration {it}")
+        if primal < config.tol * (mn + 1) and dual < config.tol * (mn + 1):
+            diag.converged = True
+            break
+    diag.iterations = it
+    return admm.Solution(z_hat=z, e_hat=e, nu_hat=-2.0 * rho * ab * W[:mn, mn], U=U, t=t,
+                         diagnostics=diag)

@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofdmradar import ConfigError, adjoint_normalized, block_toeplitz, psd_project, soft_threshold
-from ofdmradar.operators import _adjoint_tables
-from conftest import random_consistent_param, symmetrize_param
+from ofdmradar.operators import (_adjoint_tables, complex_frame, complex_frame_vector,
+                                 real_frame, real_frame_vector)
+from conftest import dense_q, random_consistent_param, symmetrize_param
 
 # (M, N) pairs for the index-layout oracles: square, and both non-square
 # orientations, which a layout with M and N swapped fails.
 SIZES = [(2, 2), (2, 3), (3, 2)]
+# Even and odd MN for the unitary transform Q: odd MN adds Q's middle row and column.
+FRAME_SIZES = pytest.mark.parametrize("M, N", [(4, 4), (3, 5)], ids=["4x4", "3x5"])
 
 
 def hermitian(rng, n):
@@ -121,6 +124,69 @@ class TestAdjoint:
             adjoint_normalized(np.zeros((4, 5), complex), 2, 2)
 
 
+def real_symmetric(rng, n):
+    A = rng.normal(size=(n, n))
+    return A + A.T
+
+
+class TestUnitaryFrame:
+    @FRAME_SIZES
+    def test_q_is_unitary_and_makes_the_lift_real(self, rng, M, N):
+        Q = dense_q(M * N)
+        assert np.abs(Q.conj().T @ Q - np.eye(M * N)).max() < 1e-15
+        for _ in range(5):
+            T = block_toeplitz(random_consistent_param(rng, M, N), M, N)
+            C = Q.conj().T @ T @ Q
+            assert np.abs(C.imag).max() <= 1e-14 * np.abs(C).max()
+
+    @FRAME_SIZES
+    def test_matrix_transforms_match_dense_q(self, rng, M, N):
+        n = M * N
+        Q = dense_q(n)
+        T = block_toeplitz(random_consistent_param(rng, M, N), M, N)
+        got = real_frame(T)
+        assert np.abs(got - (Q.conj().T @ T @ Q).real).max() <= 1e-14 * np.abs(T).max()
+        out = np.full((n + 2, n + 2), np.nan)
+        real_frame(T, out=out[:n, :n])
+        assert np.array_equal(out[:n, :n], got) and np.isnan(out[n:]).all()
+        P = real_symmetric(rng, n)
+        X = complex_frame(P)
+        assert np.abs(X - Q @ P @ Q.conj().T).max() <= 1e-14 * np.abs(P).max()
+
+    @FRAME_SIZES
+    def test_vector_transforms_match_dense_q(self, rng, M, N):
+        n = M * N
+        Q = dense_q(n)
+        z = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert np.abs(real_frame_vector(z) - Q.conj().T @ z).max() <= 4e-15
+        assert np.abs(complex_frame_vector(z) - Q @ z).max() <= 4e-15
+        assert np.abs(complex_frame_vector(real_frame_vector(z)) - z).max() <= 8e-15
+
+    @FRAME_SIZES
+    def test_outputs_are_exactly_symmetric(self, rng, M, N):
+        # The sweep projects real_frame(T(U)) without symmetrizing it, and U comes
+        # from adjoint_normalized(complex_frame(P)): exact symmetry must hold entry
+        # for entry through that chain.
+        X = complex_frame(real_symmetric(rng, M * N))
+        assert np.array_equal(X, X.conj().T)
+        U = adjoint_normalized(X, M, N)
+        assert np.array_equal(U, np.conj(U[::-1, ::-1]))
+        R = real_frame(block_toeplitz(U, M, N))
+        assert R.dtype == np.float64 and np.array_equal(R, R.T)
+
+    @FRAME_SIZES
+    def test_real_frame_pairs_with_the_adjoint_path(self, rng, M, N):
+        # <Re(Q^H T(U) Q), P> = Re <T(U), Q P Q^H>, and the adjoint of U -> T(U) is
+        # the normalized adjoint times each offset's count (N - |l|)(M - |k|).
+        counts = np.outer(M - np.abs(np.arange(1 - M, M)), N - np.abs(np.arange(1 - N, N)))
+        for _ in range(5):
+            U = random_consistent_param(rng, M, N)
+            P = real_symmetric(rng, M * N)
+            lhs = np.sum(real_frame(block_toeplitz(U, M, N)) * P)
+            rhs = np.sum(counts * np.conj(U) * adjoint_normalized(complex_frame(P), M, N)).real
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
 class TestPsdProject:
     def test_identity_fixed(self):
         assert np.allclose(psd_project(np.eye(3, dtype=complex)), np.eye(3))
@@ -176,6 +242,22 @@ class TestPsdProject:
         for _ in range(20):
             X = psd_project(hermitian(rng, 6))
             assert np.linalg.eigvalsh(X).min() >= -1e-10
+
+    @pytest.mark.parametrize("positive", [1, 8])
+    def test_real_symmetric_input_stays_real(self, rng, positive):
+        # The ADMM sweep projects real symmetric matrices; both rebuild sides
+        # must return an exactly symmetric float64 result.
+        w = np.concatenate([rng.uniform(0.5, 2.0, positive),
+                            -rng.uniform(0.5, 2.0, 9 - positive)])
+        V, _ = np.linalg.qr(rng.normal(size=(9, 9)))
+        H = (V * w) @ V.T
+        H = 0.5 * (H + H.T)
+        vals, V = np.linalg.eigh(H)
+        oracle = (V * np.maximum(vals, 0.0)) @ V.T
+        X = psd_project(H)
+        assert X.dtype == np.float64
+        assert np.abs(X - oracle).max() <= 1e-12 * np.linalg.norm(H)
+        assert np.array_equal(X, X.T)
 
 
 class TestSoftThreshold:
