@@ -20,7 +20,11 @@ t >= w^H (Q^H T Q)^+ w, and the right side is the sum of the two real quadratic
 forms in Re w and Im w.  The objective's lam t / 2 becomes lam tr S / 2, so the
 program on L has the same optimum, and each sweep projects a real symmetric
 matrix: a real ``eigh``, about a third of the cost of the complex one of order
-MN+1.  Q pairs index i with MN-1-i, so the sweep applies it in O((MN)^2).
+MN+1.  Q pairs index i with MN-1-i, so the sweep applies it in O((MN)^2); its
+inverse congruence enters only through the adjoint's offset sums, so the sweep
+feeds the adjoint :func:`.operators.folded_frame` and folds the result, without
+forming Q P Q^H.  A sweep forms Theta + W once, and takes both residual norms
+from the storage of the old iterates, allocating nothing for them.
 
 The sweep runs on the congruent lift D L D, with D = diag(a I_MN, b I_2) for
 a = ``TOEPLITZ_SCALE`` and b = ``CORNER_SCALE``.  D L D is PSD exactly when L
@@ -50,7 +54,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, check_whole_number
 from .extract import dual_atomic_norm
-from .operators import (adjoint_normalized, block_toeplitz, complex_frame, complex_frame_vector,
+from .operators import (adjoint_normalized, block_toeplitz, complex_frame_vector, folded_frame,
                         psd_project, real_frame, real_frame_vector, soft_threshold)
 from .scene import Measurement
 
@@ -136,26 +140,28 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     a, b = ``TOEPLITZ_SCALE``, ``CORNER_SCALE``; Theta and W are real symmetric
     and live in its space.  With P = Theta + W and p = P[:MN, MN] + i P[:MN, MN+1],
     each sweep updates, in order and always with the latest values, each block
-    minimizing the augmented Lagrangian with penalty rho ||D L D - P||^2 / 2: the
+    minimizing the augmented Lagrangian with penalty rho ||D L D - P||^2 / 2 (P is
+    formed once per sweep, in the storage that then takes the relaxed lift): the
     signal z = (conj(s) (r - e) + 2 rho a b Q p) / (|s|^2 + 2 rho a^2 b^2) (an
     elementwise divide, the symbol lift being diagonal); the corner
     S = P[MN:, MN:] / b^2 - lam / (2 rho b^4) I_2; the Toeplitz parameter
-    U = adjoint(Q P[:MN, :MN] Q^H) / a^2 less lam / (2 MN rho a^4) at the centre
-    (Q P Q^H of the exactly symmetric P is exactly Hermitian, so its normalized
-    adjoint is Hermitian-consistent as it stands); the error ``e`` (soft threshold
-    of the data residual, skipped when ``mu == 0``); then the PSD block ``Theta``
-    and the scaled multiplier ``W = Upsilon / rho`` together.  With the
-    over-relaxed lift A_hat = alpha D L D + (1 - alpha) Theta_prev for
-    alpha = ``RELAXATION`` (Boyd et al. 2011, section 3.4.3) and G = A_hat - W,
-    the Moreau split G = P+(G) - P-(G) of one cone projection gives Theta = P+(G)
-    and the ascent step W + Theta - A_hat = Theta - G.  D L D is built from
+    U = adjoint(Q P[:MN, :MN] Q^H) / a^2 less lam / (2 MN rho a^4) at the centre,
+    with the adjoint taken as the fold (A + conj(A[::-1, ::-1])) / 2 of
+    A = adjoint(``folded_frame``(P[:MN, :MN])), which is exactly Hermitian-consistent;
+    the error ``e`` (soft threshold of the data residual, skipped when ``mu == 0``);
+    then the PSD block ``Theta`` and the scaled multiplier ``W = Upsilon / rho``
+    together.  With the over-relaxed lift A_hat = alpha D L D + (1 - alpha)
+    Theta_prev for alpha = ``RELAXATION`` (Boyd et al. 2011, section 3.4.3) and
+    G = A_hat - W, the Moreau split G = P+(G) - P-(G) of one cone projection gives
+    Theta = P+(G) and the ascent step W + Theta - A_hat = Theta - G.  D L D is built from
     a^2 Re(Q^H T(U) Q), a b [Re w, Im w] for w = Q^H z, and b^2 S, and A_hat
-    elementwise, all with real scalars, so G is an exactly symmetric float64
-    array.  The primal residual is ||Theta - A_hat||, the change in W; the dual
-    residual is rho ||Theta - Theta_prev||.  At a fixed point Theta = A_hat, so
-    Theta = D L D and the fixed points are those of the plain sweep (alpha = 1).
-    The returned U, t = tr S, z and dual vector are the program's (unscaled); the
-    record is both residual histories, ``converged`` and ``iterations``.
+    elementwise, all with real scalars, so G is an exactly symmetric float64 array.
+    The primal residual is ||Theta - A_hat||, the change in W; the dual residual is
+    rho ||Theta - Theta_prev||.  At a fixed point Theta = A_hat, so Theta = D L D
+    and the fixed points are those of the plain sweep (alpha = 1).  Each difference
+    overwrites the old iterate, which is not read again.  The returned U, t = tr S,
+    z and dual vector are the program's (unscaled); the record is both residual
+    histories, ``converged`` and ``iterations``.
     """
     M, N = measurement.M, measurement.N
     mn = M * N
@@ -174,6 +180,8 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     Theta = np.zeros((mn + 2, mn + 2))
     W = np.zeros((mn + 2, mn + 2))
     G = np.empty_like(W)
+    # folded_frame writes only the first MN - MN // 2 rows; the rest stay zero.
+    Y = np.zeros((mn, mn), dtype=complex)
 
     diag = Diagnostics()
     scale = mn + 1
@@ -183,12 +191,14 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for it in range(1, config.max_iters + 1):
-                border = Theta[:mn, mn:] + W[:mn, mn:]
-                p = complex_frame_vector(border[:, 0] + 1j * border[:, 1])
+                # G's storage is free until the lift is built into it below.
+                P = np.add(Theta, W, out=G)
+                p = complex_frame_vector(P[:mn, mn] + 1j * P[:mn, mn + 1])
                 z = (sh_r - s_conj * e + 2.0 * rho * ab * p) / denom
-                S = (Theta[mn:, mn:] + W[mn:, mn:]) / b2 - corner_shift
+                S = P[mn:, mn:] / b2 - corner_shift
 
-                U = adjoint_normalized(complex_frame(Theta[:mn, :mn] + W[:mn, :mn]), M, N) / a2
+                A = adjoint_normalized(folded_frame(P[:mn, :mn], out=Y), M, N)
+                U = (A + np.conj(A[::-1, ::-1])) * (0.5 / a2)
                 U[M - 1, N - 1] -= lam / (2.0 * mn * rho * a2 * a2)
 
                 if mu > 0:
@@ -208,8 +218,9 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
                 Theta_new = psd_project(G)
                 W_new = np.subtract(Theta_new, G, out=G)
 
-                primal = float(np.linalg.norm(W_new - W))
-                dual = rho * float(np.linalg.norm(Theta_new - Theta))
+                # The old Theta and W are not read again, so each takes its own change.
+                primal = float(np.linalg.norm(np.subtract(W_new, W, out=W)))
+                dual = rho * float(np.linalg.norm(np.subtract(Theta_new, Theta, out=Theta)))
                 # The old multiplier's storage is the next sweep's G.
                 Theta, W, G = Theta_new, W_new, W
 

@@ -6,8 +6,11 @@ atomic-norm weight exactly at the recovered frequencies.  Peaks are found on
 an oversampled uniform grid (the DFT lattice, whose factors :func:`_dft_factors`
 owns) and refined all at once by one batched Newton ascent on |Q|^2, which
 evaluates Q and its derivatives at every pending point in two stacked matrix
-products (``scene.steering`` owns the atom off the lattice); amplitudes come
-from least squares against ``scene.atoms``.
+products (``scene.steering`` owns the atom off the lattice).  Its one step rule,
+the saddle-free step |H|^-1 g, ascends at indefinite Hessians too, and each
+candidate stops at a gradient relative to |Q|^2, so the batch ends when its
+candidates reach their maxima.  Amplitudes come from least squares against
+``scene.atoms``.
 """
 
 from __future__ import annotations
@@ -24,9 +27,13 @@ from .scene import Path, atoms, steering
 GRID_FACTOR = 16
 # Peaks count when |Q| reaches (1 - REL_THRESHOLD) * lam.
 REL_THRESHOLD = 0.02
-# Newton refinement: step cap and gradient tolerance relative to max(1, |Q|^2).
+# Newton refinement: step cap, gradient tolerance relative to |Q|^2 (the gradient
+# scales with |Q|^2, so the test does not depend on the data scale), and the floor
+# on the Hessian's eigenvalue magnitudes, relative to the larger one.
 MAX_NEWTON_STEPS = 50
-GRAD_TOL = 1e-8
+GRAD_TOL = 1e-6
+EIG_FLOOR = 1e-3
+_TINY = np.finfo(float).tiny
 # Error support: |e_hat| above ERROR_REL_TOL of the data scale.
 ERROR_REL_TOL = 1e-6
 # Largest dictionary condition number the amplitude fit accepts.
@@ -121,41 +128,46 @@ def _value_grad_hess(V: np.ndarray, x: np.ndarray):
 
 
 def _ascent_steps(g: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Newton steps -H^-1 g of P 2x2 systems in closed form, with each one's fallbacks.
+    """Saddle-free steps |H|^-1 g of P 2x2 systems in closed form.
 
-    A singular Hessian steps along g / max(||H||_2, 1); a step that does not ascend
-    is replaced by g / max(|H_00| + |H_11|, 1).
+    |H| = V |Lambda| V^T has the eigenvectors of H and the magnitudes of its
+    eigenvalues, each floored at EIG_FLOOR times the larger one, so every step
+    ascends where g != 0, and where H is negative definite it is the Newton step
+    -H^-1 g (Dauphin et al., *Identifying and attacking the saddle point problem in
+    high-dimensional non-convex optimization*, NeurIPS 2014).  With H = m I + r R for
+    the mean eigenvalue m, half the eigenvalue gap r and a reflection R, whose +1
+    eigenvector is that of m + r, |H|^-1 = (1/|m+r| + 1/|m-r|) I / 2
+    + (1/|m+r| - 1/|m-r|) R / 2.
     """
-    det = H[:, 0] * H[:, 2] - H[:, 1] * H[:, 1]
-    # -H^-1 g = (H01 g1 - H11 g0, H01 g0 - H00 g1) / det; H[:, ::-2] is (H11, H00).
-    step = H[:, 1:2] * g[:, ::-1] - H[:, ::-2] * g
-    singular = np.flatnonzero(det == 0)
-    det[singular] = 1.0
-    step /= det[:, None]
-    if singular.size:
-        norms = np.linalg.norm(H[singular][:, [[0, 1], [1, 2]]], ord=2, axis=(1, 2))
-        step[singular] = g[singular] / np.maximum(norms, 1.0)[:, None]
-    flat = (step * g).sum(axis=1) <= 0
-    if flat.any():
-        step[flat] = g[flat] / np.maximum(np.abs(H[flat, 0]) + np.abs(H[flat, 2]), 1.0)[:, None]
-    return step
+    mean = 0.5 * (H[:, 0] + H[:, 2])
+    d = 0.5 * (H[:, 0] - H[:, 2])
+    radius = np.hypot(d, H[:, 1])
+    mags = np.abs([mean + radius, mean - radius])
+    # The absolute floor keeps H = 0 from dividing by zero.
+    inv = 1.0 / np.maximum(mags, np.maximum(EIG_FLOOR * mags.max(axis=0), _TINY))
+    radius[radius == 0.0] = 1.0  # H = m I: R g is then 0, and so is its weight
+    # R = [[d, H01], [H01, -d]] / r.
+    Rg = np.stack([d * g[:, 0] + H[:, 1] * g[:, 1],
+                   H[:, 1] * g[:, 0] - d * g[:, 1]], axis=1) / radius[:, None]
+    return 0.5 * ((inv[0] + inv[1])[:, None] * g + (inv[0] - inv[1])[:, None] * Rg)
 
 
 def _newton_ascent(V: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Newton ascent on |Q|^2 from P start points at once; returns the points and Q there.
+    """Saddle-free Newton ascent on |Q|^2 from P start points at once; returns the
+    points and Q there.
 
-    Each candidate runs its own ascent: up to MAX_NEWTON_STEPS steps, each halved
-    up to 25 times until |Q|^2 rises, with coordinates wrapped into [0, 1).  A
-    candidate stops once its gradient norm is at most GRAD_TOL * max(1, |Q|^2), or
-    when no halving rises; a step is taken only when |Q|^2 rises, so the point
-    kept is the best one seen.  Each evaluation covers only the candidates still
-    moving, and in the line search only those still pending.
+    Each candidate runs its own ascent: up to MAX_NEWTON_STEPS steps of
+    :func:`_ascent_steps`, each halved up to 25 times until |Q|^2 rises, with
+    coordinates wrapped into [0, 1).  A candidate stops once its gradient norm is at
+    most GRAD_TOL * |Q|^2, or when no halving rises; a step is taken only when |Q|^2
+    rises, so the point kept is the best one seen.  Each evaluation covers only the
+    candidates still moving, and in the line search only those still pending.
     """
     x = np.array(starts, dtype=float)
     Q, F, g, H = _value_grad_hess(V, x)
     moving = np.arange(len(x))
     for _ in range(MAX_NEWTON_STEPS):
-        moving = moving[np.linalg.norm(g[moving], axis=1) > GRAD_TOL * np.maximum(1.0, F[moving])]
+        moving = moving[np.linalg.norm(g[moving], axis=1) > GRAD_TOL * F[moving]]
         if not moving.size:
             break
         pending, step = moving, _ascent_steps(g[moving], H[moving])

@@ -15,9 +15,11 @@ Q = [[I_h, 0, i J_h], [0, sqrt(2), 0], [J_h, 0, -i I_h]] / sqrt(2) (the middle r
 and column only for odd n) makes Q^H T Q real symmetric for every centro-Hermitian
 T (Lee, *Centrohermitian and skew-centrohermitian matrices*, LAA 1980; the unitary
 transform of Haardt & Nossek, *Unitary ESPRIT*, IEEE TSP 1995).  Each row of Q pairs
-index i with n-1-i, so :func:`real_frame` and :func:`complex_frame` apply the
-congruence and its inverse, and :func:`real_frame_vector` and
-:func:`complex_frame_vector` Q^H and Q, with reversed views in O(n^2) and O(n).
+index i with n-1-i, so :func:`real_frame` applies the congruence and
+:func:`real_frame_vector` and :func:`complex_frame_vector` Q^H and Q, with reversed
+views in O(n^2) and O(n).  The inverse congruence Q P Q^H is never formed: the
+adjoint reads only its offset sums, which :func:`folded_frame` carries in a cheaper
+complex matrix, nonzero only in its first n - h rows.
 """
 
 from __future__ import annotations
@@ -111,35 +113,36 @@ def real_frame(T: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def complex_frame(P: np.ndarray) -> np.ndarray:
-    """Q P Q^H of a real symmetric P: exactly Hermitian, and centro-Hermitian.
+def folded_frame(P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A complex Y whose folded normalized adjoint is that of Q P Q^H, P real symmetric.
 
-    With S = (P + P[::-1, ::-1]) / 2 and D = (P[::-1] - P[:, ::-1]) / 2, the result is
-    S + iD on the top-top and bottom-bottom blocks and -D + iS on the top-bottom one
-    (blocks as in :func:`real_frame`), and the bottom-top block is its conjugate
-    transpose.  For odd n the middle row is (P[h, q] - i P[h, n-1-q]) / sqrt(2) for
-    q < h and (P[h, n-1-q] + i P[h, q]) / sqrt(2) for q > h, with P[h, h] at the
-    centre, and the middle column is its conjugate.  P must be exactly symmetric.
+    For A = :func:`adjoint_normalized` (Y), the fold (A + conj(A[::-1, ::-1])) / 2 is
+    the normalized adjoint of Q P Q^H up to rounding, and exactly Hermitian-consistent.
+    The adjoint reads only offset sums.  The conjugate transpose and the conjugated
+    reversal of both indices each map offset (l, k) to (-l, -k), so either one's
+    adjoint is the fold's second term; their product, the anti-transpose, keeps (l, k).
+    Q P Q^H is fixed by all three, so any Y whose four images sum to 4 Q P Q^H will do.
+    This one is nonzero only in the first n - h rows.  With t the first h indices, b
+    the last h and D = P[::-1] - P[:, ::-1]: Y[t, t] = (P + P[::-1, ::-1] + iD)[t, t],
+    Y[t, b] = (2iP - D)[t, b], and for odd n, Y[h, q] = 2 sqrt(2) (P[h, q] -
+    i P[h, n-1-q]) for q < h and Y[h, h] = P[h, h].  Given ``out``, Y is written there,
+    and ``out`` must be zero outside these entries.
     """
     n = P.shape[0]
     h = n // 2
-    top, bottom = slice(None, n - h), slice(n - h, None)
-    half = 0.5 * P
-    flipped, rows_rev, cols_rev = half[::-1, ::-1], half[::-1], half[:, ::-1]
-    X = np.empty((n, n), dtype=complex)
-    re, im = X.real, X.imag
-    for block in (top, bottom):
-        np.add(half[block, block], flipped[block, block], out=re[block, block])
-        np.subtract(rows_rev[block, block], cols_rev[block, block], out=im[block, block])
-    np.subtract(cols_rev[top, bottom], rows_rev[top, bottom], out=re[top, bottom])
-    np.add(half[top, bottom], flipped[top, bottom], out=im[top, bottom])
-    X[bottom, top] = X[top, bottom].conj().T
+    t, b = slice(None, h), slice(n - h, None)
+    rows_rev, cols_rev = P[::-1], P[:, ::-1]
+    Y = np.zeros((n, n), dtype=complex) if out is None else out
+    re, im = Y.real, Y.imag
+    np.add(P[t, t], rows_rev[:, ::-1][t, t], out=re[t, t])
+    np.subtract(rows_rev[t, t], cols_rev[t, t], out=im[t, t])
+    np.subtract(cols_rev[t, b], rows_rev[t, b], out=re[t, b])
+    np.multiply(P[t, b], 2.0, out=im[t, b])
     if n % 2:
-        row, row_rev = P[h] * _SQRT_HALF, P[h, ::-1] * _SQRT_HALF
-        re[h, :h], im[h, :h] = row[:h], -row_rev[:h]
-        re[h, h + 1:], im[h, h + 1:] = row_rev[h + 1:], row[h + 1:]
-        X[:, h] = X[h].conj()
-    return X
+        np.multiply(P[h, :h], 2.0 / _SQRT_HALF, out=re[h, :h])
+        np.multiply(cols_rev[h, :h], -2.0 / _SQRT_HALF, out=im[h, :h])
+        re[h, h] = P[h, h]
+    return Y
 
 
 def real_frame_vector(z: np.ndarray) -> np.ndarray:
@@ -171,10 +174,13 @@ def psd_project(H: np.ndarray) -> np.ndarray:
     ``H`` is real symmetric (as the ADMM sweep's real lift is) or complex Hermitian,
     and must be so exactly, H == H^H entry for entry: ``eigh`` reads only its lower
     triangle.  Eigendecomposition failures surface as :class:`NumericError`.  The
-    result is rebuilt from whichever side of the spectrum has fewer eigenpairs:
-    V+ w+ V+^H from the positive ones, or H - V- w- V-^H from the rest, so H itself
-    when every eigenvalue is positive and zero when none is.  It has H's dtype and
-    is exactly symmetric (Hermitian).
+    result is a Gram product rebuilt from whichever side of the spectrum has fewer
+    eigenpairs: F F^H for F = V+ sqrt(w+) from the positive ones, or H + F F^H for
+    F = V- sqrt(-w-) from the rest, so H itself when every eigenvalue is positive and
+    zero when none is.  It is a new array of H's dtype and exactly symmetric
+    (Hermitian): numpy forms a real F F^T as one ``syrk`` and mirrors its triangle.
+    A complex Gram product is not exactly Hermitian, so complex input, which only the
+    tests' complex lift oracle passes, is symmetrized as (X + X^H) / 2.
     """
     try:
         w, V = np.linalg.eigh(H)
@@ -182,10 +188,14 @@ def psd_project(H: np.ndarray) -> np.ndarray:
         raise NumericError(f"eigendecomposition failed on {H.shape} matrix: {exc}") from exc
     k = int(np.searchsorted(w, 0.0, side="right"))  # eigenvalues are ascending
     if 2 * k > w.size:
-        X = (V[:, k:] * w[k:]) @ V[:, k:].conj().T
+        F = V[:, k:] * np.sqrt(w[k:])
+        X = F @ F.conj().T
     else:
-        X = H - (V[:, :k] * w[:k]) @ V[:, :k].conj().T
-    return 0.5 * (X + X.conj().T)
+        F = V[:, :k] * np.sqrt(-w[:k])
+        X = H + F @ F.conj().T
+    if np.iscomplexobj(X):
+        X = 0.5 * (X + X.conj().T)
+    return X
 
 
 def soft_threshold(v: np.ndarray, mu: float) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 
 from ofdmradar import Path, RadarConfig, Scene, admm, atoms, dual_poly_grid, steering
 from ofdmradar.baselines import _synthesize
-from ofdmradar.extract import GRAD_TOL, MAX_NEWTON_STEPS, Peak, _dual_matrix
+from ofdmradar.extract import EIG_FLOOR, GRAD_TOL, MAX_NEWTON_STEPS, Peak, _dual_matrix
 from ofdmradar.operators import adjoint_normalized, block_toeplitz, psd_project, soft_threshold
 
 
@@ -43,11 +43,44 @@ def dense_q(n):
     return Q
 
 
-def scalar_refine_peak(nu, phi, psi, M, N):
-    """Oracle: Newton ascent on |Q|^2 from one start, one point per evaluation.
+def complex_frame(P):
+    """Oracle: Q P Q^H of a real symmetric P, exactly Hermitian and centro-Hermitian.
 
-    Same steps, fallbacks, line search, stop rules and wrap rule as
-    ``extract.refine_peak``, with the Newton system solved by ``np.linalg.solve``.
+    With S = (P + P[::-1, ::-1]) / 2 and D = (P[::-1] - P[:, ::-1]) / 2, the result is
+    S + iD on the top-top and bottom-bottom blocks and -D + iS on the top-bottom one
+    (the first n - h and the last h indices, h = n // 2), and the bottom-top block is
+    its conjugate transpose.  For odd n the middle row is (P[h, q] - i P[h, n-1-q]) /
+    sqrt(2) for q < h and (P[h, n-1-q] + i P[h, q]) / sqrt(2) for q > h, with P[h, h]
+    at the centre, and the middle column is its conjugate.  P must be exactly symmetric.
+    """
+    n = P.shape[0]
+    h = n // 2
+    top, bottom = slice(None, n - h), slice(n - h, None)
+    half = 0.5 * P
+    flipped, rows_rev, cols_rev = half[::-1, ::-1], half[::-1], half[:, ::-1]
+    X = np.empty((n, n), dtype=complex)
+    re, im = X.real, X.imag
+    for block in (top, bottom):
+        np.add(half[block, block], flipped[block, block], out=re[block, block])
+        np.subtract(rows_rev[block, block], cols_rev[block, block], out=im[block, block])
+    np.subtract(cols_rev[top, bottom], rows_rev[top, bottom], out=re[top, bottom])
+    np.add(half[top, bottom], flipped[top, bottom], out=im[top, bottom])
+    X[bottom, top] = X[top, bottom].conj().T
+    if n % 2:
+        root_half = math.sqrt(0.5)
+        row, row_rev = P[h] * root_half, P[h, ::-1] * root_half
+        re[h, :h], im[h, :h] = row[:h], -row_rev[:h]
+        re[h, h + 1:], im[h, h + 1:] = row_rev[h + 1:], row[h + 1:]
+        X[:, h] = X[h].conj()
+    return X
+
+
+def scalar_refine_peak(nu, phi, psi, M, N):
+    """Oracle: saddle-free Newton ascent on |Q|^2 from one start, one point per evaluation.
+
+    Same steps, floor, line search, stop rules and wrap rule as ``extract.refine_peak``,
+    with |H| built from ``np.linalg.eigh`` of the 2x2 Hessian and its system solved by
+    ``np.linalg.solve``.
     """
     V = _dual_matrix(nu, M, N)
 
@@ -66,14 +99,12 @@ def scalar_refine_peak(nu, phi, psi, M, N):
     x = np.array([phi, psi], dtype=float)
     Q, F, g, H = value_grad_hess(*x)
     for _ in range(MAX_NEWTON_STEPS):
-        if np.linalg.norm(g) <= GRAD_TOL * max(1.0, F):
+        if np.linalg.norm(g) <= GRAD_TOL * F:
             break
-        try:
-            step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            step = g / max(np.linalg.norm(H, ord=2), 1.0)
-        if step @ g <= 0:
-            step = g / max(abs(H[0, 0]) + abs(H[1, 1]), 1.0)
+        vals, vecs = np.linalg.eigh(H)
+        mags = np.abs(vals)
+        mags = np.maximum(mags, max(EIG_FLOOR * mags.max(), np.finfo(float).tiny))
+        step = np.linalg.solve((vecs * mags) @ vecs.T, g)
         improved = False
         for _ in range(25):
             cand = (x + step) % 1.0

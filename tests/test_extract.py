@@ -8,8 +8,9 @@ from ofdmradar import (ConfigError, DegenerateDictionaryError, Path, Scene,
                        dual_poly_grid, estimate_from_solution, generate_symbols,
                        locate_peaks, ls_amplitudes, measure, qpsk, refine_peak,
                        simulate, solve)
-from ofdmradar import bench
-from ofdmradar.extract import (GRID_FACTOR, REL_THRESHOLD, Estimate, _ascent_steps,
+from ofdmradar import bench, extract
+from ofdmradar.extract import (GRAD_TOL, GRID_FACTOR, MAX_NEWTON_STEPS, REL_THRESHOLD,
+                               Estimate, _ascent_steps,
                                _dft_factors, _dual_matrix, _newton_ascent, _poly_derivs,
                                _same_cell, _value_grad_hess, ranked_estimate,
                                wrapped_local_maxima)
@@ -208,15 +209,72 @@ class TestNewtonAscent:
             out[name] = (solve(meas, settings).nu_hat, settings.lam)
         return out
 
-    @pytest.mark.parametrize("name", ["CS-ANL1", "CS-AN"])
-    def test_grid_candidates_match_the_scalar_oracle(self, certificates, name):
-        nu, lam = certificates[name]
-        M = N = 8
+    @staticmethod
+    def grid_starts(nu, lam, M, N):
         grid_phi, grid_psi = GRID_FACTOR * M, GRID_FACTOR * N
         mag = np.abs(dual_poly_grid(nu, M, N, grid_phi, grid_psi))
         cand = np.argwhere(wrapped_local_maxima(mag) & (mag >= (1.0 - REL_THRESHOLD) * lam))
-        assert len(cand) >= 5
-        assert_matches_scalar_oracle(nu, cand / (grid_phi, grid_psi), M, N)
+        return cand / (grid_phi, grid_psi)
+
+    @pytest.mark.parametrize("name", ["CS-ANL1", "CS-AN"])
+    def test_grid_candidates_match_the_scalar_oracle(self, certificates, name):
+        nu, lam = certificates[name]
+        starts = self.grid_starts(nu, lam, 8, 8)
+        assert len(starts) >= 5
+        assert_matches_scalar_oracle(nu, starts, 8, 8)
+
+    @pytest.mark.parametrize("name", ["CS-ANL1", "CS-AN"])
+    def test_grid_candidates_stop_at_maxima_well_before_the_cap(self, monkeypatch,
+                                                                 certificates, name):
+        # The batch runs until its slowest candidate stops, so one candidate
+        # crawling from an indefinite Hessian would set the cost of the readout.
+        # Every candidate here ends at a strict local maximum that meets the
+        # gradient test, with the whole batch in at most 30 evaluations (5 and 26
+        # measured); plain Newton steps with an ascent fallback took 74, as one
+        # CS-AN candidate crawled to the step cap.
+        nu, lam = certificates[name]
+        V = _dual_matrix(nu, 8, 8)
+        counts = {"evaluations": 0, "steps": 0}
+        evaluate, steps = extract._value_grad_hess, extract._ascent_steps
+
+        def counted_evaluate(*args):
+            counts["evaluations"] += 1
+            return evaluate(*args)
+
+        def counted_steps(*args):
+            counts["steps"] += 1
+            return steps(*args)
+
+        monkeypatch.setattr(extract, "_value_grad_hess", counted_evaluate)
+        monkeypatch.setattr(extract, "_ascent_steps", counted_steps)
+        x, _ = _newton_ascent(V, self.grid_starts(nu, lam, 8, 8))
+        monkeypatch.undo()
+        # One step per pass over the batch: fewer passes than the cap means no
+        # candidate reached it.
+        assert counts["steps"] < MAX_NEWTON_STEPS
+        assert counts["evaluations"] <= 30
+        _, F, g, H = _value_grad_hess(V, x)
+        assert (np.linalg.norm(g, axis=1) <= GRAD_TOL * F).all()
+        assert (H[:, 0] < 0).all() and (H[:, 0] * H[:, 2] - H[:, 1] ** 2 > 0).all()
+
+    def test_indefinite_start_ascends_to_a_maximum(self):
+        # Two equal atoms 1.5 cells apart in phi leave a saddle of |Q|^2 midway
+        # between them, where plain Newton steps are drawn towards the saddle.  A
+        # start just off it has an indefinite Hessian and a nonzero gradient; the
+        # saddle-free step leaves along the direction of positive curvature.
+        M = N = 8
+        nu = atom(0.3, 0.5, M, N) + atom(0.3 + 1.5 / M, 0.5, M, N)
+        V = _dual_matrix(nu, M, N)
+        start = np.array([[0.3 + 0.75 / M + 1e-3, 0.5 + 1e-3]])
+        _, F0, g0, H0 = _value_grad_hess(V, start)
+        assert H0[0, 0] * H0[0, 2] - H0[0, 1] ** 2 < 0
+        assert np.linalg.norm(g0) > GRAD_TOL * F0[0]
+        x, _ = assert_matches_scalar_oracle(nu, start, M, N)
+        _, F, g, H = _value_grad_hess(V, x)
+        assert np.linalg.norm(g) <= GRAD_TOL * F[0] and F[0] > F0[0]
+        assert H[0, 0] < 0 and H[0, 0] * H[0, 2] - H[0, 1] ** 2 > 0
+        atoms_at = [(0.3, 0.5), (0.3 + 1.5 / M, 0.5)]
+        assert min(wrapped_gap(x[0], f) for f in atoms_at) < 0.5 / M
 
     def test_special_starts_in_one_batch(self):
         # Q(phi, psi) = A(phi) + C(psi) with A'(0) = 0 exactly and Q(0, 0) purely

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofdmradar import ConfigError, adjoint_normalized, block_toeplitz, psd_project, soft_threshold
-from ofdmradar.operators import (_adjoint_tables, complex_frame, complex_frame_vector,
+from ofdmradar.operators import (_adjoint_tables, complex_frame_vector, folded_frame,
                                  real_frame, real_frame_vector)
-from conftest import dense_q, random_consistent_param, symmetrize_param
+from conftest import complex_frame, dense_q, random_consistent_param, symmetrize_param
 
 # (M, N) pairs for the index-layout oracles: square, and both non-square
 # orientations, which a layout with M and N swapped fails.
@@ -164,9 +164,8 @@ class TestUnitaryFrame:
 
     @FRAME_SIZES
     def test_outputs_are_exactly_symmetric(self, rng, M, N):
-        # The sweep projects real_frame(T(U)) without symmetrizing it, and U comes
-        # from adjoint_normalized(complex_frame(P)): exact symmetry must hold entry
-        # for entry through that chain.
+        # The oracle chain adjoint_normalized(complex_frame(P)) that the sweep's
+        # folded adjoint replaces keeps exact symmetry entry for entry as well.
         X = complex_frame(real_symmetric(rng, M * N))
         assert np.array_equal(X, X.conj().T)
         U = adjoint_normalized(X, M, N)
@@ -185,6 +184,46 @@ class TestUnitaryFrame:
             lhs = np.sum(real_frame(block_toeplitz(U, M, N)) * P)
             rhs = np.sum(counts * np.conj(U) * adjoint_normalized(complex_frame(P), M, N)).real
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def folded_adjoint(P, M, N, out=None):
+    """The sweep's U before its scaling: the fold of the normalized adjoint of folded_frame(P)."""
+    A = adjoint_normalized(folded_frame(P, out=out), M, N)
+    return 0.5 * (A + np.conj(A[::-1, ::-1]))
+
+
+class TestFoldedFrame:
+    SIZES = pytest.mark.parametrize("M, N", [(3, 5), (4, 4), (8, 8)],
+                                    ids=["3x5", "4x4", "8x8"])
+
+    @SIZES
+    def test_matches_the_adjoint_of_the_complex_frame(self, rng, M, N):
+        # The sweep passes the MN x MN corner of its (MN + 2) x (MN + 2) lift.
+        mn = M * N
+        for _ in range(10):
+            P = real_symmetric(rng, mn + 2)[:mn, :mn]
+            want = adjoint_normalized(complex_frame(P), M, N)
+            assert np.abs(folded_adjoint(P, M, N) - want).max() <= 1e-15 * np.abs(P).max()
+
+    @SIZES
+    def test_fold_is_exactly_hermitian_consistent(self, rng, M, N):
+        for _ in range(10):
+            U = folded_adjoint(real_symmetric(rng, M * N), M, N)
+            assert np.array_equal(U, np.conj(U[::-1, ::-1]))
+            R = real_frame(block_toeplitz(U, M, N))
+            assert R.dtype == np.float64 and np.array_equal(R, R.T)
+
+    @SIZES
+    def test_reused_buffer_gives_the_same_result(self, rng, M, N):
+        # Only the first MN - MN // 2 rows are written, so a zeroed buffer serves
+        # every call; the rest stays zero.
+        n = M * N
+        out = np.zeros((n, n), dtype=complex)
+        for _ in range(3):
+            P = real_symmetric(rng, n)
+            Y = folded_frame(P, out=out)
+            assert Y is out and np.array_equal(Y, folded_frame(P))
+            assert not Y[n - n // 2:].any()
 
 
 class TestPsdProject:
@@ -258,6 +297,25 @@ class TestPsdProject:
         assert X.dtype == np.float64
         assert np.abs(X - oracle).max() <= 1e-12 * np.linalg.norm(H)
         assert np.array_equal(X, X.T)
+
+
+    @pytest.mark.parametrize("order", [15, 66, 258])
+    @pytest.mark.parametrize("positive", [0.2, 0.8], ids=["positive-side", "negative-side"])
+    def test_gram_rebuild_is_exactly_symmetric_and_psd(self, rng, order, positive):
+        # A fifth of the eigenvalues positive rebuilds F F^T from the positive
+        # pairs, four fifths H + F F^T from the others.
+        k = int(positive * order)
+        w = np.concatenate([rng.uniform(0.5, 2.0, k), -rng.uniform(0.5, 2.0, order - k)])
+        V, _ = np.linalg.qr(rng.normal(size=(order, order)))
+        H = (V * w) @ V.T
+        H = 0.5 * (H + H.T)
+        vals, V = np.linalg.eigh(H)
+        oracle = (V * np.maximum(vals, 0.0)) @ V.T
+        X = psd_project(H)
+        assert X.dtype == np.float64 and np.array_equal(X, X.T)
+        scale = np.linalg.norm(H)
+        assert np.linalg.eigvalsh(X).min() >= -1e-12 * scale
+        assert np.abs(X - oracle).max() <= 1e-12 * scale
 
 
 class TestSoftThreshold:
