@@ -64,6 +64,8 @@ RELAXATION = 1.8
 # a = TOEPLITZ_SCALE on the Toeplitz rows and columns, b = CORNER_SCALE on the last two.
 TOEPLITZ_SCALE = 0.7
 CORNER_SCALE = 1.75
+# The one default sweep cap of the dual receivers: SolverConfig, bench and the CLI read it.
+MAX_ITERS = 2000
 
 
 @dataclass(frozen=True)
@@ -76,13 +78,13 @@ class SolverConfig:
     b^4 on the lift's Toeplitz block, border and corner (see :func:`solve`).
     Iterations stop when both residuals of the over-relaxed sweep on D L D,
     ||Theta - A_hat|| and rho ||Theta - Theta_prev||, drop below
-    ``tol * (MN + 1)``, or at ``max_iters``.
+    ``tol * (MN + 1)``, or at ``max_iters`` (default ``MAX_ITERS``).
     """
 
     lam: float
     mu: float
     rho: float = 0.05
-    max_iters: int = 2000
+    max_iters: int = MAX_ITERS
     tol: float = 1e-4
 
     def __post_init__(self):

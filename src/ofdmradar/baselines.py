@@ -76,7 +76,8 @@ class CsL1Config:
             raise ConfigError(f"tol must be positive and finite, got {self.tol}")
 
 
-def default_music_config(M: int, N: int, K_signal="auto", grid_factor: int = 16) -> MusicConfig:
+def default_music_config(M: int, N: int, K_signal="auto",
+                         grid_factor: int = extract.GRID_FACTOR) -> MusicConfig:
     return MusicConfig(M_sub=M // 2, N_sub=N // 2, K_signal=K_signal,
                        grid_phi=grid_factor * M, grid_psi=grid_factor * N)
 

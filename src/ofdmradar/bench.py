@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import admm, baselines, extract
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_whole_number
 from .scene import (C_LIGHT, Measurement, Path, RadarConfig, Scene,
                     normalized_to_physical, physical_to_normalized, qpsk, simulate)
 
@@ -26,8 +26,6 @@ CLUTTER_EXCLUSION_MPS = 3.0
 # Grid oversampling of the gridded baselines: MUSIC scans at the CS-L1
 # dictionary's density, from which the identification gates are derived.
 BASELINE_GRID_FACTOR = baselines.CSL1_GRID_FACTOR
-# ADMM iteration cap of the dual-certificate receivers.
-AN_MAX_ITERS = 600
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -50,16 +48,14 @@ class ScenarioSpec:
     trials: int = 20
 
     def __post_init__(self):
+        for name, least in (("n_targets", 0), ("n_clutter", 0), ("trials", 1), ("seed", 0)):
+            check_whole_number(name, getattr(self, name), least=least)
         if len(self.target_powers_db) != self.n_targets:
             raise ConfigError("target_powers_db must list one power per target")
         for lo, hi in (self.range_bounds_m, self.clutter_velocity_bounds_mps,
                        self.target_velocity_bounds_mps):
             if lo > hi:
                 raise ConfigError(f"bounds must be ordered, got ({lo}, {hi})")
-        if self.trials < 1:
-            raise ConfigError("trials must be at least 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 # Preset name -> (N, clutter paths, target powers in dB, direct-path power
@@ -125,8 +121,7 @@ def draw_scene(spec: ScenarioSpec, rng: np.random.Generator) -> Scene:
 
 def simulate_trial(spec: ScenarioSpec, ber: float, trial: int) -> tuple[Scene, Measurement]:
     """Scene plus measurement from one generator seeded by (seed, trial)."""
-    if trial < 0:
-        raise ConfigError(f"trial must be nonnegative, got {trial}")
+    check_whole_number("trial", trial, least=0)
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, trial)))
     scene = draw_scene(spec, rng)
     measurement = simulate(scene, spec.config, qpsk(), ber, rng)
@@ -183,7 +178,8 @@ def gate_identification(estimate: extract.Estimate, truth: list[Path],
 
 def receiver_settings(name: str, measurement: Measurement, config: RadarConfig, n_paths,
                       max_iters: int, grid_factor: int):
-    """Settings of receiver ``name``: ``max_iters`` caps the ADMM sweeps, and MUSIC runs at
+    """Default settings of receiver ``name``: ``max_iters`` caps the ADMM sweeps (the CLI
+    and the benchmark pass ``admm.MAX_ITERS`` unless told otherwise), and MUSIC runs at
     order ``n_paths`` (``"auto"`` estimates it) on a ``grid_factor`` oversampled grid.
     """
     M, N = measurement.M, measurement.N
@@ -213,7 +209,7 @@ def run_receiver(measurement: Measurement, settings):
 
 
 def run_algorithm(name: str, measurement: Measurement, config: RadarConfig,
-                  n_paths: int, *, an_max_iters: int = AN_MAX_ITERS) -> extract.Estimate:
+                  n_paths: int, *, an_max_iters: int = admm.MAX_ITERS) -> extract.Estimate:
     """One receiver's estimate under the benchmark protocol: the dual receivers stop at
     ``an_max_iters`` sweeps; MUSIC scans the gates' 4x grid at the true path count,
     capped below its subarray size.
@@ -274,7 +270,7 @@ def _rmse_rows(ber: float, records: list[TrialRecord], algorithms: tuple[str, ..
 
 
 def run_benchmark(spec: ScenarioSpec, algorithms, ber_list, *,
-                  an_max_iters: int = AN_MAX_ITERS, progress=None) -> RmseReport:
+                  an_max_iters: int = admm.MAX_ITERS, progress=None) -> RmseReport:
     """Sweep (ber, algorithm, trial) and aggregate gated RMSE statistics.
 
     Each BER in ``ber_list`` is one pass with its own rows, repeats included.

@@ -6,10 +6,10 @@ measurement JSON), ``solve`` (measurement -> solution/estimate JSON),
 CSV/JSON report).  Exit codes: 0 success, 2 configuration error, 3 numerical
 error.
 
-``solve`` runs :mod:`bench`'s dispatch at ``SOLVE_MAX_ITERS`` ADMM sweeps, and MUSIC on a
-16x grid at an estimated order.  ``--lambda``/``--rho``/``--iters`` go to ``anl1`` and
-``an``, ``--mu`` to ``anl1``, ``--music-k`` to ``music``; a receiver rejects the others.
-``bench --iters`` likewise needs ``anl1`` or ``an`` among ``--algos``.
+``solve`` runs :mod:`bench`'s dispatch with MUSIC on a 16x grid at an estimated order,
+and both it and ``bench`` cap the ADMM sweeps at ``admm.MAX_ITERS``.  ``--lambda``/``--rho``/
+``--iters`` go to ``anl1`` and ``an``, ``--mu`` to ``anl1``, ``--music-k`` to ``music``; a
+receiver rejects the others.  ``bench --iters`` likewise needs ``anl1`` or ``an`` among ``--algos``.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ import numpy as np
 
 from . import admm, baselines, bench, extract, serialize
 from .errors import ConfigError, NumericError
-
-# ``solve``'s ADMM sweep cap when ``--iters`` is not given.
-SOLVE_MAX_ITERS = 2000
 
 
 def _write(text: str, out: str | None, quiet: bool):
@@ -118,21 +115,20 @@ def cmd_simulate(args) -> int:
 def cmd_solve(args) -> int:
     _, (measurement, config, _) = _read_input(
         args.input, {"measurement": serialize.measurement_from_dict})
-    k = "auto" if args.music_k is None else args.music_k
-    iters = SOLVE_MAX_ITERS if args.iters is None else args.iters
-    settings = bench.receiver_settings(bench.ALGO_KEYS[args.algo], measurement, config, k,
-                                       iters, extract.GRID_FACTOR)
+    settings = bench.receiver_settings(bench.ALGO_KEYS[args.algo], measurement, config, "auto",
+                                       admm.MAX_ITERS, extract.GRID_FACTOR)
     dual = isinstance(settings, admm.SolverConfig)
-    # CS-AN fixes mu = 0, so only CS-ANL1 reads --mu.
-    for flag, value, read in (("--lambda", args.lam, dual), ("--rho", args.rho, dual),
-                              ("--iters", args.iters, dual),
-                              ("--mu", args.mu, dual and settings.mu > 0),
-                              ("--music-k", args.music_k,
-                               isinstance(settings, baselines.MusicConfig))):
+    # (flag, field, value, read); CS-AN fixes mu = 0, so only CS-ANL1 reads --mu.
+    overrides = (("--lambda", "lam", args.lam, dual), ("--rho", "rho", args.rho, dual),
+                 ("--iters", "max_iters", args.iters, dual),
+                 ("--mu", "mu", args.mu, dual and settings.mu > 0),
+                 ("--music-k", "K_signal", args.music_k,
+                  isinstance(settings, baselines.MusicConfig)))
+    for flag, _, value, read in overrides:
         if value is not None and not read:
             raise ConfigError(f"{flag} is not read by --algo {args.algo}")
-    weights = {"lam": args.lam, "mu": args.mu, "rho": args.rho}
-    settings = dataclasses.replace(settings, **{k: v for k, v in weights.items() if v is not None})
+    settings = dataclasses.replace(
+        settings, **{name: value for _, name, value, _ in overrides if value is not None})
     estimate, solution, timing = bench.run_receiver(measurement, settings)
     if solution is not None:
         doc = serialize.solution_to_dict(solution, measurement, settings, estimate,
@@ -183,7 +179,7 @@ def cmd_bench(args) -> int:
             status = "FAIL" if rec.failed else f"matched={rec.n_matched}"
             print(f"ber={rec.ber} {rec.algorithm} trial={rec.trial}: {status}",
                   file=sys.stderr)
-    iters = bench.AN_MAX_ITERS if args.iters is None else args.iters
+    iters = admm.MAX_ITERS if args.iters is None else args.iters
     report = bench.run_benchmark(spec, algos, bers, an_max_iters=iters, progress=progress)
     text = (serialize.dumps(serialize.report_to_dict(report)) if args.format == "json"
             else serialize.report_to_csv(report))
@@ -231,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="anl1, an: base ADMM penalty (0.05), weighted per block of the "
                         "congruence-scaled real lift of order MN+2 (see ofdmradar.admm)")
     p.add_argument("--iters", type=int, default=None,
-                   help=f"anl1, an: ADMM sweep cap ({SOLVE_MAX_ITERS})")
+                   help=f"anl1, an: ADMM sweep cap ({admm.MAX_ITERS})")
     p.add_argument("--music-k", type=int, default=None, help="music: model order (estimated)")
     p.set_defaults(func=cmd_solve)
 
@@ -249,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--algos", default=",".join(bench.ALGO_KEYS))
     p.add_argument("--iters", type=int, default=None,
-                   help=f"anl1, an: ADMM sweep cap ({bench.AN_MAX_ITERS})")
+                   help=f"anl1, an: ADMM sweep cap ({admm.MAX_ITERS})")
     p.add_argument("--trials-out", default=None, help="per-trial raw CSV path")
     p.set_defaults(func=cmd_bench)
     return parser

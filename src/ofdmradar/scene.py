@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_whole_number
 
 C_LIGHT = 299_792_458.0
 
@@ -28,7 +28,7 @@ C_LIGHT = 299_792_458.0
 class RadarConfig:
     """OFDM and radar physical parameters; the fields are the free ones.
 
-    M, N          number of blocks / subcarriers (both >= 2)
+    M, N          number of blocks / subcarriers (whole numbers, both >= 2)
     delta_f       subcarrier spacing in Hz, positive
     T_cp          cyclic-prefix duration in seconds, nonnegative
     f_c           carrier frequency in Hz, positive
@@ -46,8 +46,8 @@ class RadarConfig:
     noise_power_db: float
 
     def __post_init__(self):
-        if self.M < 2 or self.N < 2:
-            raise ConfigError(f"need M >= 2 and N >= 2, got M={self.M}, N={self.N}")
+        check_whole_number("M", self.M, least=2)
+        check_whole_number("N", self.N, least=2)
         if not 0 < self.delta_f < np.inf:
             raise ConfigError(f"delta_f must be positive and finite, got {self.delta_f}")
         if not 0 <= self.T_cp < np.inf:

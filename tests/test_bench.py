@@ -45,6 +45,17 @@ class TestScenarioSpec:
         with pytest.raises(ConfigError, match="trial"):
             simulate_trial(preset("rmse1"), 0.0, -1)
 
+    @pytest.mark.parametrize("field", ["n_targets", "n_clutter", "trials", "seed"])
+    @pytest.mark.parametrize("value", [8.5, 8.0, True])
+    def test_count_that_is_not_a_whole_number_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be a whole number"):
+            dataclasses.replace(preset("rmse1"), **{field: value})
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, True])
+    def test_trial_that_is_not_a_whole_number_rejected(self, index):
+        with pytest.raises(ConfigError, match="trial must be a whole number"):
+            simulate_trial(preset("rmse1"), 0.0, index)
+
 
 CONFIG = preset("rmse1").config
 RANGE_GATE = gates(CONFIG)[0]

@@ -8,7 +8,7 @@ import pytest
 
 from ofdmradar import NumericError, admm, baselines, bench, extract, serialize
 from ofdmradar.bench import ALGO_KEYS
-from ofdmradar.cli import SOLVE_MAX_ITERS, build_parser, main
+from ofdmradar.cli import build_parser, main
 
 
 def simulate_file(tmp_path):
@@ -142,7 +142,7 @@ class TestSolve:
         out = tmp_path / "sol.json"
         assert main(["solve", "--input", str(meas_path), "--algo", "an",
                      "--out", str(out), "--quiet"]) == 0
-        assert json.loads(out.read_text())["solver"]["max_iters"] == SOLVE_MAX_ITERS
+        assert json.loads(out.read_text())["solver"]["max_iters"] == admm.MAX_ITERS
 
 
 class TestMalformedInput:
@@ -374,7 +374,7 @@ class TestBenchIters:
         assert len(err) == 1 and "--iters" in err[0] and algos in err[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags, cap", [([], bench.AN_MAX_ITERS), (["--iters", "7"], 7)])
+    @pytest.mark.parametrize("flags, cap", [([], admm.MAX_ITERS), (["--iters", "7"], 7)])
     def test_iters_sets_the_dual_receivers_cap(self, tmp_path, monkeypatch, flags, cap):
         seen = []
 
@@ -386,6 +386,26 @@ class TestBenchIters:
         assert main(["bench", "--preset", "rmse1", "--algos", "an,music", *flags,
                      "--out", str(tmp_path / "report.csv"), "--quiet"]) == 0
         assert seen == [cap]
+
+    def test_solve_and_bench_without_iters_share_the_solver_default(self, tmp_path,
+                                                                   monkeypatch):
+        meas_path = simulate_8x8_file(tmp_path)
+        out = tmp_path / "sol.json"
+        assert main(["solve", "--input", str(meas_path), "--algo", "an", "--out", str(out),
+                     "--quiet"]) == 0
+        caps = []
+
+        def solve(measurement, config):
+            caps.append(config.max_iters)
+            raise NumericError("stopped after reading the cap")
+
+        monkeypatch.setattr(admm, "solve", solve)
+        assert main(["bench", "--spec", str(spec_8x8_file(tmp_path)), "--trials", "1",
+                     "--algos", "anl1,an", "--out", str(tmp_path / "report.csv"),
+                     "--quiet"]) == 0
+        default = admm.SolverConfig(lam=1.0, mu=0.0).max_iters
+        assert caps == [default, default]
+        assert json.loads(out.read_text())["solver"]["max_iters"] == default
 
 
 class TestConfigRanges:

@@ -62,7 +62,7 @@ def baselines_16_csl1_solve(run, seed, index):
     trial = run.workloads.make_trial(workload, seed, index)
     bench = run.bench
     settings = bench.receiver_settings("CS-L1", trial.measurement, spec.config, trial.scene.K,
-                                       bench.AN_MAX_ITERS, bench.BASELINE_GRID_FACTOR)
+                                       run.admm.MAX_ITERS, bench.BASELINE_GRID_FACTOR)
     return settings, run.baselines._csl1_solve(trial.measurement, settings)
 
 

@@ -31,6 +31,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RadarConfig(M=1, N=4, delta_f=5e3, T_cp=1e-4, f_c=2e9, noise_power_db=-20)
 
+    @pytest.mark.parametrize("field", ["M", "N"])
+    @pytest.mark.parametrize("value", [8.5, 8.0, True])
+    def test_dimension_that_is_not_a_whole_number_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be a whole number"):
+            dataclasses.replace(small_config(), **{field: value})
+
     @pytest.mark.parametrize("field, value", [
         ("noise_power_db", math.nan), ("noise_power_db", math.inf), ("f_c", math.nan),
         ("f_c", math.inf), ("delta_f", math.nan), ("T_cp", math.nan)])
