@@ -192,10 +192,25 @@ def refine_peak(nu: np.ndarray, phi: float, psi: float, M: int, N: int) -> Peak:
     return Peak(phi=float(x[0, 0]), psi=float(x[0, 1]), value=complex(Q[0]))
 
 
-def _same_cell(f, g, M: int, N: int) -> bool:
-    """Whether (phi, psi) pairs f and g lie within half a resolution cell on both wrapped axes."""
-    dphi, dpsi = abs(f[0] - g[0]) % 1.0, abs(f[1] - g[1]) % 1.0
-    return min(dphi, 1.0 - dphi) < 0.5 / M and min(dpsi, 1.0 - dpsi) < 0.5 / N
+def _same_cell_mask(freqs, M: int, N: int) -> np.ndarray:
+    """P x P mask of the (phi, psi) pairs within half a resolution cell on both wrapped axes."""
+    f = np.asarray(freqs, dtype=float).reshape(-1, 2)
+    d = np.abs(f[:, None, :] - f[None, :, :]) % 1.0
+    d = np.minimum(d, 1.0 - d)
+    return (d[..., 0] < 0.5 / M) & (d[..., 1] < 0.5 / N)
+
+
+def _merge_cells(peaks: list[Peak], M: int, N: int) -> list[Peak]:
+    """Greedy half-cell merge: in the given order, keep each peak that shares no cell with
+    one already kept (:func:`_same_cell_mask`)."""
+    same = _same_cell_mask([(pk.phi, pk.psi) for pk in peaks], M, N)
+    taken = np.zeros(len(peaks), dtype=bool)
+    kept = []
+    for i, pk in enumerate(peaks):
+        if not taken[i]:
+            kept.append(pk)
+            taken |= same[i]
+    return kept
 
 
 def wrapped_local_maxima(values: np.ndarray) -> np.ndarray:
@@ -229,13 +244,7 @@ def locate_peaks(nu: np.ndarray, lam: float, M: int, N: int, *,
     refined = [Peak(phi=float(f[0]), psi=float(f[1]), value=complex(v)) for f, v in zip(x, Q)
                if abs(v) >= level]
     refined.sort(key=lambda pk: (-pk.magnitude, pk.phi, pk.psi))
-
-    kept: list[Peak] = []
-    for pk in refined:
-        if not any(_same_cell((pk.phi, pk.psi), (other.phi, other.psi), M, N)
-                   for other in kept):
-            kept.append(pk)
-    return kept
+    return _merge_cells(refined, M, N)
 
 
 def dual_atomic_norm(nu: np.ndarray, M: int, N: int) -> float:
@@ -272,8 +281,7 @@ def ls_amplitudes(r_bar: np.ndarray, s_tilde: np.ndarray, e_hat,
     alpha, _, _, svals = np.linalg.lstsq(A, target, rcond=None)
     cond = float("inf") if svals[-1] == 0 else float(svals[0] / svals[-1])
     if cond > COND_MAX:
-        close = [(i, j) for i in range(len(freqs)) for j in range(i + 1, len(freqs))
-                 if _same_cell(freqs[i], freqs[j], M, N)]
+        close = np.argwhere(np.triu(_same_cell_mask(freqs, M, N), 1))
         raise DegenerateDictionaryError(
             f"dictionary condition number {cond:.3e} exceeds {COND_MAX:.1e}",
             pairs=[(freqs[i], freqs[j]) for i, j in close] or list(freqs))

@@ -9,8 +9,9 @@ from ofdmradar import (ConfigError, CsL1Config, MusicConfig, NumericError, Path,
                        default_music_config, dual_poly_grid, music_estimate,
                        music_spectrum, qpsk, simulate, spatial_smooth)
 from ofdmradar import baselines
-from ofdmradar.baselines import (CSL1_GAP_EVERY, CSL1_PENALTY, CSL1_RELAXATION, _csl1_solve,
-                                 _synthesize, csl1_dictionary)
+from ofdmradar.baselines import (CSL1_GAP_EVERY, CSL1_PENALTY, CSL1_POLISH_ATOMS,
+                                 CSL1_POLISH_MARGIN, CSL1_POLISH_ROUNDS, CSL1_POLISH_WINDOW,
+                                 CSL1_RELAXATION, _csl1_solve, _synthesize, csl1_dictionary)
 from ofdmradar.extract import _dft_factors
 from ofdmradar.operators import _shrink, soft_threshold
 from conftest import residual_at_w_gap, small_config
@@ -358,19 +359,48 @@ MEASUREMENTS = {
 }
 
 
-def dense_gap(A, r, gamma, w, x=None):
+def dense_dual(A, r, gamma, nu):
+    """D(theta nu) with nu scaled into |A^H nu| <= gamma."""
+    theta = min(1.0, gamma / np.abs(A.conj().T @ nu).max())
+    return theta * np.vdot(r, nu).real - 0.5 * theta ** 2 * np.vdot(nu, nu).real
+
+
+def dense_polished_dual(A, r, gamma, nu):
+    """Oracle of the polished point: the best D over the rounds of minimum-norm corrections.
+
+    Each round puts the at most ``CSL1_POLISH_ATOMS`` largest violators of |A^H nu| <= gamma,
+    those above gamma by more than ``CSL1_POLISH_MARGIN`` relative, on the circle
+    |A_j^H nu| = gamma by least change in nu, through the dense columns A_j.
+    """
+    best = -np.inf
+    for _ in range(CSL1_POLISH_ROUNDS):
+        corr = A.conj().T @ nu
+        mag = np.abs(corr)
+        V = np.argsort(-mag, kind="stable")[:CSL1_POLISH_ATOMS]
+        V = V[mag[V] > (1.0 + CSL1_POLISH_MARGIN) * gamma]
+        if not V.size:
+            break
+        AV = A[:, V]
+        excess = corr[V] - gamma * corr[V] / mag[V]
+        nu = nu - AV @ np.linalg.solve(AV.conj().T @ AV, excess)
+        best = max(best, dense_dual(A, r, gamma, nu))
+    return best
+
+
+def dense_gap(A, r, gamma, w, x=None, tol=None):
     """Relative duality gap (P - D) / P at w, D at the better of r - A w and r - A x.
 
     Each dual point is scaled into |A^H nu| <= gamma; without ``x`` only r - A w is taken,
-    which is CS-L1's earlier, residual-at-w rule.
+    which is CS-L1's earlier, residual-at-w rule.  With ``tol`` the polished r - A x is
+    taken as well when the two points leave the gap in (tol, CSL1_POLISH_WINDOW tol].
     """
-    def dual(nu):
-        theta = min(1.0, gamma / np.abs(A.conj().T @ nu).max())
-        return theta * np.vdot(r, nu).real - 0.5 * theta ** 2 * np.vdot(nu, nu).real
-
     nu = r - A @ w
     primal = 0.5 * np.vdot(nu, nu).real + gamma * np.abs(w).sum()
-    best = dual(nu) if x is None else max(dual(nu), dual(r - A @ x))
+    if x is None:
+        return (primal - dense_dual(A, r, gamma, nu)) / primal
+    best = max(dense_dual(A, r, gamma, nu), dense_dual(A, r, gamma, r - A @ x))
+    if tol is not None and tol < (primal - best) / primal <= CSL1_POLISH_WINDOW * tol:
+        best = max(best, dense_polished_dual(A, r, gamma, r - A @ x))
     return (primal - best) / primal
 
 
@@ -390,9 +420,9 @@ def allocating_admm(meas, ccfg, x_point=True):
     """Reference: over-relaxed scaled ADMM on x = w with the dense dictionary.
 
     The x-step applies (A^H A + rho I)^-1 as an explicit Woodbury matrix.  The gap at w
-    takes the x-iterate before relaxation as its second dual point, or with
-    ``x_point=False`` the residual at w alone.  It returns w flat column-major, the
-    iterations run and the gap at w.
+    takes the x-iterate before relaxation as its second dual point and, near ``tol``, its
+    polished residual, or with ``x_point=False`` the residual at w alone.  It returns w
+    flat column-major, the iterations run and the gap at w.
     """
     r, gamma = meas.r_bar, ccfg.gamma
     A, AHr, rho, inverse = dense_program(meas, ccfg)
@@ -403,7 +433,8 @@ def allocating_admm(meas, ccfg, x_point=True):
         w = soft_threshold(x_hat + u, gamma / rho)
         u = u + x_hat - w
         if it % CSL1_GAP_EVERY == 0 or it == ccfg.max_iters:
-            gap = dense_gap(A, r, gamma, w, x if x_point else None)
+            gap = (dense_gap(A, r, gamma, w, x, ccfg.tol) if x_point
+                   else dense_gap(A, r, gamma, w))
             if gap <= ccfg.tol:
                 break
     return w, it, gap
@@ -482,7 +513,7 @@ class TestCsL1InPlace:
         z, _ = checks[-1]
         A, AHr, rho, inverse = dense_program(meas, ccfg)
         x = inverse @ (AHr + rho * z)
-        dense = dense_gap(A, meas.r_bar, ccfg.gamma, w.ravel(order="F"), x)
+        dense = dense_gap(A, meas.r_bar, ccfg.gamma, w.ravel(order="F"), x, tol)
         assert dense <= tol
         assert dense == pytest.approx(gap, rel=1e-6)
 
@@ -579,6 +610,78 @@ class TestCsL1InPlace:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         for got in (shrunk, shrunk_out):
             assert np.array_equal(got.view(np.uint64), want_shrunk.view(np.uint64))
+
+
+class TestCsL1Polish:
+    """The polished third dual point: a lower bound on P*, an earlier stop on the same
+    iterates, and a fallback to the two-point certificate."""
+
+    @staticmethod
+    def record_polish(monkeypatch):
+        """Record the D that each ``_csl1_polished_dual`` call returns."""
+        duals, polish = [], baselines._csl1_polished_dual
+
+        def recording(*args):
+            duals.append(polish(*args))
+            return duals[-1]
+
+        monkeypatch.setattr(baselines, "_csl1_polished_dual", recording)
+        return duals
+
+    @pytest.mark.parametrize("case", ["fixed-8x8", "two-target-8x8"])
+    @pytest.mark.parametrize("window", [CSL1_POLISH_WINDOW, math.inf])
+    def test_bound_below_the_optimum_and_same_iterate_sooner(self, monkeypatch, case, window):
+        # With an unbounded window the point is polished at every check above tol.
+        cfg, meas = MEASUREMENTS[case]()
+        ccfg = default_csl1_config(8, 8, cfg.sigma)
+        A = dense_program(meas, ccfg)[0]
+
+        def objective(x):
+            fit = meas.r_bar - A @ x.ravel(order="F")
+            return 0.5 * np.vdot(fit, fit).real + ccfg.gamma * np.abs(x).sum()
+
+        # P* from a tight solve certified by the two earlier points alone, and the
+        # iterations the two-point certificate needs at tol.
+        monkeypatch.setattr(baselines, "CSL1_POLISH_WINDOW", 0.0)
+        tight = dataclasses.replace(ccfg, tol=1e-12, max_iters=20000)
+        w_ref, ref_iterations, ref_gap = _csl1_solve(meas, tight)
+        assert ref_iterations < tight.max_iters
+        p_star_floor = objective(w_ref) * (1.0 - ref_gap)
+        two_point = _csl1_solve(meas, ccfg)[1]
+
+        monkeypatch.setattr(baselines, "CSL1_POLISH_WINDOW", window)
+        duals = self.record_polish(monkeypatch)
+        w, iterations, gap = _csl1_solve(meas, ccfg)
+        assert max(duals) > -math.inf
+        assert all(d <= p_star_floor for d in duals)
+        assert 0 < gap <= ccfg.tol
+        assert iterations < two_point
+        # The stop test reads the iterates and never writes them: with no stop, the loop
+        # reaches the same w at the same iteration.
+        monkeypatch.setattr(baselines, "_csl1_gap", lambda *args: math.inf)
+        w_unstopped = _csl1_solve(meas, dataclasses.replace(ccfg, max_iters=iterations))[0]
+        assert np.array_equal(w, w_unstopped)
+
+    @pytest.mark.parametrize("failure", ["singular", "nan", "inf"])
+    def test_failed_correction_keeps_the_two_point_certificate(self, monkeypatch, failure):
+        cfg, meas = fixed_8x8_measurement()
+        ccfg = default_csl1_config(8, 8, cfg.sigma)
+        with monkeypatch.context() as m:
+            m.setattr(baselines, "CSL1_POLISH_WINDOW", 0.0)
+            want_w, want_iterations, want_gap = _csl1_solve(meas, ccfg)
+
+        def failing_solve(a, b):
+            if failure == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full_like(b, np.nan if failure == "nan" else np.inf)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        duals = self.record_polish(monkeypatch)
+        w, iterations, gap = _csl1_solve(meas, ccfg)
+        assert duals and all(d == -math.inf for d in duals)
+        assert (iterations, gap) == (want_iterations, want_gap)
+        assert np.array_equal(w, want_w)
+
 
 class TestEstimateContract:
     def test_music_paths_sorted(self):

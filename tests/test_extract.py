@@ -10,10 +10,10 @@ from ofdmradar import (ConfigError, DegenerateDictionaryError, Path, Scene,
                        simulate, solve)
 from ofdmradar import bench, extract
 from ofdmradar.extract import (GRAD_TOL, GRID_FACTOR, MAX_NEWTON_STEPS, REL_THRESHOLD,
-                               Estimate, _ascent_steps,
-                               _dft_factors, _dual_matrix, _newton_ascent, _poly_derivs,
-                               _same_cell, _value_grad_hess, ranked_estimate,
-                               wrapped_local_maxima)
+                               Estimate, Peak, _ascent_steps,
+                               _dft_factors, _dual_matrix, _merge_cells, _newton_ascent,
+                               _poly_derivs, _same_cell_mask, _value_grad_hess,
+                               ranked_estimate, wrapped_local_maxima)
 from conftest import atom, scalar_refine_peak, small_config
 
 
@@ -114,6 +114,30 @@ class TestLocatePeaks:
     def test_lambda_must_be_positive(self):
         with pytest.raises(ConfigError):
             locate_peaks(np.zeros(16), 0.0, 4, 4)
+
+    @pytest.mark.parametrize("M, N", [(8, 8), (4, 16), (16, 16)])
+    def test_merge_keeps_what_the_pairwise_loop_keeps(self, rng, M, N):
+        # Clusters straddle phi = 0, psi = 0 and both, so wrapped pairs are merged or kept
+        # by the half-cell rule, and a kept peak can block a later one it wraps onto.
+        def same_cell(f, g):
+            dphi, dpsi = abs(f[0] - g[0]) % 1.0, abs(f[1] - g[1]) % 1.0
+            return min(dphi, 1.0 - dphi) < 0.5 / M and min(dpsi, 1.0 - dpsi) < 0.5 / N
+
+        centres = np.array([[0.0, 0.5], [0.5, 0.0], [0.0, 0.0], [0.3, 0.7]])
+        spread = 0.6 * np.array([1.0 / M, 1.0 / N])
+        x = (centres.repeat(40, axis=0) + rng.uniform(-spread, spread, (160, 2))) % 1.0
+        peaks = [Peak(phi=float(f[0]), psi=float(f[1]), value=complex(v))
+                 for f, v in zip(x, rng.uniform(1.0, 2.0, 160))]
+        peaks.sort(key=lambda pk: (-pk.magnitude, pk.phi, pk.psi))
+        want = []
+        for pk in peaks:
+            if not any(same_cell((pk.phi, pk.psi), (k.phi, k.psi)) for k in want):
+                want.append(pk)
+        wrapped = [(a, b) for a in want for b in peaks
+                   if b not in want and same_cell((a.phi, a.psi), (b.phi, b.psi))
+                   and (abs(a.phi - b.phi) > 0.5 or abs(a.psi - b.psi) > 0.5)]
+        assert len(want) > 4 and wrapped
+        assert _merge_cells(peaks, M, N) == want
 
 
 def elementwise_poly_derivs(V, phi, psi):
@@ -369,7 +393,9 @@ class TestSameCell:
         ((0.1, 0.5), (0.1, 0.6), False),      # a psi cell is 1/8 wide here
         ((0.1, 0.5), (0.2, 0.5), False)])
     def test_half_a_cell_on_both_axes(self, f, g, same):
-        assert _same_cell(f, g, 8, 8) is same
+        mask = _same_cell_mask([f, g], 8, 8)
+        assert mask[0, 1] == mask[1, 0] == same
+        assert mask[0, 0] and mask[1, 1]
 
 
 class TestEndToEnd:

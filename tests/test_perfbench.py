@@ -80,6 +80,14 @@ def test_baselines_16_panel_csl1_solves_certify_before_their_caps(run, seed):
         assert 0 < gap <= settings.tol, index
 
 
+def test_baselines_16_seed_103_trial_3_csl1_certifies_before_its_cap(run):
+    # The two-point certificate ends this solve at its 4000-iteration cap with a gap of
+    # 1.6e-4; the polished point certifies it.
+    settings, (_, iterations, gap) = baselines_16_csl1_solve(run, 103, 3)
+    assert iterations < settings.max_iters
+    assert 0 < gap <= settings.tol
+
+
 def test_baselines_16_csl1_certifies_sooner_than_the_residual_at_w_rule(run, monkeypatch):
     _, (_, iterations, _) = baselines_16_csl1_solve(run, 1, 0)
     monkeypatch.setattr(run.baselines, "_csl1_gap", residual_at_w_gap)
