@@ -19,10 +19,11 @@ from .scene import Measurement, steering
 
 # Per-axis oversampling of the default CS-L1 dictionary grid.
 CSL1_GRID_FACTOR = 4
-# CS-L1's ADMM: over-relaxation, penalty scale and iterations between gap checks.
+# CS-L1's ADMM: over-relaxation, penalty scale and iterations between gap checks
+# (chosen by cost on held-out baselines-16 scenes; see CsL1Config).
 CSL1_RELAXATION = 1.8
 CSL1_PENALTY = 1.5
-CSL1_GAP_EVERY = 10
+CSL1_GAP_EVERY = 30
 # CS-L1's polished dual point: tried when the two-point gap is above tol but at most
 # CSL1_POLISH_WINDOW * tol, correcting at most CSL1_POLISH_ATOMS violators per round
 # for at most CSL1_POLISH_ROUNDS rounds (chosen on held-out baselines-16 scenes).
@@ -70,6 +71,13 @@ class CsL1Config:
     back on the constraint.  Every point is scaled into the feasible set over
     the whole lattice before it is scored, so each gives a lower bound on the
     optimum and the certificate is the same whichever one gives the bound.
+
+    The gap is checked every ``CSL1_GAP_EVERY`` (30) iterations and at
+    ``max_iters``, so a solve stops at most 29 iterations after the first
+    iterate that would certify.  At 16x16 a check costs about one iteration and
+    a polish call about 13, so a check every 10 iterations spent about a fifth
+    of a solve on checks.  From 30 to 60 the modelled solve time varies by under
+    2%, while a longer cadence lets each stop come later.
     """
 
     M_grid: int
@@ -230,22 +238,25 @@ def _csl1_solve(measurement: Measurement, config: CsL1Config) -> tuple[np.ndarra
             _shrink(w, gamma / rho, mag, shrunk)
             u -= w
             if it % CSL1_GAP_EVERY == 0 or it == config.max_iters:
-                gap = _csl1_gap(w, float(shrunk.sum()), x_weight * resid, measurement, config)
+                # A^H (rho D resid) = (rho / alpha) step: the x-point's correlations.
+                gap = _csl1_gap(w, float(shrunk.sum()), x_weight * resid, (rho / a) * step,
+                                measurement, config)
                 if gap <= config.tol:
                     break
     return w, it, gap
 
 
-def _csl1_gap(w: np.ndarray, l1: float, nu_x: np.ndarray, measurement: Measurement,
-              config: CsL1Config) -> float:
+def _csl1_gap(w: np.ndarray, l1: float, nu_x: np.ndarray, corr_x: np.ndarray,
+              measurement: Measurement, config: CsL1Config) -> float:
     """Relative duality gap (P(w) - D(nu)) / P(w) at w, whose l1 norm is ``l1``.
 
     D(nu) = Re<r, nu> - ||nu||^2 / 2 is the lasso dual, taken at the best of
     up to three points, each scaled into the dual's feasible set
     |C^H(conj(s) nu)| <= gamma: the residual r - A w, ``nu_x`` = r - A x at
-    the last x-step's iterate x (see :func:`csl1_estimate`), and, when those
-    two leave the gap above ``tol`` but within ``CSL1_POLISH_WINDOW * tol``,
-    the polished x-point of :func:`_csl1_polished_dual`.
+    the last x-step's iterate x (see :func:`csl1_estimate`), whose
+    correlations A^H nu_x are ``corr_x``, and, when those two leave the gap
+    above ``tol`` but within ``CSL1_POLISH_WINDOW * tol``, the polished
+    x-point of :func:`_csl1_polished_dual`.
     """
     M, N = measurement.M, measurement.N
     s, gamma = measurement.s_tilde, config.gamma
@@ -253,11 +264,11 @@ def _csl1_gap(w: np.ndarray, l1: float, nu_x: np.ndarray, measurement: Measureme
     sq = float(np.vdot(nu_w, nu_w).real)
     primal = 0.5 * sq + gamma * l1
     corr_w = _csl1_correlations(nu_w, measurement, config)
-    corr_x = _csl1_correlations(nu_x, measurement, config)
+    mag_x = np.abs(corr_x)
     dual = max(_csl1_dual(nu_w, float(np.abs(corr_w).max()), measurement, config),
-               _csl1_dual(nu_x, float(np.abs(corr_x).max()), measurement, config))
+               _csl1_dual(nu_x, float(mag_x.max()), measurement, config))
     if config.tol < (primal - dual) / primal <= CSL1_POLISH_WINDOW * config.tol:
-        dual = max(dual, _csl1_polished_dual(nu_x, corr_x, measurement, config))
+        dual = max(dual, _csl1_polished_dual(nu_x, corr_x, mag_x, primal, measurement, config))
     gap = (primal - dual) / primal
     if not math.isfinite(gap):
         raise NumericError("non-finite duality gap in CS-L1")
@@ -279,9 +290,10 @@ def _csl1_dual(nu: np.ndarray, corr_max: float, measurement: Measurement,
     return theta * float(np.vdot(measurement.r_bar, nu).real) - 0.5 * theta * theta * sq
 
 
-def _csl1_polished_dual(nu: np.ndarray, corr: np.ndarray, measurement: Measurement,
-                        config: CsL1Config) -> float:
-    """Best D over up to ``CSL1_POLISH_ROUNDS`` polished copies of nu, whose A^H nu is ``corr``.
+def _csl1_polished_dual(nu: np.ndarray, corr: np.ndarray, mag: np.ndarray, primal: float,
+                        measurement: Measurement, config: CsL1Config) -> float:
+    """Best D over up to ``CSL1_POLISH_ROUNDS`` polished copies of nu, whose A^H nu is
+    ``corr`` with magnitudes ``mag``, ending once D certifies the gap at ``primal`` = P(w).
 
     Each round takes the violators V, the at most ``CSL1_POLISH_ATOMS`` lattice
     points with the largest |A^H nu| above gamma (by more than
@@ -292,15 +304,16 @@ def _csl1_polished_dual(nu: np.ndarray, corr: np.ndarray, measurement: Measureme
     product.  The correction can push other lattice points over gamma, so each
     polished nu is scored as D(theta nu) with theta from its correlations over
     the whole lattice, which the next round reuses: theta nu is feasible, and
-    its D a lower bound on P*, whatever the correction did.  A singular or
-    non-finite system ends the rounds; with no round scored the result is -inf.
+    its D a lower bound on P*, whatever the correction did.  A D that leaves
+    (P(w) - D) / P(w) at most ``tol`` ends the rounds, since it ends the check
+    whatever a later round would add.  A singular or non-finite system ends
+    them too; with no round scored the result is -inf.
     """
     M, N, Ng = measurement.M, measurement.N, config.N_grid
     B, G, _, _ = _dft_factors(M, N, config.M_grid, Ng)
     s_conj, gamma = np.conj(measurement.s_tilde).reshape(N, M), config.gamma
     best = -math.inf
-    corr = corr.ravel()
-    mag = np.abs(corr)
+    corr, mag = corr.ravel(), mag.ravel()
     for _ in range(CSL1_POLISH_ROUNDS):
         # A point the last round put on the circle is within rounding of gamma, not a violator.
         V = np.flatnonzero(mag > (1.0 + CSL1_POLISH_MARGIN) * gamma)
@@ -325,6 +338,8 @@ def _csl1_polished_dual(nu: np.ndarray, corr: np.ndarray, measurement: Measureme
         corr = _csl1_correlations(nu, measurement, config).ravel()
         mag = np.abs(corr)
         best = max(best, _csl1_dual(nu, float(mag.max()), measurement, config))
+        if (primal - best) / primal <= config.tol:
+            break
     return best
 
 
@@ -347,21 +362,27 @@ def csl1_estimate(measurement: Measurement, config: CsL1Config) -> Estimate:
     k scales every iterate by k.  If ||C^H(conj(s) r)||_inf <= gamma, x = 0 is
     optimal and no iteration runs.
 
-    Every ``CSL1_GAP_EVERY`` iterations and at ``max_iters`` the relative
+    Every ``CSL1_GAP_EVERY`` (30) iterations and at ``max_iters`` the relative
     duality gap (P(w) - D(nu)) / P(w) is taken at w, with D at the better of
     two dual points, each scaled into |A^H nu| <= gamma: the residual r - A w,
     and the residual r - A x at the x-step's iterate x before relaxation.  The
     x-step already forms resid = r - A z, and since A A^H = M_grid N_grid
     diag(|s|^2) (from C C^H = M_grid N_grid I), r - A x = (I - A A^H D) resid
-    = rho D resid exactly, with no extra synthesis.  When those two points
-    leave the gap above ``tol`` but within ``CSL1_POLISH_WINDOW * tol``, a third
-    is tried: r - A x polished by :func:`_csl1_polished_dual`, which moves it by
-    the least amount that puts its largest violators of |A^H nu| <= gamma on
-    the constraint, then scales it into the feasible set like the others.  The
-    solve stops once the gap is at most ``config.tol``: any feasible nu gives
-    D(nu) <= P*, so then P(w) is within ``tol * P(w)`` of the optimum, whichever
-    point gave D.  The stop test only reads the iterates, so the second and
-    third points leave them unchanged and can only make the stop come sooner.
+    = rho D resid exactly, with no extra synthesis; its correlations
+    A^H (rho D resid) are rho / alpha times the x-step's alpha A^H D resid, with
+    no extra adjoint.  When those two points leave the gap above ``tol`` but
+    within ``CSL1_POLISH_WINDOW * tol``, a third is tried: r - A x polished by
+    :func:`_csl1_polished_dual`, which moves it by the least amount that puts
+    its largest violators of |A^H nu| <= gamma on the constraint, then scales it
+    into the feasible set like the others, and ends its rounds at the first D
+    that certifies.  The solve stops once the gap is at most ``config.tol``: any
+    feasible nu gives D(nu) <= P*, so then P(w) is within ``tol * P(w)`` of the
+    optimum, whichever point gave D.  The stop test only reads the iterates, so
+    the second and third points leave them unchanged and can only make the stop
+    come sooner.  A check runs one synthesis and one adjoint, about an
+    iteration's work, and a polish call about 13 iterations' work at 16x16; the
+    cadence of 30 keeps checks and polish together near a tenth of a solve, and
+    a stop at most 29 iterations after the first iterate that would certify.
     ``gamma`` must be positive unless r = 0.
     Entries of w above 1e-3 of the largest magnitude become paths at
     their grid frequencies.

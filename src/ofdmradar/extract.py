@@ -34,6 +34,11 @@ MAX_NEWTON_STEPS = 50
 GRAD_TOL = 1e-6
 EIG_FLOOR = 1e-3
 _TINY = np.finfo(float).tiny
+# A line search ends once the rise g.step predicts is at most RISE_FLOOR * |Q|^2, a
+# thousandth of an ulp, where an evaluation can show a rise only as rounding noise.
+# A floor of a few ulps would also end ascents that such a noise step lets rise on
+# to meet GRAD_TOL.
+RISE_FLOOR = 1e-3 * np.finfo(float).eps
 # Error support: |e_hat| above ERROR_REL_TOL of the data scale.
 ERROR_REL_TOL = 1e-6
 # Largest dictionary condition number the amplitude fit accepts.
@@ -159,30 +164,37 @@ def _newton_ascent(V: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.nd
     Each candidate runs its own ascent: up to MAX_NEWTON_STEPS steps of
     :func:`_ascent_steps`, each halved up to 25 times until |Q|^2 rises, with
     coordinates wrapped into [0, 1).  A candidate stops once its gradient norm is at
-    most GRAD_TOL * |Q|^2, or when no halving rises; a step is taken only when |Q|^2
-    rises, so the point kept is the best one seen.  Each evaluation covers only the
-    candidates still moving, and in the line search only those still pending.
+    most GRAD_TOL * |Q|^2, or when no halving rises; the halvings end early once the
+    rise g.step that the step predicts is at most RISE_FLOOR * |Q|^2.  A step is taken
+    only when |Q|^2 rises, so the point kept is the best one seen.  Each evaluation
+    covers only the candidates still moving, and in the line search only those still
+    pending.
     """
     x = np.array(starts, dtype=float)
     Q, F, g, H = _value_grad_hess(V, x)
     moving = np.arange(len(x))
+    stalled = np.zeros(len(x), dtype=bool)
     for _ in range(MAX_NEWTON_STEPS):
         moving = moving[np.linalg.norm(g[moving], axis=1) > GRAD_TOL * F[moving]]
         if not moving.size:
             break
         pending, step = moving, _ascent_steps(g[moving], H[moving])
+        rise = np.einsum("ij,ij->i", g[moving], step)
         for _ in range(25):
+            live = rise > RISE_FLOOR * F[pending]
+            stalled[pending[~live]] = True
+            pending, step, rise = pending[live], step[live], rise[live]
+            if not pending.size:
+                break
             cand = (x[pending] + step) % 1.0
             cand[cand == 1.0] = 0.0  # a tiny negative x + step wraps to 1.0
             Qc, Fc, gc, Hc = _value_grad_hess(V, cand)
             up = Fc > F[pending]
             k = pending[up]
             x[k], Q[k], F[k], g[k], H[k] = cand[up], Qc[up], Fc[up], gc[up], Hc[up]
-            pending, step = pending[~up], step[~up] * 0.5
-            if not pending.size:
-                break
-        if pending.size:
-            moving = np.setdiff1d(moving, pending, assume_unique=True)
+            pending, step, rise = pending[~up], step[~up] * 0.5, rise[~up] * 0.5
+        stalled[pending] = True
+        moving = moving[~stalled[moving]]
     return x, Q
 
 

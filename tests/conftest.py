@@ -120,11 +120,12 @@ def scalar_refine_peak(nu, phi, psi, M, N):
     return Peak(phi=float(x[0]), psi=float(x[1]), value=complex(Q))
 
 
-def residual_at_w_gap(w, l1, nu_x, measurement, config):
+def residual_at_w_gap(w, l1, nu_x, corr_x, measurement, config):
     """Oracle: CS-L1's relative duality gap with the residual r - A w as its only dual point.
 
-    It takes the x-step's point ``nu_x`` as ``baselines._csl1_gap`` does and ignores it, so
-    patched in for that function it gives the solve the earlier, residual-at-w stop.
+    It takes the x-step's point ``nu_x`` and its correlations ``corr_x`` as
+    ``baselines._csl1_gap`` does and ignores them, so patched in for that function it
+    gives the solve the earlier, residual-at-w stop.
     """
     M, N = measurement.M, measurement.N
     s, r, gamma = measurement.s_tilde, measurement.r_bar, config.gamma

@@ -365,12 +365,13 @@ def dense_dual(A, r, gamma, nu):
     return theta * np.vdot(r, nu).real - 0.5 * theta ** 2 * np.vdot(nu, nu).real
 
 
-def dense_polished_dual(A, r, gamma, nu):
+def dense_polished_dual(A, r, gamma, nu, primal, tol):
     """Oracle of the polished point: the best D over the rounds of minimum-norm corrections.
 
     Each round puts the at most ``CSL1_POLISH_ATOMS`` largest violators of |A^H nu| <= gamma,
     those above gamma by more than ``CSL1_POLISH_MARGIN`` relative, on the circle
-    |A_j^H nu| = gamma by least change in nu, through the dense columns A_j.
+    |A_j^H nu| = gamma by least change in nu, through the dense columns A_j.  The rounds
+    end once D leaves the gap at ``primal`` within ``tol``.
     """
     best = -np.inf
     for _ in range(CSL1_POLISH_ROUNDS):
@@ -384,6 +385,8 @@ def dense_polished_dual(A, r, gamma, nu):
         excess = corr[V] - gamma * corr[V] / mag[V]
         nu = nu - AV @ np.linalg.solve(AV.conj().T @ AV, excess)
         best = max(best, dense_dual(A, r, gamma, nu))
+        if (primal - best) / primal <= tol:
+            break
     return best
 
 
@@ -400,7 +403,7 @@ def dense_gap(A, r, gamma, w, x=None, tol=None):
         return (primal - dense_dual(A, r, gamma, nu)) / primal
     best = max(dense_dual(A, r, gamma, nu), dense_dual(A, r, gamma, r - A @ x))
     if tol is not None and tol < (primal - best) / primal <= CSL1_POLISH_WINDOW * tol:
-        best = max(best, dense_polished_dual(A, r, gamma, r - A @ x))
+        best = max(best, dense_polished_dual(A, r, gamma, r - A @ x, primal, tol))
     return (primal - best) / primal
 
 
@@ -536,6 +539,51 @@ class TestCsL1InPlace:
             np.testing.assert_allclose(nu_x, want, rtol=0,
                                        atol=1e-12 * np.linalg.norm(meas.r_bar))
 
+    @pytest.mark.parametrize("case", ["fixed-8x8", "two-target-8x8"])
+    def test_x_point_correlations_are_read_from_the_step(self, monkeypatch, case):
+        # A^H nu_x = (rho / alpha) step by linearity; each check gets it without an adjoint.
+        cfg, meas = MEASUREMENTS[case]()
+        ccfg = dataclasses.replace(default_csl1_config(8, 8, cfg.sigma), tol=1e-7)
+        pairs, gap = [], baselines._csl1_gap
+
+        def recording_gap(w, l1, nu_x, corr_x, *args):
+            pairs.append((baselines._csl1_correlations(nu_x, meas, ccfg), corr_x.copy()))
+            return gap(w, l1, nu_x, corr_x, *args)
+
+        monkeypatch.setattr(baselines, "_csl1_gap", recording_gap)
+        _csl1_solve(meas, ccfg)
+        assert len(pairs) > 1
+        for want, got in pairs:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("max_iters, tol", [(2 * CSL1_GAP_EVERY + 7, 1e-300),
+                                                (4000, 1e-4)])
+    def test_checks_run_at_multiples_of_the_cadence_and_at_the_cap(self, monkeypatch,
+                                                                    max_iters, tol):
+        # The loop shrinks once per iteration, and the gap never does, so the shrinks
+        # counted at a check are the iterations run.
+        cfg, meas = fixed_8x8_measurement()
+        ccfg = dataclasses.replace(default_csl1_config(8, 8, cfg.sigma), max_iters=max_iters,
+                                   tol=tol)
+        shrinks, checks = [0], []
+        shrink, gap = baselines._shrink, baselines._csl1_gap
+
+        def counting_shrink(*args):
+            shrinks[0] += 1
+            return shrink(*args)
+
+        def recording_gap(*args):
+            checks.append(shrinks[0])
+            return gap(*args)
+
+        monkeypatch.setattr(baselines, "_shrink", counting_shrink)
+        monkeypatch.setattr(baselines, "_csl1_gap", recording_gap)
+        iterations = _csl1_solve(meas, ccfg)[1]
+        cadence = list(range(CSL1_GAP_EVERY, iterations + 1, CSL1_GAP_EVERY))
+        assert checks == (cadence if iterations % CSL1_GAP_EVERY == 0
+                          else cadence + [iterations])
+        assert iterations == max_iters if tol < 1e-100 else iterations < max_iters
+
     @pytest.mark.parametrize("case", MEASUREMENTS)
     def test_stops_no_later_than_the_residual_at_w_rule(self, monkeypatch, case):
         cfg, meas = MEASUREMENTS[case]()
@@ -661,6 +709,53 @@ class TestCsL1Polish:
         monkeypatch.setattr(baselines, "_csl1_gap", lambda *args: math.inf)
         w_unstopped = _csl1_solve(meas, dataclasses.replace(ccfg, max_iters=iterations))[0]
         assert np.array_equal(w, w_unstopped)
+
+    @pytest.mark.parametrize("case", ["fixed-8x8", "two-target-8x8"])
+    def test_rounds_end_at_a_certifying_dual(self, monkeypatch, case):
+        # With the window unbounded every check above tol polishes.
+        cfg, meas = MEASUREMENTS[case]()
+        ccfg = default_csl1_config(8, 8, cfg.sigma)
+        monkeypatch.setattr(baselines, "CSL1_POLISH_WINDOW", math.inf)
+        polish, dual = baselines._csl1_polished_dual, baselines._csl1_dual
+
+        def solve_recording_rounds(all_rounds):
+            """The solve, and each polish call's P(w) and the D of each of its rounds; with
+            ``all_rounds`` the call sees a P(w) of inf, which no D certifies."""
+            calls, inside = [], []
+
+            def recording_polish(nu, corr, mag, primal, *args):
+                calls.append((primal, []))
+                inside.append(True)
+                try:
+                    return polish(nu, corr, mag, math.inf if all_rounds else primal, *args)
+                finally:
+                    inside.pop()
+
+            def recording_dual(*args):
+                d = dual(*args)
+                if inside:
+                    calls[-1][1].append(d)
+                return d
+
+            monkeypatch.setattr(baselines, "_csl1_polished_dual", recording_polish)
+            monkeypatch.setattr(baselines, "_csl1_dual", recording_dual)
+            return _csl1_solve(meas, ccfg), calls
+
+        (w, iterations, gap), calls = solve_recording_rounds(False)
+        (w_all, iterations_all, gap_all), calls_all = solve_recording_rounds(True)
+        certifies = [[(primal - d) / primal <= ccfg.tol for d in rounds]
+                     for primal, rounds in calls]
+        # Only the last round of the last call certifies, and every earlier call ran the
+        # rounds it runs without the early end.
+        assert certifies[-1][-1]
+        assert sum(map(sum, certifies)) == 1
+        assert [rounds for _, rounds in calls[:-1]] == [rounds for _, rounds in calls_all[:-1]]
+        assert calls[-1][1] == calls_all[-1][1][:len(calls[-1][1])]
+        assert len(calls[-1][1]) < len(calls_all[-1][1])
+        assert iterations == iterations_all
+        assert np.array_equal(w, w_all)
+        # The gap reported is that of the first certifying D, which later rounds can lower.
+        assert gap_all <= gap <= ccfg.tol
 
     @pytest.mark.parametrize("failure", ["singular", "nan", "inf"])
     def test_failed_correction_keeps_the_two_point_certificate(self, monkeypatch, failure):
