@@ -226,13 +226,15 @@ def _merge_cells(peaks: list[Peak], M: int, N: int) -> list[Peak]:
 
 
 def wrapped_local_maxima(values: np.ndarray) -> np.ndarray:
-    """Mask of the strict local maxima of a 2-D grid, neighbours wrapping around."""
-    is_max = np.ones_like(values, dtype=bool)
-    for dp in (-1, 0, 1):
-        for dq in (-1, 0, 1):
-            if dp == 0 and dq == 0:
-                continue
-            is_max &= values > np.roll(np.roll(values, dp, axis=0), dq, axis=1)
+    """Mask of the strict local maxima of a 2-D grid, neighbours wrapping around: each
+    entry against the 8 shifted views of the grid padded by one wrapped row and column."""
+    rows, cols = values.shape
+    padded = np.pad(values, 1, mode="wrap")
+    is_max = np.ones(values.shape, dtype=bool)
+    for dp in range(3):
+        for dq in range(3):
+            if dp != 1 or dq != 1:
+                is_max &= values > padded[dp:dp + rows, dq:dq + cols]
     return is_max
 
 

@@ -3,10 +3,10 @@
 A two-level Toeplitz parameter is a complex (2M-1) x (2N-1) array ``U`` whose
 entry ``U[k + M - 1, l + N - 1]`` (written u_l(k)) fills every position of the
 lifted MN x MN matrix with block offset l and within-block offset k: entry
-(n1*M + m1, n2*M + m2) of the lift is u_{n1-n2}(m1-m2).  One index map holds
-that layout as the flat (row-major) position in ``U`` of each lift entry;
-:func:`block_toeplitz` gathers through it and :func:`adjoint_normalized`
-averages back through it.  The lift is Hermitian exactly when
+(n1*M + m1, n2*M + m2) of the lift is u_{n1-n2}(m1-m2).  That layout is one
+strided view of ``U``, which :func:`block_toeplitz` copies out, and
+:func:`adjoint_normalized` averages back through the same view taken of each
+entry's flat position in ``U``.  The lift is Hermitian exactly when
 u_{-l}(-k) == conj(u_l(k)), and is then also centro-Hermitian, J T J == conj(T)
 for the exchange matrix J: reversing both flat indices negates both offsets.
 
@@ -36,22 +36,11 @@ _SQRT_HALF = math.sqrt(0.5)
 
 
 @lru_cache(maxsize=8)
-def _lift_index(M: int, N: int) -> np.ndarray:
-    """Flat position in ``U`` of each entry of the MN x MN lift (read-only)."""
-    m = np.tile(np.arange(M), N)
-    n = np.repeat(np.arange(N), M)
-    rows = m[:, None] - m[None, :] + (M - 1)
-    cols = n[:, None] - n[None, :] + (N - 1)
-    index = rows * (2 * N - 1) + cols
-    index.flags.writeable = False
-    return index
-
-
-@lru_cache(maxsize=8)
 def _adjoint_tables(M: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Bin in ``U``'s (real, imag) float view of each float of the lift, and
     each bin's count (both read-only)."""
-    index = 2 * _lift_index(M, N).ravel()
+    flat = np.arange((2 * M - 1) * (2 * N - 1)).reshape(2 * M - 1, 2 * N - 1)
+    index = 2 * block_toeplitz(flat, M, N).ravel()
     bins = np.stack([index, index + 1], axis=1).ravel()
     counts = np.bincount(bins).astype(float)
     bins.flags.writeable = False
@@ -60,14 +49,20 @@ def _adjoint_tables(M: int, N: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def block_toeplitz(U: np.ndarray, M: int, N: int) -> np.ndarray:
-    """Two-level Toeplitz lift of ``U``.
+    """Two-level Toeplitz lift of ``U``, a new C-contiguous array of ``U``'s dtype.
 
     Block (j1, j2) of the result (each M x M) is the Toeplitz matrix of column
-    u_{j1-j2}, whose (a, b) entry is u_{j1-j2}(a-b).
+    u_{j1-j2}, whose (a, b) entry is u_{j1-j2}(a-b).  It is a copy of one view of
+    ``U`` over (n1, m1, n2, m2), based at u_0(0) with strides (s1, s0, -s1, -s0)
+    for ``U``'s strides (s0, s1).
     """
     if U.shape != (2 * M - 1, 2 * N - 1):
         raise ConfigError(f"U must be {(2 * M - 1, 2 * N - 1)}, got {U.shape}")
-    return U.ravel()[_lift_index(M, N)]
+    U = np.ascontiguousarray(U)
+    s0, s1 = U.strides
+    view = np.ndarray((N, M, N, M), U.dtype, U, (M - 1) * s0 + (N - 1) * s1,
+                      (s1, s0, -s1, -s0))
+    return view.copy().reshape(M * N, M * N)
 
 
 def adjoint_normalized(P: np.ndarray, M: int, N: int) -> np.ndarray:

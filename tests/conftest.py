@@ -29,6 +29,32 @@ def symmetrize_param(U):
     return 0.5 * (U + np.conj(U[::-1, ::-1]))
 
 
+def lift_index(M, N):
+    """Oracle: the flat (row-major) position in ``U`` of each entry of the MN x MN lift,
+    entry (n1*M + m1, n2*M + m2) holding U[m1 - m2 + M - 1, n1 - n2 + N - 1]."""
+    m = np.tile(np.arange(M), N)
+    n = np.repeat(np.arange(N), M)
+    rows = m[:, None] - m[None, :] + (M - 1)
+    cols = n[:, None] - n[None, :] + (N - 1)
+    return rows * (2 * N - 1) + cols
+
+
+def gathered_lift(U, M, N):
+    """Oracle: ``operators.block_toeplitz`` as a gather of ``U`` through :func:`lift_index`."""
+    return U.ravel()[lift_index(M, N)]
+
+
+def rolled_local_maxima(values):
+    """Oracle: ``extract.wrapped_local_maxima`` as a comparison with the 8 rolled copies."""
+    is_max = np.ones_like(values, dtype=bool)
+    for dp in (-1, 0, 1):
+        for dq in (-1, 0, 1):
+            if dp == 0 and dq == 0:
+                continue
+            is_max &= values > np.roll(np.roll(values, dp, axis=0), dq, axis=1)
+    return is_max
+
+
 def dense_q(n):
     """The unitary Q of ``ofdmradar.operators`` for order n, built densely from its blocks
     [[I_h, 0, i J_h], [0, sqrt(2), 0], [J_h, 0, -i I_h]] / sqrt(2), h = n // 2."""

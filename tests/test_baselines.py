@@ -107,6 +107,25 @@ class TestMusicSpectrum:
         with pytest.raises(ConfigError):
             music_spectrum(spatial_smooth(meas, mcfg), mcfg)
 
+    def test_observation_with_another_row_count_rejected(self):
+        cfg, scene, meas = noiseless_measurement()
+        mcfg = default_music_config(8, 8, K_signal=1)
+        observation = spatial_smooth(meas, mcfg)
+        with pytest.raises(ConfigError, match="observation must have"):
+            music_spectrum(observation[1:], mcfg)
+
+    def test_svd_failure_is_a_numeric_error(self, monkeypatch):
+        cfg, scene, meas = noiseless_measurement()
+        mcfg = default_music_config(8, 8, K_signal=1)
+        observation = spatial_smooth(meas, mcfg)
+
+        def failing_svd(a, full_matrices=True):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(NumericError, match="SVD failed"):
+            music_spectrum(observation, mcfg)
+
     def test_scale_invariant_argmax(self, rng):
         cfg, scene, meas = noiseless_measurement(paths=((1.0, 0.37, 0.81),), seed=6)
         mcfg = default_music_config(8, 8, K_signal=1)
@@ -162,6 +181,11 @@ class TestCsL1Operators:
     def test_dictionary_is_the_lattice_atoms(self, M, N, Mg, Ng):
         lattice = [(p / Mg, q / Ng) for q in range(Ng) for p in range(Mg)]
         assert np.array_equal(csl1_dictionary(M, N, Mg, Ng), atoms(lattice, M, N))
+
+    @pytest.mark.parametrize("Mg, Ng", [(2, 11), (7, 4)])
+    def test_dictionary_coarser_than_the_data_rejected(self, Mg, Ng):
+        with pytest.raises(ConfigError, match="at least as fine as the data"):
+            csl1_dictionary(3, 5, Mg, Ng)
 
     @pytest.mark.parametrize("M, N, Mg, Ng", GRID_SIZES)
     def test_closed_form_lipschitz(self, rng, M, N, Mg, Ng):

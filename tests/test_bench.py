@@ -56,6 +56,20 @@ class TestScenarioSpec:
         with pytest.raises(ConfigError, match="trial must be a whole number"):
             simulate_trial(preset("rmse1"), 0.0, index)
 
+    def test_one_power_per_target_required(self):
+        with pytest.raises(ConfigError, match="one power per target"):
+            dataclasses.replace(preset("rmse1"), target_powers_db=(-40.0, -40.0))
+
+    @pytest.mark.parametrize("field", ["range_bounds_m", "clutter_velocity_bounds_mps",
+                                       "target_velocity_bounds_mps"])
+    def test_unordered_bounds_rejected(self, field):
+        with pytest.raises(ConfigError, match="bounds must be ordered"):
+            dataclasses.replace(preset("rmse1"), **{field: (2.0, 1.0)})
+
+    def test_unknown_preset_rejected(self):
+        with pytest.raises(ConfigError, match="unknown preset 'rmse3'"):
+            preset("rmse3")
+
 
 CONFIG = preset("rmse1").config
 RANGE_GATE = gates(CONFIG)[0]
@@ -141,6 +155,10 @@ class TestRunAlgorithm:
 
 class TestRunBenchmark:
     SPEC = dataclasses.replace(TestRunAlgorithm.SPEC, seed=7, trials=2)
+
+    def test_unknown_algorithm_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="unknown algorithm 'CS-XYZ'"):
+            bench.run_benchmark(self.SPEC, ("CS-L1", "CS-XYZ"), [1e-2])
 
     def test_failed_trial_is_recorded_and_left_out_of_its_row(self, monkeypatch):
         # MUSIC raises on its second trial; CS-L1 runs both.

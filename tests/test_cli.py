@@ -2,10 +2,15 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ofdmradar
 from ofdmradar import NumericError, admm, baselines, bench, extract, serialize
 from ofdmradar.bench import ALGO_KEYS
 from ofdmradar.cli import build_parser, main
@@ -153,6 +158,20 @@ class TestMalformedInput:
         spec_path.write_text(json.dumps(spec))
         assert main(["simulate", "--spec", str(spec_path), "--quiet"]) == 2
         assert "n_targets" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("target_powers_db", [-40.0, -40.0], "one power per target"),
+        ("range_bounds_m", [30e3, 1e3], "bounds must be ordered"),
+        ("clutter_velocity_bounds_mps", [3.0, -3.0], "bounds must be ordered"),
+        ("target_velocity_bounds_mps", [156.0, -156.0], "bounds must be ordered")],
+        ids=["powers", "range", "clutter-velocity", "target-velocity"])
+    def test_inconsistent_spec_exits_2(self, tmp_path, capsys, key, value, message):
+        spec_path = spec_8x8_file(tmp_path)
+        spec = json.loads(spec_path.read_text())
+        spec[key] = value
+        spec_path.write_text(json.dumps(spec))
+        assert main(["bench", "--spec", str(spec_path), "--quiet"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_spec_that_is_not_json_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -518,3 +537,25 @@ class TestOutput:
         assert main([command, "--out", str(out), "--quiet"]) == 2
         assert capsys.readouterr().err == "configuration error: provide --preset or --spec\n"
         assert not out.exists()
+
+
+class TestModuleEntryPoint:
+    """``python -m ofdmradar`` in a fresh interpreter, importing the package under test."""
+
+    @staticmethod
+    def run_module(cwd, *argv):
+        package_root = str(Path(ofdmradar.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "ofdmradar", *argv], cwd=cwd,
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+
+    def test_help_exits_0(self, tmp_path):
+        done = self.run_module(tmp_path, "--help")
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: ofdmradar")
+
+    def test_missing_input_exits_2(self, tmp_path):
+        done = self.run_module(tmp_path, "solve", "--input", "missing.json", "--algo", "an")
+        assert done.returncode == 2
+        assert done.stderr.startswith("configuration error: cannot read missing.json")

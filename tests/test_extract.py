@@ -14,7 +14,7 @@ from ofdmradar.extract import (GRAD_TOL, GRID_FACTOR, MAX_NEWTON_STEPS, REL_THRE
                                _dft_factors, _dual_matrix, _merge_cells, _newton_ascent,
                                _poly_derivs, _same_cell_mask, _value_grad_hess,
                                ranked_estimate, wrapped_local_maxima)
-from conftest import atom, scalar_refine_peak, small_config
+from conftest import atom, rolled_local_maxima, scalar_refine_peak, small_config
 
 
 def dual_polynomial(nu, phi, psi, M, N):
@@ -408,6 +408,11 @@ class TestLsAmplitudes:
         with pytest.raises(ConfigError):
             ls_amplitudes(np.zeros(4), np.ones(4), None, [], 2, 2)
 
+    def test_more_paths_than_samples_rejected(self):
+        freqs = [(0.1 * k, 0.2) for k in range(5)]
+        with pytest.raises(ConfigError, match="cannot fit 5 paths with 4 samples"):
+            ls_amplitudes(np.zeros(4), np.ones(4), None, freqs, 2, 2)
+
 
 class TestRankedEstimate:
     def test_ranks_by_amplitude_and_keeps_each_statistic_with_its_path(self):
@@ -422,6 +427,21 @@ class TestRankedEstimate:
 
     def test_empty_input_gives_an_empty_estimate(self):
         assert ranked_estimate([], [], []) == Estimate(paths=())
+
+
+class TestWrappedLocalMaxima:
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (64, 64), (256, 256)],
+                             ids=["2x2", "3x5", "64x64", "256x256"])
+    def test_equals_the_rolled_scan_on_grids_with_ties(self, rng, shape):
+        # Three levels tie neighbours everywhere (in a wrapped 2x2 grid every cell
+        # neighbours every other); a |Q| grid rounded to 0.1 has plateaus on the
+        # larger grids.
+        levels = rng.integers(0, 3, size=shape).astype(float)
+        assert np.unique(levels).size < levels.size
+        rounded = np.round(np.abs(dual_poly_grid(rng.normal(size=4) + 0j, 2, 2, *shape)), 1)
+        for values in (levels, rounded, rng.normal(size=shape)):
+            mask = wrapped_local_maxima(values)
+            assert mask.dtype == bool and np.array_equal(mask, rolled_local_maxima(values))
 
 
 class TestSameCell:

@@ -3,14 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofdmradar import ConfigError, adjoint_normalized, block_toeplitz, psd_project, soft_threshold
+from ofdmradar import (ConfigError, NumericError, adjoint_normalized, block_toeplitz,
+                       psd_project, soft_threshold)
 from ofdmradar.operators import (_adjoint_tables, complex_frame_vector, folded_frame,
                                  real_frame, real_frame_vector)
-from conftest import complex_frame, dense_q, random_consistent_param, symmetrize_param
+from conftest import (complex_frame, dense_q, gathered_lift, lift_index, random_consistent_param,
+                      symmetrize_param)
 
 # (M, N) pairs for the index-layout oracles: square, and both non-square
 # orientations, which a layout with M and N swapped fails.
 SIZES = [(2, 2), (2, 3), (3, 2)]
+# (M, N) pairs for the strided lift against the gather oracle: a single row, square,
+# odd by odd, the tests' and the rmse presets' sizes, and the scenario presets' 16x64.
+LIFT_SIZES = pytest.mark.parametrize("M, N", [(1, 3), (2, 2), (3, 5), (8, 8), (16, 16), (16, 64)],
+                                     ids=["1x3", "2x2", "3x5", "8x8", "16x16", "16x64"])
 # Even and odd MN for the unitary transform Q: odd MN adds Q's middle row and column.
 FRAME_SIZES = pytest.mark.parametrize("M, N", [(4, 4), (3, 5)], ids=["4x4", "3x5"])
 
@@ -66,6 +72,19 @@ class TestBlockToeplitz:
                             want = U[(m1 - m2) + M - 1, (n1 - n2) + N - 1]
                             assert T[n1 * M + m1, n2 * M + m2] == want
 
+    @LIFT_SIZES
+    def test_equals_the_gather_and_shares_no_memory(self, rng, M, N):
+        shape = (2 * M - 1, 2 * N - 1)
+        U = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        ints = rng.integers(-50, 50, size=shape)
+        spread = np.zeros((shape[0], 2 * shape[1]), dtype=complex)
+        spread[:, ::2] = U
+        for V in (U, ints, spread[:, ::2], U[::-1, ::-1], np.asfortranarray(U), ints[:, ::-1]):
+            T = block_toeplitz(V, M, N)
+            want = gathered_lift(V, M, N)
+            assert T.dtype == want.dtype and np.array_equal(T, want)
+            assert T.flags.c_contiguous and not np.shares_memory(T, V)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
             block_toeplitz(np.zeros((3, 5), complex), 2, 2)
@@ -110,6 +129,14 @@ class TestAdjoint:
                 assert U.shape == (2 * M - 1, 2 * N - 1) and U.dtype == complex
                 want = mean_over_index_sets(P, M, N)
                 assert np.abs(U - want).max() <= 1e-15 * np.abs(P).max() * 4
+
+    @LIFT_SIZES
+    def test_tables_bin_the_floats_of_the_gathered_lift(self, M, N):
+        index = 2 * lift_index(M, N).ravel()
+        want = np.stack([index, index + 1], axis=1).ravel()
+        bins, counts = _adjoint_tables(M, N)
+        assert bins.dtype == want.dtype and np.array_equal(bins, want)
+        assert np.array_equal(counts, np.bincount(want).astype(float))
 
     def test_cached_tables_are_read_only(self):
         for M, N in SIZES:
@@ -227,6 +254,14 @@ class TestFoldedFrame:
 
 
 class TestPsdProject:
+    def test_eigendecomposition_failure_is_a_numeric_error(self, monkeypatch):
+        def failing_eigh(H):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(NumericError, match="eigendecomposition failed"):
+            psd_project(np.eye(3))
+
     def test_identity_fixed(self):
         assert np.allclose(psd_project(np.eye(3, dtype=complex)), np.eye(3))
 

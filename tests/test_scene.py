@@ -237,6 +237,12 @@ class TestDemodErrors:
         with pytest.raises(ConfigError, match="constellation"):
             inject_demod_errors(S, 0.1, points, 4)
 
+    def test_symbols_off_the_constellation_rejected(self):
+        S = generate_symbols(small_config(), qpsk(), 3)
+        S[2, 5] *= 1j ** 0.5
+        with pytest.raises(ConfigError, match="symbols do not belong to the constellation"):
+            inject_demod_errors(S, 0.1, qpsk(), 4)
+
     def test_bad_ber_rejected(self):
         S = generate_symbols(small_config(), qpsk(), 3)
         with pytest.raises(ConfigError):
@@ -302,6 +308,18 @@ class TestMeasure:
         with pytest.raises(ConfigError):
             Measurement(S_hat=S_hat, r_bar=np.zeros(16, complex))
 
+    def test_symbol_shapes_must_agree(self):
+        cfg = small_config(4, 4)
+        scene = Scene(targets=(Path(1.0, 0.2, 0.3),))
+        S = generate_symbols(cfg, qpsk(), 7)
+        with pytest.raises(ConfigError, match="same shape"):
+            measure(scene, S, S[:, :3], cfg, 8)
+
+    def test_r_bar_must_have_length_mn(self):
+        S_hat = generate_symbols(small_config(4, 4), qpsk(), 7)
+        with pytest.raises(ConfigError, match="r_bar must have length M\\*N=16"):
+            Measurement(S_hat=S_hat, r_bar=np.zeros(15, complex))
+
     @pytest.mark.parametrize("field", ["e_bar_true", "v_bar_true"])
     @pytest.mark.parametrize("bad", [np.full(16, np.nan, complex), np.r_[np.zeros(15), np.inf],
                                      np.zeros(15, complex), np.zeros((4, 4), complex)])
@@ -332,6 +350,16 @@ class TestPhysicalMapping:
     def test_negative_range_rejected(self):
         with pytest.raises(ConfigError):
             physical_to_normalized(-1.0, 0.0, small_config())
+
+    def test_range_past_the_unambiguous_delay_rejected(self):
+        cfg = small_config()
+        with pytest.raises(ConfigError, match="unambiguous delay interval"):
+            physical_to_normalized(1.001 * C_LIGHT / cfg.delta_f, 0.0, cfg)
+
+    @pytest.mark.parametrize("phi, psi", [(1.0, 0.2), (-0.1, 0.2), (0.2, 1.0), (0.2, -1e-3)])
+    def test_normalized_pair_outside_the_unit_interval_rejected(self, phi, psi):
+        with pytest.raises(ConfigError, match="must be in \\[0, 1\\)"):
+            normalized_to_physical(phi, psi, small_config())
 
     @given(range_m=st.floats(0, 55e3), velocity=st.floats(-240, 240))
     @settings(max_examples=60)
