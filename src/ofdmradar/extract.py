@@ -9,8 +9,9 @@ evaluates Q and its derivatives at every pending point in two stacked matrix
 products (``scene.steering`` owns the atom off the lattice).  Its one step rule,
 the saddle-free step |H|^-1 g, ascends at indefinite Hessians too, and each
 candidate stops at a gradient relative to |Q|^2, so the batch ends when its
-candidates reach their maxima.  Amplitudes come from least squares against
-``scene.atoms``.
+candidates reach their maxima.  Peaks stay arrays: K (phi, psi) rows and Q there,
+with |Q| as ``np.hypot`` (``abs(complex)`` bit for bit; ``np.abs`` is not).
+Amplitudes come from least squares against ``scene.atoms``.
 """
 
 from __future__ import annotations
@@ -43,17 +44,6 @@ RISE_FLOOR = 1e-3 * np.finfo(float).eps
 ERROR_REL_TOL = 1e-6
 # Largest dictionary condition number the amplitude fit accepts.
 COND_MAX = 1e10
-
-
-@dataclass(frozen=True)
-class Peak:
-    phi: float
-    psi: float
-    value: complex
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
 
 
 @dataclass(frozen=True)
@@ -198,10 +188,10 @@ def _newton_ascent(V: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.nd
     return x, Q
 
 
-def refine_peak(nu: np.ndarray, phi: float, psi: float, M: int, N: int) -> Peak:
-    """Newton ascent on |Q|^2 from one start: :func:`_newton_ascent` on a batch of one."""
+def refine_peak(nu: np.ndarray, phi: float, psi: float, M: int, N: int):
+    """(phi, psi, Q) after Newton ascent on |Q|^2 from one start: a batch of one."""
     x, Q = _newton_ascent(_dual_matrix(nu, M, N), np.array([[phi, psi]]))
-    return Peak(phi=float(x[0, 0]), psi=float(x[0, 1]), value=complex(Q[0]))
+    return float(x[0, 0]), float(x[0, 1]), complex(Q[0])
 
 
 def _same_cell_mask(freqs, M: int, N: int) -> np.ndarray:
@@ -212,17 +202,17 @@ def _same_cell_mask(freqs, M: int, N: int) -> np.ndarray:
     return (d[..., 0] < 0.5 / M) & (d[..., 1] < 0.5 / N)
 
 
-def _merge_cells(peaks: list[Peak], M: int, N: int) -> list[Peak]:
-    """Greedy half-cell merge: in the given order, keep each peak that shares no cell with
-    one already kept (:func:`_same_cell_mask`)."""
-    same = _same_cell_mask([(pk.phi, pk.psi) for pk in peaks], M, N)
-    taken = np.zeros(len(peaks), dtype=bool)
+def _merge_cells(freqs: np.ndarray, M: int, N: int) -> np.ndarray:
+    """Greedy half-cell merge: in the given order, keep each (phi, psi) row that shares no
+    cell with one already kept (:func:`_same_cell_mask`); returns the kept row indices."""
+    same = _same_cell_mask(freqs, M, N)
+    taken = np.zeros(len(freqs), dtype=bool)
     kept = []
-    for i, pk in enumerate(peaks):
+    for i in range(len(freqs)):
         if not taken[i]:
-            kept.append(pk)
+            kept.append(i)
             taken |= same[i]
-    return kept
+    return np.array(kept, dtype=int)
 
 
 def wrapped_local_maxima(values: np.ndarray) -> np.ndarray:
@@ -239,26 +229,29 @@ def wrapped_local_maxima(values: np.ndarray) -> np.ndarray:
 
 
 def locate_peaks(nu: np.ndarray, lam: float, M: int, N: int, *,
-                 grid_factor: int = GRID_FACTOR) -> list[Peak]:
-    """Frequencies where |Q| reaches the certificate level.
+                 grid_factor: int = GRID_FACTOR) -> tuple[np.ndarray, np.ndarray]:
+    """K x 2 frequencies (phi, psi) where |Q| reaches the certificate level, and Q there.
 
     Strict local maxima of |Q| on a ``grid_factor``-oversampled wrapped grid
     with |Q| >= (1 - REL_THRESHOLD) * lam are refined together by one batched
-    Newton ascent (:func:`_newton_ascent`), then peaks closer than half a
-    resolution cell in both coordinates are merged (largest magnitude wins).
+    Newton ascent (:func:`_newton_ascent`).  Those still at that level, ordered by
+    |Q| descending, then phi, then psi, merge within half a resolution cell in
+    both coordinates (the first in that order wins).
     """
-    if lam <= 0:
-        raise ConfigError(f"lam must be positive, got {lam}")
+    if not 0 < lam < np.inf:
+        raise ConfigError(f"lam must be positive and finite, got {lam}")
     grid_phi, grid_psi = grid_factor * M, grid_factor * N
-    mag = np.abs(dual_poly_grid(nu, M, N, grid_phi, grid_psi))
+    grid = np.abs(dual_poly_grid(nu, M, N, grid_phi, grid_psi))
     level = (1.0 - REL_THRESHOLD) * lam
-    cand = np.argwhere(wrapped_local_maxima(mag) & (mag >= level))
+    cand = np.argwhere(wrapped_local_maxima(grid) & (grid >= level))
 
     x, Q = _newton_ascent(_dual_matrix(nu, M, N), cand / (grid_phi, grid_psi))
-    refined = [Peak(phi=float(f[0]), psi=float(f[1]), value=complex(v)) for f, v in zip(x, Q)
-               if abs(v) >= level]
-    refined.sort(key=lambda pk: (-pk.magnitude, pk.phi, pk.psi))
-    return _merge_cells(refined, M, N)
+    mag = np.hypot(Q.real, Q.imag)
+    at_level = mag >= level
+    x, Q, mag = x[at_level], Q[at_level], mag[at_level]
+    order = np.lexsort((x[:, 1], x[:, 0], -mag))
+    kept = order[_merge_cells(x[order], M, N)]
+    return x[kept], Q[kept]
 
 
 def dual_atomic_norm(nu: np.ndarray, M: int, N: int) -> float:
@@ -266,8 +259,8 @@ def dual_atomic_norm(nu: np.ndarray, M: int, N: int) -> float:
     grid_phi, grid_psi = GRID_FACTOR * M, GRID_FACTOR * N
     mag = np.abs(dual_poly_grid(nu, M, N, grid_phi, grid_psi))
     p, q = np.unravel_index(int(np.argmax(mag)), mag.shape)
-    peak = refine_peak(nu, p / grid_phi, q / grid_psi, M, N)
-    return max(float(mag[p, q]), peak.magnitude)
+    _, _, value = refine_peak(nu, p / grid_phi, q / grid_psi, M, N)
+    return max(float(mag[p, q]), abs(value))
 
 
 def detect_error_support(e_hat: np.ndarray, mu: float, scale: float) -> tuple[int, ...]:
@@ -313,11 +306,11 @@ def ranked_estimate(freqs, alphas, stats, error_support=()) -> Estimate:
 
 def estimate_from_solution(solution, measurement, lam: float, mu: float, *,
                            grid_factor: int = GRID_FACTOR) -> Estimate:
-    """Peaks of the solver's dual certificate, error support and amplitudes."""
+    """Peaks of the solver's dual certificate, error support and amplitudes; each path
+    keeps |Q| at its peak as its ``dual_peak_values`` entry."""
     M, N = measurement.M, measurement.N
-    peaks = locate_peaks(solution.nu_hat, lam, M, N, grid_factor=grid_factor)
+    freqs, values = locate_peaks(solution.nu_hat, lam, M, N, grid_factor=grid_factor)
     support = detect_error_support(solution.e_hat, mu, float(np.max(np.abs(measurement.r_bar))))
-    freqs = [(pk.phi, pk.psi) for pk in peaks]
     alphas = (ls_amplitudes(measurement.r_bar, measurement.s_tilde, solution.e_hat, freqs, M, N)
-              if freqs else [])
-    return ranked_estimate(freqs, alphas, [pk.magnitude for pk in peaks], support)
+              if len(freqs) else [])
+    return ranked_estimate(freqs.tolist(), alphas, np.hypot(values.real, values.imag), support)

@@ -1,11 +1,14 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from ofdmradar import Path, RadarConfig, Scene, admm, atoms, dual_poly_grid, steering
+from ofdmradar import Path, RadarConfig, Scene, admm, atoms, dual_poly_grid, extract, steering
 from ofdmradar.baselines import _synthesize
-from ofdmradar.extract import EIG_FLOOR, GRAD_TOL, MAX_NEWTON_STEPS, Peak, _dual_matrix
+from ofdmradar.extract import (EIG_FLOOR, GRAD_TOL, GRID_FACTOR, MAX_NEWTON_STEPS,
+                               REL_THRESHOLD, _dual_matrix, _same_cell_mask,
+                               wrapped_local_maxima)
 from ofdmradar.operators import adjoint_normalized, block_toeplitz, psd_project, soft_threshold
 
 
@@ -106,7 +109,7 @@ def scalar_refine_peak(nu, phi, psi, M, N):
 
     Same steps, floor, line search, stop rules and wrap rule as ``extract.refine_peak``,
     with |H| built from ``np.linalg.eigh`` of the 2x2 Hessian and its system solved by
-    ``np.linalg.solve``.
+    ``np.linalg.solve``.  Returns (phi, psi, Q) as ``extract.refine_peak`` does.
     """
     V = _dual_matrix(nu, M, N)
 
@@ -143,7 +146,54 @@ def scalar_refine_peak(nu, phi, psi, M, N):
             step *= 0.5
         if not improved:
             break
-    return Peak(phi=float(x[0]), psi=float(x[1]), value=complex(Q))
+    return float(x[0]), float(x[1]), complex(Q)
+
+
+@dataclass(frozen=True)
+class Peak:
+    """One refined peak of the dual polynomial: the unit of the object-per-peak oracles."""
+
+    phi: float
+    psi: float
+    value: complex
+
+    @property
+    def magnitude(self) -> float:
+        return abs(self.value)
+
+
+def refine_peak_object(nu, phi, psi, M, N):
+    """Oracle: ``extract.refine_peak`` returning a :class:`Peak`."""
+    x, Q = extract._newton_ascent(_dual_matrix(nu, M, N), np.array([[phi, psi]]))
+    return Peak(phi=float(x[0, 0]), psi=float(x[0, 1]), value=complex(Q[0]))
+
+
+def merge_peak_objects(peaks, M, N):
+    """Oracle: ``extract._merge_cells`` on a list of :class:`Peak`, returning the kept ones."""
+    same = _same_cell_mask([(pk.phi, pk.psi) for pk in peaks], M, N)
+    taken = np.zeros(len(peaks), dtype=bool)
+    kept = []
+    for i, pk in enumerate(peaks):
+        if not taken[i]:
+            kept.append(pk)
+            taken |= same[i]
+    return kept
+
+
+def locate_peak_objects(nu, lam, M, N, grid_factor=GRID_FACTOR):
+    """Oracle: ``extract.locate_peaks`` as one :class:`Peak` per candidate, kept when
+    ``abs(complex)`` reaches the level, sorted by the key (-|Q|, phi, psi) and merged by
+    :func:`merge_peak_objects`.  It reads ``extract._newton_ascent`` at call time, so a
+    patched ascent feeds both readouts."""
+    grid_phi, grid_psi = grid_factor * M, grid_factor * N
+    mag = np.abs(dual_poly_grid(nu, M, N, grid_phi, grid_psi))
+    level = (1.0 - REL_THRESHOLD) * lam
+    cand = np.argwhere(wrapped_local_maxima(mag) & (mag >= level))
+    x, Q = extract._newton_ascent(_dual_matrix(nu, M, N), cand / (grid_phi, grid_psi))
+    refined = [Peak(phi=float(f[0]), psi=float(f[1]), value=complex(v)) for f, v in zip(x, Q)
+               if abs(v) >= level]
+    refined.sort(key=lambda pk: (-pk.magnitude, pk.phi, pk.psi))
+    return merge_peak_objects(refined, M, N)
 
 
 def residual_at_w_gap(w, l1, nu_x, corr_x, measurement, config):

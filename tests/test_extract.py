@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from ofdmradar import (ConfigError, DegenerateDictionaryError, Path, Scene,
                        simulate, solve)
 from ofdmradar import bench, extract
 from ofdmradar.extract import (GRAD_TOL, GRID_FACTOR, MAX_NEWTON_STEPS, REL_THRESHOLD,
-                               Estimate, Peak, _ascent_steps,
+                               Estimate, _ascent_steps,
                                _dft_factors, _dual_matrix, _merge_cells, _newton_ascent,
                                _poly_derivs, _same_cell_mask, _value_grad_hess,
                                ranked_estimate, wrapped_local_maxima)
-from conftest import atom, rolled_local_maxima, scalar_refine_peak, small_config
+from conftest import (Peak, atom, locate_peak_objects, merge_peak_objects, refine_peak_object,
+                      rolled_local_maxima, scalar_refine_peak, small_config)
 
 
 def dual_polynomial(nu, phi, psi, M, N):
@@ -88,32 +90,42 @@ class TestLocatePeaks:
         M = N = 8
         lam = 2.5
         nu = (lam / (M * N)) * atom(0.3, 0.7, M, N)
-        peaks = locate_peaks(nu, lam, M, N)
-        assert len(peaks) == 1
-        assert peaks[0].phi == pytest.approx(0.3, abs=1e-6)
-        assert peaks[0].psi == pytest.approx(0.7, abs=1e-6)
-        assert peaks[0].magnitude == pytest.approx(lam, rel=1e-9)
+        freqs, values = locate_peaks(nu, lam, M, N)
+        assert freqs.shape == (1, 2) and values.shape == (1,)
+        assert freqs[0, 0] == pytest.approx(0.3, abs=1e-6)
+        assert freqs[0, 1] == pytest.approx(0.7, abs=1e-6)
+        assert abs(values[0]) == pytest.approx(lam, rel=1e-9)
 
     def test_small_dual_vector_gives_nothing(self, rng):
         M = N = 8
         nu = rng.normal(size=64) + 1j * rng.normal(size=64)
         nu *= 0.5 / (np.abs(nu).max() * M * N)  # way below threshold
-        assert locate_peaks(nu, 10.0, M, N) == []
+        freqs, values = locate_peaks(nu, 10.0, M, N)
+        assert freqs.shape == (0, 2) and values.shape == (0,)
 
     def test_grid_independence_of_refinement(self):
         M = N = 8
         lam = 1.0
         nu = (lam / (M * N)) * (atom(0.21, 0.43, M, N) + atom(0.7, 0.9, M, N))
-        a = locate_peaks(nu, 0.5 * lam, M, N, grid_factor=16)
-        b = locate_peaks(nu, 0.5 * lam, M, N, grid_factor=32)
+        a, _ = locate_peaks(nu, 0.5 * lam, M, N, grid_factor=16)
+        b, _ = locate_peaks(nu, 0.5 * lam, M, N, grid_factor=32)
         assert len(a) == len(b)
-        for pa, pb in zip(sorted(a, key=lambda p: p.phi), sorted(b, key=lambda p: p.phi)):
-            assert abs(pa.phi - pb.phi) < 1e-6
-            assert abs(pa.psi - pb.psi) < 1e-6
+        a, b = a[np.argsort(a[:, 0])], b[np.argsort(b[:, 0])]
+        assert np.abs(a - b).max() < 1e-6
 
     def test_lambda_must_be_positive(self):
         with pytest.raises(ConfigError):
             locate_peaks(np.zeros(16), 0.0, 4, 4)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_lambda_must_be_finite(self, lam):
+        # A NaN or infinite level would otherwise pass no candidate and return no peaks.
+        with pytest.raises(ConfigError, match="finite"):
+            locate_peaks(np.zeros(16), lam, 4, 4)
+        measurement = SimpleNamespace(M=4, N=4, r_bar=np.ones(16), s_tilde=np.ones(16))
+        with pytest.raises(ConfigError, match="finite"):
+            estimate_from_solution(SimpleNamespace(nu_hat=np.zeros(16), e_hat=None),
+                                   measurement, lam, 0.0)
 
     @pytest.mark.parametrize("M, N", [(8, 8), (4, 16), (16, 16)])
     def test_merge_keeps_what_the_pairwise_loop_keeps(self, rng, M, N):
@@ -126,18 +138,19 @@ class TestLocatePeaks:
         centres = np.array([[0.0, 0.5], [0.5, 0.0], [0.0, 0.0], [0.3, 0.7]])
         spread = 0.6 * np.array([1.0 / M, 1.0 / N])
         x = (centres.repeat(40, axis=0) + rng.uniform(-spread, spread, (160, 2))) % 1.0
-        peaks = [Peak(phi=float(f[0]), psi=float(f[1]), value=complex(v))
-                 for f, v in zip(x, rng.uniform(1.0, 2.0, 160))]
-        peaks.sort(key=lambda pk: (-pk.magnitude, pk.phi, pk.psi))
+        x = x[np.argsort(-rng.uniform(1.0, 2.0, 160))]
         want = []
-        for pk in peaks:
-            if not any(same_cell((pk.phi, pk.psi), (k.phi, k.psi)) for k in want):
-                want.append(pk)
-        wrapped = [(a, b) for a in want for b in peaks
-                   if b not in want and same_cell((a.phi, a.psi), (b.phi, b.psi))
-                   and (abs(a.phi - b.phi) > 0.5 or abs(a.psi - b.psi) > 0.5)]
+        for i, f in enumerate(x):
+            if not any(same_cell(f, x[k]) for k in want):
+                want.append(i)
+        wrapped = [(a, b) for a in want for b in range(len(x))
+                   if b not in want and same_cell(x[a], x[b])
+                   and (abs(x[a] - x[b]) > 0.5).any()]
         assert len(want) > 4 and wrapped
-        assert _merge_cells(peaks, M, N) == want
+        kept = _merge_cells(x, M, N)
+        assert kept.dtype.kind == "i" and kept.tolist() == want
+        peaks = [Peak(phi=float(f[0]), psi=float(f[1]), value=1.0) for f in x]
+        assert merge_peak_objects(peaks, M, N) == [peaks[i] for i in want]
 
 
 def elementwise_poly_derivs(V, phi, psi):
@@ -186,9 +199,19 @@ class TestRefinePeak:
         M = N = 6
         nu = atom(0.377, 0.612, M, N)
         # start one grid cell off
-        pk = refine_peak(nu, 0.377 + 1 / (16 * M), 0.612 - 1 / (16 * N), M, N)
-        assert pk.phi == pytest.approx(0.377, abs=1e-8)
-        assert pk.psi == pytest.approx(0.612, abs=1e-8)
+        phi, psi, value = refine_peak(nu, 0.377 + 1 / (16 * M), 0.612 - 1 / (16 * N), M, N)
+        assert phi == pytest.approx(0.377, abs=1e-8)
+        assert psi == pytest.approx(0.612, abs=1e-8)
+        assert abs(value) == pytest.approx(M * N, rel=1e-12)
+
+    def test_equals_the_object_oracle(self, rng):
+        M, N = 8, 6
+        nu = atom(0.377, 0.612, M, N) + 0.3 * atom(0.1, 0.9, M, N)
+        for start in [(0.38, 0.61), (0.11, 0.88), tuple(rng.uniform(size=2))]:
+            got = refine_peak(nu, *start, M, N)
+            want = refine_peak_object(nu, *start, M, N)
+            assert got == (want.phi, want.psi, want.value)
+            assert [type(v) for v in got] == [float, float, complex]
 
     @pytest.mark.parametrize("psi", [0.25, 0.75, 0.95])
     def test_peak_at_zero_frequency_stays_in_range(self, psi):
@@ -197,10 +220,10 @@ class TestRefinePeak:
         M = N = 8
         nu = atom(0.0, psi, M, N)
         for offset in (-0.9, -0.5, 0.5, 0.9):
-            pk = refine_peak(nu, 0.0, psi + offset / (16 * N), M, N)
-            assert 0.0 <= pk.phi < 1.0 and 0.0 <= pk.psi < 1.0
-            assert min(pk.phi, 1.0 - pk.phi) < 1e-12
-            assert pk.psi == pytest.approx(psi, abs=1e-8)
+            phi_hat, psi_hat, _ = refine_peak(nu, 0.0, psi + offset / (16 * N), M, N)
+            assert 0.0 <= phi_hat < 1.0 and 0.0 <= psi_hat < 1.0
+            assert min(phi_hat, 1.0 - phi_hat) < 1e-12
+            assert psi_hat == pytest.approx(psi, abs=1e-8)
 
 
 def wrapped_gap(a, b):
@@ -213,10 +236,10 @@ def assert_matches_scalar_oracle(nu, starts, M, N):
     """Every start of one batched ascent ends where the scalar oracle ends from it."""
     x, Q = _newton_ascent(_dual_matrix(nu, M, N), starts)
     for start, point, value in zip(starts, x, Q):
-        want = scalar_refine_peak(nu, *start, M, N)
+        *want, want_value = scalar_refine_peak(nu, *start, M, N)
         assert 0.0 <= point[0] < 1.0 and 0.0 <= point[1] < 1.0
-        assert wrapped_gap(point, (want.phi, want.psi)) <= 1e-8
-        assert abs(abs(value) - want.magnitude) <= 1e-12 * want.magnitude
+        assert wrapped_gap(point, want) <= 1e-8
+        assert abs(abs(value) - abs(want_value)) <= 1e-12 * abs(want_value)
     return x, Q
 
 
@@ -359,11 +382,101 @@ class TestNewtonAscent:
         mag = np.abs(dual_poly_grid(nu, M, N, 128, 128))
         is_max = wrapped_local_maxima(mag)
         ordinary = np.argwhere(is_max) / 128
-        top = scalar_refine_peak(nu, *ordinary[np.argmax(mag[is_max])], M, N)
-        on_max = (top.phi, top.psi)
+        on_max = scalar_refine_peak(nu, *ordinary[np.argmax(mag[is_max])], M, N)[:2]
         starts = np.vstack([ordinary[:2], [on_max, wrapping], ordinary[2:], [singular]])
         x, _ = assert_matches_scalar_oracle(nu, starts, M, N)
         assert tuple(x[2]) == on_max
+
+
+def rmse1_solves(M, N):
+    """Measurement, settings and solution of seeded CS-ANL1 and CS-AN solves of an M x N
+    rmse1 scene, by receiver."""
+    base = bench.preset("rmse1")
+    spec = dataclasses.replace(base, config=dataclasses.replace(base.config, M=M, N=N))
+    scene, meas = bench.simulate_trial(spec, 1e-2, 0)
+    out = {}
+    for name in ("CS-ANL1", "CS-AN"):
+        settings = bench.receiver_settings(name, meas, spec.config, scene.K, 600, GRID_FACTOR)
+        out[name] = (meas, settings, solve(meas, settings))
+    return out
+
+
+def assert_equals_object_readout(got, want):
+    """The array readout ``got`` holds the oracle's peaks exactly, in the oracle's order."""
+    freqs, values = got
+    assert freqs.dtype == float and freqs.shape == (len(want), 2)
+    assert freqs.tolist() == [[pk.phi, pk.psi] for pk in want]
+    assert values.tolist() == [pk.value for pk in want]
+
+
+class TestArrayReadout:
+    """``locate_peaks`` against the object-per-peak oracle ``locate_peak_objects``."""
+
+    SOLVES = [(8, "CS-ANL1"), (8, "CS-AN"), (16, "CS-ANL1"), (16, "CS-AN")]
+
+    @pytest.fixture(scope="class")
+    def solves(self):
+        return {size: rmse1_solves(size, size) for size in (8, 16)}
+
+    @pytest.mark.parametrize("size, name", SOLVES, ids=[f"{s}x{s}-{n}" for s, n in SOLVES])
+    def test_equals_the_object_oracle_on_solved_duals(self, solves, size, name):
+        _, settings, sol = solves[size][name]
+        want = locate_peak_objects(sol.nu_hat, settings.lam, size, size)
+        assert len(want) >= 5
+        assert_equals_object_readout(locate_peaks(sol.nu_hat, settings.lam, size, size), want)
+
+    def test_merges_drop_peaks_on_solved_duals(self, solves):
+        # The merge must be exercised: on some solve, peaks at the level share a cell.
+        dropped = []
+        for size, name in self.SOLVES:
+            _, settings, sol = solves[size][name]
+            level = (1.0 - REL_THRESHOLD) * settings.lam
+            starts = TestNewtonAscent.grid_starts(sol.nu_hat, settings.lam, size, size)
+            _, Q = _newton_ascent(_dual_matrix(sol.nu_hat, size, size), starts)
+            kept, _ = locate_peaks(sol.nu_hat, settings.lam, size, size)
+            dropped.append(int(np.sum(np.abs(Q) >= level)) - len(kept))
+        assert min(dropped) >= 0 and max(dropped) > 0
+
+    def test_equal_magnitude_ties_order_by_phi_then_psi(self, monkeypatch, solves):
+        # Plant two exact ties with the largest peak i: j half a phi cell below i with Q
+        # rotated by 1j, and k at j's phi two psi cells up with Q negated.  |Q| ties, so
+        # phi puts j before i, which then merges into j, and psi puts j before k.
+        M = N = 8
+        _, settings, sol = solves[M]["CS-ANL1"]
+        ascend, planted = extract._newton_ascent, {}
+
+        def tied_ascent(V, starts):
+            x, Q = ascend(V, starts)
+            i, j, k = np.argsort(-np.abs(Q))[:3]
+            x[j] = x[i] - (0.25 / M, 0.0)
+            x[k] = x[j] + (0.0, 2.0 / N)
+            Q[j], Q[k] = 1j * Q[i], -Q[i]
+            assert (x[[j, k]] >= 0.0).all() and (x[[j, k]] < 1.0).all()
+            assert abs(complex(Q[i])) == abs(complex(Q[j])) == abs(complex(Q[k]))
+            planted.update(i=(x[i].tolist(), Q[i]), j=(x[j].tolist(), Q[j]),
+                           k=(x[k].tolist(), Q[k]))
+            return x, Q
+
+        monkeypatch.setattr(extract, "_newton_ascent", tied_ascent)
+        want = locate_peak_objects(sol.nu_hat, settings.lam, M, N)
+        freqs, values = locate_peaks(sol.nu_hat, settings.lam, M, N)
+        assert_equals_object_readout((freqs, values), want)
+        rows = freqs.tolist()
+        assert rows[:2] == [planted["j"][0], planted["k"][0]]
+        assert values[:2].tolist() == [planted["j"][1], planted["k"][1]]
+        assert planted["i"][0] not in rows
+
+    @pytest.mark.parametrize("size, name", SOLVES, ids=[f"{s}x{s}-{n}" for s, n in SOLVES])
+    def test_estimate_keeps_abs_of_q_at_each_path(self, solves, size, name):
+        meas, settings, sol = solves[size][name]
+        est = estimate_from_solution(sol, meas, settings.lam, settings.mu)
+        freqs, values = locate_peaks(sol.nu_hat, settings.lam, size, size)
+        rows = freqs.tolist()
+        assert len(est.paths) == len(rows) == len(est.dual_peak_values)
+        for path, stat in zip(est.paths, est.dual_peak_values):
+            assert type(path.phi) is float and type(path.psi) is float
+            assert type(stat) is float
+            assert stat == abs(complex(values[rows.index([path.phi, path.psi])]))
 
 
 class TestErrorSupport:
@@ -470,21 +583,19 @@ class TestEndToEnd:
 
     def test_peaks_at_planted_frequencies(self, solve_noiseless):
         cfg, scene, meas, lam, sol = solve_noiseless
-        peaks = locate_peaks(sol.nu_hat, lam, 8, 8)
-        found = sorted((p.phi, p.psi) for p in peaks)
-        assert len(found) >= 2
+        freqs, _ = locate_peaks(sol.nu_hat, lam, 8, 8)
+        assert len(freqs) >= 2
         for p in scene.targets:
-            best = min(peaks, key=lambda pk: abs(pk.phi - p.phi) + abs(pk.psi - p.psi))
-            assert abs(best.phi - p.phi) < 1e-3
-            assert abs(best.psi - p.psi) < 1e-3
+            best = freqs[np.argmin(np.abs(freqs - (p.phi, p.psi)).sum(axis=1))]
+            assert abs(best[0] - p.phi) < 1e-3
+            assert abs(best[1] - p.psi) < 1e-3
 
     def test_certificate_phase_matches_amplitude_phase(self, solve_noiseless):
         cfg, scene, meas, lam, sol = solve_noiseless
         est = estimate_from_solution(sol, meas, lam, 0.0)
-        peaks = locate_peaks(sol.nu_hat, lam, 8, 8)
+        freqs, values = locate_peaks(sol.nu_hat, lam, 8, 8)
         for path in est.paths[:2]:
-            pk = min(peaks, key=lambda q: abs(q.phi - path.phi) + abs(q.psi - path.psi))
-            phase_q = np.angle(pk.value)
+            phase_q = np.angle(values[np.argmin(np.abs(freqs - (path.phi, path.psi)).sum(axis=1))])
             phase_a = np.angle(path.alpha)
             dphase = np.angle(np.exp(1j * (phase_q - phase_a)))
             assert abs(dphase) < np.deg2rad(5)
