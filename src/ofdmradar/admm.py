@@ -182,8 +182,7 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     Theta = np.zeros((mn + 2, mn + 2))
     W = np.zeros((mn + 2, mn + 2))
     G = np.empty_like(W)
-    # folded_frame writes only the first MN - MN // 2 rows; the rest stay zero.
-    Y = np.zeros((mn, mn), dtype=complex)
+    Y = np.empty((mn - mn // 2, mn), dtype=complex)
 
     diag = Diagnostics()
     scale = mn + 1

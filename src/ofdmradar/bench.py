@@ -256,6 +256,7 @@ def _rmse_rows(ber: float, records: list[TrialRecord], algorithms: tuple[str, ..
     for name in algorithms:
         used = [rec for rec in records if rec.algorithm == name and not rec.failed]
         matched = sum(rec.n_matched for rec in used)
+        targets = n_targets * len(used)
         sq_r = sq_v = 0.0
         for rec in used:
             sq_r += rec.sq_range_error
@@ -264,7 +265,7 @@ def _rmse_rows(ber: float, records: list[TrialRecord], algorithms: tuple[str, ..
             ber=ber, algorithm=name,
             range_rmse_m=math.sqrt(sq_r / matched) if matched else math.nan,
             velocity_rmse_mps=math.sqrt(sq_v / matched) if matched else math.nan,
-            identification_rate=(matched / (n_targets * len(used))) if used else math.nan,
+            identification_rate=matched / targets if targets else math.nan,
             trials_used=len(used)))
     return rows
 
@@ -273,10 +274,10 @@ def run_benchmark(spec: ScenarioSpec, algorithms, ber_list, *,
                   an_max_iters: int = admm.MAX_ITERS, progress=None) -> RmseReport:
     """Sweep (ber, algorithm, trial) and aggregate gated RMSE statistics.
 
-    Each BER in ``ber_list`` is one pass with its own rows, repeats included.
-    Trials that raise a numerical error are excluded from the aggregates and
-    counted out of ``trials_used``.  RMSE is over matched targets only;
-    ``identification_rate`` is matched targets over targets in used trials.
+    Each BER in ``ber_list`` is one pass with its own rows, repeats included.  Trials that
+    raise a numerical error are excluded from the aggregates and counted out of
+    ``trials_used``.  RMSE is over matched targets only; ``identification_rate`` is matched
+    targets over targets in used trials, NaN when there are none.
     """
     algorithms = tuple(algorithms)
     for name in algorithms:

@@ -18,8 +18,8 @@ transform of Haardt & Nossek, *Unitary ESPRIT*, IEEE TSP 1995).  Each row of Q p
 index i with n-1-i, so :func:`real_frame` applies the congruence and
 :func:`real_frame_vector` and :func:`complex_frame_vector` Q^H and Q, with reversed
 views in O(n^2) and O(n).  The inverse congruence Q P Q^H is never formed: the
-adjoint reads only its offset sums, which :func:`folded_frame` carries in a cheaper
-complex matrix, nonzero only in its first n - h rows.
+adjoint reads only its offset sums, which :func:`folded_frame` carries in the leading
+n - h rows of a cheaper complex matrix, zero below them, and only those rows are binned.
 """
 
 from __future__ import annotations
@@ -69,18 +69,19 @@ def adjoint_normalized(P: np.ndarray, M: int, N: int) -> np.ndarray:
     """Average ``P`` over each (block offset, within-block offset) index set.
 
     Left inverse of :func:`block_toeplitz`: offsets (l, k) average the
-    (N-|l|)(M-|k|) entries of ``P`` that the lift fills from u_l(k).
+    (N-|l|)(M-|k|) entries of ``P`` that the lift fills from u_l(k).  ``P`` is the
+    MN x MN matrix or its leading r > 0 rows, the rest taken as zero and not binned.
     """
-    if P.shape != (M * N, M * N):
-        raise ConfigError(f"P must be {(M * N, M * N)}, got {P.shape}")
+    if P.ndim != 2 or P.shape[1] != M * N or not 0 < P.shape[0] <= M * N:
+        raise ConfigError(f"P must be r x {M * N} for 0 < r <= {M * N}, got {P.shape}")
     bins, counts = _adjoint_tables(M, N)
     floats = np.ascontiguousarray(P, dtype=complex).view(float).ravel()
-    sums = np.bincount(bins, weights=floats)
+    sums = np.bincount(bins[:floats.size], weights=floats, minlength=counts.size)
     return (sums / counts).view(complex).reshape(2 * M - 1, 2 * N - 1)
 
 
-def real_frame(T: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Re(Q^H T Q) of a centro-Hermitian T, exactly symmetric (into ``out`` if given).
+def real_frame(T: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Re(Q^H T Q) of a centro-Hermitian T, exactly symmetric, written over all of ``out``.
 
     T must be Hermitian and centro-Hermitian entry for entry, as :func:`block_toeplitz`
     of a Hermitian-consistent parameter is.  Then, with A + iB = T and p, q both in the
@@ -96,8 +97,6 @@ def real_frame(T: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     top, bottom = slice(None, n - h), slice(n - h, None)
     A, B = T.real, T.imag
     A_rev, B_rev = A[:, ::-1], B[:, ::-1]
-    if out is None:
-        out = np.empty((n, n))
     np.add(A[top, top], A_rev[top, top], out=out[top, top])
     np.subtract(A[bottom, bottom], A_rev[bottom, bottom], out=out[bottom, bottom])
     np.subtract(B[top, bottom], B_rev[top, bottom], out=out[top, bottom])
@@ -108,8 +107,8 @@ def real_frame(T: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def folded_frame(P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """A complex Y whose folded normalized adjoint is that of Q P Q^H, P real symmetric.
+def folded_frame(P: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Leading n - h rows of a Y whose folded normalized adjoint is Q P Q^H's, P real symmetric.
 
     For A = :func:`adjoint_normalized` (Y), the fold (A + conj(A[::-1, ::-1])) / 2 is
     the normalized adjoint of Q P Q^H up to rounding, and exactly Hermitian-consistent.
@@ -117,18 +116,17 @@ def folded_frame(P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     reversal of both indices each map offset (l, k) to (-l, -k), so either one's
     adjoint is the fold's second term; their product, the anti-transpose, keeps (l, k).
     Q P Q^H is fixed by all three, so any Y whose four images sum to 4 Q P Q^H will do.
-    This one is nonzero only in the first n - h rows.  With t the first h indices, b
-    the last h and D = P[::-1] - P[:, ::-1]: Y[t, t] = (P + P[::-1, ::-1] + iD)[t, t],
+    This one is zero below row n - h.  With t the first h indices, b the last h and
+    D = P[::-1] - P[:, ::-1]: Y[t, t] = (P + P[::-1, ::-1] + iD)[t, t],
     Y[t, b] = (2iP - D)[t, b], and for odd n, Y[h, q] = 2 sqrt(2) (P[h, q] -
-    i P[h, n-1-q]) for q < h and Y[h, h] = P[h, h].  Given ``out``, Y is written there,
-    and ``out`` must be zero outside these entries.
+    i P[h, n-1-q]) for q < h, Y[h, h] = P[h, h] and zero in the rest of row and column h,
+    all written over the (n - h) x n complex ``out``, which is returned.
     """
     n = P.shape[0]
     h = n // 2
     t, b = slice(None, h), slice(n - h, None)
     rows_rev, cols_rev = P[::-1], P[:, ::-1]
-    Y = np.zeros((n, n), dtype=complex) if out is None else out
-    re, im = Y.real, Y.imag
+    re, im = out.real, out.imag
     np.add(P[t, t], rows_rev[:, ::-1][t, t], out=re[t, t])
     np.subtract(rows_rev[t, t], cols_rev[t, t], out=im[t, t])
     np.subtract(cols_rev[t, b], rows_rev[t, b], out=re[t, b])
@@ -136,8 +134,9 @@ def folded_frame(P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if n % 2:
         np.multiply(P[h, :h], 2.0 / _SQRT_HALF, out=re[h, :h])
         np.multiply(cols_rev[h, :h], -2.0 / _SQRT_HALF, out=im[h, :h])
+        out[:h, h] = out[h, h + 1:] = 0.0
         re[h, h] = P[h, h]
-    return Y
+    return out
 
 
 def real_frame_vector(z: np.ndarray) -> np.ndarray:

@@ -104,6 +104,27 @@ def complex_frame(P):
     return X
 
 
+def padded_folded_frame(P):
+    """Oracle: ``operators.folded_frame`` of a real symmetric P as a full-height n x n
+    complex matrix, zero below row n - h (h = n // 2), the construction the sweep fed
+    ``adjoint_normalized`` before that took the leading rows alone."""
+    n = P.shape[0]
+    h = n // 2
+    t, b = slice(None, h), slice(n - h, None)
+    rows_rev, cols_rev = P[::-1], P[:, ::-1]
+    Y = np.zeros((n, n), dtype=complex)
+    re, im = Y.real, Y.imag
+    np.add(P[t, t], rows_rev[:, ::-1][t, t], out=re[t, t])
+    np.subtract(rows_rev[t, t], cols_rev[t, t], out=im[t, t])
+    np.subtract(cols_rev[t, b], rows_rev[t, b], out=re[t, b])
+    np.multiply(P[t, b], 2.0, out=im[t, b])
+    if n % 2:
+        np.multiply(P[h, :h], 2.0 / math.sqrt(0.5), out=re[h, :h])
+        np.multiply(cols_rev[h, :h], -2.0 / math.sqrt(0.5), out=im[h, :h])
+        re[h, h] = P[h, h]
+    return Y
+
+
 def scalar_refine_peak(nu, phi, psi, M, N):
     """Oracle: saddle-free Newton ascent on |Q|^2 from one start, one point per evaluation.
 

@@ -11,7 +11,8 @@ from ofdmradar import (ConfigError, NumericError, Path, Scene, SolverConfig, adm
                        synthesize_clean)
 from ofdmradar.admm import atomic_norm_sdp_value
 from ofdmradar.operators import adjoint_normalized, block_toeplitz, soft_threshold
-from conftest import complex_lift_solve, dense_q, small_config, symmetrize_param
+from conftest import (complex_lift_solve, dense_q, padded_folded_frame, small_config,
+                      symmetrize_param)
 
 
 def objective_dual(nu, measurement, config):
@@ -356,6 +357,22 @@ class TestRealLift:
         assert abs(objective_primal(real, meas, c) - want) <= 1e-8 * abs(want)
         rel = np.linalg.norm(real.z_hat - complex_.z_hat) / np.linalg.norm(complex_.z_hat)
         assert rel <= 1e-6
+
+    @pytest.mark.parametrize("mu_scale", [1.0, 0.0], ids=["CS-ANL1", "CS-AN"])
+    @pytest.mark.parametrize("M, N", [(8, 8), (3, 5)], ids=["8x8", "3x5"])
+    def test_half_height_frame_equals_the_padded_construction(self, monkeypatch, M, N,
+                                                              mu_scale):
+        # The sweep feeds the adjoint folded_frame's n - h rows alone; feeding it the
+        # zero-padded n x n matrix instead changes no bit of the solve.
+        cfg, scene, meas = make_instance(M=M, N=N, K=3, seed=19, ber=0.05)
+        lam, mu = default_weights(cfg.sigma, M, N)
+        c = SolverConfig(lam=lam, mu=mu * mu_scale, max_iters=600)
+        got = solve(meas, c)
+        monkeypatch.setattr(admm, "folded_frame", lambda P, out: padded_folded_frame(P))
+        want = solve(meas, c)
+        assert got.diagnostics == want.diagnostics and got.t == want.t
+        for name in ("z_hat", "e_hat", "nu_hat", "U"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestRelaxation:

@@ -189,3 +189,10 @@ class TestRunBenchmark:
         assert music_0.n_matched > 0
         assert music_row.range_rmse_m == math.sqrt(music_0.sq_range_error / music_0.n_matched)
         assert music_row.identification_rate == music_0.n_matched / 3
+
+    def test_scenario_without_targets_has_a_nan_identification_rate(self):
+        spec = dataclasses.replace(self.SPEC, n_targets=0, target_powers_db=(), trials=1)
+        report = bench.run_benchmark(spec, ("2D-MUSIC",), [1e-2])
+        (row,) = report.rows
+        assert row.trials_used == 1 and report.trials[0].n_matched == 0
+        assert math.isnan(row.identification_rate) and math.isnan(row.range_rmse_m)

@@ -382,6 +382,17 @@ class TestBench:
             assert float(row["identification_rate"]) == matched / (3 * len(used))
         assert rows[0] == rows[1]
 
+    def test_scenario_without_targets_exits_0_with_a_nan_rate(self, tmp_path):
+        spec_path = spec_8x8_file(tmp_path)
+        spec = json.loads(spec_path.read_text())
+        spec["n_targets"], spec["target_powers_db"] = 0, []
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "report.csv"
+        assert main(["bench", "--spec", str(spec_path), "--trials", "1", "--algos", "music",
+                     "--format", "csv", "--out", str(out), "--quiet"]) == 0
+        (row,) = read_csv(out)
+        assert row["trials_used"] == "1" and row["identification_rate"] == "nan"
+
 
 class TestBenchIters:
     @pytest.mark.parametrize("algos", ["music", "csl1,music"])

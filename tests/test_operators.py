@@ -7,8 +7,8 @@ from ofdmradar import (ConfigError, NumericError, adjoint_normalized, block_toep
                        psd_project, soft_threshold)
 from ofdmradar.operators import (_adjoint_tables, complex_frame_vector, folded_frame,
                                  real_frame, real_frame_vector)
-from conftest import (complex_frame, dense_q, gathered_lift, lift_index, random_consistent_param,
-                      symmetrize_param)
+from conftest import (complex_frame, dense_q, gathered_lift, lift_index, padded_folded_frame,
+                      random_consistent_param, symmetrize_param)
 
 # (M, N) pairs for the index-layout oracles: square, and both non-square
 # orientations, which a layout with M and N swapped fails.
@@ -147,13 +147,33 @@ class TestAdjoint:
                     table[0] = 0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ConfigError):
-            adjoint_normalized(np.zeros((4, 5), complex), 2, 2)
+        # P is the MN x MN matrix or its leading 0 < r <= MN rows, and nothing else:
+        # no rows, too many rows, too narrow, too wide or 1-D.
+        for shape, M, N in [((4, 5), 2, 2), ((0, 6), 2, 3), ((7, 6), 2, 3), ((3, 5), 2, 3),
+                            ((6, 7), 2, 3), ((36,), 2, 3)]:
+            with pytest.raises(ConfigError, match="P must be"):
+                adjoint_normalized(np.zeros(shape, complex), M, N)
+
+    @pytest.mark.parametrize("M, N", [(2, 2), (3, 5), (8, 8), (16, 16)],
+                             ids=["2x2", "3x5", "8x8", "16x16"])
+    def test_leading_rows_equal_the_zero_padded_square(self, rng, M, N):
+        mn = M * N
+        for r in sorted({1, mn // 2, mn - mn // 2, mn - 1}):
+            rows = rng.normal(size=(r, mn)) + 1j * rng.normal(size=(r, mn))
+            padded = np.zeros((mn, mn), dtype=complex)
+            padded[:r] = rows
+            assert np.array_equal(adjoint_normalized(rows, M, N),
+                                  adjoint_normalized(padded, M, N))
 
 
 def real_symmetric(rng, n):
     A = rng.normal(size=(n, n))
     return A + A.T
+
+
+def fresh_real_frame(T):
+    """:func:`real_frame` of T into a new buffer."""
+    return real_frame(T, np.empty(T.shape))
 
 
 class TestUnitaryFrame:
@@ -171,11 +191,13 @@ class TestUnitaryFrame:
         n = M * N
         Q = dense_q(n)
         T = block_toeplitz(random_consistent_param(rng, M, N), M, N)
-        got = real_frame(T)
-        assert np.abs(got - (Q.conj().T @ T @ Q).real).max() <= 1e-14 * np.abs(T).max()
+        # The sweep writes the lift's top-left corner; every entry of it, and nothing
+        # beside it, is written.
         out = np.full((n + 2, n + 2), np.nan)
-        real_frame(T, out=out[:n, :n])
-        assert np.array_equal(out[:n, :n], got) and np.isnan(out[n:]).all()
+        got = real_frame(T, out[:n, :n])
+        assert np.shares_memory(got, out)
+        assert np.abs(got - (Q.conj().T @ T @ Q).real).max() <= 1e-14 * np.abs(T).max()
+        assert np.isnan(out[n:]).all() and np.isnan(out[:n, n:]).all()
         P = real_symmetric(rng, n)
         X = complex_frame(P)
         assert np.abs(X - Q @ P @ Q.conj().T).max() <= 1e-14 * np.abs(P).max()
@@ -197,7 +219,7 @@ class TestUnitaryFrame:
         assert np.array_equal(X, X.conj().T)
         U = adjoint_normalized(X, M, N)
         assert np.array_equal(U, np.conj(U[::-1, ::-1]))
-        R = real_frame(block_toeplitz(U, M, N))
+        R = fresh_real_frame(block_toeplitz(U, M, N))
         assert R.dtype == np.float64 and np.array_equal(R, R.T)
 
     @FRAME_SIZES
@@ -208,15 +230,21 @@ class TestUnitaryFrame:
         for _ in range(5):
             U = random_consistent_param(rng, M, N)
             P = real_symmetric(rng, M * N)
-            lhs = np.sum(real_frame(block_toeplitz(U, M, N)) * P)
+            lhs = np.sum(fresh_real_frame(block_toeplitz(U, M, N)) * P)
             rhs = np.sum(counts * np.conj(U) * adjoint_normalized(complex_frame(P), M, N)).real
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-def folded_adjoint(P, M, N, out=None):
-    """The sweep's U before its scaling: the fold of the normalized adjoint of folded_frame(P)."""
-    A = adjoint_normalized(folded_frame(P, out=out), M, N)
+def fold(A):
     return 0.5 * (A + np.conj(A[::-1, ::-1]))
+
+
+def folded_adjoint(P, M, N):
+    """The sweep's U before its scaling: the fold of the normalized adjoint of folded_frame(P),
+    written into a NaN-filled buffer of the sweep's height."""
+    n = M * N
+    out = np.full((n - n // 2, n), np.nan, dtype=complex)
+    return fold(adjoint_normalized(folded_frame(P, out), M, N))
 
 
 class TestFoldedFrame:
@@ -237,20 +265,30 @@ class TestFoldedFrame:
         for _ in range(10):
             U = folded_adjoint(real_symmetric(rng, M * N), M, N)
             assert np.array_equal(U, np.conj(U[::-1, ::-1]))
-            R = real_frame(block_toeplitz(U, M, N))
+            R = fresh_real_frame(block_toeplitz(U, M, N))
             assert R.dtype == np.float64 and np.array_equal(R, R.T)
 
     @SIZES
     def test_reused_buffer_gives_the_same_result(self, rng, M, N):
-        # Only the first MN - MN // 2 rows are written, so a zeroed buffer serves
-        # every call; the rest stays zero.
+        # Every entry is written, so one NaN-filled buffer serves every call: each
+        # result is the top n - h rows of the zero-padded construction, odd MN's
+        # middle row and column (3x5) included.
         n = M * N
-        out = np.zeros((n, n), dtype=complex)
+        out = np.full((n - n // 2, n), np.nan, dtype=complex)
         for _ in range(3):
             P = real_symmetric(rng, n)
-            Y = folded_frame(P, out=out)
-            assert Y is out and np.array_equal(Y, folded_frame(P))
-            assert not Y[n - n // 2:].any()
+            padded = padded_folded_frame(P)
+            assert folded_frame(P, out) is out
+            assert np.array_equal(out, padded[:n - n // 2]) and not padded[n - n // 2:].any()
+
+    @SIZES
+    def test_sweep_u_equals_the_padded_construction(self, rng, M, N):
+        # The sweep passes the MN x MN corner of its (MN + 2) x (MN + 2) lift.
+        mn = M * N
+        for _ in range(5):
+            P = real_symmetric(rng, mn + 2)[:mn, :mn]
+            want = fold(adjoint_normalized(padded_folded_frame(P), M, N))
+            assert np.array_equal(folded_adjoint(P, M, N), want)
 
 
 class TestPsdProject:
