@@ -134,7 +134,7 @@ def folded_frame(P: np.ndarray, out: np.ndarray) -> np.ndarray:
     if n % 2:
         np.multiply(P[h, :h], 2.0 / _SQRT_HALF, out=re[h, :h])
         np.multiply(cols_rev[h, :h], -2.0 / _SQRT_HALF, out=im[h, :h])
-        out[:h, h] = out[h, h + 1:] = 0.0
+        out[:h, h] = out[h, h:] = 0.0
         re[h, h] = P[h, h]
     return out
 

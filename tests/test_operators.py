@@ -243,7 +243,7 @@ def folded_adjoint(P, M, N):
     """The sweep's U before its scaling: the fold of the normalized adjoint of folded_frame(P),
     written into a NaN-filled buffer of the sweep's height."""
     n = M * N
-    out = np.full((n - n // 2, n), np.nan, dtype=complex)
+    out = np.full((n - n // 2, n), complex(np.nan, np.nan))
     return fold(adjoint_normalized(folded_frame(P, out), M, N))
 
 
@@ -274,7 +274,7 @@ class TestFoldedFrame:
         # result is the top n - h rows of the zero-padded construction, odd MN's
         # middle row and column (3x5) included.
         n = M * N
-        out = np.full((n - n // 2, n), np.nan, dtype=complex)
+        out = np.full((n - n // 2, n), complex(np.nan, np.nan))
         for _ in range(3):
             P = real_symmetric(rng, n)
             padded = padded_folded_frame(P)
