@@ -20,11 +20,11 @@ t >= w^H (Q^H T Q)^+ w, and the right side is the sum of the two real quadratic
 forms in Re w and Im w.  The objective's lam t / 2 becomes lam tr S / 2, so the
 program on L has the same optimum, and each sweep projects a real symmetric
 matrix: a real ``eigh``, about a third of the cost of the complex one of order
-MN+1.  Q pairs index i with MN-1-i, so the sweep applies it in O((MN)^2); its
-inverse congruence enters only through the adjoint's offset sums, so the sweep
-feeds the adjoint :func:`.operators.folded_frame` and folds the result, without
-forming Q P Q^H.  A sweep forms Theta + W once, and takes both residual norms
-from the storage of the old iterates, allocating nothing for them.
+MN+1.  The sweep never forms Q: :func:`.operators.block_toeplitz` gathers the real
+block Re(Q^H T(U) Q) straight from U's floats, :func:`.operators.adjoint_normalized`
+bins the real block back into U, and the border goes through Q's two vector maps.
+A sweep forms Theta + W once, and takes both residual norms from the storage of the
+old iterates, allocating nothing for them.
 
 The sweep runs on the congruent lift D L D, with D = diag(a I_MN, b I_2) for
 a = ``TOEPLITZ_SCALE`` and b = ``CORNER_SCALE``.  D L D is PSD exactly when L
@@ -54,8 +54,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, check_whole_number
 from .extract import dual_atomic_norm
-from .operators import (adjoint_normalized, block_toeplitz, complex_frame_vector, folded_frame,
-                        psd_project, real_frame, real_frame_vector, soft_threshold)
+from .operators import (adjoint_normalized, block_toeplitz, complex_frame_vector, psd_project,
+                        real_frame_vector, soft_threshold)
 from .scene import Measurement
 
 # Over-relaxation alpha of the sweep (see solve).
@@ -147,17 +147,17 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     signal z = (conj(s) (r - e) + 2 rho a b Q p) / (|s|^2 + 2 rho a^2 b^2) (an
     elementwise divide, the symbol lift being diagonal); the corner
     S = P[MN:, MN:] / b^2 - lam / (2 rho b^4) I_2; the Toeplitz parameter
-    U = adjoint(Q P[:MN, :MN] Q^H) / a^2 less lam / (2 MN rho a^4) at the centre,
-    with the adjoint taken as the fold (A + conj(A[::-1, ::-1])) / 2 of
-    A = adjoint(``folded_frame``(P[:MN, :MN])), which is exactly Hermitian-consistent;
-    the error ``e`` (soft threshold of the data residual, skipped when ``mu == 0``);
-    then the PSD block ``Theta`` and the scaled multiplier ``W = Upsilon / rho``
-    together.  With the over-relaxed lift A_hat = alpha D L D + (1 - alpha)
-    Theta_prev for alpha = ``RELAXATION`` (Boyd et al. 2011, section 3.4.3) and
-    G = A_hat - W, the Moreau split G = P+(G) - P-(G) of one cone projection gives
+    U = ``adjoint_normalized``(P[:MN, :MN]) / a^2 less lam / (2 MN rho a^4) at the
+    centre (the normalized adjoint of the complex lift at Q P[:MN, :MN] Q^H, exactly
+    Hermitian-consistent); the error ``e`` (soft threshold of the data residual,
+    skipped when ``mu == 0``); then the PSD block ``Theta`` and the scaled multiplier
+    ``W = Upsilon / rho`` together.  With the over-relaxed lift A_hat = alpha D L D +
+    (1 - alpha) Theta_prev for alpha = ``RELAXATION`` (Boyd et al. 2011, section 3.4.3)
+    and G = A_hat - W, the Moreau split G = P+(G) - P-(G) of one cone projection gives
     Theta = P+(G) and the ascent step W + Theta - A_hat = Theta - G.  D L D is built from
-    a^2 Re(Q^H T(U) Q), a b [Re w, Im w] for w = Q^H z, and b^2 S, and A_hat
-    elementwise, all with real scalars, so G is an exactly symmetric float64 array.
+    ``block_toeplitz``(a^2 U) = a^2 Re(Q^H T(U) Q), a b [Re w, Im w] for w = Q^H z, and
+    b^2 S, and A_hat elementwise, all with real scalars, so G is an exactly symmetric
+    float64 array.
     The primal residual is ||Theta - A_hat||, the change in W; the dual residual is
     rho ||Theta - Theta_prev||.  At a fixed point Theta = A_hat, so Theta = D L D
     and the fixed points are those of the plain sweep (alpha = 1).  Each difference
@@ -182,7 +182,6 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     Theta = np.zeros((mn + 2, mn + 2))
     W = np.zeros((mn + 2, mn + 2))
     G = np.empty_like(W)
-    Y = np.empty((mn - mn // 2, mn), dtype=complex)
 
     diag = Diagnostics()
     scale = mn + 1
@@ -198,15 +197,14 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
                 z = (sh_r - s_conj * e + 2.0 * rho * ab * p) / denom
                 S = P[mn:, mn:] / b2 - corner_shift
 
-                A = adjoint_normalized(folded_frame(P[:mn, :mn], out=Y), M, N)
-                U = (A + np.conj(A[::-1, ::-1])) * (0.5 / a2)
+                U = adjoint_normalized(P[:mn, :mn], M, N) / a2
                 U[M - 1, N - 1] -= lam / (2.0 * mn * rho * a2 * a2)
 
                 if mu > 0:
                     e = soft_threshold(r - s * z, mu)
 
                 # The relaxed scaled lift alpha D L D + (1 - alpha) Theta, less W, in G.
-                real_frame(block_toeplitz(a2 * U, M, N), out=G[:mn, :mn])
+                block_toeplitz(a2 * U, M, N, out=G[:mn, :mn])
                 w = real_frame_vector(z)
                 G[:mn, mn] = ab * w.real
                 G[:mn, mn + 1] = ab * w.imag

@@ -1,15 +1,17 @@
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from ofdmradar import Path, RadarConfig, Scene, admm, atoms, dual_poly_grid, extract, steering
+from ofdmradar import (ConfigError, NumericError, Path, RadarConfig, Scene, admm, atoms,
+                       dual_poly_grid, extract, steering)
 from ofdmradar.baselines import _synthesize
 from ofdmradar.extract import (EIG_FLOOR, GRAD_TOL, GRID_FACTOR, MAX_NEWTON_STEPS,
                                REL_THRESHOLD, _dual_matrix, _same_cell_mask,
                                wrapped_local_maxima)
-from ofdmradar.operators import adjoint_normalized, block_toeplitz, psd_project, soft_threshold
+from ofdmradar.operators import soft_threshold
 
 
 @pytest.fixture
@@ -43,8 +45,114 @@ def lift_index(M, N):
 
 
 def gathered_lift(U, M, N):
-    """Oracle: ``operators.block_toeplitz`` as a gather of ``U`` through :func:`lift_index`."""
+    """Oracle: :func:`complex_block_toeplitz` as a gather of ``U`` through :func:`lift_index`."""
     return U.ravel()[lift_index(M, N)]
+
+
+def complex_block_toeplitz(U, M, N):
+    """Oracle: the complex two-level Toeplitz lift T(U), a new C-contiguous array of ``U``'s
+    dtype, copied from one view of ``U`` over (n1, m1, n2, m2), based at u_0(0) with strides
+    (s1, s0, -s1, -s0) for ``U``'s strides (s0, s1).  ``operators.block_toeplitz`` gathers
+    its real frame Re(Q^H T(U) Q) without forming it."""
+    if U.shape != (2 * M - 1, 2 * N - 1):
+        raise ConfigError(f"U must be {(2 * M - 1, 2 * N - 1)}, got {U.shape}")
+    U = np.ascontiguousarray(U)
+    s0, s1 = U.strides
+    view = np.ndarray((N, M, N, M), U.dtype, U, (M - 1) * s0 + (N - 1) * s1,
+                      (s1, s0, -s1, -s0))
+    return view.copy().reshape(M * N, M * N)
+
+
+@lru_cache(maxsize=8)
+def complex_adjoint_tables(M, N):
+    """Bin in ``U``'s (real, imag) float view of each float of the complex lift, and each
+    bin's count."""
+    flat = np.arange((2 * M - 1) * (2 * N - 1)).reshape(2 * M - 1, 2 * N - 1)
+    index = 2 * complex_block_toeplitz(flat, M, N).ravel()
+    bins = np.stack([index, index + 1], axis=1).ravel()
+    return bins, np.bincount(bins).astype(float)
+
+
+def complex_adjoint_normalized(P, M, N):
+    """Oracle: the mean of complex ``P`` over each (block offset, within-block offset) index
+    set, the left inverse of :func:`complex_block_toeplitz`.  ``P`` is the MN x MN matrix or
+    its leading r > 0 rows, the rest taken as zero and not binned."""
+    if P.ndim != 2 or P.shape[1] != M * N or not 0 < P.shape[0] <= M * N:
+        raise ConfigError(f"P must be r x {M * N} for 0 < r <= {M * N}, got {P.shape}")
+    bins, counts = complex_adjoint_tables(M, N)
+    floats = np.ascontiguousarray(P, dtype=complex).view(float).ravel()
+    sums = np.bincount(bins[:floats.size], weights=floats, minlength=counts.size)
+    return (sums / counts).view(complex).reshape(2 * M - 1, 2 * N - 1)
+
+
+def real_frame(T, out):
+    """Oracle: Re(Q^H T Q) of a Hermitian, centro-Hermitian T, written over all of ``out``.
+
+    With A + iB = T and p, q both in the first n - h indices (top) or both in the last h
+    (bottom), entry (p, q) is A[p, q] + A[p, n-1-q] (top) or A[p, q] - A[p, n-1-q]
+    (bottom), and entry (p, q) with p top and q bottom is B[p, q] - B[p, n-1-q]; the
+    bottom-left block is the top-right one transposed, and the middle row and column of
+    odd n take a further 1/sqrt(2).
+    """
+    n = T.shape[0]
+    h = n // 2
+    top, bottom = slice(None, n - h), slice(n - h, None)
+    A, B = T.real, T.imag
+    A_rev, B_rev = A[:, ::-1], B[:, ::-1]
+    np.add(A[top, top], A_rev[top, top], out=out[top, top])
+    np.subtract(A[bottom, bottom], A_rev[bottom, bottom], out=out[bottom, bottom])
+    np.subtract(B[top, bottom], B_rev[top, bottom], out=out[top, bottom])
+    if n % 2:
+        out[h] *= math.sqrt(0.5)
+        out[top, h] *= math.sqrt(0.5)
+    out[bottom, top] = out[top, bottom].T
+    return out
+
+
+def folded_frame(P, out):
+    """Oracle: the leading n - h rows of a Y whose folded normalized adjoint,
+    ``symmetrize_param(complex_adjoint_normalized(Y))``, is Q P Q^H's, P real symmetric.
+
+    With t the first h indices, b the last h and D = P[::-1] - P[:, ::-1]:
+    Y[t, t] = (P + P[::-1, ::-1] + iD)[t, t], Y[t, b] = (2iP - D)[t, b], and for odd n,
+    Y[h, q] = 2 sqrt(2) (P[h, q] - i P[h, n-1-q]) for q < h, Y[h, h] = P[h, h] and zero in
+    the rest of row and column h, all written over the (n - h) x n complex ``out``.
+    """
+    n = P.shape[0]
+    h = n // 2
+    t, b = slice(None, h), slice(n - h, None)
+    rows_rev, cols_rev = P[::-1], P[:, ::-1]
+    re, im = out.real, out.imag
+    np.add(P[t, t], rows_rev[:, ::-1][t, t], out=re[t, t])
+    np.subtract(rows_rev[t, t], cols_rev[t, t], out=im[t, t])
+    np.subtract(cols_rev[t, b], rows_rev[t, b], out=re[t, b])
+    np.multiply(P[t, b], 2.0, out=im[t, b])
+    if n % 2:
+        np.multiply(P[h, :h], 2.0 / math.sqrt(0.5), out=re[h, :h])
+        np.multiply(cols_rev[h, :h], -2.0 / math.sqrt(0.5), out=im[h, :h])
+        out[:h, h] = out[h, h:] = 0.0
+        re[h, h] = P[h, h]
+    return out
+
+
+def complex_psd_project(H):
+    """Oracle: the Frobenius-nearest PSD matrix of an exactly Hermitian ``H``, real or
+    complex, rebuilt as a Gram product from the smaller side of the spectrum as
+    ``operators.psd_project`` does, with complex results symmetrized as (X + X^H) / 2."""
+    try:
+        w, V = np.linalg.eigh(H)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition failed on {H.shape} matrix: {exc}") from exc
+    k = int(np.searchsorted(w, 0.0, side="right"))
+    if 2 * k > w.size:
+        F = V[:, k:] * np.sqrt(w[k:])
+        X = F @ F.conj().T
+    else:
+        F = V[:, :k] * np.sqrt(-w[:k])
+        X = H + F @ F.conj().T
+    if np.iscomplexobj(X):
+        X = 0.5 * (X + X.conj().T)
+    return X
 
 
 def rolled_local_maxima(values):
@@ -105,9 +213,9 @@ def complex_frame(P):
 
 
 def padded_folded_frame(P):
-    """Oracle: ``operators.folded_frame`` of a real symmetric P as a full-height n x n
-    complex matrix, zero below row n - h (h = n // 2), the construction the sweep fed
-    ``adjoint_normalized`` before that took the leading rows alone."""
+    """Oracle: :func:`folded_frame` of a real symmetric P as a full-height n x n complex
+    matrix, zero below row n - h (h = n // 2), the construction the sweep once fed the
+    complex adjoint before that took the leading rows alone."""
     n = P.shape[0]
     h = n // 2
     t, b = slice(None, h), slice(n - h, None)
@@ -260,7 +368,8 @@ def complex_lift_solve(measurement, config, scale=(0.8, 1.75)):
 
     The same scaled-form, over-relaxed ADMM (alpha = ``admm.RELAXATION``) on the congruent
     lift D A D, D = diag(a I_MN, b) for (a, b) = ``scale``, with the same stop test, each
-    sweep projecting one complex Hermitian matrix.  Returns an ``admm.Solution``.
+    sweep projecting one complex Hermitian matrix with :func:`complex_psd_project`.
+    Returns an ``admm.Solution``.
     """
     M, N = measurement.M, measurement.N
     mn = M * N
@@ -283,11 +392,11 @@ def complex_lift_solve(measurement, config, scale=(0.8, 1.75)):
     for it in range(1, config.max_iters + 1):
         z = (sh_r - s_conj * e + 2.0 * rho * ab * (Theta[:mn, mn] + W[:mn, mn])) / denom
         t = (Theta[mn, mn].real + W[mn, mn].real) / b2 - 0.5 * lam / (rho * b2 * b2)
-        U = adjoint_normalized(Theta[:mn, :mn] + W[:mn, :mn], M, N) / a2
+        U = complex_adjoint_normalized(Theta[:mn, :mn] + W[:mn, :mn], M, N) / a2
         U[M - 1, N - 1] -= lam / (2.0 * mn * rho * a2 * a2)
         if mu > 0:
             e = soft_threshold(r - s * z, mu)
-        G[:mn, :mn] = block_toeplitz(a2 * U, M, N)
+        G[:mn, :mn] = complex_block_toeplitz(a2 * U, M, N)
         G[:mn, mn] = ab * z
         G[mn, :mn] = ab * np.conj(z)
         G[mn, mn] = b2 * t
@@ -295,7 +404,7 @@ def complex_lift_solve(measurement, config, scale=(0.8, 1.75)):
         G *= alpha
         G += Theta
         G -= W
-        Theta_new = psd_project(G)
+        Theta_new = complex_psd_project(G)
         W_new = np.subtract(Theta_new, G, out=G)
         primal = float(np.linalg.norm(W_new - W))
         dual = rho * float(np.linalg.norm(Theta_new - Theta))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,11 @@ from hypothesis import strategies as st
 
 from ofdmradar import (ConfigError, NumericError, adjoint_normalized, block_toeplitz,
                        psd_project, soft_threshold)
-from ofdmradar.operators import (_adjoint_tables, complex_frame_vector, folded_frame,
-                                 real_frame, real_frame_vector)
-from conftest import (complex_frame, dense_q, gathered_lift, lift_index, padded_folded_frame,
-                      random_consistent_param, symmetrize_param)
+from ofdmradar.operators import _lift_tables, complex_frame_vector, real_frame_vector
+from conftest import (complex_adjoint_normalized, complex_block_toeplitz, complex_frame,
+                      complex_psd_project, dense_q, folded_frame, gathered_lift, lift_index,
+                      padded_folded_frame, random_consistent_param, real_frame,
+                      symmetrize_param)
 
 # (M, N) pairs for the index-layout oracles: square, and both non-square
 # orientations, which a layout with M and N swapped fails.
@@ -19,11 +22,10 @@ LIFT_SIZES = pytest.mark.parametrize("M, N", [(1, 3), (2, 2), (3, 5), (8, 8), (1
                                      ids=["1x3", "2x2", "3x5", "8x8", "16x16", "16x64"])
 # Even and odd MN for the unitary transform Q: odd MN adds Q's middle row and column.
 FRAME_SIZES = pytest.mark.parametrize("M, N", [(4, 4), (3, 5)], ids=["4x4", "3x5"])
-
-
-def hermitian(rng, n):
-    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return 0.5 * (A + A.conj().T)
+# (M, N) pairs for the real block's gather and bincount against the complex oracles:
+# square, odd MN (3x5), and the tests' and the rmse presets' sizes.
+REAL_SIZES = pytest.mark.parametrize("M, N", [(2, 2), (3, 5), (4, 4), (8, 8), (16, 16)],
+                                     ids=["2x2", "3x5", "4x4", "8x8", "16x16"])
 
 
 def hermitian_with_spectrum(rng, w):
@@ -32,6 +34,23 @@ def hermitian_with_spectrum(rng, w):
     Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     A = (Q * np.asarray(w, dtype=float)) @ Q.conj().T
     return 0.5 * (A + A.conj().T)
+
+
+def symmetric_with_spectrum(rng, w):
+    """Exactly symmetric real matrix whose eigenvalues are ``w`` up to rounding."""
+    V, _ = np.linalg.qr(rng.normal(size=(len(w), len(w))))
+    A = (V * np.asarray(w, dtype=float)) @ V.T
+    return 0.5 * (A + A.T)
+
+
+def real_symmetric(rng, n):
+    A = rng.normal(size=(n, n))
+    return A + A.T
+
+
+def real_block(U, M, N):
+    """:func:`block_toeplitz` of U into a new buffer."""
+    return block_toeplitz(U, M, N, np.empty((M * N, M * N)))
 
 
 def mean_over_index_sets(P, M, N):
@@ -52,18 +71,19 @@ def mean_over_index_sets(P, M, N):
 
 class TestBlockToeplitz:
     def test_zero(self):
-        assert np.allclose(block_toeplitz(np.zeros((3, 3), complex), 2, 2), 0)
+        got = block_toeplitz(np.zeros((3, 3), complex), 2, 2, np.full((4, 4), np.nan))
+        assert np.array_equal(got, np.zeros((4, 4)))
 
     def test_identity_from_center_column(self):
         U = np.zeros((3, 3), complex)
-        U[1, 1] = 1.0  # u_0(0)
-        assert np.allclose(block_toeplitz(U, 2, 2), np.eye(4))
+        U[1, 1] = 1.0  # u_0(0): T(U) = I, and so is its real frame
+        assert np.allclose(real_block(U, 2, 2), np.eye(4))
 
     def test_matches_index_assembly(self, rng):
         for M, N in SIZES:
             U = (rng.normal(size=(2 * M - 1, 2 * N - 1))
                  + 1j * rng.normal(size=(2 * M - 1, 2 * N - 1)))
-            T = block_toeplitz(U, M, N)
+            T = complex_block_toeplitz(U, M, N)
             # hand-rolled: entry ((n1,m1),(n2,m2)) = u_{n1-n2}(m1-m2)
             for n1 in range(N):
                 for n2 in range(N):
@@ -80,27 +100,97 @@ class TestBlockToeplitz:
         spread = np.zeros((shape[0], 2 * shape[1]), dtype=complex)
         spread[:, ::2] = U
         for V in (U, ints, spread[:, ::2], U[::-1, ::-1], np.asfortranarray(U), ints[:, ::-1]):
-            T = block_toeplitz(V, M, N)
+            T = complex_block_toeplitz(V, M, N)
             want = gathered_lift(V, M, N)
             assert T.dtype == want.dtype and np.array_equal(T, want)
             assert T.flags.c_contiguous and not np.shares_memory(T, V)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
-            block_toeplitz(np.zeros((3, 5), complex), 2, 2)
+            block_toeplitz(np.zeros((3, 5), complex), 2, 2, np.empty((4, 4)))
 
     @given(seed=st.integers(0, 2 ** 30), M=st.integers(2, 4), N=st.integers(2, 4))
     @settings(max_examples=30, deadline=None)
     def test_hermitian_preservation(self, seed, M, N):
         rng = np.random.default_rng(seed)
         U = random_consistent_param(rng, M, N)
-        T = block_toeplitz(U, M, N)
+        T = complex_block_toeplitz(U, M, N)
         assert np.abs(T - T.conj().T).max() < 1e-14
+
+
+class TestRealBlock:
+    @REAL_SIZES
+    def test_gather_equals_the_real_frame_of_the_complex_lift(self, rng, M, N):
+        # The sweep writes the lift's top-left corner; every entry of it, and nothing
+        # beside it, is written, bit for bit as the complex lift's real frame.
+        n = M * N
+        out = np.full((n + 2, n + 2), np.nan)
+        for _ in range(5):
+            U = random_consistent_param(rng, M, N)
+            got = block_toeplitz(U, M, N, out[:n, :n])
+            assert np.shares_memory(got, out)
+            want = real_frame(complex_block_toeplitz(U, M, N), np.empty((n, n)))
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+            assert np.array_equal(got, got.T)
+            assert np.isnan(out[n:]).all() and np.isnan(out[:n, n:]).all()
+
+    @REAL_SIZES
+    def test_gather_is_exactly_symmetric_for_any_parameter(self, rng, M, N):
+        shape = (2 * M - 1, 2 * N - 1)
+        R = real_block(rng.normal(size=shape) + 1j * rng.normal(size=shape), M, N)
+        assert np.array_equal(R, R.T)
+
+    @REAL_SIZES
+    def test_adjoint_inverts_the_gather(self, rng, M, N):
+        # Bincount sums run sequentially, so their rounding grows as the square root
+        # of the largest offset count, MN: 1e-15 up to 8x8, twice that at 16x16.
+        tol = 1e-15 * max(1.0, math.sqrt(M * N / 64))
+        for _ in range(5):
+            U = random_consistent_param(rng, M, N)
+            got = adjoint_normalized(real_block(U, M, N), M, N)
+            assert np.array_equal(got, np.conj(got[::-1, ::-1]))
+            assert np.abs(got - U).max() <= tol * np.abs(U).max()
+
+    @REAL_SIZES
+    def test_adjoint_matches_the_folded_complex_oracle(self, rng, M, N):
+        # The sweep passes the MN x MN corner of its (MN + 2) x (MN + 2) lift, which the
+        # adjoint must not write (odd MN scales a copy's middle row and column).
+        mn = M * N
+        for _ in range(5):
+            P = real_symmetric(rng, mn + 2)[:mn, :mn]
+            before = P.copy()
+            want = symmetrize_param(complex_adjoint_normalized(
+                folded_frame(P, np.empty((mn - mn // 2, mn), complex)), M, N))
+            assert np.abs(adjoint_normalized(P, M, N) - want).max() <= 1e-15 * np.abs(P).max()
+            assert np.array_equal(P, before)
+
+    @REAL_SIZES
+    def test_gather_and_bincount_are_adjoint(self, rng, M, N):
+        # <block_toeplitz(U), P> = sum over offsets of the count times Re(conj(u) a) for
+        # a = adjoint_normalized(P), on Hermitian-consistent U.
+        counts = np.outer(M - np.abs(np.arange(1 - M, M)), N - np.abs(np.arange(1 - N, N)))
+        for _ in range(5):
+            U = random_consistent_param(rng, M, N)
+            P = real_symmetric(rng, M * N)
+            lhs = np.sum(real_block(U, M, N) * P)
+            rhs = np.sum(counts * (np.conj(U) * adjoint_normalized(P, M, N)).real)
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+    def test_wrong_shapes_raise(self):
+        # 2x2: U is 3 x 3 and the block 4 x 4.
+        U, out = np.zeros((3, 3), complex), np.empty((4, 4))
+        for bad_u, bad_out in [(np.zeros((3, 4), complex), out), (np.zeros(9, complex), out),
+                               (U, np.empty((4, 5))), (U, np.empty(16)), (U, np.empty((5, 5)))]:
+            with pytest.raises(ConfigError, match="U must be"):
+                block_toeplitz(bad_u, 2, 2, bad_out)
+        for P in (np.zeros((4, 5)), np.zeros(16), np.zeros((5, 5)), np.zeros((4, 4), complex)):
+            with pytest.raises(ConfigError, match="P must be"):
+                adjoint_normalized(P, 2, 2)
 
 
 class TestAdjoint:
     def test_identity_input(self):
-        U = adjoint_normalized(np.eye(6, dtype=complex), 2, 3)
+        U = adjoint_normalized(np.eye(6), 2, 3)
         want = np.zeros((3, 5), complex)
         want[1, 2] = 1.0
         assert np.allclose(U, want)
@@ -108,16 +198,17 @@ class TestAdjoint:
     def test_left_inverse(self, rng):
         for M, N in [(2, 2), (3, 3), (2, 4), (4, 3)]:
             U = random_consistent_param(rng, M, N)
-            U2 = adjoint_normalized(block_toeplitz(U, M, N), M, N)
+            U2 = adjoint_normalized(real_block(U, M, N), M, N)
             assert np.abs(U2 - U).max() < 1e-12
 
     def test_arbitrary_matrix_against_enumeration(self, rng):
         for M, N in SIZES:
             P = rng.normal(size=(M * N, M * N)) + 1j * rng.normal(size=(M * N, M * N))
-            assert adjoint_normalized(P, M, N) == pytest.approx(mean_over_index_sets(P, M, N))
+            assert complex_adjoint_normalized(P, M, N) == pytest.approx(
+                mean_over_index_sets(P, M, N))
 
     def test_strided_view_and_real_input_against_enumeration(self, rng):
-        # The solver passes the MN x MN corner of an (MN+1) x (MN+1) array.
+        # The complex lift oracle passes the MN x MN corner of an (MN+1) x (MN+1) array.
         for M, N in SIZES:
             mn = M * N
             Theta = rng.normal(size=(mn + 1, mn + 1)) + 1j * rng.normal(size=(mn + 1, mn + 1))
@@ -125,30 +216,43 @@ class TestAdjoint:
             assert not view.flags.c_contiguous
             real = rng.normal(size=(mn, mn))
             for P in (view, real):
-                U = adjoint_normalized(P, M, N)
+                U = complex_adjoint_normalized(P, M, N)
                 assert U.shape == (2 * M - 1, 2 * N - 1) and U.dtype == complex
                 want = mean_over_index_sets(P, M, N)
                 assert np.abs(U - want).max() <= 1e-15 * np.abs(P).max() * 4
 
     @LIFT_SIZES
     def test_tables_bin_the_floats_of_the_gathered_lift(self, M, N):
-        index = 2 * lift_index(M, N).ravel()
-        want = np.stack([index, index + 1], axis=1).ravel()
-        bins, counts = _adjoint_tables(M, N)
-        assert bins.dtype == want.dtype and np.array_equal(bins, want)
-        assert np.array_equal(counts, np.bincount(want).astype(float))
+        # Entry (p, q) of the real block sums a float of lift entry (p, q) or of its
+        # conjugate partner (q, p), and one of lift entry (p, n-1-q); real parts on the
+        # diagonal blocks and imaginary ones off them, the second negated outside the
+        # top-left block, and each float's count is its offset's in the lift.
+        n, h, d = M * N, M * N // 2, (2 * M - 1) * (2 * N - 1)
+        j = lift_index(M, N)
+        table, counts = _lift_tables(M, N)
+        assert table.shape == (2, n, n) and np.array_equal(table, table.transpose(0, 2, 1))
+        assert table.min() >= 0 and table.max() < 4 * d
+        first, second = table % (2 * d) // 2
+        assert np.all((first == j) | (first == j.T))
+        assert np.array_equal(second, j[:, ::-1])
+        top = np.arange(n) < n - h
+        same_side = top[:, None] == top[None, :]
+        assert np.array_equal(table % 2, np.stack([~same_side, ~same_side]))
+        assert not (table[0] >= 2 * d).any()
+        assert np.array_equal(table[1] >= 2 * d, ~(top[:, None] & top[None, :]))
+        assert np.array_equal(counts, np.repeat(np.bincount(j.ravel(), minlength=d), 2))
 
     def test_cached_tables_are_read_only(self):
         for M, N in SIZES:
             adjoint_normalized(np.eye(M * N), M, N)
-            for table in _adjoint_tables(M, N):
+            for table in _lift_tables(M, N):
                 assert not table.flags.writeable
                 with pytest.raises(ValueError):
-                    table[0] = 0
+                    table.flat[0] = 0
 
     def test_dimension_mismatch(self):
-        # P is the MN x MN matrix or its leading 0 < r <= MN rows, and nothing else:
-        # no rows, too many rows, too narrow, too wide or 1-D.
+        # P is the real MN x MN block and nothing else: too few or too many rows, too
+        # narrow, too wide or 1-D.
         for shape, M, N in [((4, 5), 2, 2), ((0, 6), 2, 3), ((7, 6), 2, 3), ((3, 5), 2, 3),
                             ((6, 7), 2, 3), ((36,), 2, 3)]:
             with pytest.raises(ConfigError, match="P must be"):
@@ -162,18 +266,8 @@ class TestAdjoint:
             rows = rng.normal(size=(r, mn)) + 1j * rng.normal(size=(r, mn))
             padded = np.zeros((mn, mn), dtype=complex)
             padded[:r] = rows
-            assert np.array_equal(adjoint_normalized(rows, M, N),
-                                  adjoint_normalized(padded, M, N))
-
-
-def real_symmetric(rng, n):
-    A = rng.normal(size=(n, n))
-    return A + A.T
-
-
-def fresh_real_frame(T):
-    """:func:`real_frame` of T into a new buffer."""
-    return real_frame(T, np.empty(T.shape))
+            assert np.array_equal(complex_adjoint_normalized(rows, M, N),
+                                  complex_adjoint_normalized(padded, M, N))
 
 
 class TestUnitaryFrame:
@@ -182,7 +276,7 @@ class TestUnitaryFrame:
         Q = dense_q(M * N)
         assert np.abs(Q.conj().T @ Q - np.eye(M * N)).max() < 1e-15
         for _ in range(5):
-            T = block_toeplitz(random_consistent_param(rng, M, N), M, N)
+            T = complex_block_toeplitz(random_consistent_param(rng, M, N), M, N)
             C = Q.conj().T @ T @ Q
             assert np.abs(C.imag).max() <= 1e-14 * np.abs(C).max()
 
@@ -190,11 +284,12 @@ class TestUnitaryFrame:
     def test_matrix_transforms_match_dense_q(self, rng, M, N):
         n = M * N
         Q = dense_q(n)
-        T = block_toeplitz(random_consistent_param(rng, M, N), M, N)
+        U = random_consistent_param(rng, M, N)
+        T = complex_block_toeplitz(U, M, N)
         # The sweep writes the lift's top-left corner; every entry of it, and nothing
         # beside it, is written.
         out = np.full((n + 2, n + 2), np.nan)
-        got = real_frame(T, out[:n, :n])
+        got = block_toeplitz(U, M, N, out[:n, :n])
         assert np.shares_memory(got, out)
         assert np.abs(got - (Q.conj().T @ T @ Q).real).max() <= 1e-14 * np.abs(T).max()
         assert np.isnan(out[n:]).all() and np.isnan(out[:n, n:]).all()
@@ -213,13 +308,13 @@ class TestUnitaryFrame:
 
     @FRAME_SIZES
     def test_outputs_are_exactly_symmetric(self, rng, M, N):
-        # The oracle chain adjoint_normalized(complex_frame(P)) that the sweep's
-        # folded adjoint replaces keeps exact symmetry entry for entry as well.
+        # The oracle chain complex_adjoint_normalized(complex_frame(P)) that the sweep's
+        # adjoint replaces keeps exact symmetry entry for entry as well.
         X = complex_frame(real_symmetric(rng, M * N))
         assert np.array_equal(X, X.conj().T)
-        U = adjoint_normalized(X, M, N)
+        U = complex_adjoint_normalized(X, M, N)
         assert np.array_equal(U, np.conj(U[::-1, ::-1]))
-        R = fresh_real_frame(block_toeplitz(U, M, N))
+        R = real_block(U, M, N)
         assert R.dtype == np.float64 and np.array_equal(R, R.T)
 
     @FRAME_SIZES
@@ -230,8 +325,9 @@ class TestUnitaryFrame:
         for _ in range(5):
             U = random_consistent_param(rng, M, N)
             P = real_symmetric(rng, M * N)
-            lhs = np.sum(fresh_real_frame(block_toeplitz(U, M, N)) * P)
-            rhs = np.sum(counts * np.conj(U) * adjoint_normalized(complex_frame(P), M, N)).real
+            lhs = np.sum(real_block(U, M, N) * P)
+            rhs = np.sum(counts * np.conj(U)
+                         * complex_adjoint_normalized(complex_frame(P), M, N)).real
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -240,11 +336,11 @@ def fold(A):
 
 
 def folded_adjoint(P, M, N):
-    """The sweep's U before its scaling: the fold of the normalized adjoint of folded_frame(P),
-    written into a NaN-filled buffer of the sweep's height."""
+    """The oracle sweep's U before its scaling: the fold of the complex normalized adjoint
+    of folded_frame(P), written into a NaN-filled buffer of the sweep's height."""
     n = M * N
     out = np.full((n - n // 2, n), complex(np.nan, np.nan))
-    return fold(adjoint_normalized(folded_frame(P, out), M, N))
+    return fold(complex_adjoint_normalized(folded_frame(P, out), M, N))
 
 
 class TestFoldedFrame:
@@ -257,7 +353,7 @@ class TestFoldedFrame:
         mn = M * N
         for _ in range(10):
             P = real_symmetric(rng, mn + 2)[:mn, :mn]
-            want = adjoint_normalized(complex_frame(P), M, N)
+            want = complex_adjoint_normalized(complex_frame(P), M, N)
             assert np.abs(folded_adjoint(P, M, N) - want).max() <= 1e-15 * np.abs(P).max()
 
     @SIZES
@@ -265,7 +361,7 @@ class TestFoldedFrame:
         for _ in range(10):
             U = folded_adjoint(real_symmetric(rng, M * N), M, N)
             assert np.array_equal(U, np.conj(U[::-1, ::-1]))
-            R = fresh_real_frame(block_toeplitz(U, M, N))
+            R = real_block(U, M, N)
             assert R.dtype == np.float64 and np.array_equal(R, R.T)
 
     @SIZES
@@ -287,7 +383,7 @@ class TestFoldedFrame:
         mn = M * N
         for _ in range(5):
             P = real_symmetric(rng, mn + 2)[:mn, :mn]
-            want = fold(adjoint_normalized(padded_folded_frame(P), M, N))
+            want = fold(complex_adjoint_normalized(padded_folded_frame(P), M, N))
             assert np.array_equal(folded_adjoint(P, M, N), want)
 
 
@@ -300,59 +396,64 @@ class TestPsdProject:
         with pytest.raises(NumericError, match="eigendecomposition failed"):
             psd_project(np.eye(3))
 
+    def test_complex_input_is_rejected(self):
+        # A complex Gram product F F^T is not F F^H: complex input would come back wrong.
+        with pytest.raises(ConfigError, match="real symmetric"):
+            psd_project(np.eye(3, dtype=complex))
+
     def test_identity_fixed(self):
-        assert np.allclose(psd_project(np.eye(3, dtype=complex)), np.eye(3))
+        assert np.allclose(psd_project(np.eye(3)), np.eye(3))
 
     def test_clamps_negative_eigenvalue(self):
-        got = psd_project(np.diag([1.0, -1.0]).astype(complex))
+        got = psd_project(np.diag([1.0, -1.0]))
         assert np.allclose(got, np.diag([1.0, 0.0]))
 
     def test_variational_inequality(self, rng):
         # X = proj(A) minimizes ||A - X||_F over the cone iff <A - X, Y - X> <= 0
         # for every PSD Y.
-        A = hermitian(rng, 4)
+        A = real_symmetric(rng, 4)
         X = psd_project(A)
         for _ in range(50):
-            B = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            Y = B @ B.conj().T
-            inner = np.trace((A - X).conj().T @ (Y - X)).real
+            B = rng.normal(size=(4, 4))
+            Y = B @ B.T
+            inner = np.trace((A - X).T @ (Y - X))
             assert inner <= 1e-10 * max(1.0, np.linalg.norm(Y))
 
     def test_idempotent(self, rng):
-        A = hermitian(rng, 5)
+        A = real_symmetric(rng, 5)
         X = psd_project(A)
         assert np.abs(psd_project(X) - X).max() < 1e-10
 
     @pytest.mark.parametrize("positive", [1, 2, 7, 8])
     def test_both_rebuild_sides_match_full_oracle(self, rng, positive):
-        # 1-2 positive eigenvalues of 9 rebuild from the positive pairs,
-        # 7-8 from the nonpositive ones.
+        # The complex lift oracle's projection: 1-2 positive eigenvalues of 9 rebuild
+        # from the positive pairs, 7-8 from the nonpositive ones.
         w = np.concatenate([rng.uniform(0.5, 2.0, positive),
                             -rng.uniform(0.5, 2.0, 9 - positive)])
         H = hermitian_with_spectrum(rng, w)
         vals, V = np.linalg.eigh(H)
         assert np.sum(vals > 0) == positive
         oracle = (V * np.maximum(vals, 0.0)) @ V.conj().T
-        X = psd_project(H)
+        X = complex_psd_project(H)
         assert np.abs(X - oracle).max() <= 1e-12 * np.linalg.norm(H)
         assert np.array_equal(X, X.conj().T)
 
     def test_all_positive_returns_input(self, rng):
-        H = hermitian_with_spectrum(rng, rng.uniform(0.5, 2.0, 9))
+        H = symmetric_with_spectrum(rng, rng.uniform(0.5, 2.0, 9))
         assert np.linalg.eigvalsh(H).min() > 0
         X = psd_project(H)
         assert np.array_equal(X, H)
-        assert np.array_equal(X, X.conj().T)
+        assert np.array_equal(X, X.T)
 
     def test_none_positive_returns_zero(self, rng):
-        H = hermitian_with_spectrum(rng, -rng.uniform(0.5, 2.0, 9))
+        H = symmetric_with_spectrum(rng, -rng.uniform(0.5, 2.0, 9))
         assert np.linalg.eigvalsh(H).max() < 0
         X = psd_project(H)
         assert np.array_equal(X, np.zeros_like(H))
 
     def test_min_eigenvalue_floor(self, rng):
         for _ in range(20):
-            X = psd_project(hermitian(rng, 6))
+            X = psd_project(real_symmetric(rng, 6))
             assert np.linalg.eigvalsh(X).min() >= -1e-10
 
     @pytest.mark.parametrize("positive", [1, 8])
