@@ -7,9 +7,10 @@ the atomic norm, weight ``lam``) and a sparse demodulation-error part ``e``
 iteration performs closed-form block updates followed by one projection of
 the lifted variable onto the positive semidefinite cone.  The iteration runs
 in scaled form (Boyd et al., *Distributed Optimization and Statistical
-Learning via ADMM*, 2011, section 3.1.1): it carries W = Upsilon / rho, so
-the projection's Moreau split yields both the PSD block and the multiplier's
-ascent step.
+Learning via ADMM*, 2011, section 3.1.1) with the multiplier W = Upsilon / rho,
+but it carries the pair (Theta, G) of the PSD block and the cone projection's
+input: the projection's Moreau split G = Theta - W yields both the PSD block and
+the multiplier's ascent step, so W = Theta - G is derived wherever it is read.
 
 The lift A = [[T(U), z], [z^H, t]] is complex of order MN+1, but T(U) is
 centro-Hermitian, so the fixed unitary Q of :mod:`.operators` makes Q^H T(U) Q
@@ -20,11 +21,14 @@ t >= w^H (Q^H T Q)^+ w, and the right side is the sum of the two real quadratic
 forms in Re w and Im w.  The objective's lam t / 2 becomes lam tr S / 2, so the
 program on L has the same optimum, and each sweep projects a real symmetric
 matrix: a real ``eigh``, about a third of the cost of the complex one of order
-MN+1.  The sweep never forms Q: :func:`.operators.block_toeplitz` gathers the real
-block Re(Q^H T(U) Q) straight from U's floats, :func:`.operators.adjoint_normalized`
-bins the real block back into U, and the border goes through Q's two vector maps.
-A sweep forms Theta + W once, and takes both residual norms from the storage of the
-old iterates, allocating nothing for them.
+MN+1.  The sweep never forms Q: :func:`.operators.block_toeplitz` gathers the
+whole real lift, its block Re(Q^H T(U) Q) straight from U's floats,
+:func:`.operators.adjoint_normalized` bins the block back into U straight from the
+lift's storage, and the border goes through Q's coefficient pairs
+(:func:`.operators.frame_pairs`), combined once per solve with the z-update's and
+the border's scalars.  A sweep forms Theta + W = 2 Theta - G in the buffer that then
+takes the lift and the relaxed input (three in-place passes), and takes both
+residual norms in the storage of the old iterates, allocating nothing for them.
 
 The sweep runs on the congruent lift D L D, with D = diag(a I_MN, b I_2) for
 a = ``TOEPLITZ_SCALE`` and b = ``CORNER_SCALE``.  D L D is PSD exactly when L
@@ -33,8 +37,8 @@ The Frobenius penalty of D L D puts the base penalty rho as rho a^4 on the
 Toeplitz block, rho a^2 b^2 on the border and rho b^4 on the corner (a diagonal
 metric choice: Giselsson & Boyd, *Linear convergence and metric selection for
 Douglas-Rachford splitting and ADMM*, IEEE TAC 2017), and the dual vector is
-read as nu = -2 rho a b Q (W[:MN, MN] + i W[:MN, MN+1]).  With a and b chosen
-for the real lift on held-out seeds of the benchmark's dual-8 and dual-16
+read as nu = -2 rho a b Q (W[:MN, MN] + i W[:MN, MN+1]) for W = Theta - G.  With a
+and b chosen for the real lift on held-out seeds of the benchmark's dual-8 and dual-16
 workloads, a solve stops in 9% and 14% fewer sweeps than on the complex lift at
 its own constants (a, b) = (0.8, 1.75), at a 31% and 18% lower median
 optimality violation.  The sweep is over-relaxed by ``RELAXATION`` (section
@@ -54,8 +58,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, check_whole_number
 from .extract import dual_atomic_norm
-from .operators import (adjoint_normalized, block_toeplitz, complex_frame_vector, psd_project,
-                        real_frame_vector, soft_threshold)
+from .operators import _shrink, adjoint_normalized, block_toeplitz, frame_pairs, psd_project
 from .scene import Measurement
 
 # Over-relaxation alpha of the sweep (see solve).
@@ -113,8 +116,8 @@ class Solution:
 
     ``z_hat`` is the denoised signal and ``e_hat`` the sparse error estimate;
     ``nu_hat`` is the dual vector read from the multiplier's border,
-    -2 rho a b Q (W[:MN, MN] + i W[:MN, MN+1]).  ``U`` (the (2M-1) x (2N-1)
-    Toeplitz parameter) and the scalar ``t`` = tr S, the trace of the real lift's
+    -2 rho a b Q (W[:MN, MN] + i W[:MN, MN+1]) for W = Theta - G.  ``U`` (the
+    (2M-1) x (2N-1) Toeplitz parameter) and the scalar ``t`` = tr S, the trace of the real lift's
     2 x 2 corner, are the lift's values at the last sweep.  All four are those of
     the program [[T(U), z], [z^H, t]], not of the real lift D L D the sweep runs on.
     """
@@ -139,31 +142,33 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
 
     All variables start at zero.  The sweep runs on the congruent real lift
     D L D of order MN+2 (see the module docstring), D = diag(a I_MN, b I_2) for
-    a, b = ``TOEPLITZ_SCALE``, ``CORNER_SCALE``; Theta and W are real symmetric
-    and live in its space.  With P = Theta + W and p = P[:MN, MN] + i P[:MN, MN+1],
+    a, b = ``TOEPLITZ_SCALE``, ``CORNER_SCALE``; its state is the pair (Theta, G) of
+    real symmetric matrices in that space, and the scaled multiplier W = Upsilon / rho
+    is Theta - G.  With P = Theta + W = 2 Theta - G and p = P[:MN, MN] + i P[:MN, MN+1],
     each sweep updates, in order and always with the latest values, each block
     minimizing the augmented Lagrangian with penalty rho ||D L D - P||^2 / 2 (P is
-    formed once per sweep, in the storage that then takes the relaxed lift): the
-    signal z = (conj(s) (r - e) + 2 rho a b Q p) / (|s|^2 + 2 rho a^2 b^2) (an
-    elementwise divide, the symbol lift being diagonal); the corner
-    S = P[MN:, MN:] / b^2 - lam / (2 rho b^4) I_2; the Toeplitz parameter
-    U = ``adjoint_normalized``(P[:MN, :MN]) / a^2 less lam / (2 MN rho a^4) at the
+    formed once per sweep, in the storage that then takes the lift): the signal
+    z = (conj(s) (r - e) + 2 rho a b Q p) / (|s|^2 + 2 rho a^2 b^2) (elementwise, the
+    symbol lift being diagonal, with Q's coefficient pair scaled by the divide once per
+    solve); the corner S = P[MN:, MN:] / b^2 - lam / (2 rho b^4) I_2; the Toeplitz
+    parameter U = ``adjoint_normalized``(P) / a^2 less lam / (2 MN rho a^4) at the
     centre (the normalized adjoint of the complex lift at Q P[:MN, :MN] Q^H, exactly
     Hermitian-consistent); the error ``e`` (soft threshold of the data residual,
-    skipped when ``mu == 0``); then the PSD block ``Theta`` and the scaled multiplier
-    ``W = Upsilon / rho`` together.  With the over-relaxed lift A_hat = alpha D L D +
-    (1 - alpha) Theta_prev for alpha = ``RELAXATION`` (Boyd et al. 2011, section 3.4.3)
-    and G = A_hat - W, the Moreau split G = P+(G) - P-(G) of one cone projection gives
-    Theta = P+(G) and the ascent step W + Theta - A_hat = Theta - G.  D L D is built from
-    ``block_toeplitz``(a^2 U) = a^2 Re(Q^H T(U) Q), a b [Re w, Im w] for w = Q^H z, and
-    b^2 S, and A_hat elementwise, all with real scalars, so G is an exactly symmetric
-    float64 array.
-    The primal residual is ||Theta - A_hat||, the change in W; the dual residual is
-    rho ||Theta - Theta_prev||.  At a fixed point Theta = A_hat, so Theta = D L D
-    and the fixed points are those of the plain sweep (alpha = 1).  Each difference
-    overwrites the old iterate, which is not read again.  The returned U, t = tr S,
-    z and dual vector are the program's (unscaled); the record is both residual
-    histories, ``converged`` and ``iterations``.
+    skipped when ``mu == 0``); then Theta and G.  With the over-relaxed lift
+    A_hat = alpha D L D + (1 - alpha) Theta_prev for alpha = ``RELAXATION`` (Boyd et
+    al. 2011, section 3.4.3), G = A_hat - W_prev = alpha (D L D - Theta_prev) + G_prev
+    in three in-place passes, and the Moreau split G = P+(G) - P-(G) of one cone
+    projection gives Theta = P+(G) and the ascent step W_prev + Theta - A_hat =
+    Theta - G.  D L D is ``block_toeplitz``(a^2 U) = a^2 Re(Q^H T(U) Q), zero-bordered,
+    with a b [Re w, Im w] for w = Q^H z written on its border and b^2 S in its corner,
+    and A_hat is formed elementwise, all with real scalars, so G is an exactly
+    symmetric float64 array.
+    The primal residual is ||(Theta - G) - (Theta_prev - G_prev)||, the change in W;
+    the dual residual is rho ||Theta - Theta_prev||.  At a fixed point Theta = A_hat,
+    so Theta = D L D and the fixed points are those of the plain sweep (alpha = 1).
+    Each difference overwrites an old iterate, which is not read again.  The returned
+    U, t = tr S, z and dual vector are the program's (unscaled); the record is both
+    residual histories, ``converged`` and ``iterations``.
     """
     M, N = measurement.M, measurement.N
     mn = M * N
@@ -172,16 +177,22 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     lam, mu, rho = config.lam, config.mu, config.rho
     a2, ab, b2 = TOEPLITZ_SCALE ** 2, TOEPLITZ_SCALE * CORNER_SCALE, CORNER_SCALE ** 2
 
-    s_conj = np.conj(s)
+    # z = (conj(s) (r - e) + 2 rho a b Q p) / denom as data - s_weight e + q1 p + q2 p[::-1],
+    # and the border a b Q^H z as h1 z + h2 z[::-1].
+    c1, c2, d1, d2 = frame_pairs(mn)
     denom = np.abs(s) ** 2 + 2.0 * rho * ab * ab
-    sh_r = s_conj * r
+    s_weight = np.conj(s) / denom
+    data = s_weight * r
+    q1, q2 = (2.0 * rho * ab / denom) * c1, (2.0 * rho * ab / denom) * c2
+    h1, h2 = ab * d1, ab * d2
     corner_shift = 0.5 * lam / (rho * b2 * b2) * np.eye(2)
 
     z = np.zeros(mn, dtype=complex)
     e = np.zeros(mn, dtype=complex)
+    mag, shrunk = np.empty(mn), np.empty(mn)
     Theta = np.zeros((mn + 2, mn + 2))
-    W = np.zeros((mn + 2, mn + 2))
-    G = np.empty_like(W)
+    G = np.zeros_like(Theta)
+    L = np.empty_like(Theta)
 
     diag = Diagnostics()
     scale = mn + 1
@@ -191,37 +202,41 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for it in range(1, config.max_iters + 1):
-                # G's storage is free until the lift is built into it below.
-                P = np.add(Theta, W, out=G)
-                p = complex_frame_vector(P[:mn, mn] + 1j * P[:mn, mn + 1])
-                z = (sh_r - s_conj * e + 2.0 * rho * ab * p) / denom
+                # P = Theta + W = 2 Theta - G, in the storage that then takes the lift.
+                P = np.subtract(Theta, G, out=L)
+                P += Theta
+                p = P[:mn, mn] + 1j * P[:mn, mn + 1]
+                z = data - s_weight * e + q1 * p + q2 * p[::-1]
                 S = P[mn:, mn:] / b2 - corner_shift
 
-                U = adjoint_normalized(P[:mn, :mn], M, N) / a2
+                U = adjoint_normalized(P, M, N) / a2
                 U[M - 1, N - 1] -= lam / (2.0 * mn * rho * a2 * a2)
 
                 if mu > 0:
-                    e = soft_threshold(r - s * z, mu)
+                    e = _shrink(r - s * z, mu, mag, shrunk)[0]
 
-                # The relaxed scaled lift alpha D L D + (1 - alpha) Theta, less W, in G.
-                block_toeplitz(a2 * U, M, N, out=G[:mn, :mn])
-                w = real_frame_vector(z)
-                G[:mn, mn] = ab * w.real
-                G[:mn, mn + 1] = ab * w.imag
-                G[mn:, :mn] = G[:mn, mn:].T
-                G[mn:, mn:] = b2 * S
-                G -= Theta
-                G *= RELAXATION
+                # The relaxed input alpha (D L D - Theta) + G into L.
+                block_toeplitz(a2 * U, M, N, out=L)
+                w = h1 * z + h2 * z[::-1]
+                L[:mn, mn] = w.real
+                L[:mn, mn + 1] = w.imag
+                L[mn:, :mn] = L[:mn, mn:].T
+                L[mn:, mn:] = b2 * S
+                L -= Theta
+                L *= RELAXATION
+                L += G
+                Theta_new = psd_project(L)
+
+                # The old Theta and G are not read again: the change in Theta goes into
+                # Theta, and the change in W, (Theta_new - Theta) - (L - G), into G.  No
+                # name is bound to the old G, so the rotation below frees it.
+                np.subtract(Theta_new, Theta, out=Theta)
+                dual = rho * math.sqrt(np.dot(Theta.ravel(), Theta.ravel()))
+                np.subtract(G, L, out=G)
                 G += Theta
-                G -= W
-                Theta_new = psd_project(G)
-                W_new = np.subtract(Theta_new, G, out=G)
-
-                # The old Theta and W are not read again, so each takes its own change.
-                primal = float(np.linalg.norm(np.subtract(W_new, W, out=W)))
-                dual = rho * float(np.linalg.norm(np.subtract(Theta_new, Theta, out=Theta)))
-                # The old multiplier's storage is the next sweep's G.
-                Theta, W, G = Theta_new, W_new, W
+                primal = math.sqrt(np.dot(G.ravel(), G.ravel()))
+                # The old Theta's storage is the next sweep's L.
+                Theta, G, L = Theta_new, L, Theta
 
                 diag.primal_residuals.append(primal)
                 diag.dual_residuals.append(dual)
@@ -240,7 +255,9 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     # through the border scale ab and mapped back by Q) to the data residual
     # mapped through the conjugate symbols, off by a factor of -2; undoing it
     # recovers the dual vector of the program.
-    nu_hat = -2.0 * rho * ab * complex_frame_vector(W[:mn, mn] + 1j * W[:mn, mn + 1])
+    border = Theta[:mn, mn:] - G[:mn, mn:]
+    v = border[:, 0] + 1j * border[:, 1]
+    nu_hat = -2.0 * rho * ab * (c1 * v + c2 * v[::-1])
     t = float(S[0, 0] + S[1, 1])
 
     return Solution(z_hat=z, e_hat=e, nu_hat=nu_hat, U=U, t=t, diagnostics=diag)

@@ -155,6 +155,94 @@ def complex_psd_project(H):
     return X
 
 
+def real_frame_vector(z):
+    """Oracle: Q^H z as two slice updates: (z[p] + z[n-1-p]) / sqrt(2) on the first h
+    entries, i (z[p] - z[n-1-p]) / sqrt(2) on the last h, and z's middle entry for odd n."""
+    n = z.shape[0]
+    h = n // 2
+    w = np.array(z, dtype=complex)
+    w[:h] = (z[:h] + z[::-1][:h]) * math.sqrt(0.5)
+    w[n - h:] = (z[n - h:] - z[::-1][n - h:]) * (1j * math.sqrt(0.5))
+    return w
+
+
+def complex_frame_vector(w):
+    """Oracle: Q w, the inverse of :func:`real_frame_vector`: (w[p] + i w[n-1-p]) / sqrt(2)
+    on the first h entries, (w[n-1-p] - i w[p]) / sqrt(2) on the last h, and w's middle
+    entry for odd n."""
+    n = w.shape[0]
+    h = n // 2
+    z = np.array(w, dtype=complex)
+    z[:h] = (w[:h] + 1j * w[::-1][:h]) * math.sqrt(0.5)
+    z[n - h:] = (w[::-1][n - h:] - 1j * w[n - h:]) * math.sqrt(0.5)
+    return z
+
+
+def theta_w_solve(measurement, config):
+    """Oracle: ``admm.solve`` carrying (Theta, W) instead of (Theta, G).
+
+    The same over-relaxed, scaled sweep on the congruent real lift, with the same
+    operators called through ``admm``'s names, but each sweep forms P = Theta + W,
+    the relaxed input G = alpha D L D + (1 - alpha) Theta - W in four passes and
+    W = Theta_new - G, maps the border through :func:`complex_frame_vector` and
+    :func:`real_frame_vector`, and takes ``np.linalg.norm`` of W - W_prev and
+    Theta - Theta_prev.  Returns an ``admm.Solution``.
+    """
+    M, N = measurement.M, measurement.N
+    mn = M * N
+    s = measurement.s_tilde
+    r = measurement.r_bar
+    lam, mu, rho = config.lam, config.mu, config.rho
+    a2, ab = admm.TOEPLITZ_SCALE ** 2, admm.TOEPLITZ_SCALE * admm.CORNER_SCALE
+    b2 = admm.CORNER_SCALE ** 2
+
+    s_conj = np.conj(s)
+    denom = np.abs(s) ** 2 + 2.0 * rho * ab * ab
+    sh_r = s_conj * r
+    corner_shift = 0.5 * lam / (rho * b2 * b2) * np.eye(2)
+
+    z = np.zeros(mn, dtype=complex)
+    e = np.zeros(mn, dtype=complex)
+    Theta = np.zeros((mn + 2, mn + 2))
+    W = np.zeros((mn + 2, mn + 2))
+    G = np.empty_like(W)
+    diag = admm.Diagnostics()
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for it in range(1, config.max_iters + 1):
+            P = np.add(Theta, W, out=G)
+            p = complex_frame_vector(P[:mn, mn] + 1j * P[:mn, mn + 1])
+            z = (sh_r - s_conj * e + 2.0 * rho * ab * p) / denom
+            S = P[mn:, mn:] / b2 - corner_shift
+            U = admm.adjoint_normalized(P, M, N) / a2
+            U[M - 1, N - 1] -= lam / (2.0 * mn * rho * a2 * a2)
+            if mu > 0:
+                e = soft_threshold(r - s * z, mu)
+            admm.block_toeplitz(a2 * U, M, N, out=G)
+            w = real_frame_vector(z)
+            G[:mn, mn] = ab * w.real
+            G[:mn, mn + 1] = ab * w.imag
+            G[mn:, :mn] = G[:mn, mn:].T
+            G[mn:, mn:] = b2 * S
+            G -= Theta
+            G *= admm.RELAXATION
+            G += Theta
+            G -= W
+            Theta_new = admm.psd_project(G)
+            W_new = np.subtract(Theta_new, G, out=G)
+            primal = float(np.linalg.norm(np.subtract(W_new, W, out=W)))
+            dual = rho * float(np.linalg.norm(np.subtract(Theta_new, Theta, out=Theta)))
+            Theta, W, G = Theta_new, W_new, W
+            diag.primal_residuals.append(primal)
+            diag.dual_residuals.append(dual)
+            if primal < config.tol * (mn + 1) and dual < config.tol * (mn + 1):
+                diag.converged = True
+                break
+    diag.iterations = it
+    nu_hat = -2.0 * rho * ab * complex_frame_vector(W[:mn, mn] + 1j * W[:mn, mn + 1])
+    return admm.Solution(z_hat=z, e_hat=e, nu_hat=nu_hat, U=U, t=float(S[0, 0] + S[1, 1]),
+                         diagnostics=diag)
+
+
 def rolled_local_maxima(values):
     """Oracle: ``extract.wrapped_local_maxima`` as a comparison with the 8 rolled copies."""
     is_max = np.ones_like(values, dtype=bool)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -11,7 +12,8 @@ from ofdmradar import (ConfigError, NumericError, Path, Scene, SolverConfig, adm
 from ofdmradar.admm import atomic_norm_sdp_value
 from ofdmradar.operators import soft_threshold
 from conftest import (complex_adjoint_normalized, complex_block_toeplitz, complex_lift_solve,
-                      dense_q, folded_frame, real_frame, small_config, symmetrize_param)
+                      dense_q, folded_frame, real_frame, small_config, symmetrize_param,
+                      theta_w_solve)
 
 
 def objective_dual(nu, measurement, config):
@@ -360,22 +362,27 @@ class TestRealLift:
     @pytest.mark.parametrize("mu_scale", [1.0, 0.0], ids=["CS-ANL1", "CS-AN"])
     @pytest.mark.parametrize("M, N", [(8, 8), (3, 5)], ids=["8x8", "3x5"])
     def test_oracle_operators_give_the_same_solve(self, monkeypatch, M, N, mu_scale):
-        # The sweep's gather and bincount against the complex operators they replaced:
-        # the real frame of the complex lift T(U), and the fold of the complex adjoint of
-        # folded_frame's half-height input.  Both give the same sweeps, and the same
-        # solution up to rounding.
+        # The sweep's gather and bincount against the complex operators they replaced,
+        # on the whole lift: the real frame of the complex lift T(U), zero-bordered, and
+        # the fold of the complex adjoint of folded_frame's half-height input read from
+        # the lift's block.  Both give the same sweeps, and the same solution up to
+        # rounding.
         cfg, scene, meas = make_instance(M=M, N=N, K=3, seed=19, ber=0.05)
         lam, mu = default_weights(cfg.sigma, M, N)
         c = SolverConfig(lam=lam, mu=mu * mu_scale, max_iters=600)
         got = solve(meas, c)
         mn = M * N
 
+        def oracle_block(U, M, N, out):
+            out[mn:] = out[:mn, mn:] = 0.0
+            real_frame(complex_block_toeplitz(U, M, N), out[:mn, :mn])
+            return out
+
         def oracle_adjoint(P, M, N):
-            Y = folded_frame(P, np.empty((mn - mn // 2, mn), dtype=complex))
+            Y = folded_frame(P[:mn, :mn], np.empty((mn - mn // 2, mn), dtype=complex))
             return symmetrize_param(complex_adjoint_normalized(Y, M, N))
 
-        monkeypatch.setattr(admm, "block_toeplitz", lambda U, M, N, out: real_frame(
-            complex_block_toeplitz(U, M, N), out))
+        monkeypatch.setattr(admm, "block_toeplitz", oracle_block)
         monkeypatch.setattr(admm, "adjoint_normalized", oracle_adjoint)
         want = solve(meas, c)
         mine, theirs = got.diagnostics, want.diagnostics
@@ -386,6 +393,66 @@ class TestRealLift:
                      (mine.dual_residuals, theirs.dual_residuals)):
             g, o = np.asarray(g), np.asarray(o)
             assert np.abs(g - o).max() <= 1e-12 * np.abs(o).max()
+
+
+class TestThetaGState:
+    @pytest.mark.parametrize("mu_scale", [1.0, 0.0], ids=["CS-ANL1", "CS-AN"])
+    @pytest.mark.parametrize("M, N", [(8, 8), (3, 5)], ids=["8x8", "3x5"])
+    def test_same_solve_as_the_theta_w_sweep(self, M, N, mu_scale):
+        # Carrying (Theta, G), with W = Theta - G derived, is the (Theta, W) sweep
+        # rearranged: the same sweeps and stop, and the same solution and residual
+        # histories up to rounding.
+        cfg, scene, meas = make_instance(M=M, N=N, K=3, seed=19, ber=0.05)
+        lam, mu = default_weights(cfg.sigma, M, N)
+        c = SolverConfig(lam=lam, mu=mu * mu_scale, max_iters=600)
+        got, want = solve(meas, c), theta_w_solve(meas, c)
+        mine, theirs = got.diagnostics, want.diagnostics
+        assert mine.iterations == theirs.iterations and mine.converged == theirs.converged
+        for g, o in ((got.z_hat, want.z_hat), (got.e_hat, want.e_hat),
+                     (got.nu_hat, want.nu_hat), (got.U, want.U), (got.t, want.t),
+                     (mine.primal_residuals, theirs.primal_residuals),
+                     (mine.dual_residuals, theirs.dual_residuals)):
+            g, o = np.asarray(g), np.asarray(o)
+            assert np.abs(g - o).max() <= 1e-12 * np.abs(o).max()
+
+    def test_sweep_holds_three_lift_buffers(self, monkeypatch):
+        # Theta, G and the buffer that takes P and the lift are the only arrays of order
+        # MN+2 alive when the cone projection starts: the old G's storage is freed at
+        # each sweep's rotation.  Warm caches first, so the lift table is not counted.
+        cfg, scene, meas = make_instance(M=16, N=16, K=1, seed=18)
+        lam, mu = default_weights(cfg.sigma, 16, 16)
+        solve(meas, SolverConfig(lam=lam, mu=mu, max_iters=1))
+        project, live = admm.psd_project, []
+
+        def measured(G):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return project(G)
+
+        monkeypatch.setattr(admm, "psd_project", measured)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve(meas, SolverConfig(lam=lam, mu=mu, max_iters=6))
+        finally:
+            tracemalloc.stop()
+        assert len(live) == 6
+        assert max(live) - base < 3.5 * 258 * 258 * 8
+
+    def test_infinite_shrink_input_is_a_numeric_error(self, monkeypatch):
+        # The e-update's shrink raises on an infinite entry (inf / inf) under the
+        # sweep's errstate, and the solve reports it as a typed error at that sweep.
+        cfg, scene, meas = make_instance(M=4, N=4, K=1, seed=18, ber=0.05)
+        shrink, calls = admm._shrink, []
+
+        def infinite(v, mu, mag, shrunk):
+            calls.append(len(calls))
+            v[0] = np.inf
+            return shrink(v, mu, mag, shrunk)
+
+        monkeypatch.setattr(admm, "_shrink", infinite)
+        with pytest.raises(NumericError) as err:
+            solve(meas, SolverConfig(lam=0.7, mu=0.17, max_iters=5))
+        assert err.value.iteration == 1 and calls == [0]
 
 
 class TestRelaxation:

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from ofdmradar import (ConfigError, NumericError, adjoint_normalized, block_toeplitz,
                        psd_project, soft_threshold)
-from ofdmradar.operators import _lift_tables, complex_frame_vector, real_frame_vector
+from ofdmradar.operators import _lift_tables, _shrink, frame_pairs
 from conftest import (complex_adjoint_normalized, complex_block_toeplitz, complex_frame,
-                      complex_psd_project, dense_q, folded_frame, gathered_lift, lift_index,
-                      padded_folded_frame, random_consistent_param, real_frame,
-                      symmetrize_param)
+                      complex_frame_vector, complex_psd_project, dense_q, folded_frame,
+                      gathered_lift, lift_index, padded_folded_frame, random_consistent_param,
+                      real_frame, real_frame_vector, symmetrize_param)
 
 # (M, N) pairs for the index-layout oracles: square, and both non-square
 # orientations, which a layout with M and N swapped fails.
@@ -22,7 +22,7 @@ LIFT_SIZES = pytest.mark.parametrize("M, N", [(1, 3), (2, 2), (3, 5), (8, 8), (1
                                      ids=["1x3", "2x2", "3x5", "8x8", "16x16", "16x64"])
 # Even and odd MN for the unitary transform Q: odd MN adds Q's middle row and column.
 FRAME_SIZES = pytest.mark.parametrize("M, N", [(4, 4), (3, 5)], ids=["4x4", "3x5"])
-# (M, N) pairs for the real block's gather and bincount against the complex oracles:
+# (M, N) pairs for the real lift's gather and bincount against the complex oracles:
 # square, odd MN (3x5), and the tests' and the rmse presets' sizes.
 REAL_SIZES = pytest.mark.parametrize("M, N", [(2, 2), (3, 5), (4, 4), (8, 8), (16, 16)],
                                      ids=["2x2", "3x5", "4x4", "8x8", "16x16"])
@@ -48,9 +48,23 @@ def real_symmetric(rng, n):
     return A + A.T
 
 
+def real_lift(U, M, N):
+    """:func:`block_toeplitz` of U into a new real lift of order MN + 2."""
+    return block_toeplitz(U, M, N, np.empty((M * N + 2, M * N + 2)))
+
+
 def real_block(U, M, N):
-    """:func:`block_toeplitz` of U into a new buffer."""
-    return block_toeplitz(U, M, N, np.empty((M * N, M * N)))
+    """The MN x MN block of :func:`real_lift`."""
+    return real_lift(U, M, N)[:M * N, :M * N]
+
+
+def bordered(P):
+    """The real lift of order MN + 2 with the MN x MN ``P`` as its block and zeros on its
+    last two rows and columns."""
+    n = P.shape[0]
+    lift = np.zeros((n + 2, n + 2))
+    lift[:n, :n] = P
+    return lift
 
 
 def mean_over_index_sets(P, M, N):
@@ -71,8 +85,8 @@ def mean_over_index_sets(P, M, N):
 
 class TestBlockToeplitz:
     def test_zero(self):
-        got = block_toeplitz(np.zeros((3, 3), complex), 2, 2, np.full((4, 4), np.nan))
-        assert np.array_equal(got, np.zeros((4, 4)))
+        got = block_toeplitz(np.zeros((3, 3), complex), 2, 2, np.full((6, 6), np.nan))
+        assert np.array_equal(got, np.zeros((6, 6)))
 
     def test_identity_from_center_column(self):
         U = np.zeros((3, 3), complex)
@@ -107,7 +121,7 @@ class TestBlockToeplitz:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
-            block_toeplitz(np.zeros((3, 5), complex), 2, 2, np.empty((4, 4)))
+            block_toeplitz(np.zeros((3, 5), complex), 2, 2, np.empty((6, 6)))
 
     @given(seed=st.integers(0, 2 ** 30), M=st.integers(2, 4), N=st.integers(2, 4))
     @settings(max_examples=30, deadline=None)
@@ -121,18 +135,19 @@ class TestBlockToeplitz:
 class TestRealBlock:
     @REAL_SIZES
     def test_gather_equals_the_real_frame_of_the_complex_lift(self, rng, M, N):
-        # The sweep writes the lift's top-left corner; every entry of it, and nothing
-        # beside it, is written, bit for bit as the complex lift's real frame.
+        # Every entry of the lift is written: its block bit for bit as the complex
+        # lift's real frame, and exact zeros on its last two rows and columns.
         n = M * N
         out = np.full((n + 2, n + 2), np.nan)
         for _ in range(5):
             U = random_consistent_param(rng, M, N)
-            got = block_toeplitz(U, M, N, out[:n, :n])
-            assert np.shares_memory(got, out)
+            got = block_toeplitz(U, M, N, out)
+            assert got is out
             want = real_frame(complex_block_toeplitz(U, M, N), np.empty((n, n)))
-            assert got.dtype == np.float64 and np.array_equal(got, want)
+            assert got.dtype == np.float64 and np.array_equal(got[:n, :n], want)
             assert np.array_equal(got, got.T)
-            assert np.isnan(out[n:]).all() and np.isnan(out[:n, n:]).all()
+            assert not got[n:].any() and not got[:, n:].any()
+            assert not np.signbit(got[n:]).any() and not np.signbit(got[:, n:]).any()
 
     @REAL_SIZES
     def test_gather_is_exactly_symmetric_for_any_parameter(self, rng, M, N):
@@ -147,50 +162,65 @@ class TestRealBlock:
         tol = 1e-15 * max(1.0, math.sqrt(M * N / 64))
         for _ in range(5):
             U = random_consistent_param(rng, M, N)
-            got = adjoint_normalized(real_block(U, M, N), M, N)
+            got = adjoint_normalized(real_lift(U, M, N), M, N)
             assert np.array_equal(got, np.conj(got[::-1, ::-1]))
             assert np.abs(got - U).max() <= tol * np.abs(U).max()
 
     @REAL_SIZES
     def test_adjoint_matches_the_folded_complex_oracle(self, rng, M, N):
-        # The sweep passes the MN x MN corner of its (MN + 2) x (MN + 2) lift, which the
-        # adjoint must not write (odd MN scales a copy's middle row and column).
+        # The sweep passes its whole (MN + 2) x (MN + 2) lift, which the adjoint must
+        # not write (odd MN scales a copy's middle row and column).
         mn = M * N
         for _ in range(5):
-            P = real_symmetric(rng, mn + 2)[:mn, :mn]
+            P = real_symmetric(rng, mn + 2)
             before = P.copy()
             want = symmetrize_param(complex_adjoint_normalized(
-                folded_frame(P, np.empty((mn - mn // 2, mn), complex)), M, N))
+                folded_frame(P[:mn, :mn], np.empty((mn - mn // 2, mn), complex)), M, N))
             assert np.abs(adjoint_normalized(P, M, N) - want).max() <= 1e-15 * np.abs(P).max()
             assert np.array_equal(P, before)
 
     @REAL_SIZES
+    def test_adjoint_ignores_the_lift_border(self, rng, M, N):
+        # The last two rows and columns fall into the discarded bin: overwriting them
+        # with random values leaves U unchanged, bit for bit.
+        mn = M * N
+        for _ in range(5):
+            P = real_symmetric(rng, mn + 2)
+            want = adjoint_normalized(P, M, N)
+            P[mn:], P[:, mn:] = rng.normal(size=(2, mn + 2)), rng.normal(size=(mn + 2, 2))
+            assert np.array_equal(adjoint_normalized(P, M, N), want)
+
+    @REAL_SIZES
     def test_gather_and_bincount_are_adjoint(self, rng, M, N):
         # <block_toeplitz(U), P> = sum over offsets of the count times Re(conj(u) a) for
-        # a = adjoint_normalized(P), on Hermitian-consistent U.
+        # a = adjoint_normalized(P), on Hermitian-consistent U and P zero-bordered.
         counts = np.outer(M - np.abs(np.arange(1 - M, M)), N - np.abs(np.arange(1 - N, N)))
         for _ in range(5):
             U = random_consistent_param(rng, M, N)
-            P = real_symmetric(rng, M * N)
-            lhs = np.sum(real_block(U, M, N) * P)
+            P = bordered(real_symmetric(rng, M * N))
+            lhs = np.sum(real_lift(U, M, N) * P)
             rhs = np.sum(counts * (np.conj(U) * adjoint_normalized(P, M, N)).real)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_wrong_shapes_raise(self):
-        # 2x2: U is 3 x 3 and the block 4 x 4.
-        U, out = np.zeros((3, 3), complex), np.empty((4, 4))
-        for bad_u, bad_out in [(np.zeros((3, 4), complex), out), (np.zeros(9, complex), out),
-                               (U, np.empty((4, 5))), (U, np.empty(16)), (U, np.empty((5, 5)))]:
+        # 2x2: U is 3 x 3 and the lift 6 x 6; the bare 4 x 4 block is a wrong shape.
+        U, out = np.zeros((3, 3), complex), np.empty((6, 6))
+        for bad_u in (np.zeros((3, 4), complex), np.zeros(9, complex)):
             with pytest.raises(ConfigError, match="U must be"):
-                block_toeplitz(bad_u, 2, 2, bad_out)
-        for P in (np.zeros((4, 5)), np.zeros(16), np.zeros((5, 5)), np.zeros((4, 4), complex)):
+                block_toeplitz(bad_u, 2, 2, out)
+        for bad_out in (np.empty((4, 4)), np.empty((6, 7)), np.empty(36), np.empty((5, 5)),
+                        np.empty((6, 6), complex)):
+            with pytest.raises(ConfigError, match="out must be"):
+                block_toeplitz(U, 2, 2, bad_out)
+        for P in (np.zeros((4, 4)), np.zeros((6, 7)), np.zeros(36), np.zeros((5, 5)),
+                  np.zeros((6, 6), complex)):
             with pytest.raises(ConfigError, match="P must be"):
                 adjoint_normalized(P, 2, 2)
 
 
 class TestAdjoint:
     def test_identity_input(self):
-        U = adjoint_normalized(np.eye(6), 2, 3)
+        U = adjoint_normalized(np.eye(8), 2, 3)
         want = np.zeros((3, 5), complex)
         want[1, 2] = 1.0
         assert np.allclose(U, want)
@@ -198,7 +228,7 @@ class TestAdjoint:
     def test_left_inverse(self, rng):
         for M, N in [(2, 2), (3, 3), (2, 4), (4, 3)]:
             U = random_consistent_param(rng, M, N)
-            U2 = adjoint_normalized(real_block(U, M, N), M, N)
+            U2 = adjoint_normalized(real_lift(U, M, N), M, N)
             assert np.abs(U2 - U).max() < 1e-12
 
     def test_arbitrary_matrix_against_enumeration(self, rng):
@@ -226,11 +256,15 @@ class TestAdjoint:
         # Entry (p, q) of the real block sums a float of lift entry (p, q) or of its
         # conjugate partner (q, p), and one of lift entry (p, n-1-q); real parts on the
         # diagonal blocks and imaginary ones off them, the second negated outside the
-        # top-left block, and each float's count is its offset's in the lift.
+        # top-left block, and each float's count is its offset's in the lift.  The real
+        # lift's last two rows and columns point at the zero slot 4d in both terms.
         n, h, d = M * N, M * N // 2, (2 * M - 1) * (2 * N - 1)
         j = lift_index(M, N)
-        table, counts = _lift_tables(M, N)
-        assert table.shape == (2, n, n) and np.array_equal(table, table.transpose(0, 2, 1))
+        whole, counts = _lift_tables(M, N)
+        assert whole.shape == (2, n + 2, n + 2)
+        assert np.array_equal(whole, whole.transpose(0, 2, 1))
+        assert (whole[:, n:] == 4 * d).all() and (whole[:, :, n:] == 4 * d).all()
+        table = whole[:, :n, :n]
         assert table.min() >= 0 and table.max() < 4 * d
         first, second = table % (2 * d) // 2
         assert np.all((first == j) | (first == j.T))
@@ -244,19 +278,21 @@ class TestAdjoint:
 
     def test_cached_tables_are_read_only(self):
         for M, N in SIZES:
-            adjoint_normalized(np.eye(M * N), M, N)
+            adjoint_normalized(np.eye(M * N + 2), M, N)
             for table in _lift_tables(M, N):
                 assert not table.flags.writeable
                 with pytest.raises(ValueError):
                     table.flat[0] = 0
 
     def test_dimension_mismatch(self):
-        # P is the real MN x MN block and nothing else: too few or too many rows, too
-        # narrow, too wide or 1-D.
-        for shape, M, N in [((4, 5), 2, 2), ((0, 6), 2, 3), ((7, 6), 2, 3), ((3, 5), 2, 3),
-                            ((6, 7), 2, 3), ((36,), 2, 3)]:
+        # P is the real lift of order MN + 2 and nothing else: the bare MN x MN block,
+        # too few or too many rows, too narrow, too wide, 1-D or complex.
+        for shape, M, N in [((6, 6), 2, 3), ((4, 5), 2, 2), ((0, 8), 2, 3), ((9, 8), 2, 3),
+                            ((8, 7), 2, 3), ((8, 9), 2, 3), ((64,), 2, 3)]:
             with pytest.raises(ConfigError, match="P must be"):
-                adjoint_normalized(np.zeros(shape, complex), M, N)
+                adjoint_normalized(np.zeros(shape), M, N)
+        with pytest.raises(ConfigError, match="P must be"):
+            adjoint_normalized(np.zeros((8, 8), complex), 2, 3)
 
     @pytest.mark.parametrize("M, N", [(2, 2), (3, 5), (8, 8), (16, 16)],
                              ids=["2x2", "3x5", "8x8", "16x16"])
@@ -286,25 +322,35 @@ class TestUnitaryFrame:
         Q = dense_q(n)
         U = random_consistent_param(rng, M, N)
         T = complex_block_toeplitz(U, M, N)
-        # The sweep writes the lift's top-left corner; every entry of it, and nothing
-        # beside it, is written.
+        # The sweep's whole lift: the block, and zeros on its last two rows and columns.
         out = np.full((n + 2, n + 2), np.nan)
-        got = block_toeplitz(U, M, N, out[:n, :n])
-        assert np.shares_memory(got, out)
-        assert np.abs(got - (Q.conj().T @ T @ Q).real).max() <= 1e-14 * np.abs(T).max()
-        assert np.isnan(out[n:]).all() and np.isnan(out[:n, n:]).all()
+        got = block_toeplitz(U, M, N, out)
+        assert got is out
+        assert np.abs(got[:n, :n] - (Q.conj().T @ T @ Q).real).max() <= 1e-14 * np.abs(T).max()
+        assert not got[n:].any() and not got[:, n:].any()
         P = real_symmetric(rng, n)
         X = complex_frame(P)
         assert np.abs(X - Q @ P @ Q.conj().T).max() <= 1e-14 * np.abs(P).max()
 
     @FRAME_SIZES
     def test_vector_transforms_match_dense_q(self, rng, M, N):
+        # The coefficient pairs are Q and Q^H, diag(c1) + diag(c2) J for the exchange J,
+        # and apply them as the slice-update oracles do.
         n = M * N
         Q = dense_q(n)
+        c1, c2, d1, d2 = frame_pairs(n)
+        J = np.eye(n)[::-1]
+        assert np.abs(np.diag(c1) + np.diag(c2) @ J - Q).max() <= 2e-16
+        assert np.abs(np.diag(d1) + np.diag(d2) @ J - Q.conj().T).max() <= 2e-16
+        assert all(not c.flags.writeable for c in frame_pairs(n))
         z = rng.normal(size=n) + 1j * rng.normal(size=n)
-        assert np.abs(real_frame_vector(z) - Q.conj().T @ z).max() <= 4e-15
-        assert np.abs(complex_frame_vector(z) - Q @ z).max() <= 4e-15
-        assert np.abs(complex_frame_vector(real_frame_vector(z)) - z).max() <= 8e-15
+        to_real, to_complex = d1 * z + d2 * z[::-1], c1 * z + c2 * z[::-1]
+        assert np.abs(to_real - Q.conj().T @ z).max() <= 4e-15
+        assert np.abs(to_complex - Q @ z).max() <= 4e-15
+        assert np.abs(to_real - real_frame_vector(z)).max() <= 4e-15
+        assert np.abs(to_complex - complex_frame_vector(z)).max() <= 4e-15
+        w = d1 * to_complex + d2 * to_complex[::-1]
+        assert np.abs(w - z).max() <= 8e-15
 
     @FRAME_SIZES
     def test_outputs_are_exactly_symmetric(self, rng, M, N):
@@ -558,6 +604,20 @@ class TestSoftThreshold:
         with np.errstate(all="raise"):
             got = soft_threshold(v, 0.5)
         assert np.isnan(got[:3]).all() and got[3] == 1.5
+
+    def test_buffered_shrink_raises_only_on_infinite_input(self, rng):
+        # The ADMM sweep's e-update: finite input raises nothing under the sweep's
+        # errstate, and an infinite entry (inf / inf) raises FloatingPointError.
+        v = rng.normal(size=8) + 1j * rng.normal(size=8)
+        v[0] = 0.0
+        mag, shrunk = np.empty(8), np.empty(8)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            want = soft_threshold(v, 0.5)
+            assert np.array_equal(_shrink(v.copy(), 0.5, mag, shrunk)[0], want)
+            for bad in (np.inf, complex(1.0, -np.inf)):
+                v[3] = bad
+                with pytest.raises(FloatingPointError):
+                    _shrink(v.copy(), 0.5, mag, shrunk)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ConfigError):
