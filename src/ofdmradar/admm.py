@@ -22,13 +22,8 @@ forms in Re w and Im w.  The objective's lam t / 2 becomes lam tr S / 2, so the
 program on L has the same optimum, and each sweep projects a real symmetric
 matrix: a real ``eigh``, about a third of the cost of the complex one of order
 MN+1.  The sweep never forms Q: :func:`.operators.block_toeplitz` gathers the
-whole real lift, its block Re(Q^H T(U) Q) straight from U's floats,
-:func:`.operators.adjoint_normalized` bins the block back into U straight from the
-lift's storage, and the border goes through Q's coefficient pairs
-(:func:`.operators.frame_pairs`), combined once per solve with the z-update's and
-the border's scalars.  A sweep forms Theta + W = 2 Theta - G in the buffer that then
-takes the lift and the relaxed input (three in-place passes), and takes both
-residual norms in the storage of the old iterates, allocating nothing for them.
+whole real lift from U, z and S, and :func:`.operators.adjoint_normalized` bins a
+whole lift back.
 
 The sweep runs on the congruent lift D L D, with D = diag(a I_MN, b I_2) for
 a = ``TOEPLITZ_SCALE`` and b = ``CORNER_SCALE``.  D L D is PSD exactly when L
@@ -36,16 +31,14 @@ is, so the program and its optimum are unchanged; only the ADMM metric changes.
 The Frobenius penalty of D L D puts the base penalty rho as rho a^4 on the
 Toeplitz block, rho a^2 b^2 on the border and rho b^4 on the corner (a diagonal
 metric choice: Giselsson & Boyd, *Linear convergence and metric selection for
-Douglas-Rachford splitting and ADMM*, IEEE TAC 2017), and the dual vector is
-read as nu = -2 rho a b Q (W[:MN, MN] + i W[:MN, MN+1]) for W = Theta - G.  With a
-and b chosen for the real lift on held-out seeds of the benchmark's dual-8 and dual-16
+Douglas-Rachford splitting and ADMM*, IEEE TAC 2017).  With a and b chosen
+for the real lift on held-out seeds of the benchmark's dual-8 and dual-16
 workloads, a solve stops in 9% and 14% fewer sweeps than on the complex lift at
 its own constants (a, b) = (0.8, 1.75), at a 31% and 18% lower median
 optimality violation.  The sweep is over-relaxed by ``RELAXATION`` (section
 3.4.3, as in CS-L1's solver), with the same fixed points as the plain sweep;
 against the plain sweep it reaches the stop test in about 20% fewer sweeps, at
-a lower optimality violation.  A solve records its residual histories,
-``converged`` and ``iterations``; the objective is computed on demand by
+a lower optimality violation.  The objective is computed on demand by
 :func:`objective_primal`.
 """
 
@@ -56,14 +49,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import operators
 from .errors import ConfigError, NumericError, check_whole_number
 from .extract import dual_atomic_norm
-from .operators import _shrink, adjoint_normalized, block_toeplitz, frame_pairs, psd_project
+from .operators import _shrink, adjoint_normalized, block_toeplitz, psd_project
 from .scene import Measurement
 
 # Over-relaxation alpha of the sweep (see solve).
 RELAXATION = 1.8
-# The sweep runs on the congruent lift D L D, D = diag(a I_MN, b I_2) (see solve):
+# The sweep runs on the congruent lift D L D, D = diag(a I_MN, b I_2) (see the module docstring):
 # a = TOEPLITZ_SCALE on the Toeplitz rows and columns, b = CORNER_SCALE on the last two.
 TOEPLITZ_SCALE = 0.7
 CORNER_SCALE = 1.75
@@ -77,8 +71,8 @@ class SolverConfig:
 
     ``lam`` weights the atomic-norm surrogate, ``mu`` the l1 error penalty
     (zero selects the error-free mode), ``rho`` is the base augmented-Lagrangian
-    penalty: the sweep's congruent real lift D L D weights it by a^4, a^2 b^2 and
-    b^4 on the lift's Toeplitz block, border and corner (see :func:`solve`).
+    penalty, which the sweep's congruent real lift D L D weights per block (see the
+    module docstring).
     Iterations stop when both residuals of the over-relaxed sweep on D L D,
     ||Theta - A_hat|| and rho ||Theta - Theta_prev||, drop below
     ``tol * (MN + 1)``, or at ``max_iters`` (default ``MAX_ITERS``).
@@ -115,10 +109,10 @@ class Solution:
     """Final iterates of one solve and the recovered dual vector.
 
     ``z_hat`` is the denoised signal and ``e_hat`` the sparse error estimate;
-    ``nu_hat`` is the dual vector read from the multiplier's border,
-    -2 rho a b Q (W[:MN, MN] + i W[:MN, MN+1]) for W = Theta - G.  ``U`` (the
-    (2M-1) x (2N-1) Toeplitz parameter) and the scalar ``t`` = tr S, the trace of the real lift's
-    2 x 2 corner, are the lift's values at the last sweep.  All four are those of
+    ``nu_hat`` is the dual vector read from the multiplier's border (see
+    :func:`solve`).  ``U`` (the (2M-1) x (2N-1) Toeplitz parameter) and the scalar
+    ``t`` = tr S, the trace of the real lift's 2 x 2 corner, are the lift's values at
+    the last sweep.  All four are those of
     the program [[T(U), z], [z^H, t]], not of the real lift D L D the sweep runs on.
     """
 
@@ -140,35 +134,31 @@ def default_weights(sigma: float, M: int, N: int) -> tuple[float, float]:
 def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     """Run the ADMM iteration to convergence or ``max_iters``.
 
-    All variables start at zero.  The sweep runs on the congruent real lift
-    D L D of order MN+2 (see the module docstring), D = diag(a I_MN, b I_2) for
-    a, b = ``TOEPLITZ_SCALE``, ``CORNER_SCALE``; its state is the pair (Theta, G) of
-    real symmetric matrices in that space, and the scaled multiplier W = Upsilon / rho
-    is Theta - G.  With P = Theta + W = 2 Theta - G and p = P[:MN, MN] + i P[:MN, MN+1],
-    each sweep updates, in order and always with the latest values, each block
-    minimizing the augmented Lagrangian with penalty rho ||D L D - P||^2 / 2 (P is
-    formed once per sweep, in the storage that then takes the lift): the signal
-    z = (conj(s) (r - e) + 2 rho a b Q p) / (|s|^2 + 2 rho a^2 b^2) (elementwise, the
-    symbol lift being diagonal, with Q's coefficient pair scaled by the divide once per
-    solve); the corner S = P[MN:, MN:] / b^2 - lam / (2 rho b^4) I_2; the Toeplitz
-    parameter U = ``adjoint_normalized``(P) / a^2 less lam / (2 MN rho a^4) at the
-    centre (the normalized adjoint of the complex lift at Q P[:MN, :MN] Q^H, exactly
-    Hermitian-consistent); the error ``e`` (soft threshold of the data residual,
-    skipped when ``mu == 0``); then Theta and G.  With the over-relaxed lift
-    A_hat = alpha D L D + (1 - alpha) Theta_prev for alpha = ``RELAXATION`` (Boyd et
-    al. 2011, section 3.4.3), G = A_hat - W_prev = alpha (D L D - Theta_prev) + G_prev
-    in three in-place passes, and the Moreau split G = P+(G) - P-(G) of one cone
-    projection gives Theta = P+(G) and the ascent step W_prev + Theta - A_hat =
-    Theta - G.  D L D is ``block_toeplitz``(a^2 U) = a^2 Re(Q^H T(U) Q), zero-bordered,
-    with a b [Re w, Im w] for w = Q^H z written on its border and b^2 S in its corner,
-    and A_hat is formed elementwise, all with real scalars, so G is an exactly
-    symmetric float64 array.
-    The primal residual is ||(Theta - G) - (Theta_prev - G_prev)||, the change in W;
-    the dual residual is rho ||Theta - Theta_prev||.  At a fixed point Theta = A_hat,
-    so Theta = D L D and the fixed points are those of the plain sweep (alpha = 1).
-    Each difference overwrites an old iterate, which is not read again.  The returned
-    U, t = tr S, z and dual vector are the program's (unscaled); the record is both
-    residual histories, ``converged`` and ``iterations``.
+    All variables start at zero, and the state (Theta, G) and the congruence D are the
+    module docstring's.  Each sweep forms P = Theta + W = 2 Theta - G in the storage that
+    then takes the lift, bins it once, (U_P, q, C) = ``adjoint_normalized``(P) with
+    q = 2 Q p for P's border column p, and updates, in order and always with the latest
+    values, each block minimizing the augmented Lagrangian with penalty
+    rho ||D L D - P||^2 / 2: the signal z = (conj(s) (r - e) + rho a b q) /
+    (|s|^2 + 2 rho a^2 b^2) (elementwise, the symbol lift being diagonal); the corner
+    S = C / b^2 - lam / (2 rho b^4) I_2; the Toeplitz parameter U = U_P / a^2 less
+    lam / (2 MN rho a^4) at the centre (the normalized adjoint of the complex lift at
+    Q P[:MN, :MN] Q^H, exactly Hermitian-consistent); the error ``e`` (soft threshold
+    of the data residual, skipped when ``mu == 0``); then Theta and G.  D L D is the one
+    gather ``block_toeplitz``(a^2 U, a b z, b^2 S).  With the over-relaxed lift
+    A_hat = alpha D L D + (1 - alpha) Theta_prev for alpha = ``RELAXATION``,
+    G = A_hat - W_prev = alpha (D L D - Theta_prev) + G_prev in three in-place passes
+    with real scalars, so G is an exactly symmetric float64 array, and the Moreau split
+    G = P+(G) - P-(G) of one cone projection gives Theta = P+(G) and the ascent step
+    W_prev + Theta - A_hat = Theta - G.  The primal residual is
+    ||(Theta - G) - (Theta_prev - G_prev)||, the change in W; the dual residual is
+    rho ||Theta - Theta_prev||; each difference overwrites an old iterate, which is not
+    read again.  At a fixed point Theta = A_hat, so Theta = D L D and the fixed points
+    are those of the plain sweep (alpha = 1).  The returned U, t = tr S, z and dual
+    vector are the program's (unscaled); the dual vector is nu = -rho a b q for the q of
+    W, which the stationarity condition for z ties to the data residual mapped through
+    the conjugate symbols.  The record is both residual histories, ``converged`` and
+    ``iterations``.
     """
     M, N = measurement.M, measurement.N
     mn = M * N
@@ -177,14 +167,11 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
     lam, mu, rho = config.lam, config.mu, config.rho
     a2, ab, b2 = TOEPLITZ_SCALE ** 2, TOEPLITZ_SCALE * CORNER_SCALE, CORNER_SCALE ** 2
 
-    # z = (conj(s) (r - e) + 2 rho a b Q p) / denom as data - s_weight e + q1 p + q2 p[::-1],
-    # and the border a b Q^H z as h1 z + h2 z[::-1].
-    c1, c2, d1, d2 = frame_pairs(mn)
+    # z = (conj(s) (r - e) + rho a b q) / denom, with the divides done once per solve.
     denom = np.abs(s) ** 2 + 2.0 * rho * ab * ab
     s_weight = np.conj(s) / denom
     data = s_weight * r
-    q1, q2 = (2.0 * rho * ab / denom) * c1, (2.0 * rho * ab / denom) * c2
-    h1, h2 = ab * d1, ab * d2
+    q_weight = rho * ab / denom
     corner_shift = 0.5 * lam / (rho * b2 * b2) * np.eye(2)
 
     z = np.zeros(mn, dtype=complex)
@@ -205,23 +192,17 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
                 # P = Theta + W = 2 Theta - G, in the storage that then takes the lift.
                 P = np.subtract(Theta, G, out=L)
                 P += Theta
-                p = P[:mn, mn] + 1j * P[:mn, mn + 1]
-                z = data - s_weight * e + q1 * p + q2 * p[::-1]
-                S = P[mn:, mn:] / b2 - corner_shift
-
-                U = adjoint_normalized(P, M, N) / a2
+                U, q, C = adjoint_normalized(P, M, N)
+                z = data - s_weight * e + q_weight * q
+                S = C / b2 - corner_shift
+                U /= a2
                 U[M - 1, N - 1] -= lam / (2.0 * mn * rho * a2 * a2)
 
                 if mu > 0:
                     e = _shrink(r - s * z, mu, mag, shrunk)[0]
 
                 # The relaxed input alpha (D L D - Theta) + G into L.
-                block_toeplitz(a2 * U, M, N, out=L)
-                w = h1 * z + h2 * z[::-1]
-                L[:mn, mn] = w.real
-                L[:mn, mn + 1] = w.imag
-                L[mn:, :mn] = L[:mn, mn:].T
-                L[mn:, mn:] = b2 * S
+                block_toeplitz(a2 * U, ab * z, b2 * S, M, N, out=L)
                 L -= Theta
                 L *= RELAXATION
                 L += G
@@ -250,14 +231,8 @@ def solve(measurement: Measurement, config: SolverConfig) -> Solution:
         raise NumericError(f"non-finite iterate at iteration {it}", iteration=it) from exc
 
     diag.iterations = it
-
-    # The stationarity condition for z ties the multiplier's border (rho W, seen
-    # through the border scale ab and mapped back by Q) to the data residual
-    # mapped through the conjugate symbols, off by a factor of -2; undoing it
-    # recovers the dual vector of the program.
-    border = Theta[:mn, mn:] - G[:mn, mn:]
-    v = border[:, 0] + 1j * border[:, 1]
-    nu_hat = -2.0 * rho * ab * (c1 * v + c2 * v[::-1])
+    # Read through the operators module, so a sweep's traced operators see sweeps only.
+    nu_hat = -rho * ab * operators.adjoint_normalized(np.subtract(Theta, G, out=L), M, N)[1]
     t = float(S[0, 0] + S[1, 1])
 
     return Solution(z_hat=z, e_hat=e, nu_hat=nu_hat, U=U, t=t, diagnostics=diag)

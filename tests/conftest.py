@@ -178,11 +178,168 @@ def complex_frame_vector(w):
     return z
 
 
+@lru_cache(maxsize=8)
+def block_only_tables(M, N):
+    """Oracle: the gather table of the real lift's block alone (read-only), with the
+    last two rows and columns and odd MN's sqrt(1/2) weights left out.
+
+    ``table[:, p, q]`` holds the two indices into [f, -f, 0], f the 2d floats of ``U``,
+    d = (2M-1)(2N-1), whose sum is entry (p, q) of Re(Q^H T(U) Q) before odd MN's
+    middle scaling, for p, q < MN; the last two rows and columns point at the zero slot
+    4d in both terms.  ``counts`` is (N-|l|)(M-|k|) for both floats of u_l(k).
+    """
+    n, h, d = M * N, M * N // 2, (2 * M - 1) * (2 * N - 1)
+    blocks, within = np.divmod(np.arange(n), M)
+    j = ((np.subtract.outer(within, within) + M - 1) * (2 * N - 1)
+         + np.subtract.outer(blocks, blocks) + N - 1)
+    direct, rev = 2 * np.maximum(j, j.T), 2 * j[:, ::-1]
+    t, b = slice(None, n - h), slice(n - h, n)
+    table = np.full((2, n + 2, n + 2), 4 * d, dtype=np.intp)
+    table[:, t, t] = direct[t, t], rev[t, t]
+    table[:, b, b] = direct[b, b], rev[b, b] + 2 * d
+    table[:, t, b] = 2 * j[t, b] + 1, rev[t, b] + 1 + 2 * d
+    table[:, b, t] = table[:, t, b].transpose(0, 2, 1)
+    counts = np.outer(M - np.abs(np.arange(1 - M, M)), N - np.abs(np.arange(1 - N, N)))
+    counts = np.repeat(counts.ravel(), 2).astype(float)
+    table.flags.writeable = False
+    counts.flags.writeable = False
+    return table, counts
+
+
+def scale_middle(X, h):
+    """Scale row and column ``h`` of X by sqrt(1/2) in place (entry (h, h) twice)."""
+    X[h] *= math.sqrt(0.5)
+    X[:, h] *= math.sqrt(0.5)
+
+
+def block_only_toeplitz(U, M, N, out):
+    """Oracle: Re(Q^H T(U) Q) on the block of the real lift ``out`` of order MN + 2 and
+    zero on its last two rows and columns, gathered through :func:`block_only_tables`
+    from [f, -f, 0], with odd MN's middle row and column then scaled by sqrt(1/2)."""
+    n = M * N
+    table, _ = block_only_tables(M, N)
+    floats = np.ascontiguousarray(U, dtype=complex).view(float).ravel()
+    first, second = np.concatenate([floats, -floats, [0.0]])[table]
+    np.add(first, second, out=out)
+    if n % 2:
+        scale_middle(out, n // 2)
+    return out
+
+
+def block_only_adjoint(P, M, N):
+    """Oracle: the folded normalized adjoint of :func:`block_only_toeplitz` on the block
+    of the real lift ``P``: P (a copy with odd MN's middle row and column scaled by
+    sqrt(1/2)) binned through :func:`block_only_tables`, read as f = S[:2d] - S[2d:4d],
+    divided by the offset counts and folded.  The last two rows and columns are not
+    read."""
+    n = M * N
+    table, counts = block_only_tables(M, N)
+    weights = P
+    if n % 2:
+        weights = np.array(P, dtype=float)
+        scale_middle(weights, n // 2)
+    weights, size = weights.ravel(), 2 * counts.size
+    sums = np.bincount(table[0].ravel(), weights, size + 1)
+    sums += np.bincount(table[1].ravel(), weights, size + 1)
+    A = ((sums[:counts.size] - sums[counts.size:size]) / counts).view(complex)
+    return symmetrize_param(A.reshape(2 * M - 1, 2 * N - 1))
+
+
+@lru_cache(maxsize=8)
+def frame_pairs(n):
+    """Oracle: Q's two vector maps of order n as coefficient pairs (all four read-only):
+    Q x = c1 x + c2 x[::-1] and Q^H z = d1 z + d2 z[::-1], elementwise.
+
+    With h = n // 2, (c1, c2) is (1, i) / sqrt(2) on the first h entries, (-i, 1) /
+    sqrt(2) on the last h and (1, 0) on odd n's middle entry; Q = diag(c1) + diag(c2) J
+    for the exchange matrix J, so Q^H's pair is d1 = conj(c1), d2 = conj(c2)[::-1].
+    """
+    h, root_half = n // 2, math.sqrt(0.5)
+    c1, c2 = np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
+    c1[:h], c2[:h] = root_half, 1j * root_half
+    c1[n - h:], c2[n - h:] = -1j * root_half, root_half
+    pairs = c1, c2, np.conj(c1), np.conj(c2)[::-1].copy()
+    for c in pairs:
+        c.flags.writeable = False
+    return pairs
+
+
+def coefficient_pair_solve(measurement, config):
+    """Oracle: ``admm.solve`` with the real lift's block gathered and binned by
+    :func:`block_only_toeplitz` and :func:`block_only_adjoint`, and its border, the
+    border's mirror and the corner written by hand: z-update and border through Q's
+    coefficient pairs (:func:`frame_pairs`), combined once per solve with the z-update's
+    and the border's scalars, and nu read back through the pairs.  Returns an
+    ``admm.Solution``.
+    """
+    M, N = measurement.M, measurement.N
+    mn = M * N
+    s = measurement.s_tilde
+    r = measurement.r_bar
+    lam, mu, rho = config.lam, config.mu, config.rho
+    a2, ab = admm.TOEPLITZ_SCALE ** 2, admm.TOEPLITZ_SCALE * admm.CORNER_SCALE
+    b2 = admm.CORNER_SCALE ** 2
+
+    c1, c2, d1, d2 = frame_pairs(mn)
+    denom = np.abs(s) ** 2 + 2.0 * rho * ab * ab
+    s_weight = np.conj(s) / denom
+    data = s_weight * r
+    q1, q2 = (2.0 * rho * ab / denom) * c1, (2.0 * rho * ab / denom) * c2
+    h1, h2 = ab * d1, ab * d2
+    corner_shift = 0.5 * lam / (rho * b2 * b2) * np.eye(2)
+
+    z = np.zeros(mn, dtype=complex)
+    e = np.zeros(mn, dtype=complex)
+    Theta = np.zeros((mn + 2, mn + 2))
+    G = np.zeros_like(Theta)
+    L = np.empty_like(Theta)
+    diag = admm.Diagnostics()
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for it in range(1, config.max_iters + 1):
+            P = np.subtract(Theta, G, out=L)
+            P += Theta
+            p = P[:mn, mn] + 1j * P[:mn, mn + 1]
+            z = data - s_weight * e + q1 * p + q2 * p[::-1]
+            S = P[mn:, mn:] / b2 - corner_shift
+            U = block_only_adjoint(P, M, N) / a2
+            U[M - 1, N - 1] -= lam / (2.0 * mn * rho * a2 * a2)
+            if mu > 0:
+                e = soft_threshold(r - s * z, mu)
+            block_only_toeplitz(a2 * U, M, N, out=L)
+            w = h1 * z + h2 * z[::-1]
+            L[:mn, mn] = w.real
+            L[:mn, mn + 1] = w.imag
+            L[mn:, :mn] = L[:mn, mn:].T
+            L[mn:, mn:] = b2 * S
+            L -= Theta
+            L *= admm.RELAXATION
+            L += G
+            Theta_new = admm.psd_project(L)
+            np.subtract(Theta_new, Theta, out=Theta)
+            dual = rho * math.sqrt(np.dot(Theta.ravel(), Theta.ravel()))
+            np.subtract(G, L, out=G)
+            G += Theta
+            primal = math.sqrt(np.dot(G.ravel(), G.ravel()))
+            Theta, G, L = Theta_new, L, Theta
+            diag.primal_residuals.append(primal)
+            diag.dual_residuals.append(dual)
+            if primal < config.tol * (mn + 1) and dual < config.tol * (mn + 1):
+                diag.converged = True
+                break
+    diag.iterations = it
+    border = Theta[:mn, mn:] - G[:mn, mn:]
+    v = border[:, 0] + 1j * border[:, 1]
+    nu_hat = -2.0 * rho * ab * (c1 * v + c2 * v[::-1])
+    return admm.Solution(z_hat=z, e_hat=e, nu_hat=nu_hat, U=U, t=float(S[0, 0] + S[1, 1]),
+                         diagnostics=diag)
+
+
 def theta_w_solve(measurement, config):
     """Oracle: ``admm.solve`` carrying (Theta, W) instead of (Theta, G).
 
-    The same over-relaxed, scaled sweep on the congruent real lift, with the same
-    operators called through ``admm``'s names, but each sweep forms P = Theta + W,
+    The same over-relaxed, scaled sweep on the congruent real lift, with the block
+    gathered and binned by :func:`block_only_toeplitz` and :func:`block_only_adjoint`,
+    but each sweep forms P = Theta + W,
     the relaxed input G = alpha D L D + (1 - alpha) Theta - W in four passes and
     W = Theta_new - G, maps the border through :func:`complex_frame_vector` and
     :func:`real_frame_vector`, and takes ``np.linalg.norm`` of W - W_prev and
@@ -213,11 +370,11 @@ def theta_w_solve(measurement, config):
             p = complex_frame_vector(P[:mn, mn] + 1j * P[:mn, mn + 1])
             z = (sh_r - s_conj * e + 2.0 * rho * ab * p) / denom
             S = P[mn:, mn:] / b2 - corner_shift
-            U = admm.adjoint_normalized(P, M, N) / a2
+            U = block_only_adjoint(P, M, N) / a2
             U[M - 1, N - 1] -= lam / (2.0 * mn * rho * a2 * a2)
             if mu > 0:
                 e = soft_threshold(r - s * z, mu)
-            admm.block_toeplitz(a2 * U, M, N, out=G)
+            block_only_toeplitz(a2 * U, M, N, out=G)
             w = real_frame_vector(z)
             G[:mn, mn] = ab * w.real
             G[:mn, mn + 1] = ab * w.imag

@@ -11,8 +11,9 @@ from ofdmradar import (ConfigError, NumericError, Path, Scene, SolverConfig, adm
                        optimality_residuals, qpsk, simulate, solve, synthesize_clean)
 from ofdmradar.admm import atomic_norm_sdp_value
 from ofdmradar.operators import soft_threshold
-from conftest import (complex_adjoint_normalized, complex_block_toeplitz, complex_lift_solve,
-                      dense_q, folded_frame, real_frame, small_config, symmetrize_param,
+from conftest import (coefficient_pair_solve, complex_adjoint_normalized, complex_block_toeplitz,
+                      complex_frame_vector, complex_lift_solve, dense_q, folded_frame,
+                      real_frame, real_frame_vector, small_config, symmetrize_param,
                       theta_w_solve)
 
 
@@ -363,24 +364,29 @@ class TestRealLift:
     @pytest.mark.parametrize("M, N", [(8, 8), (3, 5)], ids=["8x8", "3x5"])
     def test_oracle_operators_give_the_same_solve(self, monkeypatch, M, N, mu_scale):
         # The sweep's gather and bincount against the complex operators they replaced,
-        # on the whole lift: the real frame of the complex lift T(U), zero-bordered, and
-        # the fold of the complex adjoint of folded_frame's half-height input read from
-        # the lift's block.  Both give the same sweeps, and the same solution up to
-        # rounding.
+        # on the whole lift: the real frame of the complex lift T(U), bordered by Q^H z
+        # through the slice-update oracle and cornered by S, and the fold of the complex
+        # adjoint of folded_frame's half-height input read from the lift's block, 2 Q p
+        # through the slice-update oracle and the corner.  Both give the same sweeps, and
+        # the same solution up to rounding.
         cfg, scene, meas = make_instance(M=M, N=N, K=3, seed=19, ber=0.05)
         lam, mu = default_weights(cfg.sigma, M, N)
         c = SolverConfig(lam=lam, mu=mu * mu_scale, max_iters=600)
         got = solve(meas, c)
         mn = M * N
 
-        def oracle_block(U, M, N, out):
-            out[mn:] = out[:mn, mn:] = 0.0
+        def oracle_block(U, z, S, M, N, out):
             real_frame(complex_block_toeplitz(U, M, N), out[:mn, :mn])
+            w = real_frame_vector(z)
+            out[:mn, mn], out[:mn, mn + 1] = w.real, w.imag
+            out[mn:, :mn] = out[:mn, mn:].T
+            out[mn:, mn:] = S
             return out
 
         def oracle_adjoint(P, M, N):
             Y = folded_frame(P[:mn, :mn], np.empty((mn - mn // 2, mn), dtype=complex))
-            return symmetrize_param(complex_adjoint_normalized(Y, M, N))
+            q = 2.0 * complex_frame_vector(P[:mn, mn] + 1j * P[:mn, mn + 1])
+            return symmetrize_param(complex_adjoint_normalized(Y, M, N)), q, P[mn:, mn:].copy()
 
         monkeypatch.setattr(admm, "block_toeplitz", oracle_block)
         monkeypatch.setattr(admm, "adjoint_normalized", oracle_adjoint)
@@ -406,6 +412,27 @@ class TestThetaGState:
         lam, mu = default_weights(cfg.sigma, M, N)
         c = SolverConfig(lam=lam, mu=mu * mu_scale, max_iters=600)
         got, want = solve(meas, c), theta_w_solve(meas, c)
+        mine, theirs = got.diagnostics, want.diagnostics
+        assert mine.iterations == theirs.iterations and mine.converged == theirs.converged
+        for g, o in ((got.z_hat, want.z_hat), (got.e_hat, want.e_hat),
+                     (got.nu_hat, want.nu_hat), (got.U, want.U), (got.t, want.t),
+                     (mine.primal_residuals, theirs.primal_residuals),
+                     (mine.dual_residuals, theirs.dual_residuals)):
+            g, o = np.asarray(g), np.asarray(o)
+            assert np.abs(g - o).max() <= 1e-12 * np.abs(o).max()
+
+    @pytest.mark.parametrize("mu_scale", [1.0, 0.0], ids=["CS-ANL1", "CS-AN"])
+    @pytest.mark.parametrize("M, N", [(8, 8), (3, 5)], ids=["8x8", "3x5"])
+    def test_same_solve_as_the_coefficient_pair_sweep(self, M, N, mu_scale):
+        # One gather and one bincount of the whole lift are the block-only operators with
+        # the border, its mirror and the corner written by hand through Q's coefficient
+        # pairs: the same sweeps and stop, and the same solution and residual histories
+        # up to rounding.  The optimality violation is not compared: it is a difference
+        # of near-equal terms that rounding moves by about 1e-12 relative.
+        cfg, scene, meas = make_instance(M=M, N=N, K=3, seed=19, ber=0.05)
+        lam, mu = default_weights(cfg.sigma, M, N)
+        c = SolverConfig(lam=lam, mu=mu * mu_scale, max_iters=600)
+        got, want = solve(meas, c), coefficient_pair_solve(meas, c)
         mine, theirs = got.diagnostics, want.diagnostics
         assert mine.iterations == theirs.iterations and mine.converged == theirs.converged
         for g, o in ((got.z_hat, want.z_hat), (got.e_hat, want.e_hat),

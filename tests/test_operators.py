@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from ofdmradar import (ConfigError, NumericError, adjoint_normalized, block_toeplitz,
                        psd_project, soft_threshold)
-from ofdmradar.operators import _lift_tables, _shrink, frame_pairs
-from conftest import (complex_adjoint_normalized, complex_block_toeplitz, complex_frame,
-                      complex_frame_vector, complex_psd_project, dense_q, folded_frame,
-                      gathered_lift, lift_index, padded_folded_frame, random_consistent_param,
-                      real_frame, real_frame_vector, symmetrize_param)
+from ofdmradar.operators import _lift_tables, _shrink
+from conftest import (block_only_toeplitz, complex_adjoint_normalized,
+                      complex_block_toeplitz, complex_frame, complex_frame_vector,
+                      complex_psd_project, dense_q, folded_frame, frame_pairs, gathered_lift,
+                      lift_index, padded_folded_frame, random_consistent_param, real_frame,
+                      real_frame_vector, symmetrize_param)
 
 # (M, N) pairs for the index-layout oracles: square, and both non-square
 # orientations, which a layout with M and N swapped fails.
@@ -26,6 +27,11 @@ FRAME_SIZES = pytest.mark.parametrize("M, N", [(4, 4), (3, 5)], ids=["4x4", "3x5
 # square, odd MN (3x5), and the tests' and the rmse presets' sizes.
 REAL_SIZES = pytest.mark.parametrize("M, N", [(2, 2), (3, 5), (4, 4), (8, 8), (16, 16)],
                                      ids=["2x2", "3x5", "4x4", "8x8", "16x16"])
+# (M, N) pairs for the whole lift's contracts: the strided lift's sizes, and 5x7, a
+# second odd MN.
+CONTRACT_SIZES = pytest.mark.parametrize(
+    "M, N", [(1, 3), (2, 2), (3, 5), (5, 7), (8, 8), (16, 16), (16, 64)],
+    ids=["1x3", "2x2", "3x5", "5x7", "8x8", "16x16", "16x64"])
 
 
 def hermitian_with_spectrum(rng, w):
@@ -48,9 +54,35 @@ def real_symmetric(rng, n):
     return A + A.T
 
 
-def real_lift(U, M, N):
-    """:func:`block_toeplitz` of U into a new real lift of order MN + 2."""
-    return block_toeplitz(U, M, N, np.empty((M * N + 2, M * N + 2)))
+def real_lift(U, M, N, z=None, S=None):
+    """:func:`block_toeplitz` of U, z and S (zero unless given) into a new real lift of
+    order MN + 2."""
+    n = M * N
+    z = np.zeros(n, dtype=complex) if z is None else z
+    S = np.zeros((2, 2)) if S is None else S
+    return block_toeplitz(U, z, S, M, N, np.empty((n + 2, n + 2)))
+
+
+def random_lift_inputs(rng, M, N):
+    """A random Hermitian-consistent U, a random complex z and a random symmetric S."""
+    n = M * N
+    S = rng.normal(size=(2, 2))
+    return (random_consistent_param(rng, M, N), rng.normal(size=n) + 1j * rng.normal(size=n),
+            S + S.T)
+
+
+def dense_lift(U, z, S, M, N):
+    """Oracle: [[Re(Q^H T(U) Q), B], [B^T, S]] with B = [Re w, Im w] for w = Q^H z, built
+    with the dense Q of :func:`dense_q`."""
+    n = M * N
+    Q = dense_q(n)
+    w = Q.conj().T @ z
+    lift = np.empty((n + 2, n + 2))
+    lift[:n, :n] = (Q.conj().T @ complex_block_toeplitz(U, M, N) @ Q).real
+    lift[:n, n], lift[:n, n + 1] = w.real, w.imag
+    lift[n:, :n] = lift[:n, n:].T
+    lift[n:, n:] = S
+    return lift
 
 
 def real_block(U, M, N):
@@ -85,7 +117,8 @@ def mean_over_index_sets(P, M, N):
 
 class TestBlockToeplitz:
     def test_zero(self):
-        got = block_toeplitz(np.zeros((3, 3), complex), 2, 2, np.full((6, 6), np.nan))
+        got = block_toeplitz(np.zeros((3, 3), complex), np.zeros(4, complex), np.zeros((2, 2)),
+                             2, 2, np.full((6, 6), np.nan))
         assert np.array_equal(got, np.zeros((6, 6)))
 
     def test_identity_from_center_column(self):
@@ -121,7 +154,8 @@ class TestBlockToeplitz:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
-            block_toeplitz(np.zeros((3, 5), complex), 2, 2, np.empty((6, 6)))
+            block_toeplitz(np.zeros((3, 5), complex), np.zeros(4), np.zeros((2, 2)), 2, 2,
+                           np.empty((6, 6)))
 
     @given(seed=st.integers(0, 2 ** 30), M=st.integers(2, 4), N=st.integers(2, 4))
     @settings(max_examples=30, deadline=None)
@@ -135,24 +169,29 @@ class TestBlockToeplitz:
 class TestRealBlock:
     @REAL_SIZES
     def test_gather_equals_the_real_frame_of_the_complex_lift(self, rng, M, N):
-        # Every entry of the lift is written: its block bit for bit as the complex
-        # lift's real frame, and exact zeros on its last two rows and columns.
+        # Every entry of the lift is written: its block as the complex lift's real frame
+        # (bit for bit at even MN, where no sqrt(1/2) weight enters), its border as the
+        # real and imaginary parts of Q^H z, and its corner as S, bit for bit.
         n = M * N
         out = np.full((n + 2, n + 2), np.nan)
         for _ in range(5):
-            U = random_consistent_param(rng, M, N)
-            got = block_toeplitz(U, M, N, out)
-            assert got is out
+            U, z, S = random_lift_inputs(rng, M, N)
+            got = block_toeplitz(U, z, S, M, N, out)
+            assert got is out and got.dtype == np.float64
             want = real_frame(complex_block_toeplitz(U, M, N), np.empty((n, n)))
-            assert got.dtype == np.float64 and np.array_equal(got[:n, :n], want)
-            assert np.array_equal(got, got.T)
-            assert not got[n:].any() and not got[:, n:].any()
-            assert not np.signbit(got[n:]).any() and not np.signbit(got[:, n:]).any()
+            if n % 2 == 0:
+                assert np.array_equal(got[:n, :n], want)
+            assert np.abs(got[:n, :n] - want).max() <= 1e-15 * np.abs(want).max()
+            w = real_frame_vector(z)
+            assert np.abs(got[:n, n] + 1j * got[:n, n + 1] - w).max() <= 1e-15 * np.abs(w).max()
+            assert np.array_equal(got[n:, n:], S) and np.array_equal(got, got.T)
 
     @REAL_SIZES
     def test_gather_is_exactly_symmetric_for_any_parameter(self, rng, M, N):
-        shape = (2 * M - 1, 2 * N - 1)
-        R = real_block(rng.normal(size=shape) + 1j * rng.normal(size=shape), M, N)
+        n, shape = M * N, (2 * M - 1, 2 * N - 1)
+        S = rng.normal(size=(2, 2))
+        R = real_lift(rng.normal(size=shape) + 1j * rng.normal(size=shape), M, N,
+                      rng.normal(size=n) + 1j * rng.normal(size=n), S + S.T)
         assert np.array_equal(R, R.T)
 
     @REAL_SIZES
@@ -161,74 +200,146 @@ class TestRealBlock:
         # of the largest offset count, MN: 1e-15 up to 8x8, twice that at 16x16.
         tol = 1e-15 * max(1.0, math.sqrt(M * N / 64))
         for _ in range(5):
-            U = random_consistent_param(rng, M, N)
-            got = adjoint_normalized(real_lift(U, M, N), M, N)
+            U, z, S = random_lift_inputs(rng, M, N)
+            got = adjoint_normalized(real_lift(U, M, N, z, S), M, N)[0]
             assert np.array_equal(got, np.conj(got[::-1, ::-1]))
             assert np.abs(got - U).max() <= tol * np.abs(U).max()
 
     @REAL_SIZES
     def test_adjoint_matches_the_folded_complex_oracle(self, rng, M, N):
         # The sweep passes its whole (MN + 2) x (MN + 2) lift, which the adjoint must
-        # not write (odd MN scales a copy's middle row and column).
+        # not write: U as the fold of the complex adjoint of folded_frame's input, q as
+        # 2 Q p through the slice-update oracle, and C as P's corner, bit for bit.
         mn = M * N
         for _ in range(5):
             P = real_symmetric(rng, mn + 2)
             before = P.copy()
             want = symmetrize_param(complex_adjoint_normalized(
                 folded_frame(P[:mn, :mn], np.empty((mn - mn // 2, mn), complex)), M, N))
-            assert np.abs(adjoint_normalized(P, M, N) - want).max() <= 1e-15 * np.abs(P).max()
+            U, q, C = adjoint_normalized(P, M, N)
+            assert np.abs(U - want).max() <= 1e-15 * np.abs(P).max()
+            q_want = 2.0 * complex_frame_vector(P[:mn, mn] + 1j * P[:mn, mn + 1])
+            assert np.abs(q - q_want).max() <= 1e-15 * np.abs(q_want).max()
+            assert np.array_equal(C, P[mn:, mn:])
             assert np.array_equal(P, before)
 
     @REAL_SIZES
     def test_adjoint_ignores_the_lift_border(self, rng, M, N):
-        # The last two rows and columns fall into the discarded bin: overwriting them
-        # with random values leaves U unchanged, bit for bit.
+        # The border and the corner bin apart from U's floats: overwriting them with
+        # random values leaves U unchanged, bit for bit.
         mn = M * N
         for _ in range(5):
             P = real_symmetric(rng, mn + 2)
-            want = adjoint_normalized(P, M, N)
+            want = adjoint_normalized(P, M, N)[0]
             P[mn:], P[:, mn:] = rng.normal(size=(2, mn + 2)), rng.normal(size=(mn + 2, 2))
-            assert np.array_equal(adjoint_normalized(P, M, N), want)
+            assert np.array_equal(adjoint_normalized(P, M, N)[0], want)
 
     @REAL_SIZES
     def test_gather_and_bincount_are_adjoint(self, rng, M, N):
-        # <block_toeplitz(U), P> = sum over offsets of the count times Re(conj(u) a) for
-        # a = adjoint_normalized(P), on Hermitian-consistent U and P zero-bordered.
+        # <block_toeplitz(U, z, S), P> = sum over offsets of the count times
+        # Re(conj(u) a) for a = U of adjoint_normalized(P), plus Re<z, q> and <S, C>,
+        # on Hermitian-consistent U and symmetric P.
         counts = np.outer(M - np.abs(np.arange(1 - M, M)), N - np.abs(np.arange(1 - N, N)))
         for _ in range(5):
-            U = random_consistent_param(rng, M, N)
-            P = bordered(real_symmetric(rng, M * N))
-            lhs = np.sum(real_lift(U, M, N) * P)
-            rhs = np.sum(counts * (np.conj(U) * adjoint_normalized(P, M, N)).real)
+            U, z, S = random_lift_inputs(rng, M, N)
+            P = real_symmetric(rng, M * N + 2)
+            A, q, C = adjoint_normalized(P, M, N)
+            lhs = np.sum(real_lift(U, M, N, z, S) * P)
+            rhs = (np.sum(counts * (np.conj(U) * A).real) + np.vdot(z, q).real
+                   + np.sum(S * C))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_wrong_shapes_raise(self):
-        # 2x2: U is 3 x 3 and the lift 6 x 6; the bare 4 x 4 block is a wrong shape.
-        U, out = np.zeros((3, 3), complex), np.empty((6, 6))
+        # 2x2: U is 3 x 3, z has 4 entries, S is real 2 x 2 and the lift 6 x 6; the bare
+        # 4 x 4 block is a wrong shape, and so is a complex lift.
+        U, z, S, out = np.zeros((3, 3), complex), np.zeros(4, complex), np.zeros((2, 2)), \
+            np.empty((6, 6))
         for bad_u in (np.zeros((3, 4), complex), np.zeros(9, complex)):
             with pytest.raises(ConfigError, match="U must be"):
-                block_toeplitz(bad_u, 2, 2, out)
+                block_toeplitz(bad_u, z, S, 2, 2, out)
+        for bad_z in (np.zeros(5, complex), np.zeros((4, 1), complex), np.zeros((2, 2))):
+            with pytest.raises(ConfigError, match="z must be"):
+                block_toeplitz(U, bad_z, S, 2, 2, out)
+        for bad_s in (np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2), complex)):
+            with pytest.raises(ConfigError, match="S must be"):
+                block_toeplitz(U, z, bad_s, 2, 2, out)
         for bad_out in (np.empty((4, 4)), np.empty((6, 7)), np.empty(36), np.empty((5, 5)),
                         np.empty((6, 6), complex)):
             with pytest.raises(ConfigError, match="out must be"):
-                block_toeplitz(U, 2, 2, bad_out)
+                block_toeplitz(U, z, S, 2, 2, bad_out)
         for P in (np.zeros((4, 4)), np.zeros((6, 7)), np.zeros(36), np.zeros((5, 5)),
                   np.zeros((6, 6), complex)):
             with pytest.raises(ConfigError, match="P must be"):
                 adjoint_normalized(P, 2, 2)
 
 
+class TestWholeLift:
+    @CONTRACT_SIZES
+    def test_gather_writes_every_entry_of_the_dense_lift(self, rng, M, N):
+        # A NaN-filled out comes back finite, equal to the dense lift built with Q and
+        # exactly symmetric.
+        n = M * N
+        U, z, S = random_lift_inputs(rng, M, N)
+        got = block_toeplitz(U, z, S, M, N, np.full((n + 2, n + 2), np.nan))
+        assert np.isfinite(got).all() and np.array_equal(got, got.T)
+        want = dense_lift(U, z, S, M, N)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @CONTRACT_SIZES
+    def test_even_block_is_bit_identical_to_the_block_only_gather(self, rng, M, N):
+        # Even MN reads no sqrt(1/2) copy of U, so its block is the block-only gather's
+        # bit for bit; odd MN's middle row and column agree to rounding.
+        n = M * N
+        U, z, S = random_lift_inputs(rng, M, N)
+        got = real_lift(U, M, N, z, S)[:n, :n]
+        want = block_only_toeplitz(U, M, N, np.empty((n + 2, n + 2)))[:n, :n]
+        if n % 2 == 0:
+            assert np.array_equal(got, want)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    @CONTRACT_SIZES
+    def test_adjoint_is_the_gathers_adjoint(self, rng, M, N):
+        # <block_toeplitz(U, z, S), P> = <(U, z, S), adjoint(P)> with U weighted by its
+        # offset counts, q = 2 Q p for P's border column p, and C is P's corner.
+        n = M * N
+        counts = np.outer(M - np.abs(np.arange(1 - M, M)), N - np.abs(np.arange(1 - N, N)))
+        U, z, S = random_lift_inputs(rng, M, N)
+        P = real_symmetric(rng, n + 2)
+        A, q, C = adjoint_normalized(P, M, N)
+        lhs = np.sum(real_lift(U, M, N, z, S) * P)
+        rhs = np.sum(counts * (np.conj(U) * A).real) + np.vdot(z, q).real + np.sum(S * C)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+        q_want = 2.0 * dense_q(n) @ (P[:n, n] + 1j * P[:n, n + 1])
+        assert np.abs(q - q_want).max() <= 1e-14 * np.abs(q_want).max()
+        assert np.array_equal(C, P[n:, n:])
+
+    @CONTRACT_SIZES
+    def test_wrong_inputs_raise(self, M, N):
+        n = M * N
+        U, z, S = np.zeros((2 * M - 1, 2 * N - 1)), np.zeros(n), np.zeros((2, 2))
+        out = np.empty((n + 2, n + 2))
+        for args, match in [((U[:-1], z, S, out), "U must be"), ((U, z[:-1], S, out), "z must be"),
+                            ((U, z, S[:1], out), "S must be"), ((U, z, S, out[:-1]), "out must be"),
+                            ((U, z, S, out.astype(complex)), "out must be")]:
+            with pytest.raises(ConfigError, match=match):
+                block_toeplitz(*args[:3], M, N, args[3])
+        for P in (out[:-1, :-1], out[:n, :n], out.astype(complex)):
+            with pytest.raises(ConfigError, match="P must be"):
+                adjoint_normalized(P, M, N)
+
+
 class TestAdjoint:
     def test_identity_input(self):
-        U = adjoint_normalized(np.eye(8), 2, 3)
+        U, q, C = adjoint_normalized(np.eye(8), 2, 3)
         want = np.zeros((3, 5), complex)
         want[1, 2] = 1.0
         assert np.allclose(U, want)
+        assert np.array_equal(q, np.zeros(6)) and np.array_equal(C, np.eye(2))
 
     def test_left_inverse(self, rng):
         for M, N in [(2, 2), (3, 3), (2, 4), (4, 3)]:
             U = random_consistent_param(rng, M, N)
-            U2 = adjoint_normalized(real_lift(U, M, N), M, N)
+            U2 = adjoint_normalized(real_lift(U, M, N), M, N)[0]
             assert np.abs(U2 - U).max() < 1e-12
 
     def test_arbitrary_matrix_against_enumeration(self, rng):
@@ -253,18 +364,24 @@ class TestAdjoint:
 
     @LIFT_SIZES
     def test_tables_bin_the_floats_of_the_gathered_lift(self, M, N):
-        # Entry (p, q) of the real block sums a float of lift entry (p, q) or of its
-        # conjugate partner (q, p), and one of lift entry (p, n-1-q); real parts on the
-        # diagonal blocks and imaginary ones off them, the second negated outside the
-        # top-left block, and each float's count is its offset's in the lift.  The real
-        # lift's last two rows and columns point at the zero slot 4d in both terms.
+        # Block entry (p, q) sums a float of lift entry (p, q) or of its conjugate partner
+        # (q, p), and one of lift entry (p, n-1-q); real parts on the diagonal blocks and
+        # imaginary ones off them, the second negated outside the top-left block, and
+        # each float's count is its offset's in the lift.  Odd n's middle row and column
+        # read the sqrt(1/2) copies 4d further, and its centre reads one float.  The
+        # border reads the copies of z's floats from 8d on, and the corner S's four
+        # floats, each once; the zero slot is 8d + 6n + 4.
         n, h, d = M * N, M * N // 2, (2 * M - 1) * (2 * N - 1)
+        zero = 8 * d + 6 * n + 4
         j = lift_index(M, N)
         whole, counts = _lift_tables(M, N)
         assert whole.shape == (2, n + 2, n + 2)
-        assert np.array_equal(whole, whole.transpose(0, 2, 1))
-        assert (whole[:, n:] == 4 * d).all() and (whole[:, :, n:] == 4 * d).all()
-        table = whole[:, :n, :n]
+        outside_corner = whole.copy()
+        outside_corner[:, n:, n:] = 0
+        assert np.array_equal(outside_corner, outside_corner.transpose(0, 2, 1))
+        mid = np.arange(n) == np.arange(n)[::-1]
+        table = whole[:, :n, :n] - 4 * d * (mid[:, None] ^ mid)
+        table[1, mid[:, None] & mid] = table[0, mid[:, None] & mid]
         assert table.min() >= 0 and table.max() < 4 * d
         first, second = table % (2 * d) // 2
         assert np.all((first == j) | (first == j.T))
@@ -274,6 +391,11 @@ class TestAdjoint:
         assert np.array_equal(table % 2, np.stack([~same_side, ~same_side]))
         assert not (table[0] >= 2 * d).any()
         assert np.array_equal(table[1] >= 2 * d, ~(top[:, None] & top[None, :]))
+        border = whole[:, :n, n:]
+        assert (border[0] >= 8 * d).all() and (border[0] < 8 * d + 6 * n).all()
+        assert np.array_equal(border[1] == zero, np.stack([mid, mid], axis=1))
+        assert np.array_equal(whole[0, n:, n:], zero - 4 + np.arange(4).reshape(2, 2))
+        assert (whole[1, n:, n:] == zero).all()
         assert np.array_equal(counts, np.repeat(np.bincount(j.ravel(), minlength=d), 2))
 
     def test_cached_tables_are_read_only(self):
@@ -322,9 +444,9 @@ class TestUnitaryFrame:
         Q = dense_q(n)
         U = random_consistent_param(rng, M, N)
         T = complex_block_toeplitz(U, M, N)
-        # The sweep's whole lift: the block, and zeros on its last two rows and columns.
+        # The sweep's whole lift at z = 0 and S = 0: the block, and zeros beside it.
         out = np.full((n + 2, n + 2), np.nan)
-        got = block_toeplitz(U, M, N, out)
+        got = block_toeplitz(U, np.zeros(n), np.zeros((2, 2)), M, N, out)
         assert got is out
         assert np.abs(got[:n, :n] - (Q.conj().T @ T @ Q).real).max() <= 1e-14 * np.abs(T).max()
         assert not got[n:].any() and not got[:, n:].any()
@@ -334,8 +456,9 @@ class TestUnitaryFrame:
 
     @FRAME_SIZES
     def test_vector_transforms_match_dense_q(self, rng, M, N):
-        # The coefficient pairs are Q and Q^H, diag(c1) + diag(c2) J for the exchange J,
-        # and apply them as the slice-update oracles do.
+        # The oracles' coefficient pairs are Q and Q^H, diag(c1) + diag(c2) J for the
+        # exchange J, and apply them as the slice-update oracles and the whole lift's
+        # border and adjoint do.
         n = M * N
         Q = dense_q(n)
         c1, c2, d1, d2 = frame_pairs(n)
@@ -351,6 +474,10 @@ class TestUnitaryFrame:
         assert np.abs(to_complex - complex_frame_vector(z)).max() <= 4e-15
         w = d1 * to_complex + d2 * to_complex[::-1]
         assert np.abs(w - z).max() <= 8e-15
+        lift = real_lift(np.zeros((2 * M - 1, 2 * N - 1)), M, N, z)
+        assert np.abs(lift[:n, n] + 1j * lift[:n, n + 1] - to_real).max() <= 4e-15
+        assert np.abs(adjoint_normalized(lift, M, N)[1] - 2.0 * (c1 * to_real + c2 * to_real[::-1])
+                      ).max() <= 8e-15
 
     @FRAME_SIZES
     def test_outputs_are_exactly_symmetric(self, rng, M, N):
