@@ -1,7 +1,8 @@
 """The receiver table and dispatch, scenario builders, gating, and the RMSE benchmark.
 
-``receiver_settings`` and ``run_receiver`` are the one dispatch of the CLI's ``solve``
-and of the benchmark, whose trials simulate a random scene, estimate paths, match
+``run_receiver`` is the one dispatch of the CLI's ``solve`` and of the benchmark: it
+builds a receiver's default settings, applies the overrides that ``OVERRIDES`` allows
+it, and runs it.  The benchmark's trials simulate a random scene, estimate paths, match
 them to the true targets inside per-axis gates, and sum errors over matched pairs.
 """
 
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,6 +22,10 @@ from .scene import (C_LIGHT, Measurement, Path, RadarConfig, Scene,
 # Short receiver names of ``solve --algo`` and ``bench --algos``, in benchmark order.
 ALGO_KEYS = {"anl1": "CS-ANL1", "an": "CS-AN", "csl1": "CS-L1", "music": "2D-MUSIC"}
 ALGORITHMS = tuple(ALGO_KEYS.values())
+# The settings fields a caller of run_receiver may override, by receiver.  The dual
+# receivers, CS-ANL1 and CS-AN, are the ADMM solves: the ones that read a sweep cap.
+OVERRIDES = {"CS-ANL1": ("lam", "mu", "rho", "max_iters"), "CS-AN": ("lam", "rho", "max_iters"),
+             "CS-L1": (), "2D-MUSIC": ("K_signal",)}
 # Estimated paths at or below this speed are taken as clutter, not targets.
 CLUTTER_EXCLUSION_MPS = 3.0
 # Grid oversampling of the gridded baselines: MUSIC scans at the CS-L1
@@ -176,36 +181,39 @@ def gate_identification(estimate: extract.Estimate, truth: list[Path],
     return matched
 
 
-def receiver_settings(name: str, measurement: Measurement, config: RadarConfig, n_paths,
-                      max_iters: int, grid_factor: int):
-    """Default settings of receiver ``name``: ``max_iters`` caps the ADMM sweeps (the CLI
-    and the benchmark pass ``admm.MAX_ITERS`` unless told otherwise), and MUSIC runs at
-    order ``n_paths`` (``"auto"`` estimates it) on a ``grid_factor`` oversampled grid.
+def run_receiver(name: str, measurement: Measurement, config: RadarConfig, n_paths="auto",
+                 max_iters: int = admm.MAX_ITERS, grid_factor: int = extract.GRID_FACTOR,
+                 **overrides):
+    """(settings, Estimate, Solution or None, seconds per stage) of receiver ``name`` at its
+    default settings with ``overrides``, fields that ``OVERRIDES`` lists for it, applied.
+
+    ``max_iters`` caps the dual receivers' ADMM sweeps, and MUSIC runs at order ``n_paths``
+    (``"auto"`` estimates it) on a ``grid_factor`` oversampled grid.  The defaults are ``solve``'s.
     """
+    if name not in OVERRIDES:
+        raise ConfigError(f"unknown algorithm {name!r} (choose from {ALGORITHMS})")
     M, N = measurement.M, measurement.N
-    if name in ("CS-ANL1", "CS-AN"):
-        lam, mu = admm.default_weights(config.sigma, M, N)
-        return admm.SolverConfig(lam=lam, mu=mu if name == "CS-ANL1" else 0.0, max_iters=max_iters)
-    if name == "CS-L1":
-        return baselines.default_csl1_config(M, N, config.sigma)
-    if name == "2D-MUSIC":
-        return baselines.default_music_config(M, N, K_signal=n_paths, grid_factor=grid_factor)
-    raise ConfigError(f"unknown algorithm {name!r} (choose from {ALGORITHMS})")
-
-
-def run_receiver(measurement: Measurement, settings):
-    """(Estimate, Solution or None, seconds per stage) of the receiver ``settings`` select."""
     # Receivers are read from their modules per call, so a rebinding (a tracer's) is seen.
+    receiver = None
+    if name == "CS-L1":
+        settings = baselines.default_csl1_config(M, N, config.sigma)
+        receiver = baselines.csl1_estimate
+    elif name == "2D-MUSIC":
+        settings = baselines.default_music_config(M, N, K_signal=n_paths, grid_factor=grid_factor)
+        receiver = baselines.music_estimate
+    else:
+        lam, mu = admm.default_weights(config.sigma, M, N)
+        settings = admm.SolverConfig(lam=lam, mu=mu if name == "CS-ANL1" else 0.0,
+                                     max_iters=max_iters)
+    settings = replace(settings, **overrides)
     t0 = time.perf_counter()
-    if isinstance(settings, admm.SolverConfig):
-        solution = admm.solve(measurement, settings)
-        t1 = time.perf_counter()
-        estimate = extract.estimate_from_solution(solution, measurement, settings.lam, settings.mu)
-        return estimate, solution, {"solve": t1 - t0, "extract": time.perf_counter() - t1}
-    receiver = (baselines.csl1_estimate if isinstance(settings, baselines.CsL1Config)
-                else baselines.music_estimate)
-    estimate = receiver(measurement, settings)
-    return estimate, None, {"solve": time.perf_counter() - t0}
+    if receiver is not None:
+        estimate = receiver(measurement, settings)
+        return settings, estimate, None, {"solve": time.perf_counter() - t0}
+    solution = admm.solve(measurement, settings)
+    t1 = time.perf_counter()
+    estimate = extract.estimate_from_solution(solution, measurement, settings.lam, settings.mu)
+    return settings, estimate, solution, {"solve": t1 - t0, "extract": time.perf_counter() - t1}
 
 
 def run_algorithm(name: str, measurement: Measurement, config: RadarConfig,
@@ -215,8 +223,7 @@ def run_algorithm(name: str, measurement: Measurement, config: RadarConfig,
     capped below its subarray size.
     """
     k = min(n_paths, (measurement.M // 2) * (measurement.N // 2) - 1)
-    settings = receiver_settings(name, measurement, config, k, an_max_iters, BASELINE_GRID_FACTOR)
-    return run_receiver(measurement, settings)[0]
+    return run_receiver(name, measurement, config, k, an_max_iters, BASELINE_GRID_FACTOR)[1]
 
 
 @dataclass
@@ -280,9 +287,6 @@ def run_benchmark(spec: ScenarioSpec, algorithms, ber_list, *,
     targets over targets in used trials, NaN when there are none.
     """
     algorithms = tuple(algorithms)
-    for name in algorithms:
-        if name not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {name!r} (choose from {ALGORITHMS})")
     report = RmseReport(spec=spec, algorithms=algorithms)
     for ber in ber_list:
         start = len(report.trials)

@@ -6,10 +6,10 @@ measurement JSON), ``solve`` (measurement -> solution/estimate JSON),
 CSV/JSON report).  Exit codes: 0 success, 2 configuration error, 3 numerical
 error.
 
-``solve`` runs :mod:`bench`'s dispatch with MUSIC on a 16x grid at an estimated order,
-and both it and ``bench`` cap the ADMM sweeps at ``admm.MAX_ITERS``.  ``--lambda``/``--rho``/
-``--iters`` go to ``anl1`` and ``an``, ``--mu`` to ``anl1``, ``--music-k`` to ``music``; a
-receiver rejects the others.  ``bench --iters`` likewise needs ``anl1`` or ``an`` among ``--algos``.
+``solve`` runs ``bench.run_receiver`` at its defaults (MUSIC on a 16x grid at an estimated
+order; both it and ``bench`` cap the ADMM sweeps at ``admm.MAX_ITERS``).  Its flags each set
+one settings field, and it rejects a flag whose field ``bench.OVERRIDES`` does not list for
+the receiver; ``bench --iters`` likewise needs ``anl1`` or ``an`` among ``--algos``.
 """
 
 from __future__ import annotations
@@ -115,26 +115,20 @@ def cmd_simulate(args) -> int:
 def cmd_solve(args) -> int:
     _, (measurement, config, _) = _read_input(
         args.input, {"measurement": serialize.measurement_from_dict})
-    settings = bench.receiver_settings(bench.ALGO_KEYS[args.algo], measurement, config, "auto",
-                                       admm.MAX_ITERS, extract.GRID_FACTOR)
-    dual = isinstance(settings, admm.SolverConfig)
-    # (flag, field, value, read); CS-AN fixes mu = 0, so only CS-ANL1 reads --mu.
-    overrides = (("--lambda", "lam", args.lam, dual), ("--rho", "rho", args.rho, dual),
-                 ("--iters", "max_iters", args.iters, dual),
-                 ("--mu", "mu", args.mu, dual and settings.mu > 0),
-                 ("--music-k", "K_signal", args.music_k,
-                  isinstance(settings, baselines.MusicConfig)))
-    for flag, _, value, read in overrides:
-        if value is not None and not read:
+    name = bench.ALGO_KEYS[args.algo]
+    flags = (("--lambda", "lam", args.lam), ("--mu", "mu", args.mu), ("--rho", "rho", args.rho),
+             ("--iters", "max_iters", args.iters), ("--music-k", "K_signal", args.music_k))
+    for flag, field, value in flags:
+        if value is not None and field not in bench.OVERRIDES[name]:
             raise ConfigError(f"{flag} is not read by --algo {args.algo}")
-    settings = dataclasses.replace(
-        settings, **{name: value for _, name, value, _ in overrides if value is not None})
-    estimate, solution, timing = bench.run_receiver(measurement, settings)
+    overrides = {field: value for _, field, value in flags if value is not None}
+    settings, estimate, solution, timing = bench.run_receiver(name, measurement, config,
+                                                              **overrides)
     if solution is not None:
         doc = serialize.solution_to_dict(solution, measurement, settings, estimate,
                                          algo=args.algo, config=config, timing=timing)
     else:
-        extra = {"gamma": settings.gamma} if isinstance(settings, baselines.CsL1Config) else {}
+        extra = {"gamma": settings.gamma} if name == "CS-L1" else {}
         doc = {"kind": "estimate", "algo": args.algo, "M": measurement.M, "N": measurement.N,
                **extra, "timing_s": timing,
                "estimate": serialize.estimate_to_dict(estimate, config)}
@@ -171,7 +165,7 @@ def cmd_bench(args) -> int:
     spec = _load_spec(args)
     bers = _parse_list(args.ber, float, "--ber") if args.ber else [spec.ber]
     algos = _parse_list(args.algos, bench.ALGO_KEYS.__getitem__, "--algos")
-    if args.iters is not None and not {"CS-ANL1", "CS-AN"} & set(algos):
+    if args.iters is not None and not any("max_iters" in bench.OVERRIDES[a] for a in algos):
         raise ConfigError(f"--iters is not read by --algos {args.algos}")
     progress = None
     if not args.quiet:

@@ -7,7 +7,7 @@ produce byte-identical files, apart from the wall times under ``timing_s``.
 Derived keys are written for readers but not read back: a config's ``T_s``
 and ``T_bar_s``, a measurement's ``sigma2`` and a path's range and velocity.
 The config reader only checks ``T_s`` and ``T_bar_s``, when present, against
-``delta_f_hz`` and ``T_cp_s``.
+``delta_f_hz`` and ``T_cp_s``.  The config and scenario readers reject keys they do not know.
 """
 
 from __future__ import annotations
@@ -26,10 +26,7 @@ from .scene import Measurement, Path, RadarConfig, Scene, normalized_to_physical
 
 
 def interleave(x: np.ndarray) -> list[float]:
-    out = np.empty(2 * len(x))
-    out[0::2] = np.real(x)
-    out[1::2] = np.imag(x)
-    return out.tolist()
+    return np.ascontiguousarray(x, dtype=complex).view(float).tolist()
 
 
 def _is_number(value) -> bool:
@@ -76,6 +73,8 @@ def config_to_dict(config: RadarConfig) -> dict:
 def config_from_dict(obj: dict) -> RadarConfig:
     floats = (real_number(obj, key) for key in ("delta_f_hz", "T_cp_s", "f_c_hz", "noise_power_db"))
     config = RadarConfig(whole_number(obj, "M"), whole_number(obj, "N"), *floats)
+    if unknown := set(obj) - set(config_to_dict(config)):
+        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     for key, derived, rule in (("T_s", config.T, "1/delta_f_hz"),
                                ("T_bar_s", config.T_bar, "1/delta_f_hz + T_cp_s")):
         if key in obj and not abs(real_number(obj, key) - derived) <= 1e-12 * derived:
@@ -155,7 +154,9 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
 
 
 def scenario_from_dict(obj: dict) -> ScenarioSpec:
-    """Read the declared fields; a missing key takes the field's default."""
+    """Declared fields, a missing key at its default; a key besides them and ``kind`` raises."""
+    if unknown := set(obj) - {"kind", *(f.name for f, _ in _spec_fields())}:
+        raise ConfigError(f"unknown scenario keys: {', '.join(sorted(unknown))}")
     return ScenarioSpec(**{f.name: _SPEC_FROM_JSON[kind](obj, f.name) for f, kind in _spec_fields()
                            if f.name in obj or f.default is dataclasses.MISSING})
 

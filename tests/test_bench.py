@@ -146,11 +146,38 @@ class TestRunAlgorithm:
 
     def test_iteration_cap_reaches_the_dual_receivers_only(self):
         _, measurement = simulate_trial(self.SPEC, 1e-2, 0)
-        caps = {name: bench.receiver_settings(name, measurement, self.SPEC.config, 3, 7,
-                                              4).max_iters
+        caps = {name: bench.run_receiver(name, measurement, self.SPEC.config, 3, 7,
+                                         4)[0].max_iters
                 for name in ("CS-ANL1", "CS-AN", "CS-L1")}
         assert caps == {"CS-ANL1": 7, "CS-AN": 7,
                         "CS-L1": baselines.default_csl1_config(8, 8, 1.0).max_iters}
+
+
+class TestRunReceiver:
+    SPEC = TestRunAlgorithm.SPEC
+
+    def test_the_override_table_lists_every_receiver_in_benchmark_order(self):
+        assert tuple(bench.OVERRIDES) == bench.ALGORITHMS
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("CS-ANL1", {"lam": 0.02, "mu": 0.03, "rho": 0.1, "max_iters": 5}),
+        ("CS-AN", {"lam": 0.02, "rho": 0.1, "max_iters": 5}),
+        ("CS-L1", {}),
+        ("2D-MUSIC", {"K_signal": 3})])
+    def test_overrides_reach_the_settings_and_the_receiver(self, name, overrides):
+        # Each field the table lists is one the receiver's settings read.
+        assert set(overrides) == set(bench.OVERRIDES[name])
+        _, measurement = simulate_trial(self.SPEC, 1e-2, 0)
+        settings, estimate, solution, timing = bench.run_receiver(
+            name, measurement, self.SPEC.config, **overrides)
+        assert {key: getattr(settings, key) for key in overrides} == overrides
+        if name == "2D-MUSIC":
+            assert len(estimate.paths) == 3
+        if name in ("CS-ANL1", "CS-AN"):
+            assert solution.diagnostics.iterations == 5
+            assert set(timing) == {"solve", "extract"}
+        else:
+            assert solution is None and set(timing) == {"solve"}
 
 
 class TestRunBenchmark:

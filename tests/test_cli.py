@@ -159,6 +159,19 @@ class TestMalformedInput:
         assert main(["simulate", "--spec", str(spec_path), "--quiet"]) == 2
         assert "n_targets" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, key", [(["simulate", "--spec"], "trails"),
+                                           (["solve", "--algo", "csl1", "--input"],
+                                            "noise_power_dbb")], ids=["scenario", "config"])
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, argv, key):
+        path = spec_8x8_file(tmp_path) if argv[0] == "simulate" else simulate_8x8_file(tmp_path)
+        doc = json.loads(path.read_text())
+        (doc if argv[0] == "simulate" else doc["config"])[key] = 3
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        assert main([*argv, str(path), "--out", str(out), "--quiet"]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value, message", [
         ("target_powers_db", [-40.0, -40.0], "one power per target"),
         ("range_bounds_m", [30e3, 1e3], "bounds must be ordered"),

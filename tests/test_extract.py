@@ -249,11 +249,11 @@ class TestNewtonAscent:
         """Dual vectors and weights of seeded 8x8 CS-ANL1 and CS-AN solves of an rmse1 scene."""
         base = bench.preset("rmse1")
         spec = dataclasses.replace(base, config=dataclasses.replace(base.config, M=8, N=8))
-        scene, meas = bench.simulate_trial(spec, 1e-2, 0)
+        _, meas = bench.simulate_trial(spec, 1e-2, 0)
         out = {}
         for name in ("CS-ANL1", "CS-AN"):
-            settings = bench.receiver_settings(name, meas, spec.config, scene.K, 600, GRID_FACTOR)
-            out[name] = (solve(meas, settings).nu_hat, settings.lam)
+            settings, _, solution, _ = bench.run_receiver(name, meas, spec.config, max_iters=600)
+            out[name] = (solution.nu_hat, settings.lam)
         return out
 
     @staticmethod
@@ -393,11 +393,11 @@ def rmse1_solves(M, N):
     rmse1 scene, by receiver."""
     base = bench.preset("rmse1")
     spec = dataclasses.replace(base, config=dataclasses.replace(base.config, M=M, N=N))
-    scene, meas = bench.simulate_trial(spec, 1e-2, 0)
+    _, meas = bench.simulate_trial(spec, 1e-2, 0)
     out = {}
     for name in ("CS-ANL1", "CS-AN"):
-        settings = bench.receiver_settings(name, meas, spec.config, scene.K, 600, GRID_FACTOR)
-        out[name] = (meas, settings, solve(meas, settings))
+        settings, _, solution, _ = bench.run_receiver(name, meas, spec.config, max_iters=600)
+        out[name] = (meas, settings, solution)
     return out
 
 

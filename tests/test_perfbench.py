@@ -60,9 +60,7 @@ def baselines_16_csl1_solve(run, seed, index):
     workload = run.workloads.WORKLOADS["baselines-16"]
     spec = workload.spec()
     trial = run.workloads.make_trial(workload, seed, index)
-    bench = run.bench
-    settings = bench.receiver_settings("CS-L1", trial.measurement, spec.config, trial.scene.K,
-                                       run.admm.MAX_ITERS, bench.BASELINE_GRID_FACTOR)
+    settings = run.bench.run_receiver("CS-L1", trial.measurement, spec.config)[0]
     return settings, run.baselines._csl1_solve(trial.measurement, settings)
 
 

@@ -40,6 +40,15 @@ def test_scenario_keys_left_out_take_their_defaults():
     assert got == dataclasses.replace(preset("rmse1"), name="custom")
 
 
+@pytest.mark.parametrize("where, key", [("scenario", "trails"), ("config", "noise_power_dbb"),
+                                        ("config", "kind")])
+def test_unknown_keys_are_rejected_by_name(where, key):
+    doc = serialize.scenario_to_dict(preset("rmse1"))
+    (doc if where == "scenario" else doc["config"])[key] = 3
+    with pytest.raises(ConfigError, match=f"unknown {where} keys: {key}$"):
+        serialize.scenario_from_dict(doc)
+
+
 class TestConfigTiming:
     def test_file_without_derived_timing_is_read(self):
         doc = serialize.config_to_dict(preset("rmse1").config)
