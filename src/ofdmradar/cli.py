@@ -10,6 +10,8 @@ error.
 order; both it and ``bench`` cap the ADMM sweeps at ``admm.MAX_ITERS``).  Its flags each set
 one settings field, and it rejects a flag whose field ``bench.OVERRIDES`` does not list for
 the receiver; ``bench --iters`` likewise needs ``anl1`` or ``an`` among ``--algos``.
+``serialize.solve_to_dict`` writes ``solve``'s JSON document for every receiver, and
+``serialize.solution_from_dict`` reads the dual vector back for ``spectrum``.
 """
 
 from __future__ import annotations
@@ -74,14 +76,6 @@ def _read_input(path: str, parsers: dict):
         raise ConfigError(f"{path}: malformed {kind} file: {type(exc).__name__}: {exc}") from exc
 
 
-def _solution_dual(obj: dict):
-    M, N = serialize.whole_number(obj, "M"), serialize.whole_number(obj, "N")
-    nu = serialize.deinterleave(obj["nu_hat"])
-    if len(nu) != M * N:
-        raise ConfigError(f"nu_hat must hold M*N={M * N} complex entries, got {len(nu)}")
-    return M, N, nu
-
-
 def _load_spec(args) -> bench.ScenarioSpec:
     if getattr(args, "spec", None):
         _, spec = _read_input(args.spec, {"scenario": serialize.scenario_from_dict})
@@ -124,39 +118,28 @@ def cmd_solve(args) -> int:
     overrides = {field: value for _, field, value in flags if value is not None}
     settings, estimate, solution, timing = bench.run_receiver(name, measurement, config,
                                                               **overrides)
-    if solution is not None:
-        doc = serialize.solution_to_dict(solution, measurement, settings, estimate,
-                                         algo=args.algo, config=config, timing=timing)
-    else:
-        extra = {"gamma": settings.gamma} if name == "CS-L1" else {}
-        doc = {"kind": "estimate", "algo": args.algo, "M": measurement.M, "N": measurement.N,
-               **extra, "timing_s": timing,
-               "estimate": serialize.estimate_to_dict(estimate, config)}
     text = (serialize.estimate_to_csv(estimate, config) if args.format == "csv"
-            else serialize.dumps(doc))
+            else serialize.dumps(serialize.solve_to_dict(args.algo, measurement, config, settings,
+                                                         estimate, timing, solution)))
     _write(text, args.out, args.quiet)
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    kind, parsed = _read_input(args.input, {"solution": _solution_dual,
+    kind, parsed = _read_input(args.input, {"solution": serialize.solution_from_dict,
                                             "measurement": serialize.measurement_from_dict})
-    if kind == "solution":
-        M, N, nu = parsed
-        if args.music_k is not None:
-            raise ConfigError("--music-k is not read for a solution input")
-    else:
-        measurement = parsed[0]
-        M, N = measurement.M, measurement.N
+    if kind == "solution" and args.music_k is not None:
+        raise ConfigError("--music-k is not read for a solution input")
+    M, N = parsed[:2] if kind == "solution" else (parsed[0].M, parsed[0].N)
     gp = extract.GRID_FACTOR * M if args.grid_phi is None else args.grid_phi
     gq = extract.GRID_FACTOR * N if args.grid_psi is None else args.grid_psi
     if kind == "solution":
-        grid = np.abs(extract.dual_poly_grid(nu, M, N, gp, gq))
+        grid = np.abs(extract.dual_poly_grid(parsed[2], M, N, gp, gq))
     else:
         k = args.music_k if args.music_k is not None else "auto"
         mcfg = dataclasses.replace(baselines.default_music_config(M, N, K_signal=k),
                                    grid_phi=gp, grid_psi=gq)
-        grid = baselines.music_spectrum(baselines.spatial_smooth(measurement, mcfg), mcfg)[0]
+        grid = baselines.music_spectrum(baselines.spatial_smooth(parsed[0], mcfg), mcfg)[0]
     _write(serialize.grid_to_csv(grid), args.out, args.quiet)
     return 0
 

@@ -7,7 +7,9 @@ produce byte-identical files, apart from the wall times under ``timing_s``.
 Derived keys are written for readers but not read back: a config's ``T_s``
 and ``T_bar_s``, a measurement's ``sigma2`` and a path's range and velocity.
 The config reader only checks ``T_s`` and ``T_bar_s``, when present, against
-``delta_f_hz`` and ``T_cp_s``.  The config and scenario readers reject keys they do not know.
+``delta_f_hz`` and ``T_cp_s``.  The config, scenario, measurement and truth readers
+reject a key they do not know before they read any field.  ``solve_to_dict`` writes
+``ofdmradar solve``'s document for every receiver, and ``solution_from_dict`` reads it.
 """
 
 from __future__ import annotations
@@ -64,17 +66,24 @@ def real_number(obj: dict, key: str) -> float:
                           "got an integer too large for a float") from None
 
 
+def _reject_unknown(obj: dict, allowed, what: str):
+    if unknown := set(obj) - set(allowed):
+        raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
+
+
+# A config file's keys, in file order, and the RadarConfig attribute each holds.
+_CONFIG_KEYS = {"M": "M", "N": "N", "delta_f_hz": "delta_f", "T_s": "T", "T_cp_s": "T_cp",
+                "T_bar_s": "T_bar", "f_c_hz": "f_c", "noise_power_db": "noise_power_db"}
+
+
 def config_to_dict(config: RadarConfig) -> dict:
-    return {"M": config.M, "N": config.N, "delta_f_hz": config.delta_f,
-            "T_s": config.T, "T_cp_s": config.T_cp, "T_bar_s": config.T_bar,
-            "f_c_hz": config.f_c, "noise_power_db": config.noise_power_db}
+    return {key: getattr(config, attr) for key, attr in _CONFIG_KEYS.items()}
 
 
 def config_from_dict(obj: dict) -> RadarConfig:
+    _reject_unknown(obj, _CONFIG_KEYS, "config")
     floats = (real_number(obj, key) for key in ("delta_f_hz", "T_cp_s", "f_c_hz", "noise_power_db"))
     config = RadarConfig(whole_number(obj, "M"), whole_number(obj, "N"), *floats)
-    if unknown := set(obj) - set(config_to_dict(config)):
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     for key, derived, rule in (("T_s", config.T, "1/delta_f_hz"),
                                ("T_bar_s", config.T_bar, "1/delta_f_hz + T_cp_s")):
         if key in obj and not abs(real_number(obj, key) - derived) <= 1e-12 * derived:
@@ -100,6 +109,7 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def scene_from_dict(obj: dict) -> Scene:
+    _reject_unknown(obj, ("targets", "clutter"), "truth")
     return Scene(targets=tuple(path_from_dict(p) for p in obj.get("targets", [])),
                  clutter=tuple(path_from_dict(p) for p in obj.get("clutter", [])))
 
@@ -123,6 +133,8 @@ def measurement_to_dict(measurement: Measurement, config: RadarConfig,
 
 
 def measurement_from_dict(obj: dict) -> tuple[Measurement, RadarConfig, Scene | None]:
+    _reject_unknown(obj, ("kind", "config", "metadata", "S_hat", "r_bar", "sigma2",
+                          "e_bar_true", "v_bar_true", "truth"), "measurement")
     config = config_from_dict(obj["config"])
     M, N = config.M, config.N
     S_hat = deinterleave(obj["S_hat"]).reshape(M, N, order="F")
@@ -155,8 +167,7 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
 
 def scenario_from_dict(obj: dict) -> ScenarioSpec:
     """Declared fields, a missing key at its default; a key besides them and ``kind`` raises."""
-    if unknown := set(obj) - {"kind", *(f.name for f, _ in _spec_fields())}:
-        raise ConfigError(f"unknown scenario keys: {', '.join(sorted(unknown))}")
+    _reject_unknown(obj, ["kind", *(f.name for f, _ in _spec_fields())], "scenario")
     return ScenarioSpec(**{f.name: _SPEC_FROM_JSON[kind](obj, f.name) for f, kind in _spec_fields()
                            if f.name in obj or f.default is dataclasses.MISSING})
 
@@ -176,11 +187,8 @@ def estimate_to_dict(estimate: Estimate, config: RadarConfig) -> dict:
     return {"paths": paths, "error_support": list(estimate.error_support)}
 
 
-ESTIMATE_CSV_HEADER = "phi,psi,range_m,velocity_mps,amp_re,amp_im,dual_peak_mag"
-
-
 def estimate_to_csv(estimate: Estimate, config: RadarConfig) -> str:
-    lines = [ESTIMATE_CSV_HEADER]
+    lines = ["phi,psi,range_m,velocity_mps,amp_re,amp_im,dual_peak_mag"]
     for p, range_m, velocity, stat in _path_rows(estimate, config):
         mag = float("nan") if stat is None else stat
         lines.append(",".join(repr(float(v)) for v in
@@ -189,22 +197,30 @@ def estimate_to_csv(estimate: Estimate, config: RadarConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def solution_to_dict(solution, measurement: Measurement, solver_config,
-                     estimate: Estimate, algo: str, config: RadarConfig,
-                     timing: dict) -> dict:
-    d = solution.diagnostics
-    return {"kind": "solution", "algo": algo,
-            "M": measurement.M, "N": measurement.N,
-            "solver": dataclasses.asdict(solver_config),
-            "z_hat": interleave(solution.z_hat),
-            "e_hat": interleave(solution.e_hat),
-            "nu_hat": interleave(solution.nu_hat),
-            "residuals": {"primal": d.primal_residuals, "dual": d.dual_residuals},
-            "objective": objective_primal(solution, measurement, solver_config),
-            "converged": d.converged,
-            "iterations": d.iterations,
-            "timing_s": timing,
-            "estimate": estimate_to_dict(estimate, config)}
+def solve_to_dict(algo: str, measurement: Measurement, config: RadarConfig, settings,
+                  estimate: Estimate, timing: dict, solution=None) -> dict:
+    """``solve``'s document: the receiver's settings, a dual receiver's ``solution`` (kind
+    ``estimate`` without one), then the wall times and the estimate."""
+    out = {"kind": "estimate" if solution is None else "solution", "algo": algo,
+           "M": measurement.M, "N": measurement.N, "solver": dataclasses.asdict(settings)}
+    if solution is not None:
+        d = solution.diagnostics
+        out.update(z_hat=interleave(solution.z_hat), e_hat=interleave(solution.e_hat),
+                   nu_hat=interleave(solution.nu_hat),
+                   residuals={"primal": d.primal_residuals, "dual": d.dual_residuals},
+                   objective=objective_primal(solution, measurement, settings),
+                   converged=d.converged, iterations=d.iterations)
+    out.update(timing_s=timing, estimate=estimate_to_dict(estimate, config))
+    return out
+
+
+def solution_from_dict(obj: dict) -> tuple[int, int, np.ndarray]:
+    """(M, N, nu) of a ``solution`` document: the dual vector ``spectrum`` evaluates."""
+    M, N = whole_number(obj, "M"), whole_number(obj, "N")
+    nu = deinterleave(obj["nu_hat"])
+    if len(nu) != M * N:
+        raise ConfigError(f"nu_hat must hold M*N={M * N} complex entries, got {len(nu)}")
+    return M, N, nu
 
 
 # CSV cell format by a record field's declared type, as the annotation string

@@ -5,8 +5,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from ofdmradar import (ConfigError, NumericError, Path, RadarConfig, Scene, admm, atoms,
-                       dual_poly_grid, extract, steering)
+from ofdmradar import (ConfigError, NumericError, RadarConfig, admm, atoms, dual_poly_grid,
+                       extract, steering)
 from ofdmradar.baselines import _synthesize
 from ofdmradar.extract import (EIG_FLOOR, GRAD_TOL, GRID_FACTOR, MAX_NEWTON_STEPS,
                                REL_THRESHOLD, _dual_matrix, _same_cell_mask,
@@ -592,20 +592,6 @@ def random_consistent_param(rng, M, N):
     """Random Toeplitz parameter satisfying the Hermitian-consistency tie."""
     U = rng.normal(size=(2 * M - 1, 2 * N - 1)) + 1j * rng.normal(size=(2 * M - 1, 2 * N - 1))
     return symmetrize_param(U)
-
-
-def two_path_scene(rng, M, N, min_sep=1.5, amp=1.0):
-    """Two unit-power paths separated by at least min_sep resolution cells."""
-    while True:
-        phis = rng.uniform(0, 1, 2)
-        psis = rng.uniform(0, 1, 2)
-        dphi = min(abs(phis[0] - phis[1]) % 1, 1 - abs(phis[0] - phis[1]) % 1)
-        dpsi = min(abs(psis[0] - psis[1]) % 1, 1 - abs(psis[0] - psis[1]) % 1)
-        if dphi >= min_sep / M or dpsi >= min_sep / N:
-            break
-    paths = tuple(Path(alpha=amp * np.exp(2j * np.pi * rng.uniform()),
-                       phi=float(phis[k]), psi=float(psis[k])) for k in range(2))
-    return Scene(targets=paths)
 
 
 def complex_lift_solve(measurement, config, scale=(0.8, 1.75)):

@@ -33,6 +33,19 @@ def make_instance(M=4, N=4, K=1, seed=0, noise_power_db=-20.0, ber=0.0):
     return cfg, scene, meas
 
 
+def assert_same_solve(got, want):
+    """The same sweep count and stop, and the same solution and residual histories up to
+    rounding (1e-12 of each quantity's largest entry)."""
+    mine, theirs = got.diagnostics, want.diagnostics
+    assert mine.iterations == theirs.iterations and mine.converged == theirs.converged
+    for g, o in ((got.z_hat, want.z_hat), (got.e_hat, want.e_hat),
+                 (got.nu_hat, want.nu_hat), (got.U, want.U), (got.t, want.t),
+                 (mine.primal_residuals, theirs.primal_residuals),
+                 (mine.dual_residuals, theirs.dual_residuals)):
+        g, o = np.asarray(g), np.asarray(o)
+        assert np.abs(g - o).max() <= 1e-12 * np.abs(o).max()
+
+
 class TestSolverConfig:
     def test_positivity_enforced(self):
         with pytest.raises(ConfigError):
@@ -390,15 +403,7 @@ class TestRealLift:
 
         monkeypatch.setattr(admm, "block_toeplitz", oracle_block)
         monkeypatch.setattr(admm, "adjoint_normalized", oracle_adjoint)
-        want = solve(meas, c)
-        mine, theirs = got.diagnostics, want.diagnostics
-        assert mine.iterations == theirs.iterations and mine.converged == theirs.converged
-        for g, o in ((got.z_hat, want.z_hat), (got.e_hat, want.e_hat),
-                     (got.nu_hat, want.nu_hat), (got.U, want.U), (got.t, want.t),
-                     (mine.primal_residuals, theirs.primal_residuals),
-                     (mine.dual_residuals, theirs.dual_residuals)):
-            g, o = np.asarray(g), np.asarray(o)
-            assert np.abs(g - o).max() <= 1e-12 * np.abs(o).max()
+        assert_same_solve(got, solve(meas, c))
 
 
 class TestThetaGState:
@@ -411,15 +416,7 @@ class TestThetaGState:
         cfg, scene, meas = make_instance(M=M, N=N, K=3, seed=19, ber=0.05)
         lam, mu = default_weights(cfg.sigma, M, N)
         c = SolverConfig(lam=lam, mu=mu * mu_scale, max_iters=600)
-        got, want = solve(meas, c), theta_w_solve(meas, c)
-        mine, theirs = got.diagnostics, want.diagnostics
-        assert mine.iterations == theirs.iterations and mine.converged == theirs.converged
-        for g, o in ((got.z_hat, want.z_hat), (got.e_hat, want.e_hat),
-                     (got.nu_hat, want.nu_hat), (got.U, want.U), (got.t, want.t),
-                     (mine.primal_residuals, theirs.primal_residuals),
-                     (mine.dual_residuals, theirs.dual_residuals)):
-            g, o = np.asarray(g), np.asarray(o)
-            assert np.abs(g - o).max() <= 1e-12 * np.abs(o).max()
+        assert_same_solve(solve(meas, c), theta_w_solve(meas, c))
 
     @pytest.mark.parametrize("mu_scale", [1.0, 0.0], ids=["CS-ANL1", "CS-AN"])
     @pytest.mark.parametrize("M, N", [(8, 8), (3, 5)], ids=["8x8", "3x5"])
@@ -432,15 +429,7 @@ class TestThetaGState:
         cfg, scene, meas = make_instance(M=M, N=N, K=3, seed=19, ber=0.05)
         lam, mu = default_weights(cfg.sigma, M, N)
         c = SolverConfig(lam=lam, mu=mu * mu_scale, max_iters=600)
-        got, want = solve(meas, c), coefficient_pair_solve(meas, c)
-        mine, theirs = got.diagnostics, want.diagnostics
-        assert mine.iterations == theirs.iterations and mine.converged == theirs.converged
-        for g, o in ((got.z_hat, want.z_hat), (got.e_hat, want.e_hat),
-                     (got.nu_hat, want.nu_hat), (got.U, want.U), (got.t, want.t),
-                     (mine.primal_residuals, theirs.primal_residuals),
-                     (mine.dual_residuals, theirs.dual_residuals)):
-            g, o = np.asarray(g), np.asarray(o)
-            assert np.abs(g - o).max() <= 1e-12 * np.abs(o).max()
+        assert_same_solve(solve(meas, c), coefficient_pair_solve(meas, c))
 
     def test_sweep_holds_three_lift_buffers(self, monkeypatch):
         # Theta, G and the buffer that takes P and the lift are the only arrays of order

@@ -142,6 +142,19 @@ class TestSolve:
         assert len(err) == 1 and flag in err[0] and algo in err[0]
         assert not out.exists()
 
+    def test_csv_estimate_does_not_compute_the_objective(self, tmp_path, monkeypatch):
+        # Only the JSON document holds the primal objective; the patch is seen there.
+        def refuse(*args):
+            raise AssertionError("objective_primal called")
+
+        monkeypatch.setattr(serialize, "objective_primal", refuse)
+        monkeypatch.setattr(admm, "objective_primal", refuse)
+        argv = ["solve", "--input", str(simulate_8x8_file(tmp_path)), "--algo", "an",
+                "--iters", "5", "--out", str(tmp_path / "est"), "--quiet"]
+        assert main([*argv, "--format", "csv"]) == 0
+        with pytest.raises(AssertionError, match="objective_primal called"):
+            main(argv)
+
     def test_dual_solve_without_iters_runs_at_the_named_cap(self, tmp_path):
         meas_path = simulate_8x8_file(tmp_path)
         out = tmp_path / "sol.json"
@@ -159,17 +172,21 @@ class TestMalformedInput:
         assert main(["simulate", "--spec", str(spec_path), "--quiet"]) == 2
         assert "n_targets" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, key", [(["simulate", "--spec"], "trails"),
-                                           (["solve", "--algo", "csl1", "--input"],
-                                            "noise_power_dbb")], ids=["scenario", "config"])
-    def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, argv, key):
+    @pytest.mark.parametrize("argv, where, key, misspelt", [
+        (["simulate", "--spec"], "scenario", "trials", "trails"),
+        (["solve", "--algo", "csl1", "--input"], "config", "noise_power_db", "noise_power_dbb"),
+        (["solve", "--algo", "csl1", "--input"], "measurement", "e_bar_true", "e_bar_ture")],
+        ids=["scenario", "config", "measurement"])
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, argv, where, key, misspelt):
+        # A misspelt key, required or optional, is named as unknown, not as missing or dropped.
         path = spec_8x8_file(tmp_path) if argv[0] == "simulate" else simulate_8x8_file(tmp_path)
         doc = json.loads(path.read_text())
-        (doc if argv[0] == "simulate" else doc["config"])[key] = 3
+        part = doc["config"] if where == "config" else doc
+        part[misspelt] = part.pop(key)
         path.write_text(json.dumps(doc))
         out = tmp_path / "out.json"
         assert main([*argv, str(path), "--out", str(out), "--quiet"]) == 2
-        assert key in capsys.readouterr().err
+        assert f"unknown {where} keys: {misspelt}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value, message", [

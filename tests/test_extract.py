@@ -226,6 +226,19 @@ class TestRefinePeak:
             assert psi_hat == pytest.approx(psi, abs=1e-8)
 
 
+class TestDualAtomicNorm:
+    @pytest.mark.parametrize("M, N", [(8, 8), (5, 7)])
+    def test_is_the_grid_maximum_refined_once(self, rng, M, N):
+        # The grid's largest |Q| and the |Q| that refine_peak reaches from its cell, to the bit.
+        gp, gq = GRID_FACTOR * M, GRID_FACTOR * N
+        for _ in range(4):
+            nu = rng.normal(size=M * N) + 1j * rng.normal(size=M * N)
+            mag = np.abs(dual_poly_grid(nu, M, N, gp, gq))
+            p, q = np.unravel_index(int(np.argmax(mag)), mag.shape)
+            want = max(float(mag[p, q]), abs(refine_peak(nu, p / gp, q / gq, M, N)[2]))
+            assert extract.dual_atomic_norm(nu, M, N) == want >= mag.max()
+
+
 def wrapped_gap(a, b):
     """Largest distance between two (phi, psi) points on the wrapped axes."""
     d = np.abs(np.subtract(a, b)) % 1.0

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ofdmradar import ConfigError, Path, RmseReport, RmseRow, preset, serialize, simulate_trial
-from ofdmradar.bench import PRESETS, TrialRecord
+from ofdmradar import (ConfigError, Path, RmseReport, RmseRow, bench, objective_primal, preset,
+                       serialize, simulate_trial)
+from ofdmradar.bench import ALGO_KEYS, PRESETS, TrialRecord
 
 
 def through_json(doc):
@@ -47,6 +48,21 @@ def test_unknown_keys_are_rejected_by_name(where, key):
     (doc if where == "scenario" else doc["config"])[key] = 3
     with pytest.raises(ConfigError, match=f"unknown {where} keys: {key}$"):
         serialize.scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("where, key, misspelt", [
+    ("measurement", "e_bar_true", "e_bar_ture"), ("config", "noise_power_db", "noise_power_dbb"),
+    ("truth", "targets", "targest")])
+def test_a_misspelt_key_is_named_before_any_field_is_read(where, key, misspelt):
+    # A misspelt required key is reported as the unknown key, not as the missing one, and a
+    # misspelt optional one, such as the ground-truth error vector, is not silently dropped.
+    spec = preset("rmse1")
+    scene, measurement = simulate_trial(spec, 1e-2, 0)
+    doc = through_json(serialize.measurement_to_dict(measurement, spec.config, truth=scene))
+    part = doc if where == "measurement" else doc[where]
+    part[misspelt] = part.pop(key)
+    with pytest.raises(ConfigError, match=f"unknown {where} keys: {misspelt}$"):
+        serialize.measurement_from_dict(doc)
 
 
 class TestConfigTiming:
@@ -109,3 +125,40 @@ def test_records_are_written_by_declared_type():
     assert list(serialize.report_to_dict(report)["rows"][0]) == [
         "ber", "algorithm", "range_rmse_m", "velocity_rmse_mps", "identification_rate",
         "trials_used"]
+
+
+@pytest.fixture(scope="module")
+def measurement_8x8():
+    spec = preset("rmse1")
+    spec = dataclasses.replace(spec, config=dataclasses.replace(spec.config, M=8, N=8))
+    return simulate_trial(spec, 1e-2, 0)[1], spec.config
+
+
+DUAL_SOLVE_KEYS = ["kind", "algo", "M", "N", "solver", "z_hat", "e_hat", "nu_hat", "residuals",
+                   "objective", "converged", "iterations", "timing_s", "estimate"]
+
+
+@pytest.mark.parametrize("algo", ALGO_KEYS)
+def test_solve_document_of_every_receiver(measurement_8x8, algo):
+    measurement, config = measurement_8x8
+    settings, estimate, solution, timing = bench.run_receiver(ALGO_KEYS[algo], measurement,
+                                                              config, max_iters=30)
+    doc = through_json(serialize.solve_to_dict(algo, measurement, config, settings, estimate,
+                                               timing, solution))
+    assert doc["solver"] == dataclasses.asdict(settings)
+    assert (doc["algo"], doc["M"], doc["N"], doc["timing_s"]) == (algo, 8, 8, timing)
+    assert doc["estimate"] == through_json(serialize.estimate_to_dict(estimate, config))
+    if solution is None:
+        assert algo in ("csl1", "music")
+        assert list(doc) == ["kind", "algo", "M", "N", "solver", "timing_s", "estimate"]
+        assert doc["kind"] == "estimate"
+        return
+    assert list(doc) == DUAL_SOLVE_KEYS and doc["kind"] == "solution"
+    assert doc["objective"] == objective_primal(solution, measurement, settings)
+    assert (doc["converged"], doc["iterations"]) == (solution.diagnostics.converged,
+                                                     solution.diagnostics.iterations)
+    M, N, nu = serialize.solution_from_dict(doc)
+    assert (M, N) == (8, 8) and np.array_equal(nu, solution.nu_hat)
+    doc["nu_hat"] = doc["nu_hat"][:-2]
+    with pytest.raises(ConfigError, match="nu_hat must hold M.N=64 complex entries, got 63"):
+        serialize.solution_from_dict(doc)
