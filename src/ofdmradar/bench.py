@@ -1,9 +1,10 @@
 """The receiver table and dispatch, scenario builders, gating, and the RMSE benchmark.
 
-``run_receiver`` is the one dispatch of the CLI's ``solve`` and of the benchmark: it
-builds a receiver's default settings, applies the overrides that ``OVERRIDES`` allows
-it, and runs it.  The benchmark's trials simulate a random scene, estimate paths, match
-them to the true targets inside per-axis gates, and sum errors over matched pairs.
+``run_receiver``, the one dispatch of ``solve`` and of the benchmark, is the one way to set
+a receiver's settings: it applies only fields that ``OVERRIDES`` lists for the receiver, and
+``run_algorithm`` passes the benchmark protocol through it.  The benchmark's trials simulate
+a random scene, estimate paths, match them to the true targets inside per-axis gates, and
+sum errors over matched pairs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ ALGORITHMS = tuple(ALGO_KEYS.values())
 # The settings fields a caller of run_receiver may override, by receiver.  The dual
 # receivers, CS-ANL1 and CS-AN, are the ADMM solves: the ones that read a sweep cap.
 OVERRIDES = {"CS-ANL1": ("lam", "mu", "rho", "max_iters"), "CS-AN": ("lam", "rho", "max_iters"),
-             "CS-L1": (), "2D-MUSIC": ("K_signal",)}
+             "CS-L1": (), "2D-MUSIC": ("K_signal", "grid_phi", "grid_psi")}
 # Estimated paths at or below this speed are taken as clutter, not targets.
 CLUTTER_EXCLUSION_MPS = 3.0
 # Grid oversampling of the gridded baselines: MUSIC scans at the CS-L1
@@ -134,9 +135,9 @@ def simulate_trial(spec: ScenarioSpec, ber: float, trial: int) -> tuple[Scene, M
 
 
 def gates(config: RadarConfig) -> tuple[float, float]:
-    """Identification gates: range c/(4 N df), velocity c/(4 M T_bar f_c)."""
-    range_gate = C_LIGHT / (4.0 * config.N * config.delta_f)
-    velocity_gate = C_LIGHT / (4.0 * config.M * config.T_bar * config.f_c)
+    """Identification gates, a quarter cell: range c/(4 N df), velocity c/(4 M T_bar f_c)."""
+    range_gate = C_LIGHT / (BASELINE_GRID_FACTOR * config.N * config.delta_f)
+    velocity_gate = C_LIGHT / (BASELINE_GRID_FACTOR * config.M * config.T_bar * config.f_c)
     return range_gate, velocity_gate
 
 
@@ -181,17 +182,14 @@ def gate_identification(estimate: extract.Estimate, truth: list[Path],
     return matched
 
 
-def run_receiver(name: str, measurement: Measurement, config: RadarConfig, n_paths="auto",
-                 max_iters: int = admm.MAX_ITERS, grid_factor: int = extract.GRID_FACTOR,
-                 **overrides):
-    """(settings, Estimate, Solution or None, seconds per stage) of receiver ``name`` at its
-    default settings with ``overrides``, fields that ``OVERRIDES`` lists for it, applied.
-
-    ``max_iters`` caps the dual receivers' ADMM sweeps, and MUSIC runs at order ``n_paths``
-    (``"auto"`` estimates it) on a ``grid_factor`` oversampled grid.  The defaults are ``solve``'s.
-    """
+def run_receiver(name: str, measurement: Measurement, config: RadarConfig, **overrides):
+    """(settings, Estimate, Solution or None, seconds per stage) of receiver ``name`` at
+    ``solve``'s defaults (``admm.MAX_ITERS`` sweeps; MUSIC at an estimated order on an
+    ``extract.GRID_FACTOR`` grid) with ``overrides``, fields ``OVERRIDES`` lists for it."""
     if name not in OVERRIDES:
         raise ConfigError(f"unknown algorithm {name!r} (choose from {ALGORITHMS})")
+    if unread := sorted(set(overrides) - set(OVERRIDES[name])):
+        raise ConfigError(f"{name} does not take {', '.join(unread)}")
     M, N = measurement.M, measurement.N
     # Receivers are read from their modules per call, so a rebinding (a tracer's) is seen.
     receiver = None
@@ -199,12 +197,11 @@ def run_receiver(name: str, measurement: Measurement, config: RadarConfig, n_pat
         settings = baselines.default_csl1_config(M, N, config.sigma)
         receiver = baselines.csl1_estimate
     elif name == "2D-MUSIC":
-        settings = baselines.default_music_config(M, N, K_signal=n_paths, grid_factor=grid_factor)
+        settings = baselines.default_music_config(M, N)
         receiver = baselines.music_estimate
     else:
         lam, mu = admm.default_weights(config.sigma, M, N)
-        settings = admm.SolverConfig(lam=lam, mu=mu if name == "CS-ANL1" else 0.0,
-                                     max_iters=max_iters)
+        settings = admm.SolverConfig(lam=lam, mu=mu if name == "CS-ANL1" else 0.0)
     settings = replace(settings, **overrides)
     t0 = time.perf_counter()
     if receiver is not None:
@@ -218,12 +215,14 @@ def run_receiver(name: str, measurement: Measurement, config: RadarConfig, n_pat
 
 def run_algorithm(name: str, measurement: Measurement, config: RadarConfig,
                   n_paths: int, *, an_max_iters: int = admm.MAX_ITERS) -> extract.Estimate:
-    """One receiver's estimate under the benchmark protocol: the dual receivers stop at
-    ``an_max_iters`` sweeps; MUSIC scans the gates' 4x grid at the true path count,
-    capped below its subarray size.
-    """
-    k = min(n_paths, (measurement.M // 2) * (measurement.N // 2) - 1)
-    return run_receiver(name, measurement, config, k, an_max_iters, BASELINE_GRID_FACTOR)[1]
+    """One receiver's estimate under the benchmark protocol, of which it takes the fields
+    it lists: the dual receivers stop at ``an_max_iters`` sweeps; MUSIC scans the gates'
+    4x grid at the true path count, capped below its subarray size."""
+    M, N = measurement.M, measurement.N
+    protocol = {"max_iters": an_max_iters, "K_signal": min(n_paths, (M // 2) * (N // 2) - 1),
+                "grid_phi": BASELINE_GRID_FACTOR * M, "grid_psi": BASELINE_GRID_FACTOR * N}
+    return run_receiver(name, measurement, config, **{
+        key: value for key, value in protocol.items() if key in OVERRIDES.get(name, ())})[1]
 
 
 @dataclass

@@ -7,9 +7,9 @@ CSV/JSON report).  Exit codes: 0 success, 2 configuration error, 3 numerical
 error.
 
 ``solve`` runs ``bench.run_receiver`` at its defaults (MUSIC on a 16x grid at an estimated
-order; both it and ``bench`` cap the ADMM sweeps at ``admm.MAX_ITERS``).  Its flags each set
-one settings field, and it rejects a flag whose field ``bench.OVERRIDES`` does not list for
-the receiver; ``bench --iters`` likewise needs ``anl1`` or ``an`` among ``--algos``.
+order; both it and ``bench`` cap the ADMM sweeps at ``admm.MAX_ITERS``).  Each flag sets one
+field, and one whose field ``bench.OVERRIDES`` does not list for the receiver exits 2 naming
+the flag, as ``run_receiver`` would name the field; ``bench --iters`` needs ``anl1`` or ``an``.
 ``serialize.solve_to_dict`` writes ``solve``'s JSON document for every receiver, and
 ``serialize.solution_from_dict`` reads the dual vector back for ``spectrum``.
 """
@@ -137,7 +137,7 @@ def cmd_spectrum(args) -> int:
         grid = np.abs(extract.dual_poly_grid(parsed[2], M, N, gp, gq))
     else:
         k = args.music_k if args.music_k is not None else "auto"
-        mcfg = dataclasses.replace(baselines.default_music_config(M, N, K_signal=k),
+        mcfg = dataclasses.replace(baselines.default_music_config(M, N), K_signal=k,
                                    grid_phi=gp, grid_psi=gq)
         grid = baselines.music_spectrum(baselines.spatial_smooth(parsed[0], mcfg), mcfg)[0]
     _write(serialize.grid_to_csv(grid), args.out, args.quiet)

@@ -97,6 +97,7 @@ def path_to_dict(path: Path) -> dict:
 
 
 def path_from_dict(obj: dict) -> Path:
+    _reject_unknown(obj, ("alpha_re", "alpha_im", "phi", "psi"), "path")
     alpha = complex(real_number(obj, "alpha_re"), real_number(obj, "alpha_im"))
     if not cmath.isfinite(alpha):
         raise ConfigError(f"a path's alpha must be finite, got {alpha}")

@@ -83,7 +83,7 @@ class TestMusicConfig:
 class TestMusicSpectrum:
     def test_single_path_peak_within_cell(self):
         cfg, scene, meas = noiseless_measurement(paths=((1.0, 0.37, 0.81),))
-        mcfg = default_music_config(8, 8, K_signal=1)
+        mcfg = dataclasses.replace(default_music_config(8, 8), K_signal=1)
         spec, k = music_spectrum(spatial_smooth(meas, mcfg), mcfg)
         assert k == 1
         p, q = np.unravel_index(np.argmax(spec), spec.shape)
@@ -93,7 +93,7 @@ class TestMusicSpectrum:
     def test_two_paths_two_maxima(self):
         cfg, scene, meas = noiseless_measurement(
             paths=((1.0, 0.2, 0.3), (0.8, 0.62, 0.75)), seed=5)
-        mcfg = default_music_config(8, 8, K_signal=2)
+        mcfg = dataclasses.replace(default_music_config(8, 8), K_signal=2)
         est = music_estimate(meas, mcfg)
         assert len(est.paths) == 2
         for truth in scene.targets:
@@ -109,14 +109,14 @@ class TestMusicSpectrum:
 
     def test_observation_with_another_row_count_rejected(self):
         cfg, scene, meas = noiseless_measurement()
-        mcfg = default_music_config(8, 8, K_signal=1)
+        mcfg = dataclasses.replace(default_music_config(8, 8), K_signal=1)
         observation = spatial_smooth(meas, mcfg)
         with pytest.raises(ConfigError, match="observation must have"):
             music_spectrum(observation[1:], mcfg)
 
     def test_svd_failure_is_a_numeric_error(self, monkeypatch):
         cfg, scene, meas = noiseless_measurement()
-        mcfg = default_music_config(8, 8, K_signal=1)
+        mcfg = dataclasses.replace(default_music_config(8, 8), K_signal=1)
         observation = spatial_smooth(meas, mcfg)
 
         def failing_svd(a, full_matrices=True):
@@ -128,7 +128,7 @@ class TestMusicSpectrum:
 
     def test_scale_invariant_argmax(self, rng):
         cfg, scene, meas = noiseless_measurement(paths=((1.0, 0.37, 0.81),), seed=6)
-        mcfg = default_music_config(8, 8, K_signal=1)
+        mcfg = dataclasses.replace(default_music_config(8, 8), K_signal=1)
         Y = spatial_smooth(meas, mcfg)
         ref = np.unravel_index(np.argmax(music_spectrum(Y, mcfg)[0]), (128, 128))
         for _ in range(5):
@@ -152,7 +152,7 @@ class TestMusicSpectrum:
 
     def test_auto_dimension_single_path(self):
         cfg, scene, meas = noiseless_measurement(paths=((1.0, 0.37, 0.81),), seed=7)
-        mcfg = default_music_config(8, 8, K_signal="auto")
+        mcfg = default_music_config(8, 8)
         est = music_estimate(meas, mcfg)
         assert len(est.paths) == 1
         assert abs(est.paths[0].phi - 0.37) <= 1.0 / mcfg.grid_phi
@@ -806,7 +806,7 @@ class TestEstimateContract:
     def test_music_paths_sorted(self):
         cfg, scene, meas = noiseless_measurement(
             paths=((1.0, 0.2, 0.3), (0.4, 0.62, 0.75)), seed=12)
-        est = music_estimate(meas, default_music_config(8, 8, K_signal=2))
+        est = music_estimate(meas, dataclasses.replace(default_music_config(8, 8), K_signal=2))
         mags = [abs(p.alpha) for p in est.paths]
         assert mags == sorted(mags, reverse=True)
 

@@ -123,7 +123,8 @@ def written_out_dispatch(name, measurement, config, n_paths):
     if name == "CS-L1":
         return baselines.csl1_estimate(measurement,
                                        baselines.default_csl1_config(M, N, config.sigma))
-    cfg = baselines.default_music_config(M, N, K_signal=min(n_paths, 15), grid_factor=4)
+    cfg = dataclasses.replace(baselines.default_music_config(M, N), K_signal=min(n_paths, 15),
+                              grid_phi=4 * M, grid_psi=4 * N)
     return baselines.music_estimate(measurement, cfg)
 
 
@@ -144,13 +145,20 @@ class TestRunAlgorithm:
         with pytest.raises(ConfigError, match="unknown algorithm"):
             bench.run_algorithm("CS-XYZ", measurement, self.SPEC.config, 3)
 
-    def test_iteration_cap_reaches_the_dual_receivers_only(self):
+    def test_iteration_cap_reaches_the_dual_receivers_only(self, monkeypatch):
         _, measurement = simulate_trial(self.SPEC, 1e-2, 0)
-        caps = {name: bench.run_receiver(name, measurement, self.SPEC.config, 3, 7,
-                                         4)[0].max_iters
-                for name in ("CS-ANL1", "CS-AN", "CS-L1")}
-        assert caps == {"CS-ANL1": 7, "CS-AN": 7,
-                        "CS-L1": baselines.default_csl1_config(8, 8, 1.0).max_iters}
+        caps = []
+
+        def record(measurement, settings):
+            caps.append(settings.max_iters)
+            raise NumericError("stopped after reading the cap")
+
+        monkeypatch.setattr(admm, "solve", record)
+        monkeypatch.setattr(baselines, "csl1_estimate", record)
+        for name in ("CS-ANL1", "CS-AN", "CS-L1"):
+            with pytest.raises(NumericError, match="stopped after reading the cap"):
+                bench.run_algorithm(name, measurement, self.SPEC.config, 3, an_max_iters=7)
+        assert caps == [7, 7, baselines.default_csl1_config(8, 8, 1.0).max_iters]
 
 
 class TestRunReceiver:
@@ -163,7 +171,7 @@ class TestRunReceiver:
         ("CS-ANL1", {"lam": 0.02, "mu": 0.03, "rho": 0.1, "max_iters": 5}),
         ("CS-AN", {"lam": 0.02, "rho": 0.1, "max_iters": 5}),
         ("CS-L1", {}),
-        ("2D-MUSIC", {"K_signal": 3})])
+        ("2D-MUSIC", {"K_signal": 3, "grid_phi": 40, "grid_psi": 24})])
     def test_overrides_reach_the_settings_and_the_receiver(self, name, overrides):
         # Each field the table lists is one the receiver's settings read.
         assert set(overrides) == set(bench.OVERRIDES[name])
@@ -173,11 +181,23 @@ class TestRunReceiver:
         assert {key: getattr(settings, key) for key in overrides} == overrides
         if name == "2D-MUSIC":
             assert len(estimate.paths) == 3
+            lattice = np.array([(p.phi * 40, p.psi * 24) for p in estimate.paths])
+            assert np.allclose(lattice, np.round(lattice), rtol=0, atol=1e-9)
         if name in ("CS-ANL1", "CS-AN"):
             assert solution.diagnostics.iterations == 5
             assert set(timing) == {"solve", "extract"}
         else:
             assert solution is None and set(timing) == {"solve"}
+
+    @pytest.mark.parametrize("name, field, value", [
+        ("CS-AN", "mu", 0.3), ("CS-L1", "max_iters", 3), ("CS-L1", "tol", 0.5),
+        ("2D-MUSIC", "M_sub", 2)])
+    def test_a_field_the_table_does_not_list_is_a_config_error(self, name, field, value):
+        # A settings field of the receiver, but not one a caller may set: CS-AN's mu would
+        # solve the mu > 0 program under CS-AN's name.
+        _, measurement = simulate_trial(self.SPEC, 1e-2, 0)
+        with pytest.raises(ConfigError, match=f"^{name} does not take {field}$"):
+            bench.run_receiver(name, measurement, self.SPEC.config, **{field: value})
 
 
 class TestRunBenchmark:

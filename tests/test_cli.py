@@ -175,13 +175,15 @@ class TestMalformedInput:
     @pytest.mark.parametrize("argv, where, key, misspelt", [
         (["simulate", "--spec"], "scenario", "trials", "trails"),
         (["solve", "--algo", "csl1", "--input"], "config", "noise_power_db", "noise_power_dbb"),
-        (["solve", "--algo", "csl1", "--input"], "measurement", "e_bar_true", "e_bar_ture")],
-        ids=["scenario", "config", "measurement"])
+        (["solve", "--algo", "csl1", "--input"], "measurement", "e_bar_true", "e_bar_ture"),
+        (["solve", "--algo", "csl1", "--input"], "path", "phi", "phii")],
+        ids=["scenario", "config", "measurement", "path"])
     def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, argv, where, key, misspelt):
         # A misspelt key, required or optional, is named as unknown, not as missing or dropped.
         path = spec_8x8_file(tmp_path) if argv[0] == "simulate" else simulate_8x8_file(tmp_path)
         doc = json.loads(path.read_text())
-        part = doc["config"] if where == "config" else doc
+        part = (doc["config"] if where == "config" else
+                doc["truth"]["targets"][0] if where == "path" else doc)
         part[misspelt] = part.pop(key)
         path.write_text(json.dumps(doc))
         out = tmp_path / "out.json"

@@ -52,14 +52,15 @@ def test_unknown_keys_are_rejected_by_name(where, key):
 
 @pytest.mark.parametrize("where, key, misspelt", [
     ("measurement", "e_bar_true", "e_bar_ture"), ("config", "noise_power_db", "noise_power_dbb"),
-    ("truth", "targets", "targest")])
+    ("truth", "targets", "targest"), ("path", "phi", "phii")])
 def test_a_misspelt_key_is_named_before_any_field_is_read(where, key, misspelt):
     # A misspelt required key is reported as the unknown key, not as the missing one, and a
     # misspelt optional one, such as the ground-truth error vector, is not silently dropped.
     spec = preset("rmse1")
     scene, measurement = simulate_trial(spec, 1e-2, 0)
     doc = through_json(serialize.measurement_to_dict(measurement, spec.config, truth=scene))
-    part = doc if where == "measurement" else doc[where]
+    part = (doc if where == "measurement" else
+            doc["truth"]["targets"][0] if where == "path" else doc[where])
     part[misspelt] = part.pop(key)
     with pytest.raises(ConfigError, match=f"unknown {where} keys: {misspelt}$"):
         serialize.measurement_from_dict(doc)
@@ -141,8 +142,9 @@ DUAL_SOLVE_KEYS = ["kind", "algo", "M", "N", "solver", "z_hat", "e_hat", "nu_hat
 @pytest.mark.parametrize("algo", ALGO_KEYS)
 def test_solve_document_of_every_receiver(measurement_8x8, algo):
     measurement, config = measurement_8x8
+    cap = {"max_iters": 30} if algo in ("anl1", "an") else {}
     settings, estimate, solution, timing = bench.run_receiver(ALGO_KEYS[algo], measurement,
-                                                              config, max_iters=30)
+                                                              config, **cap)
     doc = through_json(serialize.solve_to_dict(algo, measurement, config, settings, estimate,
                                                timing, solution))
     assert doc["solver"] == dataclasses.asdict(settings)
