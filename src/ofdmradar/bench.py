@@ -219,7 +219,8 @@ def run_algorithm(name: str, measurement: Measurement, config: RadarConfig,
     it lists: the dual receivers stop at ``an_max_iters`` sweeps; MUSIC scans the gates'
     4x grid at the true path count, capped below its subarray size."""
     M, N = measurement.M, measurement.N
-    protocol = {"max_iters": an_max_iters, "K_signal": min(n_paths, (M // 2) * (N // 2) - 1),
+    music = baselines.default_music_config(M, N)
+    protocol = {"max_iters": an_max_iters, "K_signal": min(n_paths, music.M_sub * music.N_sub - 1),
                 "grid_phi": BASELINE_GRID_FACTOR * M, "grid_psi": BASELINE_GRID_FACTOR * N}
     return run_receiver(name, measurement, config, **{
         key: value for key, value in protocol.items() if key in OVERRIDES.get(name, ())})[1]
@@ -280,12 +281,14 @@ def run_benchmark(spec: ScenarioSpec, algorithms, ber_list, *,
                   an_max_iters: int = admm.MAX_ITERS, progress=None) -> RmseReport:
     """Sweep (ber, algorithm, trial) and aggregate gated RMSE statistics.
 
-    Each BER in ``ber_list`` is one pass with its own rows, repeats included.  Trials that
-    raise a numerical error are excluded from the aggregates and counted out of
-    ``trials_used``.  RMSE is over matched targets only; ``identification_rate`` is matched
-    targets over targets in used trials, NaN when there are none.
+    Each BER in ``ber_list`` is one pass with its own rows, repeats included; a receiver
+    named twice raises ConfigError.  Trials that raise a numerical error are excluded from
+    the aggregates and counted out of ``trials_used``.  RMSE is over matched targets only;
+    ``identification_rate`` is matched targets over targets in used trials, NaN when none.
     """
     algorithms = tuple(algorithms)
+    if repeated := sorted({name for name in algorithms if algorithms.count(name) > 1}):
+        raise ConfigError(f"receivers named more than once: {', '.join(repeated)}")
     report = RmseReport(spec=spec, algorithms=algorithms)
     for ber in ber_list:
         start = len(report.trials)

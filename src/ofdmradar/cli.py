@@ -7,11 +7,10 @@ CSV/JSON report).  Exit codes: 0 success, 2 configuration error, 3 numerical
 error.
 
 ``solve`` runs ``bench.run_receiver`` at its defaults (MUSIC on a 16x grid at an estimated
-order; both it and ``bench`` cap the ADMM sweeps at ``admm.MAX_ITERS``).  Each flag sets one
-field, and one whose field ``bench.OVERRIDES`` does not list for the receiver exits 2 naming
-the flag, as ``run_receiver`` would name the field; ``bench --iters`` needs ``anl1`` or ``an``.
-``serialize.solve_to_dict`` writes ``solve``'s JSON document for every receiver, and
-``serialize.solution_from_dict`` reads the dual vector back for ``spectrum``.
+order; both it and ``bench`` cap the ADMM sweeps at ``admm.MAX_ITERS``).  ``SETTINGS_FLAGS``
+declares each settings flag once.  Its help names the receivers whose ``bench.OVERRIDES`` list
+its field, and a flag that no chosen receiver reads exits 2.  ``serialize.solve_to_dict``
+writes ``solve``'s JSON document, and ``serialize.solution_from_dict`` reads it for ``spectrum``.
 """
 
 from __future__ import annotations
@@ -26,6 +25,13 @@ import numpy as np
 
 from . import admm, baselines, bench, extract, serialize
 from .errors import ConfigError, NumericError
+
+# The receiver-settings flags by the settings field each sets: flag, type and meaning.
+SETTINGS_FLAGS = {"lam": ("--lambda", float, "weight"), "mu": ("--mu", float, "l1 error weight"),
+                  "rho": ("--rho", float, "base ADMM penalty (0.05), weighted per block of the "
+                          "congruence-scaled real lift of order MN+2 (see ofdmradar.admm)"),
+                  "max_iters": ("--iters", int, f"ADMM sweep cap ({admm.MAX_ITERS})"),
+                  "K_signal": ("--music-k", int, "model order (estimated)")}
 
 
 def _write(text: str, out: str | None, quiet: bool):
@@ -88,6 +94,14 @@ def _load_spec(args) -> bench.ScenarioSpec:
     return dataclasses.replace(spec, **overrides)
 
 
+def _settings(args, names, selection: str) -> dict:
+    """The settings flags set, by field; one that no receiver in ``names`` reads raises."""
+    settings = {f: getattr(args, f) for f in SETTINGS_FLAGS if getattr(args, f, None) is not None}
+    if unread := [f for f in settings if not any(f in bench.OVERRIDES[n] for n in names)]:
+        raise ConfigError(f"{SETTINGS_FLAGS[unread[0]][0]} is not read by {selection}")
+    return settings
+
+
 def cmd_scenario(args) -> int:
     spec = _load_spec(args)
     _write(serialize.dumps(serialize.scenario_to_dict(spec)), args.out, args.quiet)
@@ -110,14 +124,8 @@ def cmd_solve(args) -> int:
     _, (measurement, config, _) = _read_input(
         args.input, {"measurement": serialize.measurement_from_dict})
     name = bench.ALGO_KEYS[args.algo]
-    flags = (("--lambda", "lam", args.lam), ("--mu", "mu", args.mu), ("--rho", "rho", args.rho),
-             ("--iters", "max_iters", args.iters), ("--music-k", "K_signal", args.music_k))
-    for flag, field, value in flags:
-        if value is not None and field not in bench.OVERRIDES[name]:
-            raise ConfigError(f"{flag} is not read by --algo {args.algo}")
-    overrides = {field: value for _, field, value in flags if value is not None}
-    settings, estimate, solution, timing = bench.run_receiver(name, measurement, config,
-                                                              **overrides)
+    settings, estimate, solution, timing = bench.run_receiver(
+        name, measurement, config, **_settings(args, [name], f"--algo {args.algo}"))
     text = (serialize.estimate_to_csv(estimate, config) if args.format == "csv"
             else serialize.dumps(serialize.solve_to_dict(args.algo, measurement, config, settings,
                                                          estimate, timing, solution)))
@@ -128,7 +136,7 @@ def cmd_solve(args) -> int:
 def cmd_spectrum(args) -> int:
     kind, parsed = _read_input(args.input, {"solution": serialize.solution_from_dict,
                                             "measurement": serialize.measurement_from_dict})
-    if kind == "solution" and args.music_k is not None:
+    if kind == "solution" and args.K_signal is not None:
         raise ConfigError("--music-k is not read for a solution input")
     M, N = parsed[:2] if kind == "solution" else (parsed[0].M, parsed[0].N)
     gp = extract.GRID_FACTOR * M if args.grid_phi is None else args.grid_phi
@@ -136,9 +144,8 @@ def cmd_spectrum(args) -> int:
     if kind == "solution":
         grid = np.abs(extract.dual_poly_grid(parsed[2], M, N, gp, gq))
     else:
-        k = args.music_k if args.music_k is not None else "auto"
-        mcfg = dataclasses.replace(baselines.default_music_config(M, N), K_signal=k,
-                                   grid_phi=gp, grid_psi=gq)
+        mcfg = dataclasses.replace(baselines.default_music_config(M, N), grid_phi=gp, grid_psi=gq,
+                                   **_settings(args, ["2D-MUSIC"], "a measurement input"))
         grid = baselines.music_spectrum(baselines.spatial_smooth(parsed[0], mcfg), mcfg)[0]
     _write(serialize.grid_to_csv(grid), args.out, args.quiet)
     return 0
@@ -148,15 +155,13 @@ def cmd_bench(args) -> int:
     spec = _load_spec(args)
     bers = _parse_list(args.ber, float, "--ber") if args.ber else [spec.ber]
     algos = _parse_list(args.algos, bench.ALGO_KEYS.__getitem__, "--algos")
-    if args.iters is not None and not any("max_iters" in bench.OVERRIDES[a] for a in algos):
-        raise ConfigError(f"--iters is not read by --algos {args.algos}")
+    iters = _settings(args, algos, f"--algos {args.algos}").get("max_iters", admm.MAX_ITERS)
     progress = None
     if not args.quiet:
         def progress(rec):
             status = "FAIL" if rec.failed else f"matched={rec.n_matched}"
             print(f"ber={rec.ber} {rec.algorithm} trial={rec.trial}: {status}",
                   file=sys.stderr)
-    iters = admm.MAX_ITERS if args.iters is None else args.iters
     report = bench.run_benchmark(spec, algos, bers, an_max_iters=iters, progress=progress)
     text = (serialize.dumps(serialize.report_to_dict(report)) if args.format == "json"
             else serialize.report_to_csv(report))
@@ -180,6 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--spec", help="scenario spec JSON file")
     formatted = argparse.ArgumentParser(add_help=False)
     formatted.add_argument("--format", choices=("json", "csv"), default="json")
+    # One parent per settings flag, its help led by the receivers whose OVERRIDES list its field.
+    flags = {field: argparse.ArgumentParser(add_help=False) for field in SETTINGS_FLAGS}
+    for field, (flag, kind, meaning) in SETTINGS_FLAGS.items():
+        keys = ", ".join(k for k, name in bench.ALGO_KEYS.items() if field in bench.OVERRIDES[name])
+        flags[field].add_argument(flag, dest=field, type=kind, help=f"{keys}: {meaning}")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -194,35 +204,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trial", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("solve", parents=[common, formatted],
+    p = sub.add_parser("solve", parents=[common, formatted, *flags.values()],
                        help="estimate paths from a measurement file")
     p.add_argument("--input", required=True, help="measurement JSON file")
     p.add_argument("--algo", required=True, choices=tuple(bench.ALGO_KEYS))
-    p.add_argument("--lambda", dest="lam", type=float, default=None, help="anl1, an: weight")
-    p.add_argument("--mu", type=float, default=None, help="anl1: l1 error weight")
-    p.add_argument("--rho", type=float, default=None,
-                   help="anl1, an: base ADMM penalty (0.05), weighted per block of the "
-                        "congruence-scaled real lift of order MN+2 (see ofdmradar.admm)")
-    p.add_argument("--iters", type=int, default=None,
-                   help=f"anl1, an: ADMM sweep cap ({admm.MAX_ITERS})")
-    p.add_argument("--music-k", type=int, default=None, help="music: model order (estimated)")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("spectrum", parents=[common],
+    p = sub.add_parser("spectrum", parents=[common, flags["K_signal"]],
                        help="dual-polynomial or MUSIC spectrum grid as CSV")
     p.add_argument("--input", required=True, help="solution or measurement JSON file")
     p.add_argument("--grid-phi", type=int, default=None)
     p.add_argument("--grid-psi", type=int, default=None)
-    p.add_argument("--music-k", type=int, default=None, help="measurement input: MUSIC order")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("bench", parents=[common, seeded, source, formatted],
+    p = sub.add_parser("bench", parents=[common, seeded, source, formatted, flags["max_iters"]],
                        help="run the RMSE benchmark sweep")
     p.add_argument("--ber", default=None, help="comma-separated BER list")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--algos", default=",".join(bench.ALGO_KEYS))
-    p.add_argument("--iters", type=int, default=None,
-                   help=f"anl1, an: ADMM sweep cap ({admm.MAX_ITERS})")
     p.add_argument("--trials-out", default=None, help="per-trial raw CSV path")
     p.set_defaults(func=cmd_bench)
     return parser

@@ -174,11 +174,10 @@ def scenario_from_dict(obj: dict) -> ScenarioSpec:
 
 
 def _path_rows(estimate: Estimate, config: RadarConfig):
-    """Per path: the Path, its range and velocity, and its statistic (None when absent)."""
-    stats = estimate.dual_peak_values
-    for i, p in enumerate(estimate.paths):
+    """Per path: the Path, its range and velocity, and its statistic."""
+    for p, stat in zip(estimate.paths, estimate.dual_peak_values, strict=True):
         range_m, velocity = normalized_to_physical(p.phi, p.psi, config)
-        yield p, range_m, velocity, stats[i] if i < len(stats) else None
+        yield p, range_m, velocity, stat
 
 
 def estimate_to_dict(estimate: Estimate, config: RadarConfig) -> dict:
@@ -191,10 +190,8 @@ def estimate_to_dict(estimate: Estimate, config: RadarConfig) -> dict:
 def estimate_to_csv(estimate: Estimate, config: RadarConfig) -> str:
     lines = ["phi,psi,range_m,velocity_mps,amp_re,amp_im,dual_peak_mag"]
     for p, range_m, velocity, stat in _path_rows(estimate, config):
-        mag = float("nan") if stat is None else stat
         lines.append(",".join(repr(float(v)) for v in
-                              (p.phi, p.psi, range_m, velocity,
-                               p.alpha.real, p.alpha.imag, mag)))
+                              (p.phi, p.psi, range_m, velocity, p.alpha.real, p.alpha.imag, stat)))
     return "\n".join(lines) + "\n"
 
 

@@ -160,6 +160,22 @@ class TestRunAlgorithm:
                 bench.run_algorithm(name, measurement, self.SPEC.config, 3, an_max_iters=7)
         assert caps == [7, 7, baselines.default_csl1_config(8, 8, 1.0).max_iters]
 
+    def test_music_order_is_capped_below_the_default_subarray_at_odd_mn(self, monkeypatch):
+        # At 5x7 the default subarray is 2x3, so the true count 9 is capped at 2*3 - 1 = 5.
+        spec = dataclasses.replace(self.SPEC,
+                                   config=dataclasses.replace(self.SPEC.config, M=5, N=7))
+        _, measurement = simulate_trial(spec, 1e-2, 0)
+        orders = []
+
+        def record(measurement, settings):
+            orders.append(settings.K_signal)
+            return Estimate(paths=())
+
+        monkeypatch.setattr(baselines, "music_estimate", record)
+        bench.run_algorithm("2D-MUSIC", measurement, spec.config, 9)
+        sub = baselines.default_music_config(5, 7)
+        assert orders == [sub.M_sub * sub.N_sub - 1] == [5]
+
 
 class TestRunReceiver:
     SPEC = TestRunAlgorithm.SPEC
@@ -206,6 +222,10 @@ class TestRunBenchmark:
     def test_unknown_algorithm_is_a_config_error(self):
         with pytest.raises(ConfigError, match="unknown algorithm 'CS-XYZ'"):
             bench.run_benchmark(self.SPEC, ("CS-L1", "CS-XYZ"), [1e-2])
+
+    def test_a_receiver_named_twice_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="named more than once: 2D-MUSIC$"):
+            bench.run_benchmark(self.SPEC, ("2D-MUSIC", "CS-L1", "2D-MUSIC"), [1e-2])
 
     def test_failed_trial_is_recorded_and_left_out_of_its_row(self, monkeypatch):
         # MUSIC raises on its second trial; CS-L1 runs both.

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -414,6 +415,15 @@ class TestBench:
             assert float(row["identification_rate"]) == matched / (3 * len(used))
         assert rows[0] == rows[1]
 
+    def test_a_receiver_named_twice_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        assert main(["bench", "--spec", str(spec_8x8_file(tmp_path)), "--trials", "1",
+                     "--algos", "music,music", "--format", "csv", "--out", str(out),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "2D-MUSIC" in err[0]
+        assert not out.exists()
+
     def test_scenario_without_targets_exits_0_with_a_nan_rate(self, tmp_path):
         spec_path = spec_8x8_file(tmp_path)
         spec = json.loads(spec_path.read_text())
@@ -468,6 +478,36 @@ class TestBenchIters:
         default = admm.SolverConfig(lam=1.0, mu=0.0).max_iters
         assert caps == [default, default]
         assert json.loads(out.read_text())["solver"]["max_iters"] == default
+
+
+class TestSettingsFlags:
+    # The settings field each receiver-settings flag sets, and the subcommands declaring it.
+    FIELDS = {"--lambda": "lam", "--mu": "mu", "--rho": "rho", "--iters": "max_iters",
+              "--music-k": "K_signal"}
+    DECLARED = {"solve": list(FIELDS), "spectrum": ["--music-k"], "bench": ["--iters"]}
+
+    @staticmethod
+    def subcommands():
+        return next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+
+    def test_only_solve_spectrum_and_bench_declare_them(self):
+        declared = {command: [flag for action in parser._actions
+                              for flag in action.option_strings if flag in self.FIELDS]
+                    for command, parser in self.subcommands().items()}
+        assert {command: flags for command, flags in declared.items() if flags} == self.DECLARED
+
+    @pytest.mark.parametrize("command, flag", [(command, flag)
+                                               for command, flags in DECLARED.items()
+                                               for flag in flags])
+    def test_help_names_the_receivers_the_override_table_lists(self, command, flag):
+        (action,) = [action for action in self.subcommands()[command]._actions
+                     if flag in action.option_strings]
+        field = self.FIELDS[flag]
+        readers = [key for key, name in ALGO_KEYS.items() if field in bench.OVERRIDES[name]]
+        assert readers
+        assert action.dest == field
+        assert action.help.split(": ", 1)[0].split(", ") == readers
 
 
 class TestConfigRanges:

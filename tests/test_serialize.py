@@ -8,6 +8,7 @@ import pytest
 from ofdmradar import (ConfigError, Path, RmseReport, RmseRow, bench, objective_primal, preset,
                        serialize, simulate_trial)
 from ofdmradar.bench import ALGO_KEYS, PRESETS, TrialRecord
+from ofdmradar.extract import Estimate
 
 
 def through_json(doc):
@@ -164,3 +165,11 @@ def test_solve_document_of_every_receiver(measurement_8x8, algo):
     doc["nu_hat"] = doc["nu_hat"][:-2]
     with pytest.raises(ConfigError, match="nu_hat must hold M.N=64 complex entries, got 63"):
         serialize.solution_from_dict(doc)
+
+
+@pytest.mark.parametrize("write", [serialize.estimate_to_dict, serialize.estimate_to_csv])
+def test_an_estimate_without_one_statistic_per_path_is_not_written(write):
+    # Every receiver's estimate holds one statistic per path; a shorter tuple is a fault.
+    estimate = Estimate(paths=(Path(alpha=1.0, phi=0.1, psi=0.2),))
+    with pytest.raises(ValueError, match="zip"):
+        write(estimate, preset("rmse1").config)
